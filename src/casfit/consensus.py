@@ -11,7 +11,9 @@ hard inlier count, so models are rewarded for being close to many points,
 not just for clearing the threshold.
 
 Everything is deterministic for a fixed seed: the generator is PCG64 and
-samples are drawn in a fixed order, single threaded.
+samples are drawn in a fixed order, single threaded.  Samples are drawn,
+solved and validated in chunks, which changes neither the draw order nor
+the iteration at which the loop stops.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ import numpy as np
 from .distances import MetricKind, cas, evaluate_metric
 from .errors import (DegenerateQuadric, InsufficientSupport, NoModelFound,
                      NotAnEllipsoid, RankDeficient, TooFewPoints)
-from .leastsq import gaussian_weights, lls_fit, wls_fit
-from .quadric import EllipsoidModel, as_points
+# lls_fit is not called here but stays a module attribute: perfbench/tracer.py
+# wraps it by this name.
+from .leastsq import gaussian_weights, lls_fit, solve_stack, wls_fit  # noqa: F401
+from .quadric import (ELLIPSOID, EllipsoidGeometry, EllipsoidModel, as_points,
+                      check_ellipsoids)
 
 RNG_ALGORITHM = "PCG64"
 
@@ -196,6 +201,25 @@ def local_optimize(model: EllipsoidModel, points, cfg: FitConfig) -> Optional[El
 
 ProgressHook = Callable[[int, float, int], None]
 
+# Minimal samples drawn, solved and validated together in one chunk.
+CHUNK = 64
+
+
+def _candidates(pts: np.ndarray, n: int, k: int, rng: np.random.Generator):
+    """Draw ``k`` minimal samples in order, solve and check them as one stack.
+
+    Yields, per sample, its EllipsoidModel, or None when the sample is rank
+    deficient or its quadric is not an ellipsoid.
+    """
+    idx = np.stack([sample_minimal(len(pts), n, rng) for _ in range(k)])
+    coeffs, ok = solve_stack(pts[idx])
+    verdict, rotation, translation, semiaxes = check_ellipsoids(coeffs)
+    ok &= verdict == ELLIPSOID
+    for i in range(k):
+        yield (EllipsoidModel(coeffs[i], EllipsoidGeometry(rotation[i], translation[i],
+                                                           semiaxes[i]))
+               if ok[i] else None)
+
 
 def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitReport:
     """Robustly fit an ellipsoid to ``points``.
@@ -205,6 +229,10 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     sample-consensus best improves.  Raises NoModelFound when no candidate
     validates within the iteration budget and TooFewPoints when fewer than
     ``cfg.sample_size`` points are supplied.
+
+    Minimal samples are drawn and solved CHUNK at a time; the best-model,
+    refit and stopping logic then runs over them one iteration at a time,
+    so the result is that of drawing and solving one sample per iteration.
 
     The optional ``progress`` hook receives (iteration, best_score,
     required_iterations) after every iteration.
@@ -219,51 +247,48 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     start = time.perf_counter()
     best_model: Optional[EllipsoidModel] = None
     best_score = -math.inf
+    best_labels: Optional[np.ndarray] = None
     best_sample_score = -math.inf  # best among raw minimal-sample models
     required = cfg.max_iterations
     lo_invocations = 0
     iteration = 0
 
     while iteration < required:
-        iteration += 1
-        idx = sample_minimal(len(pts), n, rng)
-        try:
-            candidate = EllipsoidModel.from_coeffs(lls_fit(pts[idx]))
-        except (RankDeficient, NotAnEllipsoid, DegenerateQuadric):
+        for candidate in _candidates(pts, n, min(CHUNK, required - iteration), rng):
+            iteration += 1
+            improved = False
+            if candidate is not None:
+                score = model_score(candidate, pts, cfg.epsilon, score_metric)
+                if score > best_sample_score:
+                    best_sample_score = score
+                    if score > best_score:
+                        best_model, best_score = candidate, score
+                        improved = True
+                    if cfg.local_opt:
+                        lo_invocations += 1
+                        refined = local_optimize(candidate, pts, cfg)
+                        if refined is not None:
+                            refined_score = model_score(refined, pts, cfg.epsilon,
+                                                        score_metric)
+                            if refined_score > best_score:
+                                best_model, best_score = refined, refined_score
+                                improved = True
+            if improved:
+                best_labels = classify(pts, best_model, cfg.epsilon, score_metric)
+                required = required_iterations(float(best_labels.mean()), cfg.mu, n,
+                                               cfg.min_iterations, cfg.max_iterations)
             if progress is not None:
                 progress(iteration, best_score, required)
-            continue
-        score = model_score(candidate, pts, cfg.epsilon, score_metric)
-
-        improved = False
-        if score > best_sample_score:
-            best_sample_score = score
-            if score > best_score:
-                best_model, best_score = candidate, score
-                improved = True
-            if cfg.local_opt:
-                lo_invocations += 1
-                refined = local_optimize(candidate, pts, cfg)
-                if refined is not None:
-                    refined_score = model_score(refined, pts, cfg.epsilon, score_metric)
-                    if refined_score > best_score:
-                        best_model, best_score = refined, refined_score
-                        improved = True
-        if improved:
-            ratio = float(classify(pts, best_model, cfg.epsilon, score_metric).mean())
-            required = required_iterations(ratio, cfg.mu, n,
-                                           cfg.min_iterations, cfg.max_iterations)
-        if progress is not None:
-            progress(iteration, best_score, required)
+            if iteration >= required:
+                break
 
     if best_model is None:
         raise NoModelFound(f"no valid ellipsoid in {iteration} iterations")
-    labels = classify(pts, best_model, cfg.epsilon, score_metric)
     return FitReport(
         model=best_model,
         score=best_score,
-        inlier_mask=labels,
-        inlier_ratio=float(labels.mean()),
+        inlier_mask=best_labels,
+        inlier_ratio=float(best_labels.mean()),
         iterations=iteration,
         lo_invocations=lo_invocations,
         wall_time=time.perf_counter() - start,

@@ -17,8 +17,7 @@ import numpy as np
 
 from .distances import MetricKind, cas, evaluate_metric
 from .errors import InsufficientSupport, RankDeficient, TooFewPoints
-from .quadric import (EllipsoidModel, as_points, coeffs_to_matrix, design_matrix,
-                      matrix_to_coeffs, normalize_coeffs)
+from .quadric import EllipsoidModel, as_points, design_matrix, normalize_rows, quadratic_block
 
 # Minimum number of points (and of usably weighted points) for a quadric.
 MIN_POINTS = 9
@@ -30,24 +29,40 @@ SUPPORT_TOL = 1e-6
 EIGENGAP_TOL = 1e-10
 
 
-def _condition(pts: np.ndarray):
-    center = pts.mean(axis=0)
-    shifted = pts - center
-    scale = np.sqrt(np.square(shifted).sum(axis=1).mean() / 3.0)
-    if not scale > 1e-12 * (1.0 + float(np.abs(center).max())):
-        raise RankDeficient("point cloud has no spatial extent")
-    return shifted / scale, center, scale
+def solve_stack(samples: np.ndarray, weights: np.ndarray | None = None):
+    """Weighted algebraic quadric fit of every sample in a (k, m, 3) stack.
+
+    ``weights`` is None (uniform) or a (k, m) array.  Returns the normalized
+    coefficients, shape (k, 10), and a boolean mask of the rows that are
+    well posed.  A row is not well posed when its points have no spatial
+    extent or when the smallest eigenvector of its normal matrix is not
+    isolated; its coefficients are then meaningless.
+    """
+    k, m = samples.shape[:2]
+    center = samples.mean(axis=1)
+    shifted = samples - center[:, None, :]
+    scale = np.sqrt(np.square(shifted).sum(axis=2).mean(axis=1) / 3.0)
+    ok = scale > 1e-12 * (1.0 + np.abs(center).max(axis=1))
+    scale = np.where(ok, scale, 1.0)
+    rows = design_matrix((shifted / scale[:, None, None]).reshape(k * m, 3)).reshape(k, m, 10)
+    if weights is not None:
+        rows = weights[:, :, None] * rows
+    evals, evecs = np.linalg.eigh(np.swapaxes(rows, 1, 2) @ rows)
+    ok &= evals[:, 1] - evals[:, 0] > EIGENGAP_TOL * np.maximum(evals[:, -1], 1e-300)
+    return _decondition(evecs[:, :, 0], center, scale), ok
 
 
-def _decondition(q_local: np.ndarray, center: np.ndarray, scale: float) -> np.ndarray:
-    # x_local = (x - center) / scale, as a homogeneous map S; the original-
-    # frame quadric matrix is S^T Q_local S.
-    s_mat = np.zeros((4, 4))
-    s_mat[:3, :3] = np.eye(3) / scale
-    s_mat[:3, 3] = -center / scale
-    s_mat[3, 3] = 1.0
-    mat = s_mat.T @ coeffs_to_matrix(q_local) @ s_mat
-    return normalize_coeffs(matrix_to_coeffs(0.5 * (mat + mat.T)))
+def _decondition(q_local: np.ndarray, center: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    # With x_local = (x - c) / s, the conditioned quadric x_l^T A x_l +
+    # 2 b.x_l - q10, times s^2, is x^T A x + 2 (s b - A c).x
+    # - (s^2 q10 + 2 s b.c - c^T A c) in the original frame.
+    linear = q_local[:, 6:9]
+    block_c = np.einsum("kij,kj->ki", quadratic_block(q_local), center)
+    q = q_local.copy()
+    q[:, 6:9] = scale[:, None] * linear - block_c
+    q[:, 9] = (scale * scale * q_local[:, 9] + 2.0 * scale * np.einsum("ki,ki->k", linear, center)
+               - np.einsum("ki,ki->k", block_c, center))
+    return normalize_rows(q)
 
 
 def wls_fit(points, weights=None) -> np.ndarray:
@@ -55,31 +70,27 @@ def wls_fit(points, weights=None) -> np.ndarray:
 
     ``weights`` may be None (uniform).  Raises InsufficientSupport when
     fewer than MIN_POINTS weights exceed SUPPORT_TOL and RankDeficient when
-    the smallest eigenvector of the normal matrix is not isolated.
+    the points have no spatial extent or the smallest eigenvector of the
+    normal matrix is not isolated.
     """
     pts = as_points(points)
     if len(pts) < MIN_POINTS:
         raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
-    if weights is None:
-        w = np.ones(len(pts))
-    else:
+    if weights is not None:
         w = np.asarray(weights, dtype=float).reshape(-1)
         if w.shape != (len(pts),):
             raise ValueError("weights must match the number of points")
         if not np.isfinite(w).all() or (w < 0.0).any():
             raise ValueError("weights must be finite and non-negative")
-    if int((w > SUPPORT_TOL).sum()) < MIN_POINTS:
-        raise InsufficientSupport(
-            f"fewer than {MIN_POINTS} points carry weight above {SUPPORT_TOL}")
-
-    local, center, scale = _condition(pts)
-    rows = w[:, None] * design_matrix(local)
-    normal = rows.T @ rows
-    evals, evecs = np.linalg.eigh(normal)
-    gap = float(evals[1] - evals[0])
-    if gap <= EIGENGAP_TOL * max(float(evals[-1]), 1e-300):
-        raise RankDeficient("smallest eigenvector of the normal matrix is not isolated")
-    return _decondition(evecs[:, 0], center, scale)
+        if int((w > SUPPORT_TOL).sum()) < MIN_POINTS:
+            raise InsufficientSupport(
+                f"fewer than {MIN_POINTS} points carry weight above {SUPPORT_TOL}")
+        weights = w[None]
+    q, ok = solve_stack(pts[None], weights)
+    if not ok[0]:
+        raise RankDeficient("points have no spatial extent or the smallest eigenvector "
+                            "of the normal matrix is not isolated")
+    return q[0]
 
 
 def lls_fit(points) -> np.ndarray:

@@ -78,6 +78,12 @@ def normalize_coeffs(q) -> np.ndarray:
     return q
 
 
+def normalize_rows(q: np.ndarray) -> np.ndarray:
+    """normalize_coeffs for each row of a finite, non-zero (k, 10) stack."""
+    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    return np.where(q[:, :3].sum(axis=1, keepdims=True) < 0.0, -q, q)
+
+
 def coeffs_to_matrix(q) -> np.ndarray:
     """Symmetric 4x4 matrix Q with xh @ Q @ xh == d(x) @ q."""
     q = np.asarray(q, dtype=float).reshape(10)
@@ -107,14 +113,13 @@ def matrix_to_coeffs(mat) -> np.ndarray:
     ])
 
 
+_BLOCK_INDEX = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
+
+
 def quadratic_block(q) -> np.ndarray:
-    """The symmetric 3x3 block of the quadric matrix."""
-    q = np.asarray(q, dtype=float).reshape(10)
-    return np.array([
-        [q[0], q[3], q[4]],
-        [q[3], q[1], q[5]],
-        [q[4], q[5], q[2]],
-    ])
+    """The symmetric 3x3 block of the quadric matrix; (..., 10) gives (..., 3, 3)."""
+    q = np.asarray(q, dtype=float)
+    return q[..., _BLOCK_INDEX].reshape(q.shape[:-1] + (3, 3))
 
 
 @dataclass(frozen=True)
@@ -169,6 +174,39 @@ def geometry_to_coeffs(geom: EllipsoidGeometry) -> np.ndarray:
     return normalize_coeffs(q)
 
 
+# Verdicts of check_ellipsoids, one per coefficient row.
+ELLIPSOID, DEGENERATE, INDEFINITE, UNBOUNDED = range(4)
+
+
+def check_ellipsoids(q: np.ndarray):
+    """Classify each row of a unit-norm (k, 10) coefficient stack.
+
+    Returns ``(verdict, rotation, translation, semiaxes)``.  ``verdict[i]``
+    is ELLIPSOID for a real, bounded, non-degenerate ellipsoid, DEGENERATE
+    when the quadratic block is rank deficient, INDEFINITE when it is not
+    positive definite, and UNBOUNDED when the surface has no real points.
+    The other three hold each row's EllipsoidGeometry fields (proper
+    rotation, descending semiaxes) and are meaningful only for ELLIPSOID
+    rows.
+    """
+    evals, evecs = np.linalg.eigh(quadratic_block(q))  # ascending eigenvalues
+    abs_evals = np.abs(evals)
+    max_abs = abs_evals.max(axis=1)
+    degenerate = (max_abs == 0.0) | (abs_evals.min(axis=1) < DEGENERACY_TOL * max_abs)
+    evecs[:, :, -1] *= np.copysign(1.0, np.linalg.det(evecs))[:, None]  # proper rotations
+    proj = (q[:, None, 6:9] @ evecs)[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        translation = proj / evals
+        scale = np.einsum("ki,ki->k", proj, translation) + q[:, 9]
+        semiaxes = np.sqrt(scale[:, None] / evals)
+    verdict = np.full(len(q), ELLIPSOID)
+    # later tests take precedence
+    verdict[scale <= 0.0] = UNBOUNDED
+    verdict[evals[:, 0] <= 0.0] = INDEFINITE
+    verdict[degenerate] = DEGENERATE
+    return verdict, np.swapaxes(evecs, 1, 2), translation, semiaxes
+
+
 def decompose(q) -> EllipsoidGeometry:
     """Recover rotation, translation and semiaxes from quadric coefficients.
 
@@ -177,24 +215,14 @@ def decompose(q) -> EllipsoidGeometry:
     (hyperboloid, cone, imaginary surface, ...).
     """
     q = normalize_coeffs(q)
-    block = quadratic_block(q)
-    evals, evecs = np.linalg.eigh(block)  # ascending eigenvalues
-    max_abs = float(np.abs(evals).max())
-    if max_abs == 0.0 or float(np.abs(evals).min()) < DEGENERACY_TOL * max_abs:
+    verdict, rotation, translation, semiaxes = (v[0] for v in check_ellipsoids(q[None]))
+    if verdict == DEGENERATE:
         raise DegenerateQuadric("quadratic block is rank deficient")
-    if evals[0] <= 0.0:
+    if verdict == INDEFINITE:
         raise NotAnEllipsoid("quadratic block is not positive definite")
-    if np.linalg.det(evecs) < 0.0:
-        evecs = evecs.copy()
-        evecs[:, -1] = -evecs[:, -1]
-    linear = q[6:9]
-    coef = (evecs.T @ linear) / evals
-    scale = float(linear @ evecs @ coef) + q[9]
-    if scale <= 0.0:
+    if verdict == UNBOUNDED:
         raise NotAnEllipsoid("no real bounded surface for these coefficients")
-    # eigenvalues ascending -> semiaxes descending
-    semiaxes = np.sqrt(scale / evals)
-    return EllipsoidGeometry(rotation=evecs.T, translation=coef, semiaxes=semiaxes)
+    return EllipsoidGeometry(rotation=rotation, translation=translation, semiaxes=semiaxes)
 
 
 def validate_ellipsoid(q) -> bool:

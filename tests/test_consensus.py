@@ -8,9 +8,11 @@ from casfit import (AXIAL, SAMPSON, DatasetSpec, EllipsoidGeometry,
                     axial_distance, cas, classify, evaluate_metric, fit,
                     local_optimize, make_instance, model_score, point_energy,
                     required_iterations, sample_minimal, sample_surface)
+from casfit.consensus import CHUNK
 from casfit.quadric import normalize_coeffs
 
 from conftest import make_model, unit_sphere
+from reference_loop import reference_fit
 
 
 def contaminated(rng, fraction=0.4, count=400):
@@ -253,6 +255,65 @@ class TestFit:
                                          max_iterations=300, seed=4,
                                          local_opt=False))
         assert off.lo_invocations == 0
+
+
+def cloud(fraction, seed, count=500, sigma_rel=0.25):
+    rng = np.random.default_rng(seed)
+    spec = DatasetSpec(kind="outlier", point_count=count, sigma_rel=sigma_rel,
+                       outlier_fraction=fraction, seed=seed)
+    return make_instance(spec, rng)
+
+
+def fit_both(points, cfg):
+    """Run the chunked fit and the sequential reference; assert they agree."""
+    calls, ref_calls = [], []
+    got = fit(points, cfg, progress=lambda *args: calls.append(args))
+    want = reference_fit(points, cfg, progress=lambda *args: ref_calls.append(args))
+    assert got.iterations == want.iterations
+    assert got.lo_invocations == want.lo_invocations
+    assert [(it, req) for it, _, req in calls] == [(it, req) for it, _, req in ref_calls]
+    for (_, score, _), (_, ref_score, _) in zip(calls, ref_calls):
+        assert score == ref_score or abs(score - ref_score) <= 1e-12 * abs(ref_score)
+    assert np.abs(got.model.coeffs - want.model.coeffs).max() <= 1e-12
+    assert abs(got.score - want.score) <= 1e-12 * abs(want.score)
+    d = np.asarray(evaluate_metric(cfg.resolved_score_metric(), points, want.model))
+    flipped = got.inlier_mask != want.inlier_mask
+    assert np.all(np.abs(d[flipped] - cfg.epsilon) <= 1e-9 * cfg.epsilon)
+    assert got.inlier_ratio == float(got.inlier_mask.mean())
+    return got, ref_calls
+
+
+class TestChunkedEquivalence:
+    """The chunked loop against the sequential one it replaced (reference_loop.py)."""
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("local_opt", [True, False])
+    def test_contaminated_clouds(self, fraction, local_opt):
+        inst = cloud(fraction, seed=int(10 * fraction) + 31)
+        for seed in (0, 1):
+            fit_both(inst.points, FitConfig(epsilon=1.5 * inst.sigma, seed=seed,
+                                            local_opt=local_opt))
+
+    def test_cap_not_a_multiple_of_chunk(self):
+        inst = cloud(0.5, seed=7)
+        cap = 2 * CHUNK + 22
+        report, _ = fit_both(inst.points, FitConfig(epsilon=1.5 * inst.sigma, seed=3,
+                                                    max_iterations=cap))
+        assert report.iterations == cap
+
+    def test_min_iterations_below_chunk(self, rng):
+        m = make_model(rng)
+        pts = sample_surface(m, 200, rng)
+        report, _ = fit_both(pts, FitConfig(epsilon=0.05, min_iterations=7,
+                                            max_iterations=10_000, seed=2))
+        assert report.iterations == 7 < CHUNK
+
+    def test_budget_drops_inside_a_chunk(self):
+        inst = cloud(0.3, seed=12)
+        report, calls = fit_both(inst.points, FitConfig(epsilon=1.5 * inst.sigma, seed=4))
+        drops = [it for (it, _, req), (_, _, prev) in zip(calls[1:], calls) if req < prev]
+        assert any(it % CHUNK for it in drops)
+        assert report.iterations % CHUNK
 
 
 class TestFitConfig:

@@ -6,6 +6,7 @@ import pytest
 from casfit import (AXIAL, SAMPSON, EllipsoidModel, InsufficientSupport,
                     RankDeficient, TooFewPoints, algebraic_distance,
                     cas_weights, gaussian_weights, lls_fit, wls_fit)
+from casfit.leastsq import solve_stack
 from casfit.quadric import design_matrix, normalize_coeffs
 from casfit.synth import random_rotation, sample_surface
 
@@ -75,6 +76,30 @@ class TestLls:
         base = EllipsoidModel.from_coeffs(lls_fit(pts))
         assert np.abs(np.sort(fitted.semiaxes) - np.sort(base.semiaxes)).max() < 1e-9
         assert np.abs(fitted.center - (rot @ base.center + shift)).max() < 1e-9
+
+
+class TestSolveStack:
+    def test_rows_match_lls_fit(self, rng):
+        m = make_model(rng)
+        pts = np.vstack([sample_surface(m, 60, rng), rng.uniform(-8, 8, size=(40, 3))])
+        samples = np.stack([pts[rng.choice(len(pts), 9, replace=False)] for _ in range(50)])
+        coeffs, ok = solve_stack(samples)
+        assert coeffs.shape == (50, 10) and ok.all()
+        for sample, q in zip(samples, coeffs):
+            assert np.abs(q - lls_fit(sample)).max() <= 1e-15
+
+    def test_rank_deficient_rows_rejected(self, rng):
+        m = make_model(rng)
+        good = sample_surface(m, 9, rng)
+        coplanar = np.zeros((9, 3))
+        coplanar[:, :2] = rng.uniform(-5, 5, size=(9, 2))
+        repeated = np.tile([1.0, 2.0, 3.0], (9, 1))
+        coeffs, ok = solve_stack(np.stack([good, coplanar, repeated, good]))
+        assert ok.tolist() == [True, False, False, True]
+        assert np.array_equal(coeffs[0], coeffs[3])
+        for bad in (coplanar, repeated):
+            with pytest.raises(RankDeficient):
+                lls_fit(bad)
 
 
 class TestWls:

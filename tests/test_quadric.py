@@ -5,6 +5,9 @@ from casfit import (DegenerateQuadric, EllipsoidGeometry, EllipsoidModel,
                     NotAnEllipsoid, coeffs_to_matrix, decompose, design_matrix,
                     geometry_to_coeffs, matrix_to_coeffs, normalize_coeffs,
                     validate_ellipsoid)
+from casfit.leastsq import solve_stack
+from casfit.quadric import (DEGENERATE, ELLIPSOID, INDEFINITE, UNBOUNDED,
+                            check_ellipsoids)
 from casfit.synth import random_rotation, sample_surface
 
 from conftest import axis_aligned, make_model
@@ -152,6 +155,47 @@ class TestValidate:
         paraboloid = np.array([1.0, 1, 0, 0, 0, 0, 0, 0, 1, 0])
         for q in (hyperboloid, empty, cylinder, paraboloid):
             assert not validate_ellipsoid(q)
+
+
+def hyperboloid_sample(rng, count=9):
+    # x^2/a^2 + y^2/b^2 - z^2/c^2 = 1, rotated and shifted
+    u = rng.uniform(-1.5, 1.5, count)
+    v = rng.uniform(0.0, 2.0 * np.pi, count)
+    a, b, c = rng.uniform(0.5, 3.0, 3)
+    local = np.stack([a * np.cosh(u) * np.cos(v), b * np.cosh(u) * np.sin(v),
+                      c * np.sinh(u)], axis=1)
+    return local @ random_rotation(rng).T + rng.uniform(-5, 5, 3)
+
+
+class TestCheckEllipsoids:
+    def test_verdicts_match_decompose(self):
+        rows = {
+            ELLIPSOID: UNIT_SPHERE_RAW,
+            INDEFINITE: np.array([1.0, 1, -1, 0, 0, 0, 0, 0, 0, 1]),
+            UNBOUNDED: np.array([1.0, 1, 1, 0, 0, 0, 0, 0, 0, -1]),
+            DEGENERATE: np.array([1.0, 1, 1e-13, 0, 0, 0, 0, 0, 0, 1]),
+        }
+        stack = np.stack([normalize_coeffs(q) for q in rows.values()])
+        assert check_ellipsoids(stack)[0].tolist() == list(rows)
+        decompose(rows[ELLIPSOID])
+        for verdict, error in ((INDEFINITE, NotAnEllipsoid), (UNBOUNDED, NotAnEllipsoid),
+                               (DEGENERATE, DegenerateQuadric)):
+            with pytest.raises(error):
+                decompose(rows[verdict])
+
+    def test_hyperboloid_samples_fail_exactly_when_from_coeffs_raises(self, rng):
+        samples = [hyperboloid_sample(rng) if k % 2 else sample_surface(make_model(rng), 9, rng)
+                   for k in range(40)]
+        coeffs, ok = solve_stack(np.stack(samples))
+        assert ok.all()
+        passed = check_ellipsoids(coeffs)[0] == ELLIPSOID
+        for q, accepted in zip(coeffs, passed):
+            if accepted:
+                EllipsoidModel.from_coeffs(q)
+            else:
+                with pytest.raises(NotAnEllipsoid):
+                    EllipsoidModel.from_coeffs(q)
+        assert passed[0::2].all() and not passed[1::2].any()
 
 
 class TestGeometry:
