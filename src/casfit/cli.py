@@ -171,8 +171,7 @@ def _cmd_distances(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     model = EllipsoidModel.from_json_dict(doc)
-    kinds = [MetricKind(k) if k in ("algebraic", "sampson", "orthogonal", "axial")
-             else MetricKind(k, args.lam) for k in METRIC_KINDS]
+    kinds = [MetricKind(k, args.lam) for k in METRIC_KINDS]
 
     def write(fh):
         writer = csv.writer(fh)

@@ -40,8 +40,8 @@ ROOT_TOL = 1e-12
 
 # Aligned coordinates at or below this fraction of the longest semiaxis are
 # treated as exact zeros.  Near an axis plane the foot-point equation turns
-# stiff and the generic solver loses precision; the reduced case analysis is
-# exact there, and snapping moves the query point by at most this amount.
+# stiff; a zeroed coordinate drops out of it exactly, and snapping moves the
+# query point by at most this amount.
 ZERO_SNAP = 1e-13
 
 _SINGLE_KINDS = ("algebraic", "sampson", "orthogonal", "axial")
@@ -157,76 +157,56 @@ def sampson_distance(points, model: EllipsoidModel):
 def _largest_root(w: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """Largest root t of sum((r_i w_i / (r_i^2 + t))^2) == 1, row-wise.
 
-    Requires every entry of w to be strictly positive.  The root lies in
-    (-min(r)^2, -min(r)^2 + max(r) * ||w||]: the left end blows up, and at
-    the right end each term is bounded by (w_i / ||w||)^2, so the row sums
-    to at most one.  Bisection on that bracket is unconditionally safe.
-    """
-    r_sq = np.square(axes)
-    rw_sq = np.square(axes * w)
-    norms = np.linalg.norm(w, axis=1)
-    lo = np.full(w.shape[0], -float(r_sq.min()))
-    hi = lo + float(axes.max()) * norms
+    Returns the shift s = t + min(r)^2 and forms each denominator as
+    (r_i^2 - min(r)^2) + s: near the center t approaches -min(r)^2, where
+    r_i^2 + t would cancel away most digits of the shortest axes' terms.
 
-    def residual(t):
+    Requires w >= 0 and a positive residual at s = 0 in every row (+inf when
+    a shortest axis has w_i > 0).  The root then lies in (0, max(r) * ||w||]:
+    the residual decreases from a positive left end, and at the right end
+    each term is bounded by (w_i / ||w||)^2, so the row sums to at most one.
+    Bisection on that bracket is unconditionally safe.
+    """
+    excess = np.square(axes) - float(np.square(axes).min())
+    rw_sq = np.square(axes * w)
+    lo = np.zeros(w.shape[0])
+    hi = float(axes.max()) * np.linalg.norm(w, axis=1)
+
+    def residual(s):
         with np.errstate(divide="ignore", over="ignore"):
-            return (rw_sq / np.square(r_sq + t[:, None])).sum(axis=1) - 1.0
+            return (rw_sq / np.square(excess + s[:, None])).sum(axis=1) - 1.0
 
     converged = np.zeros(w.shape[0], dtype=bool)
     eps = np.finfo(float).eps
-    t = 0.5 * (lo + hi)
+    s = 0.5 * (lo + hi)
     for _ in range(ROOT_MAX_ITERATIONS):
-        t = 0.5 * (lo + hi)
-        res = residual(t)
+        s = 0.5 * (lo + hi)
+        res = residual(s)
         converged |= np.abs(res) < ROOT_TOL
         # Steep roots (point close to an axis plane) cannot meet the residual
         # tolerance; a bracket narrowed to a few ulps is as converged as the
         # arithmetic allows.
-        converged |= hi - lo <= 4.0 * eps * np.maximum(np.abs(lo), np.abs(hi))
+        converged |= hi - lo <= 4.0 * eps * hi
         if converged.all():
             break
         above = res > 0.0
-        lo = np.where(above, t, lo)
-        hi = np.where(above, hi, t)
+        lo = np.where(above, s, lo)
+        hi = np.where(above, hi, s)
     else:
         if not converged.all():
             raise ConvergenceFailure(
                 f"foot-point root solve did not reach {ROOT_TOL} within "
                 f"{ROOT_MAX_ITERATIONS} iterations")
-    # Newton polish from the bisection basin pushes t to full precision.
-    floor = -float(r_sq.min())
+    # Newton polish from the bisection basin pushes s to full precision.
     for _ in range(3):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            res = residual(t)
-            deriv = -2.0 * (rw_sq / (r_sq + t[:, None]) ** 3).sum(axis=1)
+            res = residual(s)
+            deriv = -2.0 * (rw_sq / (excess + s[:, None]) ** 3).sum(axis=1)
             step = np.where(deriv != 0.0, res / deriv, 0.0)
-        t_new = t - step
-        ok = np.isfinite(t_new) & (t_new > floor)
-        t = np.where(ok, t_new, t)
-    return t
-
-
-def _ortho_reduced(w: np.ndarray, axes: np.ndarray) -> float:
-    """Distance for a single point with exact zeros among its aligned coords."""
-    active = w > 0.0
-    if not active.any():
-        return float(axes.min())  # center: nearest vertex of the shortest axis
-    w_a = w[active]
-    r_a = axes[active]
-    t = float(_largest_root(w_a[None, :], r_a)[0])
-    if active.all():
-        foot = np.square(r_a) * w_a / (np.square(r_a) + t)
-        return float(np.linalg.norm(w_a - foot))
-    r_z = float(axes[~active].min())
-    if t >= -r_z * r_z:
-        foot = np.square(r_a) * w_a / (np.square(r_a) + t)
-        return float(np.linalg.norm(w_a - foot))
-    # The nearest point leaves the active subspace: it sits where the member
-    # family crosses r_z, i.e. the root is pinned at t = -r_z^2.  Every
-    # active semiaxis then exceeds r_z, so the foot below is well defined.
-    foot = np.square(r_a) * w_a / (np.square(r_a) - r_z * r_z)
-    slack = 1.0 - float(np.square(foot / r_a).sum())
-    return float(np.sqrt(np.square(w_a - foot).sum() + r_z * r_z * slack))
+        s_new = s - step
+        ok = np.isfinite(s_new) & (s_new > 0.0)
+        s = np.where(ok, s_new, s)
+    return s
 
 
 def orthogonal_distance(points, model: EllipsoidModel):
@@ -238,19 +218,27 @@ def orthogonal_distance(points, model: EllipsoidModel):
     w = np.abs(aligned)
     axes = geom.semiaxes
     w[w <= ZERO_SNAP * float(axes.max())] = 0.0
-    out = np.empty(len(pts))
+    r_sq = np.square(axes)
+    floor = float(r_sq.min())
+    excess = r_sq - floor
+    active = w > 0.0
 
-    has_zero = (w == 0.0).any(axis=1)
-    for i in np.flatnonzero(has_zero):
-        out[i] = _ortho_reduced(w[i], axes)
-
-    generic = ~has_zero
-    if generic.any():
-        w_g = w[generic]
-        t = _largest_root(w_g, axes)
-        foot = np.square(axes) * w_g / (np.square(axes) + t[:, None])
-        out[generic] = np.linalg.norm(w_g - foot, axis=1)
-    return _shaped(out, scalar)
+    # A row whose residual at the left end of the bracket is not positive has
+    # its root pinned there, at shift 0 (only possible when its coordinates on
+    # the shortest axes are all zero, the center included): the nearest point
+    # leaves the row's active subspace along a shortest axis, which takes up
+    # the missing floor * slack.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.where(active, axes * w / excess, 0.0)
+    slack = 1.0 - np.square(g).sum(axis=1)
+    pinned = slack >= 0.0
+    shift = np.zeros(len(pts))
+    if not pinned.all():
+        shift[~pinned] = _largest_root(w[~pinned], axes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        foot = np.where(active, r_sq * w / (excess + shift[:, None]), 0.0)
+    gap = np.square(w - foot).sum(axis=1) + floor * np.maximum(slack, 0.0)
+    return _shaped(np.sqrt(gap), scalar)
 
 
 def cas_distance(points, model: EllipsoidModel, lam: float = 0.5):

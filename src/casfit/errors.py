@@ -34,4 +34,4 @@ class NoModelFound(CasfitError):
 
 
 class ParseError(CasfitError):
-    """A point file or grid description could not be parsed."""
+    """A point file, grid description or model document could not be parsed."""

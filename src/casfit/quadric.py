@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateQuadric, NotAnEllipsoid
+from .errors import DegenerateQuadric, NotAnEllipsoid, ParseError
 
 # Relative eigenvalue threshold below which the quadratic block is treated
 # as rank deficient.
@@ -68,19 +68,15 @@ def normalize_coeffs(q) -> np.ndarray:
     q = np.asarray(q, dtype=float).reshape(10)
     if not np.isfinite(q).all():
         raise ValueError("coefficients must be finite")
-    norm = float(np.linalg.norm(q))
-    if norm == 0.0:
+    if np.linalg.norm(q) == 0.0:
         raise ValueError("coefficient vector is zero")
-    q = q / norm
-    trace = q[0] + q[1] + q[2]
-    if trace < 0.0:
-        q = -q
-    return q
+    return normalize_rows(q[None])[0]
 
 
 def normalize_rows(q: np.ndarray) -> np.ndarray:
     """normalize_coeffs for each row of a finite, non-zero (k, 10) stack."""
-    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    # Stacked dot products round like np.linalg.norm of a single 1-D row.
+    q = q / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
     return np.where(q[:, :3].sum(axis=1, keepdims=True) < 0.0, -q, q)
 
 
@@ -214,7 +210,11 @@ def decompose(q) -> EllipsoidGeometry:
     NotAnEllipsoid when the coefficients describe any other quadric type
     (hyperboloid, cone, imaginary surface, ...).
     """
-    q = normalize_coeffs(q)
+    return _decompose_unit(normalize_coeffs(q))
+
+
+def _decompose_unit(q: np.ndarray) -> EllipsoidGeometry:
+    """decompose for coefficients that are already normalized."""
     verdict, rotation, translation, semiaxes = (v[0] for v in check_ellipsoids(q[None]))
     if verdict == DEGENERATE:
         raise DegenerateQuadric("quadratic block is rank deficient")
@@ -253,7 +253,7 @@ class EllipsoidModel:
     @classmethod
     def from_coeffs(cls, q) -> "EllipsoidModel":
         q = normalize_coeffs(q)
-        return cls(coeffs=q, geometry=decompose(q))
+        return cls(coeffs=q, geometry=_decompose_unit(q))
 
     @classmethod
     def from_geometry(cls, geom: EllipsoidGeometry) -> "EllipsoidModel":
@@ -278,4 +278,10 @@ class EllipsoidModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EllipsoidModel":
-        return cls.from_coeffs(np.asarray(doc["q"], dtype=float))
+        """Inverse of to_json_dict; only ``q`` is read.  Raises ParseError."""
+        if not isinstance(doc, dict) or "q" not in doc:
+            raise ParseError("model document must be a JSON object with a 'q' field")
+        try:
+            return cls.from_coeffs(np.asarray(doc["q"], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad model field 'q': {exc}") from None

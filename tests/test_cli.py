@@ -180,7 +180,12 @@ class TestExitCodes:
         not_json.write_text("{oops")
         assert run_cli(["bench", str(not_json), "--out",
                         str(tmp_path / "r.csv")]) == 2
-        capsys.readouterr()
+
+        for text in ("{}", "[1, 2]", '{"q": [1, 2]}', '{"q": {"a": 1}}'):
+            model = tmp_path / "model.json"
+            model.write_text(text)
+            assert run_cli(["distances", str(ok), str(model)]) == 2
+        assert "casfit: error: model" in capsys.readouterr().err
 
 
 class TestEntryPoints:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from casfit import (ALGEBRAIC, AXIAL, ORTHOGONAL, SAMPSON, MetricKind,
                     algebraic_distance, axial_distance, cas, cas_distance,
@@ -12,6 +14,12 @@ from conftest import axis_aligned, make_model, unit_sphere
 
 P_OUTSIDE = np.array([2.0, 0.0, 0.0])
 SQRT3 = np.sqrt(3.0)
+
+
+def from_aligned(model, u):
+    """Scene coordinates of points given in the model's aligned frame."""
+    geom = model.geometry
+    return (np.asarray(u, dtype=float) - geom.translation) @ geom.rotation
 
 
 def rigidly_moved(model, rot, shift):
@@ -129,9 +137,23 @@ class TestOrthogonal:
         # oracle: dense surface sampling plus parametric refinement, fully
         # independent of the root-finding path under test
         from scipy.optimize import minimize
+        cases = []
         for _ in range(8):
             m = make_model(rng)
-            p = m.center + rng.uniform(-8.0, 8.0, 3)
+            cases.append((m, m.center + rng.uniform(-8.0, 8.0, 3)))
+        for zeros in ([0], [2], [1, 2], [0, 1]):  # axis planes and axes
+            m = make_model(rng)
+            u = rng.uniform(-1.5, 1.5, 3) * m.semiaxes
+            u[zeros] = 0.0
+            cases.append((m, from_aligned(m, u)))
+        # inside a spheroid with equal shortest semiaxes, on the long axis:
+        # the root is pinned and the nearest points form a circle on the waist
+        # (up to x = 8/3, where the circle shrinks onto the axis)
+        m = rigidly_moved(axis_aligned((3.0, 1.0, 1.0)), random_rotation(rng),
+                          rng.uniform(-5.0, 5.0, 3))
+        cases.append((m, from_aligned(m, [2.66, 0.0, 0.0])))
+        cases.append((m, from_aligned(m, [0.4, 0.0, 0.0])))
+        for m, p in cases:
             ours = orthogonal_distance(p, m)
             geom = m.geometry
             dirs = rng.normal(size=(200_000, 3))
@@ -159,6 +181,13 @@ class TestOrthogonal:
         for _ in range(20):
             m = make_model(rng)
             assert abs(orthogonal_distance(m.center, m) - m.semiaxes.min()) < 1e-10
+            # just off the center along the shortest axis the nearest point is
+            # still its vertex; the root then sits a hair above -min(r)^2
+            r_min = m.semiaxes.min()
+            for offset in (1e-7, 1e-9, 1e-11):
+                p = from_aligned(m, [0.0, 0.0, offset * r_min])
+                d = orthogonal_distance(p, m)
+                assert abs(d - (1.0 - offset) * r_min) < 1e-12 * m.semiaxes.max()
 
     def test_interior_point_near_long_axis(self):
         # inside a 3:1:1 ellipsoid just off-center along the long axis the
@@ -175,6 +204,52 @@ class TestOrthogonal:
         batch = orthogonal_distance(pts, m)
         single = np.array([orthogonal_distance(p, m) for p in pts])
         assert np.allclose(batch, single, rtol=1e-12, atol=1e-14)
+
+        # generic points share one batch with axis-plane points, on-axis
+        # points (inside and out) and the center
+        for semiaxes in (None, (3.0, 1.0, 1.0), (2.0, 2.0, 2.0), (1e3, 1.0, 0.5)):
+            m = make_model(rng) if semiaxes is None else rigidly_moved(
+                axis_aligned(semiaxes), random_rotation(rng), rng.uniform(-5, 5, 3))
+            u = rng.uniform(-2.0, 2.0, size=(40, 3)) * m.semiaxes
+            u[np.arange(10, 20), rng.integers(0, 3, 10)] = 0.0
+            u[20:30] *= np.eye(3)[rng.integers(0, 3, 10)]
+            u[30:35] *= 0.1 * np.eye(3)[rng.integers(0, 3, 5)]
+            u[35] = 0.0
+            pts = from_aligned(m, u)
+            batch = orthogonal_distance(pts, m)
+            single = np.array([orthogonal_distance(p, m) for p in pts])
+            assert np.allclose(batch, single, rtol=1e-12, atol=1e-14)
+            assert abs(batch[35] - m.semiaxes.min()) < 1e-12 * m.semiaxes.max()
+
+
+_coord = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_ratios=st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)),
+       r_max=st.floats(0.1, 10.0),
+       seed=st.integers(0, 2**32 - 1),
+       coords=st.tuples(_coord, _coord, _coord),
+       zeros=st.sets(st.integers(0, 2), min_size=1),
+       signs=st.tuples(*[st.sampled_from((-1.0, 1.0))] * 3))
+@example(log_ratios=(0.0, 0.0), r_max=0.375, seed=0, coords=(0.0, 0.0, 1e-9),
+         zeros={0}, signs=(-1.0, -1.0, -1.0))  # near a sphere's center
+def test_axis_plane_distance_is_lipschitz(log_ratios, r_max, seed, coords, zeros, signs):
+    # a distance to a set is 1-Lipschitz, so moving a point off its axis
+    # planes by delta changes its distance by at most delta; this ties the
+    # pinned closed form and the zero-entry root solve to the generic solve
+    rng = np.random.default_rng(seed)
+    semiaxes = r_max * 10.0 ** -np.array([0.0, *log_ratios])
+    m = rigidly_moved(axis_aligned(semiaxes), random_rotation(rng),
+                      r_max * rng.uniform(-10.0, 10.0, 3))
+    u = np.array(coords) * m.semiaxes
+    zeros = sorted(zeros)
+    u[zeros] = 0.0
+    moved = u.copy()
+    moved[zeros] = 1e-6 * r_max * np.array(signs)[zeros]
+    p, p_moved = from_aligned(m, u), from_aligned(m, moved)
+    gap = abs(orthogonal_distance(p, m) - orthogonal_distance(p_moved, m))
+    assert gap <= np.linalg.norm(p - p_moved) + 1e-9 * r_max
 
 
 class TestEuclideanInvariance:
