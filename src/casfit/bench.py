@@ -20,7 +20,7 @@ import numpy as np
 
 from .consensus import FitConfig, fit
 from .distances import MetricKind, axial_distance, orthogonal_distance, sampson_distance
-from .errors import ParseError
+from .errors import ParseError, require_integers
 from .quadric import EllipsoidModel, validate_ellipsoid
 from .synth import DatasetSpec, Instance, make_instance
 
@@ -101,6 +101,7 @@ class GridVariant:
     max_iterations: int = 100_000
 
     def __post_init__(self):
+        require_integers(self, "lo_steps", "sample_size", "min_iterations", "max_iterations")
         if (self.epsilon is None) == (self.epsilon_rel_sigma is None):
             raise ValueError("set exactly one of epsilon and epsilon_rel_sigma")
         MetricKind.parse(self.score_metric)
@@ -139,6 +140,7 @@ class ExperimentGrid:
         object.__setattr__(self, "datasets", tuple(self.datasets))
         if not self.variants or not self.datasets:
             raise ValueError("grid needs at least one variant and one dataset")
+        require_integers(self, "runs_per_instance", "seed")
         names = [v.name for v in self.variants]
         if len(set(names)) != len(names):
             raise ValueError("variant names must be unique")
@@ -155,8 +157,8 @@ def grid_from_json(doc) -> ExperimentGrid:
         datasets = tuple(DatasetSpec(**d) for d in doc["datasets"])
         return ExperimentGrid(
             variants=variants, datasets=datasets,
-            runs_per_instance=int(doc.get("runs_per_instance", 100)),
-            seed=int(doc.get("seed", 0)))
+            runs_per_instance=doc.get("runs_per_instance", 100),
+            seed=doc.get("seed", 0))
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -8,7 +8,9 @@ far, with a confidence target ``mu``.
 
 Scoring uses soft per-point energies exp(-d^2 / (2 eps^2)) rather than a
 hard inlier count, so models are rewarded for being close to many points,
-not just for clearing the threshold.
+not just for clearing the threshold.  Each model's distances under the score
+metric are evaluated once; its score, its inlier labels and the weights of
+the refit that follows it all come from that one array.
 
 Everything is deterministic for a fixed seed: the generator is PCG64 and
 samples are drawn in a fixed order, single threaded.  Samples are drawn,
@@ -27,10 +29,11 @@ import numpy as np
 
 from .distances import MetricKind, cas, evaluate_metric
 from .errors import (DegenerateQuadric, InsufficientSupport, NoModelFound,
-                     NotAnEllipsoid, RankDeficient, TooFewPoints)
-# lls_fit is not called here but stays a module attribute: perfbench/tracer.py
-# wraps it by this name.
-from .leastsq import gaussian_weights, lls_fit, solve_stack, wls_fit  # noqa: F401
+                     NotAnEllipsoid, RankDeficient, TooFewPoints, require_integers)
+# gaussian_weights and lls_fit are not called here but stay module attributes:
+# perfbench/tracer.py wraps them by these names.
+from .leastsq import (gaussian_weights, lls_fit, point_energy,  # noqa: F401
+                      solve_stack, wls_fit)
 from .quadric import (ELLIPSOID, EllipsoidGeometry, EllipsoidModel, as_points,
                       check_ellipsoids)
 
@@ -64,8 +67,10 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        require_integers(self, "sample_size", "lo_steps", "max_iterations",
+                         "min_iterations", "seed")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lam must lie in [0, 1]")
         if not 0.0 < self.mu < 1.0:
@@ -101,16 +106,6 @@ class FitReport:
         mask = np.array(self.inlier_mask, dtype=bool)
         mask.setflags(write=False)
         object.__setattr__(self, "inlier_mask", mask)
-
-
-def point_energy(distance, epsilon: float):
-    """Gaussian kernel exp(-d^2 / (2 eps^2)); 1 on the surface, 0 at +inf."""
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
-    d = np.asarray(distance, dtype=float)
-    with np.errstate(over="ignore"):
-        out = np.exp(-np.square(d) / (2.0 * epsilon * epsilon))
-    return float(out) if out.ndim == 0 else out
 
 
 def model_score(model: EllipsoidModel, points, epsilon: float,
@@ -171,31 +166,32 @@ def _lo_schedule(epsilon: float, steps: int) -> np.ndarray:
     return np.linspace(LO_EPS_START * epsilon, LO_EPS_END * epsilon, steps)
 
 
-def local_optimize(model: EllipsoidModel, points, cfg: FitConfig) -> Optional[EllipsoidModel]:
+def local_optimize(model: EllipsoidModel, points, cfg: FitConfig) -> Optional[tuple]:
     """Weighted-refit cascade around ``model``; None when nothing validates.
 
     Each step reweights all points against the current model with a
     shrinking kernel width, refits, and keeps the refit as the new current
-    model when it is a valid ellipsoid.  The best-scoring step output is
-    returned; steps whose refit fails or degenerates are skipped.
+    model when it is a valid ellipsoid.  Returns (model, score, distances
+    under the score metric) of the best-scoring step; steps whose refit
+    fails or degenerates are skipped.
     """
     pts = as_points(points)
     weight_metric = cfg.resolved_weight_metric()
     score_metric = cfg.resolved_score_metric()
-    current = model
-    best: Optional[EllipsoidModel] = None
-    best_score = -math.inf
+    current, d_weight = model, None
+    best, best_score = None, -math.inf
     for eps_lo in _lo_schedule(cfg.epsilon, cfg.lo_steps):
-        w = gaussian_weights(pts, current, eps_lo, weight_metric)
+        if d_weight is None:
+            d_weight = evaluate_metric(weight_metric, pts, current)
         try:
-            q = wls_fit(pts, w)
-            candidate = EllipsoidModel.from_coeffs(q)
+            candidate = EllipsoidModel.from_coeffs(wls_fit(pts, point_energy(d_weight, eps_lo)))
         except (RankDeficient, InsufficientSupport, NotAnEllipsoid, DegenerateQuadric):
             continue
-        score = model_score(candidate, pts, cfg.epsilon, score_metric)
+        d = evaluate_metric(score_metric, pts, candidate)
+        score = float(np.sum(point_energy(d, cfg.epsilon)))
         if score > best_score:
-            best, best_score = candidate, score
-        current = candidate
+            best, best_score = (candidate, score, d), score
+        current, d_weight = candidate, (d if weight_metric == score_metric else None)
     return best
 
 
@@ -258,23 +254,21 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
             iteration += 1
             improved = False
             if candidate is not None:
-                score = model_score(candidate, pts, cfg.epsilon, score_metric)
+                d = evaluate_metric(score_metric, pts, candidate)
+                score = float(np.sum(point_energy(d, cfg.epsilon)))
                 if score > best_sample_score:
                     best_sample_score = score
                     if score > best_score:
-                        best_model, best_score = candidate, score
+                        best_model, best_score, best_d = candidate, score, d
                         improved = True
                     if cfg.local_opt:
                         lo_invocations += 1
                         refined = local_optimize(candidate, pts, cfg)
-                        if refined is not None:
-                            refined_score = model_score(refined, pts, cfg.epsilon,
-                                                        score_metric)
-                            if refined_score > best_score:
-                                best_model, best_score = refined, refined_score
-                                improved = True
+                        if refined is not None and refined[1] > best_score:
+                            best_model, best_score, best_d = refined
+                            improved = True
             if improved:
-                best_labels = classify(pts, best_model, cfg.epsilon, score_metric)
+                best_labels = best_d < cfg.epsilon
                 required = required_iterations(float(best_labels.mean()), cfg.mu, n,
                                                cfg.min_iterations, cfg.max_iterations)
             if progress is not None:

@@ -74,6 +74,8 @@ class MetricKind:
     @classmethod
     def parse(cls, text: str) -> "MetricKind":
         """Parse 'sampson' or 'cas:0.25' style strings."""
+        if not isinstance(text, str):
+            raise ValueError(f"metric must be a string, got {text!r}")
         name, sep, ratio = text.partition(":")
         name = name.strip().lower()
         if sep:

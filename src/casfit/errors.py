@@ -1,4 +1,14 @@
-"""Exception types shared across the library."""
+"""Exception types and the integer-field check shared across the library."""
+
+import numbers
+
+
+def require_integers(record, *names) -> None:
+    """Raise ValueError unless each named field of ``record`` is an integer."""
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class CasfitError(Exception):

@@ -98,19 +98,25 @@ def lls_fit(points) -> np.ndarray:
     return wls_fit(points, None)
 
 
+def point_energy(distance, epsilon: float):
+    """Gaussian kernel exp(-d^2 / (2 eps^2)); 1 on the surface, 0 at +inf."""
+    if not epsilon > 0.0:
+        raise ValueError("epsilon must be positive")
+    d = np.asarray(distance, dtype=float)
+    with np.errstate(over="ignore"):
+        out = np.exp(-np.square(d) / (2.0 * epsilon * epsilon))
+    return float(out) if out.ndim == 0 else out
+
+
 def gaussian_weights(points, model: EllipsoidModel, eps_lo: float,
                      metric: MetricKind | None = None) -> np.ndarray:
-    """Per-point weights exp(-d^2 / (2 * eps_lo^2)) under ``metric``.
+    """Per-point weights point_energy(d, eps_lo) under ``metric``.
 
     Infinite distances produce weight exactly zero.
     """
-    if not eps_lo > 0.0:
-        raise ValueError("eps_lo must be positive")
     if metric is None:
         metric = cas()
-    d = np.atleast_1d(evaluate_metric(metric, points, model))
-    with np.errstate(over="ignore"):
-        return np.exp(-np.square(d) / (2.0 * eps_lo * eps_lo))
+    return point_energy(np.atleast_1d(evaluate_metric(metric, points, model)), eps_lo)
 
 
 def cas_weights(points, model: EllipsoidModel, eps_lo: float, lam: float = 0.5) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, require_integers
 from .quadric import EllipsoidGeometry, EllipsoidModel, as_points
 
 SEMIAXIS_RANGE = (1.0, 5.0)
@@ -78,6 +78,7 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "point_count", "instance_count", "seed")
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"kind must be one of {DATASET_KINDS}, got {self.kind!r}")
         if self.point_count < 9:

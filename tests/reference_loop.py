@@ -3,7 +3,10 @@
 This is the loop ``casfit.fit`` ran before it solved minimal samples in
 chunks, kept as the reference the chunked loop is tested against.  It calls
 ``lls_fit`` and ``EllipsoidModel.from_coeffs`` on each sample and classifies
-the returned model once more at the end.
+the returned model once more at the end.  Its refit cascade is likewise the
+one ``casfit.local_optimize`` ran before each model's distances were
+evaluated only once: every step recomputes its weights with
+``gaussian_weights``, and every model is scored again by ``model_score``.
 """
 
 from __future__ import annotations
@@ -14,10 +17,33 @@ from typing import Optional
 import numpy as np
 
 from casfit import (DegenerateQuadric, EllipsoidModel, FitConfig, FitReport,
-                    NoModelFound, NotAnEllipsoid, RankDeficient, TooFewPoints,
-                    classify, lls_fit, local_optimize, model_score,
-                    required_iterations, sample_minimal)
+                    InsufficientSupport, NoModelFound, NotAnEllipsoid,
+                    RankDeficient, TooFewPoints, classify, gaussian_weights,
+                    lls_fit, model_score, required_iterations, sample_minimal,
+                    wls_fit)
+from casfit.consensus import _lo_schedule
 from casfit.quadric import as_points
+
+
+def reference_local_optimize(model, points, cfg: FitConfig) -> Optional[EllipsoidModel]:
+    pts = as_points(points)
+    weight_metric = cfg.resolved_weight_metric()
+    score_metric = cfg.resolved_score_metric()
+    current = model
+    best: Optional[EllipsoidModel] = None
+    best_score = -math.inf
+    for eps_lo in _lo_schedule(cfg.epsilon, cfg.lo_steps):
+        w = gaussian_weights(pts, current, eps_lo, weight_metric)
+        try:
+            q = wls_fit(pts, w)
+            candidate = EllipsoidModel.from_coeffs(q)
+        except (RankDeficient, InsufficientSupport, NotAnEllipsoid, DegenerateQuadric):
+            continue
+        score = model_score(candidate, pts, cfg.epsilon, score_metric)
+        if score > best_score:
+            best, best_score = candidate, score
+        current = candidate
+    return best
 
 
 def reference_fit(points, cfg: FitConfig, progress=None) -> FitReport:
@@ -54,7 +80,7 @@ def reference_fit(points, cfg: FitConfig, progress=None) -> FitReport:
                 improved = True
             if cfg.local_opt:
                 lo_invocations += 1
-                refined = local_optimize(candidate, pts, cfg)
+                refined = reference_local_optimize(candidate, pts, cfg)
                 if refined is not None:
                     refined_score = model_score(refined, pts, cfg.epsilon, score_metric)
                     if refined_score > best_score:

@@ -131,6 +131,22 @@ class TestGridConstruction:
         with pytest.raises(ParseError):
             grid_from_json({"variants": [{"name": "x", "bogus_field": 1}],
                             "datasets": [{"kind": "gaussian"}]})
+        good = {"variants": [{"name": "x"}], "datasets": [{"kind": "gaussian"}]}
+        assert grid_from_json(good).variants[0].name == "x"
+        for variant, dataset, top in (
+                ({}, {"instance_count": 1.0}, {}),
+                ({}, {"point_count": 60.5}, {}),
+                ({}, {"seed": "4"}, {}),
+                ({"max_iterations": 60.5}, {}, {}),
+                ({"lo_steps": True}, {}, {}),
+                ({"score_metric": 5}, {}, {}),
+                ({"weight_metric": 5}, {}, {}),
+                ({}, {}, {"runs_per_instance": 2.5}),
+                ({}, {}, {"seed": 1.0})):
+            doc = {"variants": [{"name": "x", **variant}],
+                   "datasets": [{"kind": "gaussian", **dataset}], **top}
+            with pytest.raises(ParseError):
+                grid_from_json(doc)
 
     def test_load_grid_errors(self, tmp_path):
         path = tmp_path / "grid.json"

@@ -175,11 +175,24 @@ class TestExitCodes:
         assert run_cli(["fit", str(ok), "--epsilon", "0.1",
                         "--metric", "euclidean"]) == 2
         assert run_cli(["fit", str(ok), "--epsilon", "-1.0"]) == 2
+        assert run_cli(["fit", str(ok), "--epsilon", "inf"]) == 2
 
         not_json = tmp_path / "grid.json"
         not_json.write_text("{oops")
         assert run_cli(["bench", str(not_json), "--out",
                         str(tmp_path / "r.csv")]) == 2
+
+        for variant, dataset in (({}, {"instance_count": 1.0}),
+                                 ({"max_iterations": 60.5}, {}),
+                                 ({"score_metric": 5}, {})):
+            grid = tmp_path / "bad_grid.json"
+            grid.write_text(json.dumps({
+                "variants": [{"name": "v", "min_iterations": 5, "max_iterations": 20,
+                              **variant}],
+                "datasets": [{"kind": "gaussian", "point_count": 30,
+                              "instance_count": 1, **dataset}],
+                "runs_per_instance": 1}))
+            assert run_cli(["bench", str(grid), "--out", str(tmp_path / "r.csv")]) == 2
 
         for text in ("{}", "[1, 2]", '{"q": [1, 2]}', '{"q": {"a": 1}}'):
             model = tmp_path / "model.json"

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from casfit import (AXIAL, SAMPSON, DatasetSpec, EllipsoidGeometry,
-                    EllipsoidModel, FitConfig, NoModelFound, TooFewPoints,
-                    axial_distance, cas, classify, evaluate_metric, fit,
-                    local_optimize, make_instance, model_score, point_energy,
-                    required_iterations, sample_minimal, sample_surface)
+                    EllipsoidModel, FitConfig, MetricKind, NoModelFound,
+                    TooFewPoints, axial_distance, cas, classify,
+                    evaluate_metric, fit, local_optimize, make_instance,
+                    model_score, point_energy, required_iterations,
+                    sample_minimal, sample_surface)
+from casfit import consensus
 from casfit.consensus import CHUNK
 from casfit.quadric import normalize_coeffs
 
@@ -141,15 +143,48 @@ class TestLocalOptimize:
                 geom.rotation,
                 geom.translation + 0.1 * rng.normal(size=3),
                 geom.semiaxes * (1.0 + 0.05 * rng.normal(size=3))))
-            refined = local_optimize(start, inst.points, cfg)
-            assert refined is not None
-            before = model_score(start, inst.points, cfg.epsilon,
-                                 cfg.resolved_score_metric())
-            after = model_score(refined, inst.points, cfg.epsilon,
-                                cfg.resolved_score_metric())
-            if after > before:
+            result = local_optimize(start, inst.points, cfg)
+            assert result is not None
+            refined, after, d = result
+            metric = cfg.resolved_score_metric()
+            assert after == model_score(refined, inst.points, cfg.epsilon, metric)
+            assert np.array_equal(d, evaluate_metric(metric, inst.points, refined))
+            if after > model_score(start, inst.points, cfg.epsilon, metric):
                 improved += 1
         assert improved >= 0.9 * trials
+
+    @pytest.mark.parametrize("weight_metric", [None, SAMPSON])
+    def test_one_evaluation_per_model(self, monkeypatch, weight_metric):
+        # The start model is evaluated under the weight metric once; each
+        # valid refit once under the score metric, and once more under the
+        # weight metric only when the two differ and a later step needs it.
+        inst = cloud(0.3, seed=5)
+        cfg = FitConfig(epsilon=1.5 * inst.sigma, weight_metric=weight_metric)
+        start = inst.truth
+        kinds = []
+        valid = []
+
+        def counted(kind, points, model):
+            kinds.append(kind)
+            return evaluate_metric(kind, points, model)
+
+        def from_coeffs(q):
+            model = from_coeffs_original(q)
+            valid.append(model)
+            return model
+
+        from_coeffs_original = EllipsoidModel.from_coeffs
+        monkeypatch.setattr(consensus, "evaluate_metric", counted)
+        monkeypatch.setattr(consensus.EllipsoidModel, "from_coeffs", from_coeffs)
+        for name in ("gaussian_weights", "model_score", "classify"):
+            monkeypatch.setattr(consensus, name, None)
+        assert local_optimize(start, inst.points, cfg) is not None
+        assert len(valid) == cfg.lo_steps
+        score_metric = cfg.resolved_score_metric()
+        if weight_metric is None:
+            assert kinds == [score_metric] * (1 + len(valid))
+        else:
+            assert kinds.count(score_metric) == kinds.count(weight_metric) == len(valid)
 
     def test_far_model_yields_none(self, rng):
         inst = contaminated(rng)
@@ -246,6 +281,20 @@ class TestFit:
         assert by_blend.score == by_name.score
         assert by_blend.iterations == by_name.iterations
 
+    def test_labels_and_score_from_one_evaluation(self, monkeypatch):
+        # fit neither rescores nor reclassifies: its score and labels are
+        # those of the returned model's distances
+        inst = cloud(0.3, seed=8)
+        cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=1)
+        for name in ("gaussian_weights", "model_score", "classify"):
+            monkeypatch.setattr(consensus, name, None)
+        report = fit(inst.points, cfg)
+        monkeypatch.undo()
+        metric = cfg.resolved_score_metric()
+        assert report.score == model_score(report.model, inst.points, cfg.epsilon, metric)
+        assert np.array_equal(report.inlier_mask,
+                              classify(inst.points, report.model, cfg.epsilon, metric))
+
     def test_local_opt_counts(self, rng):
         inst = contaminated(rng)
         cfg = FitConfig(epsilon=1.5 * inst.sigma, max_iterations=300, seed=4)
@@ -308,6 +357,17 @@ class TestChunkedEquivalence:
                                             max_iterations=10_000, seed=2))
         assert report.iterations == 7 < CHUNK
 
+    @pytest.mark.parametrize("fraction", [0.3, 0.5])
+    @pytest.mark.parametrize("metrics", [
+        dict(weight_metric=SAMPSON),
+        dict(score_metric=cas(0.25), weight_metric=MetricKind("axial+orthogonal", 0.5)),
+    ])
+    def test_weight_metric_differs_from_score_metric(self, fraction, metrics):
+        inst = cloud(fraction, seed=int(10 * fraction) + 41)
+        report, _ = fit_both(inst.points, FitConfig(epsilon=1.5 * inst.sigma, seed=2,
+                                                    **metrics))
+        assert report.lo_invocations >= 1
+
     def test_budget_drops_inside_a_chunk(self):
         inst = cloud(0.3, seed=12)
         report, calls = fit_both(inst.points, FitConfig(epsilon=1.5 * inst.sigma, seed=4))
@@ -320,6 +380,15 @@ class TestFitConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             FitConfig(epsilon=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                FitConfig(epsilon=bad)
+        for field in ("sample_size", "lo_steps", "min_iterations", "max_iterations", "seed"):
+            with pytest.raises(ValueError, match=field):
+                FitConfig(epsilon=1.0, **{field: 60.5})
+            with pytest.raises(ValueError, match=field):
+                FitConfig(epsilon=1.0, **{field: True})
+        assert FitConfig(epsilon=1.0, seed=np.uint32(7)).seed == 7
         with pytest.raises(ValueError):
             FitConfig(epsilon=1.0, lam=1.5)
         with pytest.raises(ValueError):
