@@ -12,6 +12,12 @@ not just for clearing the threshold.  Each model's distances under the score
 metric are evaluated once; its score, its inlier labels and the weights of
 the refit that follows it all come from that one array.
 
+``fit`` conditions the whole cloud once (``leastsq.condition``) and runs
+the loop in that frame with the threshold divided by the same scale; only
+the returned model is mapped back, its geometry exactly.  Every metric but
+the algebraic one is similarity invariant, so no decision changes beyond
+rounding, and the solves stay well conditioned at any offset.
+
 Everything is deterministic for a fixed seed: the generator is PCG64 and
 samples are drawn in a fixed order, single threaded.  Samples are drawn,
 solved and validated in chunks, which changes neither the draw order nor
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,8 +38,8 @@ from .errors import (DegenerateQuadric, InsufficientSupport, NoModelFound,
                      NotAnEllipsoid, RankDeficient, TooFewPoints, require_integers)
 # gaussian_weights and lls_fit are not called here but stay module attributes:
 # perfbench/tracer.py wraps them by these names.
-from .leastsq import (gaussian_weights, lls_fit, point_energy,  # noqa: F401
-                      solve_stack, wls_fit)
+from .leastsq import (condition, decondition, gaussian_weights, lls_fit,  # noqa: F401
+                      point_energy, solve_stack, wls_fit)
 from .quadric import (ELLIPSOID, EllipsoidGeometry, EllipsoidModel, as_points,
                       check_ellipsoids)
 
@@ -42,6 +48,12 @@ RNG_ALGORITHM = "PCG64"
 # Annealing range of the refit kernel width, as multiples of eps.
 LO_EPS_START = 1.5
 LO_EPS_END = 0.5
+
+# A cloud whose scatter matrix has a smallest eigenvalue at or below this
+# fraction of its largest (a relative thickness of 1e-10) is coplanar,
+# collinear or a single point.  Every minimal sample drawn from it fails the
+# leastsq.EIGENGAP_TOL test, so no fittable cloud is turned away.
+FLAT_TOL = 1e-20
 
 
 @dataclass(frozen=True)
@@ -202,7 +214,8 @@ CHUNK = 64
 
 
 def _candidates(pts: np.ndarray, n: int, k: int, rng: np.random.Generator):
-    """Draw ``k`` minimal samples in order, solve and check them as one stack.
+    """Draw ``k`` minimal samples of conditioned points in order, solve and
+    check them as one stack.
 
     Yields, per sample, its EllipsoidModel, or None when the sample is rank
     deficient or its quadric is not an ellipsoid.
@@ -217,16 +230,28 @@ def _candidates(pts: np.ndarray, n: int, k: int, rng: np.random.Generator):
                if ok[i] else None)
 
 
+def _to_scene(model: EllipsoidModel, center: np.ndarray, scale: float) -> EllipsoidModel:
+    """``model``, fitted to points conditioned with ``center`` and ``scale``, in their frame.
+
+    The geometry maps exactly: with x_l = (x - c) / s, s (R x_l + t) is
+    R x + (s t - R c), and the semiaxes scale by s.
+    """
+    geom = model.geometry
+    return EllipsoidModel(decondition(model.coeffs, center, scale), EllipsoidGeometry(
+        geom.rotation, scale * geom.translation - geom.rotation @ center, scale * geom.semiaxes))
+
+
 def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitReport:
     """Robustly fit an ellipsoid to ``points``.
 
     Runs adaptive sample consensus with the configured score metric and,
     when ``cfg.local_opt`` is set, a weighted-refit cascade each time the
-    sample-consensus best improves.  Raises NoModelFound when no candidate
-    validates within the iteration budget and TooFewPoints when fewer than
+    sample-consensus best improves.  Raises NoModelFound at once when the
+    points are coplanar, collinear or identical, and when no candidate
+    validates within the iteration budget; TooFewPoints when fewer than
     ``cfg.sample_size`` points are supplied.
 
-    Minimal samples are drawn and solved CHUNK at a time; the best-model,
+    The loop runs on the conditioned cloud.  Minimal samples are drawn and solved CHUNK at a time; the best-model,
     refit and stopping logic then runs over them one iteration at a time,
     so the result is that of drawing and solving one sample per iteration.
 
@@ -237,10 +262,15 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     n = cfg.sample_size
     if len(pts) < n:
         raise TooFewPoints(f"need at least {n} points, got {len(pts)}")
+    start = time.perf_counter()
+    local, center, scale = condition(pts)
+    spread = np.linalg.eigvalsh(local.T @ local)
+    if spread[0] <= FLAT_TOL * spread[-1]:
+        raise NoModelFound("points are coplanar, collinear or identical")
+    local_cfg = replace(cfg, epsilon=cfg.epsilon / scale)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     score_metric = cfg.resolved_score_metric()
 
-    start = time.perf_counter()
     best_model: Optional[EllipsoidModel] = None
     best_score = -math.inf
     best_labels: Optional[np.ndarray] = None
@@ -250,12 +280,12 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     iteration = 0
 
     while iteration < required:
-        for candidate in _candidates(pts, n, min(CHUNK, required - iteration), rng):
+        for candidate in _candidates(local, n, min(CHUNK, required - iteration), rng):
             iteration += 1
             improved = False
             if candidate is not None:
-                d = evaluate_metric(score_metric, pts, candidate)
-                score = float(np.sum(point_energy(d, cfg.epsilon)))
+                d = evaluate_metric(score_metric, local, candidate)
+                score = float(np.sum(point_energy(d, local_cfg.epsilon)))
                 if score > best_sample_score:
                     best_sample_score = score
                     if score > best_score:
@@ -263,12 +293,12 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
                         improved = True
                     if cfg.local_opt:
                         lo_invocations += 1
-                        refined = local_optimize(candidate, pts, cfg)
+                        refined = local_optimize(candidate, local, local_cfg)
                         if refined is not None and refined[1] > best_score:
                             best_model, best_score, best_d = refined
                             improved = True
             if improved:
-                best_labels = best_d < cfg.epsilon
+                best_labels = best_d < local_cfg.epsilon
                 required = required_iterations(float(best_labels.mean()), cfg.mu, n,
                                                cfg.min_iterations, cfg.max_iterations)
             if progress is not None:
@@ -279,7 +309,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     if best_model is None:
         raise NoModelFound(f"no valid ellipsoid in {iteration} iterations")
     return FitReport(
-        model=best_model,
+        model=_to_scene(best_model, center, scale),
         score=best_score,
         inlier_mask=best_labels,
         inlier_ratio=float(best_labels.mean()),

@@ -5,10 +5,12 @@ i.e. the weights scale the design rows and therefore enter the normal
 matrix squared.  The solution is the eigenvector of the smallest eigenvalue
 of the 10x10 normal matrix.
 
-Points are conditioned before the solve: centered on their mean and scaled
-isotropically so the root-mean-square radius is sqrt(3).  This keeps the
-normal matrix well conditioned for point clouds far from the origin; the
-fitted quadric is mapped back to the original frame afterwards.
+The solve runs on conditioned points (Hartley's normalization):
+``condition`` centers them on their mean and scales them isotropically so
+the root-mean-square radius is sqrt(3), which keeps the normal matrix well
+conditioned far from the origin.  ``solve_stack`` takes conditioned stacks;
+``wls_fit`` conditions its own points and maps the quadric back with
+``decondition``.  The consensus loop conditions the whole cloud once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import numpy as np
 
 from .distances import MetricKind, cas, evaluate_metric
 from .errors import InsufficientSupport, RankDeficient, TooFewPoints
-from .quadric import EllipsoidModel, as_points, design_matrix, normalize_rows, quadratic_block
+from .quadric import (EllipsoidModel, as_points, design_matrix, normalize_coeffs,
+                      normalize_rows, quadratic_block)
 
 # Minimum number of points (and of usably weighted points) for a quadric.
 MIN_POINTS = 9
@@ -29,40 +32,49 @@ SUPPORT_TOL = 1e-6
 EIGENGAP_TOL = 1e-10
 
 
-def solve_stack(samples: np.ndarray, weights: np.ndarray | None = None):
-    """Weighted algebraic quadric fit of every sample in a (k, m, 3) stack.
+def condition(points: np.ndarray):
+    """Center an (n, 3) point array on its mean and scale it to RMS radius sqrt(3).
 
-    ``weights`` is None (uniform) or a (k, m) array.  Returns the normalized
-    coefficients, shape (k, 10), and a boolean mask of the rows that are
-    well posed.  A row is not well posed when its points have no spatial
-    extent or when the smallest eigenvector of its normal matrix is not
-    isolated; its coefficients are then meaningless.
+    Returns ``(local, center, scale)`` with ``points == center + scale *
+    local`` up to rounding.  Identical points have ``scale`` 0 and an
+    all-zero ``local``.
     """
-    k, m = samples.shape[:2]
-    center = samples.mean(axis=1)
-    shifted = samples - center[:, None, :]
-    scale = np.sqrt(np.square(shifted).sum(axis=2).mean(axis=1) / 3.0)
-    ok = scale > 1e-12 * (1.0 + np.abs(center).max(axis=1))
-    scale = np.where(ok, scale, 1.0)
-    rows = design_matrix((shifted / scale[:, None, None]).reshape(k * m, 3)).reshape(k, m, 10)
-    if weights is not None:
-        rows = weights[:, :, None] * rows
-    evals, evecs = np.linalg.eigh(np.swapaxes(rows, 1, 2) @ rows)
-    ok &= evals[:, 1] - evals[:, 0] > EIGENGAP_TOL * np.maximum(evals[:, -1], 1e-300)
-    return _decondition(evecs[:, :, 0], center, scale), ok
+    center = points.mean(axis=0)
+    shifted = points - center
+    scale = float(np.sqrt(np.square(shifted).sum(axis=1).mean() / 3.0))
+    return (shifted / scale if scale > 0.0 else shifted), center, scale
 
 
-def _decondition(q_local: np.ndarray, center: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def decondition(q_local: np.ndarray, center: np.ndarray, scale: float) -> np.ndarray:
+    """Normalized coefficients, in the original frame, of a quadric fitted to
+    ``condition``-ed points with that ``center`` and ``scale``."""
     # With x_local = (x - c) / s, the conditioned quadric x_l^T A x_l +
     # 2 b.x_l - q10, times s^2, is x^T A x + 2 (s b - A c).x
     # - (s^2 q10 + 2 s b.c - c^T A c) in the original frame.
-    linear = q_local[:, 6:9]
-    block_c = np.einsum("kij,kj->ki", quadratic_block(q_local), center)
+    linear = q_local[6:9]
+    block_c = quadratic_block(q_local) @ center
     q = q_local.copy()
-    q[:, 6:9] = scale[:, None] * linear - block_c
-    q[:, 9] = (scale * scale * q_local[:, 9] + 2.0 * scale * np.einsum("ki,ki->k", linear, center)
-               - np.einsum("ki,ki->k", block_c, center))
-    return normalize_rows(q)
+    q[6:9] = scale * linear - block_c
+    q[9] = scale * scale * q_local[9] + 2.0 * scale * (linear @ center) - block_c @ center
+    return normalize_coeffs(q)
+
+
+def solve_stack(samples: np.ndarray, weights: np.ndarray | None = None):
+    """Weighted algebraic quadric fit of every sample in a conditioned (k, m, 3) stack.
+
+    ``weights`` is None (uniform) or a (k, m) array.  Returns the normalized
+    coefficients, in the frame of the samples, shape (k, 10), and a boolean
+    mask of the rows that are well posed.  A row is not well posed when the
+    smallest eigenvector of its normal matrix is not isolated (points with
+    no spatial extent included); its coefficients are then meaningless.
+    """
+    k, m = samples.shape[:2]
+    rows = design_matrix(samples.reshape(k * m, 3)).reshape(k, m, 10)
+    if weights is not None:
+        rows = weights[:, :, None] * rows
+    evals, evecs = np.linalg.eigh(np.swapaxes(rows, 1, 2) @ rows)
+    ok = evals[:, 1] - evals[:, 0] > EIGENGAP_TOL * np.maximum(evals[:, -1], 1e-300)
+    return normalize_rows(evecs[:, :, 0]), ok
 
 
 def wls_fit(points, weights=None) -> np.ndarray:
@@ -86,11 +98,12 @@ def wls_fit(points, weights=None) -> np.ndarray:
             raise InsufficientSupport(
                 f"fewer than {MIN_POINTS} points carry weight above {SUPPORT_TOL}")
         weights = w[None]
-    q, ok = solve_stack(pts[None], weights)
+    local, center, scale = condition(pts)
+    q, ok = solve_stack(local[None], weights)
     if not ok[0]:
         raise RankDeficient("points have no spatial extent or the smallest eigenvector "
                             "of the normal matrix is not isolated")
-    return q[0]
+    return decondition(q[0], center, scale)
 
 
 def lls_fit(points) -> np.ndarray:

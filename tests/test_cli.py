@@ -177,6 +177,11 @@ class TestExitCodes:
         assert run_cli(["fit", str(ok), "--epsilon", "-1.0"]) == 2
         assert run_cli(["fit", str(ok), "--epsilon", "inf"]) == 2
 
+        planar = tmp_path / "planar.csv"
+        planar.write_text("x,y,z\n" + "\n".join(f"{i % 8},{i // 8},0" for i in range(64)) + "\n")
+        assert run_cli(["fit", str(planar), "--epsilon", "0.1"]) == 2
+        assert "coplanar, collinear or identical" in capsys.readouterr().err
+
         not_json = tmp_path / "grid.json"
         not_json.write_text("{oops")
         assert run_cli(["bench", str(not_json), "--out",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ from casfit import (AXIAL, SAMPSON, DatasetSpec, EllipsoidGeometry,
                     EllipsoidModel, FitConfig, MetricKind, NoModelFound,
                     TooFewPoints, axial_distance, cas, classify,
                     evaluate_metric, fit, local_optimize, make_instance,
-                    model_score, point_energy, required_iterations,
-                    sample_minimal, sample_surface)
+                    model_score, point_energy, random_rotation,
+                    required_iterations, sample_minimal, sample_surface)
 from casfit import consensus
-from casfit.consensus import CHUNK
+from casfit.consensus import CHUNK, FLAT_TOL
+from casfit.leastsq import condition
 from casfit.quadric import normalize_coeffs
 
 from conftest import make_model, unit_sphere
@@ -283,7 +285,8 @@ class TestFit:
 
     def test_labels_and_score_from_one_evaluation(self, monkeypatch):
         # fit neither rescores nor reclassifies: its score and labels are
-        # those of the returned model's distances
+        # those of the returned model's distances, evaluated in the
+        # conditioned frame, so they agree with the scene frame to rounding
         inst = cloud(0.3, seed=8)
         cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=1)
         for name in ("gaussian_weights", "model_score", "classify"):
@@ -291,9 +294,11 @@ class TestFit:
         report = fit(inst.points, cfg)
         monkeypatch.undo()
         metric = cfg.resolved_score_metric()
-        assert report.score == model_score(report.model, inst.points, cfg.epsilon, metric)
-        assert np.array_equal(report.inlier_mask,
-                              classify(inst.points, report.model, cfg.epsilon, metric))
+        want = model_score(report.model, inst.points, cfg.epsilon, metric)
+        assert abs(report.score - want) <= 1e-12 * abs(want)
+        d = np.asarray(evaluate_metric(metric, inst.points, report.model))
+        flipped = report.inlier_mask != classify(inst.points, report.model, cfg.epsilon, metric)
+        assert np.all(np.abs(d[flipped] - cfg.epsilon) <= 1e-9 * cfg.epsilon)
 
     def test_local_opt_counts(self, rng):
         inst = contaminated(rng)
@@ -374,6 +379,80 @@ class TestChunkedEquivalence:
         drops = [it for (it, _, req), (_, _, prev) in zip(calls[1:], calls) if req < prev]
         assert any(it % CHUNK for it in drops)
         assert report.iterations % CHUNK
+
+
+class TestDegenerateInput:
+    """Clouds that cannot carry an ellipsoid fail before any sample is drawn."""
+
+    @pytest.mark.parametrize("shape", ["planar", "collinear", "identical"])
+    def test_fails_fast_at_the_default_budget(self, rng, shape):
+        offset = np.array([3.0, -2.0, 1e4])
+        if shape == "planar":
+            pts = np.zeros((500, 3))
+            pts[:, :2] = rng.uniform(-5, 5, size=(500, 2))
+            pts = pts @ random_rotation(rng).T
+        elif shape == "collinear":
+            pts = np.outer(rng.uniform(-5, 5, 500), [1.0, 2.0, 3.0])
+        else:
+            pts = np.zeros((500, 3))
+        # the message comes from the up-front check, not the exhausted budget
+        with pytest.raises(NoModelFound, match="coplanar, collinear or identical"):
+            fit(pts + offset, FitConfig(epsilon=0.1))
+
+    def test_just_thicker_than_the_threshold_runs_the_loop(self, rng):
+        pts = np.zeros((500, 3))
+        pts[:, :2] = rng.uniform(-5, 5, size=(500, 2))
+        pts[:, 2] = 4e-10 * rng.choice([-1.0, 1.0], 500)
+        local = condition(pts)[0]
+        spread = np.linalg.eigvalsh(local.T @ local)
+        assert FLAT_TOL < spread[0] / spread[-1] < 10 * FLAT_TOL
+        with pytest.raises(NoModelFound, match="no valid ellipsoid in 64 iterations"):
+            fit(pts, FitConfig(epsilon=0.1, max_iterations=64))
+
+
+class TestInvariance:
+    """One seeded fit of one cloud, moved by similarity transforms.
+
+    The loop runs in the cloud's conditioned frame, so every decision is the
+    same up to rounding: iteration and refinement counts match, labels match
+    except for points within rounding of the threshold, and the geometry
+    maps along with the points.  The weighted refit is equivariant only
+    under rotations that permute the axes (its unit-norm constraint counts
+    each off-diagonal coefficient once), so a general rotation is checked
+    with refinement off.
+    """
+
+    @pytest.mark.parametrize("kind, value, local_opt", [
+        ("translate", 1e5, True), ("translate", 1e7, True),
+        ("scale", 1e-3, True), ("scale", 1e3, True),
+        ("rotate", "axes", True), ("rotate", "general", False)])
+    def test_same_fit_after_transform(self, kind, value, local_opt):
+        inst = cloud(0.3, seed=3)
+        points = inst.points
+        cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=0, max_iterations=20_000,
+                        local_opt=local_opt)
+        want = fit(points, cfg)
+        rot, shift, factor = np.eye(3), np.zeros(3), 1.0
+        if kind == "translate":
+            shift = np.array([value, -0.5 * value, 0.25 * value])
+        elif kind == "scale":
+            factor = value
+        elif value == "axes":
+            rot = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+        else:
+            rot = random_rotation(np.random.default_rng(17))
+        got = fit(factor * points @ rot.T + shift,
+                  dataclasses.replace(cfg, epsilon=factor * cfg.epsilon))
+        assert got.iterations == want.iterations
+        assert got.lo_invocations == want.lo_invocations
+        d = np.asarray(evaluate_metric(cfg.resolved_score_metric(), points, want.model))
+        flipped = got.inlier_mask != want.inlier_mask
+        assert np.all(np.abs(d[flipped] - cfg.epsilon) <= 1e-9 * cfg.epsilon)
+        size = factor * want.model.semiaxes
+        assert np.all(np.abs(got.model.semiaxes - size) <= 1e-6 * size)
+        # relative to the ellipsoid's size, not to the offset
+        center = factor * rot @ want.model.center + shift
+        assert np.abs(got.model.center - center).max() <= 1e-6 * size.min()
 
 
 class TestFitConfig:

@@ -6,7 +6,7 @@ import pytest
 from casfit import (AXIAL, SAMPSON, EllipsoidModel, InsufficientSupport,
                     RankDeficient, TooFewPoints, algebraic_distance,
                     cas_weights, gaussian_weights, lls_fit, wls_fit)
-from casfit.leastsq import solve_stack
+from casfit.leastsq import condition, decondition, solve_stack
 from casfit.quadric import design_matrix, normalize_coeffs
 from casfit.synth import random_rotation, sample_surface
 
@@ -78,15 +78,31 @@ class TestLls:
         assert np.abs(fitted.center - (rot @ base.center + shift)).max() < 1e-9
 
 
+class TestCondition:
+    def test_zero_mean_and_rms_radius_sqrt3(self, rng):
+        pts = 100.0 + 3.0 * rng.normal(size=(200, 3))
+        local, center, scale = condition(pts)
+        assert np.abs(local.mean(axis=0)).max() < 1e-12
+        assert abs(math.sqrt(np.square(local).sum(axis=1).mean()) - math.sqrt(3.0)) < 1e-12
+        assert np.abs(center + scale * local - pts).max() <= 1e-12
+
+    def test_identical_points_have_zero_scale(self):
+        local, center, scale = condition(np.tile([1.0, 2.0, 3.0], (30, 1)))
+        assert scale == 0.0
+        assert np.array_equal(center, [1.0, 2.0, 3.0])
+        assert not local.any()
+
+
 class TestSolveStack:
     def test_rows_match_lls_fit(self, rng):
         m = make_model(rng)
         pts = np.vstack([sample_surface(m, 60, rng), rng.uniform(-8, 8, size=(40, 3))])
-        samples = np.stack([pts[rng.choice(len(pts), 9, replace=False)] for _ in range(50)])
-        coeffs, ok = solve_stack(samples)
+        samples = [pts[rng.choice(len(pts), 9, replace=False)] for _ in range(50)]
+        frames = [condition(sample) for sample in samples]
+        coeffs, ok = solve_stack(np.stack([local for local, _, _ in frames]))
         assert coeffs.shape == (50, 10) and ok.all()
-        for sample, q in zip(samples, coeffs):
-            assert np.abs(q - lls_fit(sample)).max() <= 1e-15
+        for sample, (_, center, scale), q in zip(samples, frames, coeffs):
+            assert np.abs(decondition(q, center, scale) - lls_fit(sample)).max() <= 1e-15
 
     def test_rank_deficient_rows_rejected(self, rng):
         m = make_model(rng)
