@@ -21,7 +21,12 @@ rounding, and the solves stay well conditioned at any offset.
 Everything is deterministic for a fixed seed: the generator is PCG64 and
 samples are drawn in a fixed order, single threaded.  Samples are drawn,
 solved and validated in chunks, which changes neither the draw order nor
-the iteration at which the loop stops.
+the iteration at which the loop stops.  One ``sample_minimal`` call draws a
+whole chunk and yields the rows of one call per sample, so the samples do
+not depend on where chunks begin.  Before the exact 10x10 eigen-solve, a
+batched 9x9 LU solve screens each chunk of nine-point samples; it skips
+only rows whose quadric is not an ellipsoid, so every candidate still comes
+from the exact solve.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .errors import (DegenerateQuadric, InsufficientSupport, NoModelFound,
 from .leastsq import (condition, decondition, gaussian_weights, lls_fit,  # noqa: F401
                       point_energy, solve_stack, wls_fit)
 from .quadric import (ELLIPSOID, EllipsoidGeometry, EllipsoidModel, as_points,
-                      check_ellipsoids)
+                      check_ellipsoids, design_matrix, normalize_rows)
 
 RNG_ALGORITHM = "PCG64"
 
@@ -164,12 +169,27 @@ def classify(points, model: EllipsoidModel, epsilon: float,
     return d < epsilon
 
 
-def sample_minimal(point_count: int, sample_size: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Uniform minimal sample of distinct point indices."""
+def sample_minimal(point_count: int, sample_size: int, rng: np.random.Generator,
+                   count: Optional[int] = None) -> np.ndarray:
+    """Uniform minimal sample of distinct point indices; ``count`` of them as rows.
+
+    Every sample takes ``sample_size`` doubles from one ``rng.random`` call,
+    row by row, so one call with ``count=k`` returns the rows of k calls
+    without it.  Sequential selection maps each row to distinct indices: the
+    j-th is the floor(u_j * (point_count - j))-th index not chosen before it
+    (floor(u * m) < m for every double u < 1), which makes each subset
+    equally likely.
+    """
     if point_count < sample_size:
         raise TooFewPoints(f"need at least {sample_size} points, got {point_count}")
-    return rng.choice(point_count, size=sample_size, replace=False)
+    u = rng.random((1 if count is None else count, sample_size))
+    idx = (u * (point_count - np.arange(sample_size))).astype(np.intp)
+    for j in range(1, sample_size):
+        # With the chosen indices sorted, t_i - i of them are free below t_i,
+        # so the r-th free index is r plus the count of t_i - i <= r.
+        free_below = np.sort(idx[:, :j], axis=1) - np.arange(j)
+        idx[:, j] += (free_below <= idx[:, j, None]).sum(axis=1)
+    return idx[0] if count is None else idx
 
 
 def _lo_schedule(epsilon: float, steps: int) -> np.ndarray:
@@ -178,19 +198,22 @@ def _lo_schedule(epsilon: float, steps: int) -> np.ndarray:
     return np.linspace(LO_EPS_START * epsilon, LO_EPS_END * epsilon, steps)
 
 
-def local_optimize(model: EllipsoidModel, points, cfg: FitConfig) -> Optional[tuple]:
+def local_optimize(model: EllipsoidModel, points, cfg: FitConfig,
+                   distances: Optional[np.ndarray] = None) -> Optional[tuple]:
     """Weighted-refit cascade around ``model``; None when nothing validates.
 
     Each step reweights all points against the current model with a
     shrinking kernel width, refits, and keeps the refit as the new current
     model when it is a valid ellipsoid.  Returns (model, score, distances
     under the score metric) of the best-scoring step; steps whose refit
-    fails or degenerates are skipped.
+    fails or degenerates are skipped.  ``distances``, when given, are
+    ``model``'s distances under the score metric; they stand in for the
+    first weights' evaluation when the weight metric is the score metric.
     """
     pts = as_points(points)
     weight_metric = cfg.resolved_weight_metric()
     score_metric = cfg.resolved_score_metric()
-    current, d_weight = model, None
+    current, d_weight = model, (distances if weight_metric == score_metric else None)
     best, best_score = None, -math.inf
     for eps_lo in _lo_schedule(cfg.epsilon, cfg.lo_steps):
         if d_weight is None:
@@ -213,21 +236,45 @@ ProgressHook = Callable[[int, float, int], None]
 CHUNK = 64
 
 
+def _screen(samples: np.ndarray) -> np.ndarray:
+    """Rows of a conditioned (k, 9, 3) sample stack whose quadric may be an ellipsoid.
+
+    The design's last column is -1, so where the 9x9 block D[:, :9] is
+    regular, q = (x, 1) with D[:, :9] x = 1 spans the row's null space.  One
+    batched LU solve and the ellipsoid check on those q stand in for the
+    10x10 eigen-solve: a row whose q is not an ellipsoid is dropped, and a
+    row whose q is not finite is kept.  Every row is kept when some block is
+    exactly singular.
+    """
+    k = len(samples)
+    block = design_matrix(samples.reshape(k * 9, 3)).reshape(k, 9, 10)[:, :, :9]
+    try:
+        x = np.linalg.solve(block, np.ones((k, 9, 1)))[:, :, 0]
+    except np.linalg.LinAlgError:
+        return np.ones(k, dtype=bool)
+    finite = np.isfinite(x).all(axis=1)
+    q = np.ones((k, 10))
+    q[finite, :9] = x[finite]
+    return ~finite | (check_ellipsoids(normalize_rows(q))[0] == ELLIPSOID)
+
+
 def _candidates(pts: np.ndarray, n: int, k: int, rng: np.random.Generator):
     """Draw ``k`` minimal samples of conditioned points in order, solve and
     check them as one stack.
 
     Yields, per sample, its EllipsoidModel, or None when the sample is rank
-    deficient or its quadric is not an ellipsoid.
+    deficient or its quadric is not an ellipsoid.  Nine-point samples are
+    screened first (``_screen``); only the rows it keeps are solved exactly.
     """
-    idx = np.stack([sample_minimal(len(pts), n, rng) for _ in range(k)])
-    coeffs, ok = solve_stack(pts[idx])
+    samples = pts[sample_minimal(len(pts), n, rng, count=k)]
+    rows = np.flatnonzero(_screen(samples)) if n == 9 else np.arange(k)
+    coeffs, ok = solve_stack(samples[rows])
     verdict, rotation, translation, semiaxes = check_ellipsoids(coeffs)
-    ok &= verdict == ELLIPSOID
+    found = {int(i): EllipsoidModel(coeffs[j], EllipsoidGeometry(rotation[j], translation[j],
+                                                                 semiaxes[j]))
+             for j, i in enumerate(rows) if ok[j] and verdict[j] == ELLIPSOID}
     for i in range(k):
-        yield (EllipsoidModel(coeffs[i], EllipsoidGeometry(rotation[i], translation[i],
-                                                           semiaxes[i]))
-               if ok[i] else None)
+        yield found.get(i)
 
 
 def _to_scene(model: EllipsoidModel, center: np.ndarray, scale: float) -> EllipsoidModel:
@@ -293,7 +340,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
                         improved = True
                     if cfg.local_opt:
                         lo_invocations += 1
-                        refined = local_optimize(candidate, local, local_cfg)
+                        refined = local_optimize(candidate, local, local_cfg, d)
                         if refined is not None and refined[1] > best_score:
                             best_model, best_score, best_d = refined
                             improved = True

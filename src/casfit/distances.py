@@ -1,9 +1,13 @@
 """Point-to-ellipsoid distance metrics.
 
 Every metric accepts a single (3,) point or an (n, 3) stack and returns a
-scalar or an (n,) array accordingly.  All metrics are non-negative, zero
-exactly on the surface, and invariant under rigid motions applied jointly
-to the point and the model.
+scalar or an (n,) array accordingly.  All metrics are non-negative and zero
+exactly on the surface.  All but the algebraic one are invariant under
+rigid motions applied jointly to the point and the model.  The algebraic
+distance |d(x) @ q| of unit-norm coefficients is not: translating both
+changes q, so the same point reads a different value (the point (4, 0, 0)
+reads 0.54 against the axis-aligned (3, 2, 1) ellipsoid, and 5.7e-7 once
+both are moved by 1000 along each axis).
 
 The axial distance is built on the observation that scaling the semiaxes
 of an ellipsoid by a common factor s sweeps out a family of concentric

@@ -12,8 +12,8 @@ from casfit import (AXIAL, SAMPSON, DatasetSpec, EllipsoidGeometry,
                     required_iterations, sample_minimal, sample_surface)
 from casfit import consensus
 from casfit.consensus import CHUNK, FLAT_TOL
-from casfit.leastsq import condition
-from casfit.quadric import normalize_coeffs
+from casfit.leastsq import condition, solve_stack
+from casfit.quadric import ELLIPSOID, check_ellipsoids, design_matrix, normalize_coeffs
 
 from conftest import make_model, unit_sphere
 from reference_loop import reference_fit
@@ -102,6 +102,15 @@ class TestClassify:
         assert not classify(m.center[None, :], m, 1e9, metric=SAMPSON)[0]
 
 
+def sequential_selection(u, point_count):
+    """sample_minimal's index mapping, one row and one index at a time."""
+    rows = []
+    for row in u:
+        free = list(range(point_count))
+        rows.append([free.pop(int(x * (point_count - j))) for j, x in enumerate(row)])
+    return np.array(rows)
+
+
 class TestSampleMinimal:
     def test_distinct_and_in_range(self, rng):
         for _ in range(50):
@@ -109,22 +118,45 @@ class TestSampleMinimal:
             assert len(idx) == 9
             assert len(np.unique(idx)) == 9
             assert idx.min() >= 0 and idx.max() < 30
+        rows = sample_minimal(30, 9, rng, count=500)
+        assert rows.shape == (500, 9)
+        assert all(len(np.unique(row)) == 9 for row in rows)
+        assert rows.min() >= 0 and rows.max() < 30
 
     def test_deterministic(self):
         a = sample_minimal(50, 9, np.random.default_rng(7))
         b = sample_minimal(50, 9, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
+    def test_one_call_equals_one_call_per_row(self):
+        rng = np.random.default_rng(7)
+        rows = np.stack([sample_minimal(200, 9, rng) for _ in range(37)])
+        assert np.array_equal(sample_minimal(200, 9, np.random.default_rng(7), count=37), rows)
+        # the chunk boundary does not move the draws
+        rng = np.random.default_rng(7)
+        parts = [sample_minimal(200, 9, rng, count=c) for c in (5, 1, 31)]
+        assert np.array_equal(np.concatenate(parts), rows)
+
+    def test_sequential_selection(self):
+        u = np.random.default_rng(3).random((300, 9))
+        got = sample_minimal(40, 9, np.random.default_rng(3), count=300)
+        assert np.array_equal(got, sequential_selection(u, 40))
+
+    def test_whole_population(self, rng):
+        rows = sample_minimal(9, 9, rng, count=200)
+        assert np.array_equal(np.sort(rows, axis=1), np.tile(np.arange(9), (200, 1)))
+        assert np.array_equal(np.sort(sample_minimal(10, 10, rng)), np.arange(10))
+
     def test_rejects_undersized_population(self, rng):
         with pytest.raises(TooFewPoints):
             sample_minimal(8, 9, rng)
+        with pytest.raises(TooFewPoints):
+            sample_minimal(8, 9, rng, count=4)
 
     def test_uniform_coverage(self):
         rng = np.random.default_rng(123)
         n, k, draws = 100, 9, 20_000
-        counts = np.zeros(n)
-        for _ in range(draws):
-            counts[sample_minimal(n, k, rng)] += 1
+        counts = np.bincount(sample_minimal(n, k, rng, count=draws).ravel(), minlength=n)
         expected = draws * k / n
         sigma = math.sqrt(draws * (k / n) * (1 - k / n))
         assert np.abs(counts - expected).max() < 5 * sigma
@@ -157,12 +189,15 @@ class TestLocalOptimize:
 
     @pytest.mark.parametrize("weight_metric", [None, SAMPSON])
     def test_one_evaluation_per_model(self, monkeypatch, weight_metric):
-        # The start model is evaluated under the weight metric once; each
+        # The start model is evaluated under the weight metric once, unless
+        # its score distances are passed and the two metrics agree; each
         # valid refit once under the score metric, and once more under the
         # weight metric only when the two differ and a later step needs it.
         inst = cloud(0.3, seed=5)
         cfg = FitConfig(epsilon=1.5 * inst.sigma, weight_metric=weight_metric)
         start = inst.truth
+        score_metric = cfg.resolved_score_metric()
+        start_d = evaluate_metric(score_metric, inst.points, start)
         kinds = []
         valid = []
 
@@ -180,13 +215,21 @@ class TestLocalOptimize:
         monkeypatch.setattr(consensus.EllipsoidModel, "from_coeffs", from_coeffs)
         for name in ("gaussian_weights", "model_score", "classify"):
             monkeypatch.setattr(consensus, name, None)
-        assert local_optimize(start, inst.points, cfg) is not None
-        assert len(valid) == cfg.lo_steps
-        score_metric = cfg.resolved_score_metric()
-        if weight_metric is None:
-            assert kinds == [score_metric] * (1 + len(valid))
-        else:
-            assert kinds.count(score_metric) == kinds.count(weight_metric) == len(valid)
+        results = []
+        for distances in (None, start_d):
+            kinds.clear()
+            valid.clear()
+            results.append(local_optimize(start, inst.points, cfg, distances))
+            assert results[-1] is not None
+            assert len(valid) == cfg.lo_steps
+            if weight_metric is None:
+                assert kinds == [score_metric] * (len(valid) + (distances is None))
+            else:
+                assert kinds.count(score_metric) == kinds.count(weight_metric) == len(valid)
+        # the passed distances are the ones it would have evaluated
+        (model, score, d), (model_d, score_d, d_d) = results
+        assert np.array_equal(model.coeffs, model_d.coeffs) and score == score_d
+        assert np.array_equal(d, d_d)
 
     def test_far_model_yields_none(self, rng):
         inst = contaminated(rng)
@@ -300,6 +343,21 @@ class TestFit:
         flipped = report.inlier_mask != classify(inst.points, report.model, cfg.epsilon, metric)
         assert np.all(np.abs(d[flipped] - cfg.epsilon) <= 1e-9 * cfg.epsilon)
 
+    def test_refits_start_from_the_candidate_distances(self, monkeypatch):
+        inst = cloud(0.3, seed=8)
+        cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=1)
+        metric = cfg.resolved_score_metric()
+        passed = []
+
+        def spy(model, points, local_cfg, distances=None):
+            passed.append(np.array_equal(distances, evaluate_metric(metric, points, model)))
+            return local_optimize(model, points, local_cfg, distances)
+
+        monkeypatch.setattr(consensus, "local_optimize", spy)
+        report = fit(inst.points, cfg)
+        assert len(passed) == report.lo_invocations >= 1
+        assert all(passed)
+
     def test_local_opt_counts(self, rng):
         inst = contaminated(rng)
         cfg = FitConfig(epsilon=1.5 * inst.sigma, max_iterations=300, seed=4)
@@ -379,6 +437,99 @@ class TestChunkedEquivalence:
         drops = [it for (it, _, req), (_, _, prev) in zip(calls[1:], calls) if req < prev]
         assert any(it % CHUNK for it in drops)
         assert report.iterations % CHUNK
+
+
+    @pytest.mark.parametrize("fraction", [0.3, 0.5])
+    def test_chunk_of_one_is_bitwise_equal(self, monkeypatch, fraction):
+        inst = cloud(fraction, seed=int(10 * fraction) + 51)
+        cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=6)
+        runs = []
+        for chunk in (CHUNK, 1):
+            monkeypatch.setattr(consensus, "CHUNK", chunk)
+            calls = []
+            runs.append((fit(inst.points, cfg, progress=lambda *args: calls.append(args)),
+                         calls))
+        (want, want_calls), (got, got_calls) = runs
+        assert got.model.coeffs.tobytes() == want.model.coeffs.tobytes()
+        assert got.model.semiaxes.tobytes() == want.model.semiaxes.tobytes()
+        assert got.score == want.score
+        assert np.array_equal(got.inlier_mask, want.inlier_mask)
+        assert (got.iterations, got.lo_invocations) == (want.iterations, want.lo_invocations)
+        assert got_calls == want_calls
+
+
+def exact_candidates(local, n, k, rng):
+    """Every row of one draw through solve_stack and check_ellipsoids, unscreened."""
+    coeffs, ok = solve_stack(local[sample_minimal(len(local), n, rng, count=k)])
+    verdict, rotation, translation, semiaxes = check_ellipsoids(coeffs)
+    return [(coeffs[i], rotation[i], translation[i], semiaxes[i])
+            if ok[i] and verdict[i] == ELLIPSOID else None for i in range(k)]
+
+
+def lattice(m=2):
+    axis = np.arange(-m, m + 1, dtype=float)
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+class TestScreen:
+    """The 9x9 screen in ``_candidates`` drops rows and changes no candidate."""
+
+    @staticmethod
+    def same_candidates(points, n, chunks=8):
+        """Assert ``_candidates`` yields the exact path's candidates; count them."""
+        local = condition(points)[0]
+        got_rng = np.random.Generator(np.random.PCG64(5))
+        want_rng = np.random.Generator(np.random.PCG64(5))
+        found = 0
+        for _ in range(chunks):
+            got = list(consensus._candidates(local, n, CHUNK, got_rng))
+            want = exact_candidates(local, n, CHUNK, want_rng)
+            assert [g is None for g in got] == [w is None for w in want]
+            for model, fields in zip(got, want):
+                if model is not None:
+                    geom = model.geometry
+                    for value, field in zip((model.coeffs, geom.rotation, geom.translation,
+                                             geom.semiaxes), fields):
+                        assert value.tobytes() == field.tobytes()
+                    found += 1
+        return found
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5])
+    def test_contaminated_clouds(self, fraction):
+        inst = cloud(fraction, seed=int(10 * fraction) + 61)
+        assert self.same_candidates(inst.points, 9) > 0
+        local = condition(inst.points)[0]
+        samples = local[sample_minimal(len(local), 9, np.random.default_rng(5), count=512)]
+        # the screen does drop rows: most samples of a noisy cloud are no ellipsoid
+        assert consensus._screen(samples).mean() < 0.5
+
+    def test_singular_blocks_take_the_exact_path(self):
+        points = lattice()
+        local = condition(points)[0]
+        samples = local[sample_minimal(len(local), 9, np.random.default_rng(5), count=CHUNK)]
+        blocks = design_matrix(samples.reshape(-1, 3)).reshape(CHUNK, 9, 10)[:, :, :9]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(blocks, np.ones((CHUNK, 9, 1)))
+        assert consensus._screen(samples).all()
+        self.same_candidates(points, 9)
+
+    def test_rows_that_overflow_are_kept(self, monkeypatch):
+        local = condition(cloud(0.5, seed=61).points)[0]
+        samples = local[sample_minimal(len(local), 9, np.random.default_rng(5), count=CHUNK)]
+        solve = np.linalg.solve
+
+        def overflowing(a, b):
+            x = solve(a, b)
+            x[::2, 0] = np.inf
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", overflowing)
+        keep = consensus._screen(samples)
+        assert keep[::2].all() and not keep[1::2].all()
+
+    def test_larger_samples_are_not_screened(self, monkeypatch):
+        monkeypatch.setattr(consensus, "_screen", None)
+        assert self.same_candidates(cloud(0.0, seed=61).points, 10) > 0
 
 
 class TestDegenerateInput:
