@@ -14,9 +14,12 @@ the refit that follows it all come from that one array.
 
 ``fit`` conditions the whole cloud once (``leastsq.condition``) and runs
 the loop in that frame with the threshold divided by the same scale; only
-the returned model is mapped back, its geometry exactly.  Every metric but
-the algebraic one is similarity invariant, so no decision changes beyond
-rounding, and the solves stay well conditioned at any offset.
+the returned model is mapped back, its geometry exactly.  ``local_optimize``
+conditions its points once per call and maps each refit back the same way.
+Every metric but the algebraic one is similarity invariant, so no decision
+changes beyond rounding, and the solves stay well conditioned at any offset.
+Minimal samples and refits share one solve-and-check path: the stacked
+``solve_stack`` and ``check_ellipsoids``, with failures as None, not raised.
 
 Everything is deterministic for a fixed seed: the generator is PCG64 and
 samples are drawn in a fixed order, single threaded.  Samples are drawn,
@@ -39,12 +42,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distances import MetricKind, cas, evaluate_metric
-from .errors import (DegenerateQuadric, InsufficientSupport, NoModelFound,
-                     NotAnEllipsoid, RankDeficient, TooFewPoints, require_integers)
-# gaussian_weights and lls_fit are not called here but stay module attributes:
-# perfbench/tracer.py wraps them by these names.
-from .leastsq import (condition, decondition, gaussian_weights, lls_fit,  # noqa: F401
-                      point_energy, solve_stack, wls_fit)
+from .errors import NoModelFound, TooFewPoints, require_integers
+# gaussian_weights, lls_fit and wls_fit are not called here but stay module
+# attributes: perfbench/tracer.py wraps them by these names.
+from .leastsq import (MIN_POINTS, SUPPORT_TOL, condition, decondition,  # noqa: F401
+                      gaussian_weights, lls_fit, point_energy, solve_stack, wls_fit)
 from .quadric import (ELLIPSOID, EllipsoidGeometry, EllipsoidModel, as_points,
                       check_ellipsoids, design_matrix, normalize_rows)
 
@@ -202,15 +204,20 @@ def local_optimize(model: EllipsoidModel, points, cfg: FitConfig,
                    distances: Optional[np.ndarray] = None) -> Optional[tuple]:
     """Weighted-refit cascade around ``model``; None when nothing validates.
 
-    Each step reweights all points against the current model with a
-    shrinking kernel width, refits, and keeps the refit as the new current
-    model when it is a valid ellipsoid.  Returns (model, score, distances
-    under the score metric) of the best-scoring step; steps whose refit
-    fails or degenerates are skipped.  ``distances``, when given, are
-    ``model``'s distances under the score metric; they stand in for the
-    first weights' evaluation when the weight metric is the score metric.
+    The points are conditioned once per call.  Each step reweights them
+    against the current model with a shrinking kernel width, refits them
+    with the minimal samples' ``solve_stack`` and keeps the refit, mapped
+    back exactly, as the current model when it is an ellipsoid.  Returns
+    (model, score, distances under the score metric) of the best-scoring
+    step; a step is skipped when fewer than MIN_POINTS weights exceed
+    SUPPORT_TOL or its refit is not an ellipsoid.  ``distances``, when
+    given, are ``model``'s distances under the score metric; they stand in
+    for the first weights' evaluation when the two metrics are the same.
     """
     pts = as_points(points)
+    if len(pts) < MIN_POINTS:
+        raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
+    local, center, scale = condition(pts)
     weight_metric = cfg.resolved_weight_metric()
     score_metric = cfg.resolved_score_metric()
     current, d_weight = model, (distances if weight_metric == score_metric else None)
@@ -218,10 +225,12 @@ def local_optimize(model: EllipsoidModel, points, cfg: FitConfig,
     for eps_lo in _lo_schedule(cfg.epsilon, cfg.lo_steps):
         if d_weight is None:
             d_weight = evaluate_metric(weight_metric, pts, current)
-        try:
-            candidate = EllipsoidModel.from_coeffs(wls_fit(pts, point_energy(d_weight, eps_lo)))
-        except (RankDeficient, InsufficientSupport, NotAnEllipsoid, DegenerateQuadric):
+        w = point_energy(d_weight, eps_lo)
+        q, ok = solve_stack(local[None], w[None])
+        (refit,) = _models(q, ok & (np.count_nonzero(w > SUPPORT_TOL) >= MIN_POINTS))
+        if refit is None:
             continue
+        candidate = _to_scene(refit, center, scale)
         d = evaluate_metric(score_metric, pts, candidate)
         score = float(np.sum(point_energy(d, cfg.epsilon)))
         if score > best_score:
@@ -258,23 +267,22 @@ def _screen(samples: np.ndarray) -> np.ndarray:
     return ~finite | (check_ellipsoids(normalize_rows(q))[0] == ELLIPSOID)
 
 
-def _candidates(pts: np.ndarray, n: int, k: int, rng: np.random.Generator):
-    """Draw ``k`` minimal samples of conditioned points in order, solve and
-    check them as one stack.
+def _models(coeffs: np.ndarray, ok: np.ndarray) -> list:
+    """Each ``solve_stack`` row as an EllipsoidModel; None where not ``ok`` or not an ellipsoid."""
+    verdict, rotation, translation, semiaxes = check_ellipsoids(coeffs)
+    return [EllipsoidModel(coeffs[j], EllipsoidGeometry(rotation[j], translation[j], semiaxes[j]))
+            if ok[j] and verdict[j] == ELLIPSOID else None for j in range(len(coeffs))]
 
-    Yields, per sample, its EllipsoidModel, or None when the sample is rank
-    deficient or its quadric is not an ellipsoid.  Nine-point samples are
-    screened first (``_screen``); only the rows it keeps are solved exactly.
+
+def _candidates(pts: np.ndarray, n: int, k: int, rng: np.random.Generator) -> list:
+    """Draw ``k`` minimal samples of conditioned points in order and solve
+    them as one stack; returns each sample's ``_models`` entry.  Nine-point
+    samples are screened first (``_screen``), and a row it drops is None.
     """
     samples = pts[sample_minimal(len(pts), n, rng, count=k)]
-    rows = np.flatnonzero(_screen(samples)) if n == 9 else np.arange(k)
-    coeffs, ok = solve_stack(samples[rows])
-    verdict, rotation, translation, semiaxes = check_ellipsoids(coeffs)
-    found = {int(i): EllipsoidModel(coeffs[j], EllipsoidGeometry(rotation[j], translation[j],
-                                                                 semiaxes[j]))
-             for j, i in enumerate(rows) if ok[j] and verdict[j] == ELLIPSOID}
-    for i in range(k):
-        yield found.get(i)
+    keep = _screen(samples) if n == 9 else np.ones(k, dtype=bool)
+    models = iter(_models(*solve_stack(samples[keep])))
+    return [next(models) if kept else None for kept in keep]
 
 
 def _to_scene(model: EllipsoidModel, center: np.ndarray, scale: float) -> EllipsoidModel:
@@ -298,9 +306,9 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     validates within the iteration budget; TooFewPoints when fewer than
     ``cfg.sample_size`` points are supplied.
 
-    The loop runs on the conditioned cloud.  Minimal samples are drawn and solved CHUNK at a time; the best-model,
-    refit and stopping logic then runs over them one iteration at a time,
-    so the result is that of drawing and solving one sample per iteration.
+    The loop runs on the conditioned cloud.  It draws and solves CHUNK
+    minimal samples at a time, then replays them one iteration at a time,
+    so the result is that of one sample drawn and solved per iteration.
 
     The optional ``progress`` hook receives (iteration, best_score,
     required_iterations) after every iteration.

@@ -10,7 +10,7 @@ The solve runs on conditioned points (Hartley's normalization):
 the root-mean-square radius is sqrt(3), which keeps the normal matrix well
 conditioned far from the origin.  ``solve_stack`` takes conditioned stacks;
 ``wls_fit`` conditions its own points and maps the quadric back with
-``decondition``.  The consensus loop conditions the whole cloud once.
+``decondition``.  ``fit`` and ``local_optimize`` condition once per call.
 """
 
 from __future__ import annotations

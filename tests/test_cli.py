@@ -1,7 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,8 +210,12 @@ class TestExitCodes:
 
 class TestEntryPoints:
     def test_module_invocation(self):
+        # pytest's pythonpath setting does not reach the subprocess
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
         proc = subprocess.run([sys.executable, "-m", "casfit.cli", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "casfit" in proc.stdout
 

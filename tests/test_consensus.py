@@ -205,14 +205,14 @@ class TestLocalOptimize:
             kinds.append(kind)
             return evaluate_metric(kind, points, model)
 
-        def from_coeffs(q):
-            model = from_coeffs_original(q)
-            valid.append(model)
-            return model
+        def models(coeffs, ok):
+            found = models_original(coeffs, ok)
+            valid.extend(model for model in found if model is not None)
+            return found
 
-        from_coeffs_original = EllipsoidModel.from_coeffs
+        models_original = consensus._models
         monkeypatch.setattr(consensus, "evaluate_metric", counted)
-        monkeypatch.setattr(consensus.EllipsoidModel, "from_coeffs", from_coeffs)
+        monkeypatch.setattr(consensus, "_models", models)
         for name in ("gaussian_weights", "model_score", "classify"):
             monkeypatch.setattr(consensus, name, None)
         results = []
@@ -230,6 +230,39 @@ class TestLocalOptimize:
         (model, score, d), (model_d, score_d, d_d) = results
         assert np.array_equal(model.coeffs, model_d.coeffs) and score == score_d
         assert np.array_equal(d, d_d)
+
+    def test_too_few_points(self, rng):
+        with pytest.raises(TooFewPoints):
+            local_optimize(unit_sphere(), sample_surface(unit_sphere(), 5, rng),
+                           FitConfig(epsilon=0.1))
+
+    def test_step_needs_nine_supported_points(self, rng):
+        # 8 points on the start model carry weight 1 and 20,000 on a
+        # concentric member carry 9e-7, below SUPPORT_TOL: the one step
+        # is skipped although the weighted normal matrix has full rank.
+        start = make_model(rng)
+        cfg = FitConfig(epsilon=0.01, weight_metric=AXIAL, lo_steps=1)
+        grow = 3.0 * cfg.epsilon * math.sqrt(-2.0 * math.log(9e-7)) / np.linalg.norm(
+            start.semiaxes)
+        center = start.center
+        shell = center + (1.0 + grow) * (sample_surface(start, 20_000, rng) - center)
+        assert np.allclose(point_energy(axial_distance(shell, start), cfg.epsilon), 9e-7)
+        points = np.vstack([sample_surface(start, 8, rng), shell])
+        assert local_optimize(start, points, cfg) is None
+
+    def test_translation(self):
+        inst = cloud(0.3, seed=5)
+        cfg = FitConfig(epsilon=1.5 * inst.sigma)
+        offset = np.full(3, 1e3)
+        geom = inst.truth.geometry
+        moved = EllipsoidModel.from_geometry(EllipsoidGeometry(
+            geom.rotation, geom.translation - geom.rotation @ offset, geom.semiaxes))
+        want = local_optimize(inst.truth, inst.points, cfg)[0]
+        result = local_optimize(moved, inst.points + offset, cfg)
+        assert result is not None
+        got = result[0]
+        assert np.abs(got.semiaxes - want.semiaxes).max() <= 1e-7
+        assert np.abs(got.center - offset - want.center).max() <= 1e-7
 
     def test_far_model_yields_none(self, rng):
         inst = contaminated(rng)
