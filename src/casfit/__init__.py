@@ -22,7 +22,7 @@ from .distances import (ALGEBRAIC, AXIAL, METRIC_KINDS, ORTHOGONAL, SAMPSON,
 from .errors import (CasfitError, ConvergenceFailure, DegenerateQuadric,
                      InsufficientSupport, NoModelFound, NotAnEllipsoid,
                      ParseError, RankDeficient, TooFewPoints)
-from .leastsq import cas_weights, gaussian_weights, lls_fit, wls_fit
+from .leastsq import gaussian_weights, lls_fit, wls_fit
 from .quadric import (EllipsoidGeometry, EllipsoidModel, coeffs_to_matrix,
                       decompose, design_matrix, geometry_to_coeffs,
                       matrix_to_coeffs, normalize_coeffs, validate_ellipsoid)
@@ -41,7 +41,7 @@ __all__ = [
     "AXIAL", "cas", "algebraic_distance", "scaling_factor", "axial_distance",
     "sampson_distance", "orthogonal_distance", "cas_distance", "evaluate_metric",
     # least squares
-    "lls_fit", "wls_fit", "gaussian_weights", "cas_weights",
+    "lls_fit", "wls_fit", "gaussian_weights",
     # consensus engine
     "FitConfig", "FitReport", "fit", "local_optimize", "model_score",
     "point_energy", "required_iterations", "classify", "sample_minimal",

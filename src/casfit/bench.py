@@ -96,31 +96,28 @@ class GridVariant:
     epsilon: Optional[float] = None
     epsilon_rel_sigma: Optional[float] = 2.0
     mu: float = 0.95
-    sample_size: int = 9
     min_iterations: int = 50
     max_iterations: int = 100_000
 
     def __post_init__(self):
-        require_integers(self, "lo_steps", "sample_size", "min_iterations", "max_iterations")
         if (self.epsilon is None) == (self.epsilon_rel_sigma is None):
             raise ValueError("set exactly one of epsilon and epsilon_rel_sigma")
-        MetricKind.parse(self.score_metric)
-        if self.weight_metric is not None:
-            MetricKind.parse(self.weight_metric)
+        # Every other field is checked by the FitConfig it makes, so a bad
+        # value fails when the grid is loaded, not after earlier cells ran.
+        self.make_config(sigma=1.0, seed=0)
 
     def make_config(self, sigma: float, seed: int) -> FitConfig:
         if self.epsilon is not None:
             eps = self.epsilon
         else:
-            eps = self.epsilon_rel_sigma * sigma
-            if not eps > 0.0:
+            if not sigma > 0.0:
                 raise ValueError(
                     f"variant {self.name!r} needs a noisy dataset to derive epsilon from")
+            eps = self.epsilon_rel_sigma * sigma
         score = MetricKind.parse(self.score_metric)
-        weight = MetricKind.parse(self.weight_metric) if self.weight_metric else score
+        weight = score if self.weight_metric is None else MetricKind.parse(self.weight_metric)
         return FitConfig(
-            epsilon=eps, mu=self.mu, sample_size=self.sample_size,
-            score_metric=score, weight_metric=weight,
+            epsilon=eps, mu=self.mu, score_metric=score, weight_metric=weight,
             local_opt=self.local_opt, lo_steps=self.lo_steps,
             max_iterations=self.max_iterations, min_iterations=self.min_iterations,
             seed=seed)

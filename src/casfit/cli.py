@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import load_grid, run_grid
+from .bench import _instance_rng, load_grid, run_grid
 from .consensus import FitConfig, fit
 from .distances import METRIC_KINDS, MetricKind, evaluate_metric
 from .errors import CasfitError
@@ -133,20 +134,14 @@ def _cmd_synth(args) -> int:
                        instance_count=args.instances, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     for i in range(spec.instance_count):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([spec.seed, i])))
-        inst = make_instance(spec, rng)
+        inst = make_instance(spec, _instance_rng(spec, i))
         stem = os.path.join(args.out, f"instance_{i:03d}")
         save_points(inst.points, stem + ".csv")
         sidecar = {
             "model": inst.truth.to_json_dict(),
             "is_outlier": [int(v) for v in inst.is_outlier],
             "sigma": inst.sigma,
-            "spec": {
-                "kind": spec.kind, "point_count": spec.point_count,
-                "sigma_rel": spec.sigma_rel, "outlier_fraction": spec.outlier_fraction,
-                "instance_count": spec.instance_count, "seed": spec.seed,
-                "instance": i,
-            },
+            "spec": {**dataclasses.asdict(spec), "instance": i},
         }
         with open(stem + ".json", "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, indent=2)

@@ -68,17 +68,16 @@ class FitConfig:
     """Knobs for one fitting run.
 
     ``score_metric`` and ``weight_metric`` default to the combined
-    axial/Sampson metric with blend ratio ``lam``; pass explicit kinds to
-    reproduce plain sample consensus under a single distance (no local
-    optimization) or refits driven by another metric.
+    axial/Sampson metric ``cas:0.5``; its blend ratio is part of the kind.
+    Pass other kinds to reproduce plain sample consensus under a single
+    distance (no local optimization) or refits driven by another metric.
+    Minimal samples always have ``leastsq.MIN_POINTS`` (9) points.
     """
 
     epsilon: float
-    lam: float = 0.5
     mu: float = 0.95
-    sample_size: int = 9
-    score_metric: Optional[MetricKind] = None
-    weight_metric: Optional[MetricKind] = None
+    score_metric: MetricKind = cas()
+    weight_metric: MetricKind = cas()
     local_opt: bool = True
     lo_steps: int = 5
     max_iterations: int = 100_000
@@ -86,26 +85,18 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, "sample_size", "lo_steps", "max_iterations",
-                         "min_iterations", "seed")
+        require_integers(self, "lo_steps", "max_iterations", "min_iterations", "seed")
+        for name in ("score_metric", "weight_metric"):
+            if not isinstance(getattr(self, name), MetricKind):
+                raise ValueError(f"{name} must be a MetricKind, got {getattr(self, name)!r}")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie strictly between 0 and 1")
-        if self.sample_size < 9:
-            raise ValueError("sample_size must be at least 9")
         if self.lo_steps < 1:
             raise ValueError("lo_steps must be at least 1")
         if self.min_iterations < 1 or self.max_iterations < self.min_iterations:
             raise ValueError("iteration bounds must satisfy 1 <= min <= max")
-
-    def resolved_score_metric(self) -> MetricKind:
-        return self.score_metric if self.score_metric is not None else cas(self.lam)
-
-    def resolved_weight_metric(self) -> MetricKind:
-        return self.weight_metric if self.weight_metric is not None else cas(self.lam)
 
 
 @dataclass(frozen=True)
@@ -128,10 +119,8 @@ class FitReport:
 
 
 def model_score(model: EllipsoidModel, points, epsilon: float,
-                metric: MetricKind | None = None) -> float:
+                metric: MetricKind = cas()) -> float:
     """Sum of point energies under ``metric`` (default: combined metric)."""
-    if metric is None:
-        metric = cas()
     d = evaluate_metric(metric, points, model)
     return float(np.sum(point_energy(d, epsilon)))
 
@@ -163,10 +152,8 @@ def required_iterations(v: float, mu: float, n: int,
 
 
 def classify(points, model: EllipsoidModel, epsilon: float,
-             metric: MetricKind | None = None) -> np.ndarray:
+             metric: MetricKind = cas()) -> np.ndarray:
     """Boolean inlier mask: distance strictly below epsilon."""
-    if metric is None:
-        metric = cas()
     d = np.atleast_1d(evaluate_metric(metric, points, model))
     return d < epsilon
 
@@ -218,8 +205,7 @@ def local_optimize(model: EllipsoidModel, points, cfg: FitConfig,
     if len(pts) < MIN_POINTS:
         raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
     local, center, scale = condition(pts)
-    weight_metric = cfg.resolved_weight_metric()
-    score_metric = cfg.resolved_score_metric()
+    weight_metric, score_metric = cfg.weight_metric, cfg.score_metric
     current, d_weight = model, (distances if weight_metric == score_metric else None)
     best, best_score = None, -math.inf
     for eps_lo in _lo_schedule(cfg.epsilon, cfg.lo_steps):
@@ -274,13 +260,13 @@ def _models(coeffs: np.ndarray, ok: np.ndarray) -> list:
             if ok[j] and verdict[j] == ELLIPSOID else None for j in range(len(coeffs))]
 
 
-def _candidates(pts: np.ndarray, n: int, k: int, rng: np.random.Generator) -> list:
-    """Draw ``k`` minimal samples of conditioned points in order and solve
-    them as one stack; returns each sample's ``_models`` entry.  Nine-point
-    samples are screened first (``_screen``), and a row it drops is None.
+def _candidates(pts: np.ndarray, k: int, rng: np.random.Generator) -> list:
+    """Draw ``k`` minimal samples of conditioned points in order, screen them
+    (``_screen``) and solve the rows it keeps as one stack; returns each
+    sample's ``_models`` entry, None for a row the screen drops.
     """
-    samples = pts[sample_minimal(len(pts), n, rng, count=k)]
-    keep = _screen(samples) if n == 9 else np.ones(k, dtype=bool)
+    samples = pts[sample_minimal(len(pts), MIN_POINTS, rng, count=k)]
+    keep = _screen(samples)
     models = iter(_models(*solve_stack(samples[keep])))
     return [next(models) if kept else None for kept in keep]
 
@@ -304,7 +290,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     sample-consensus best improves.  Raises NoModelFound at once when the
     points are coplanar, collinear or identical, and when no candidate
     validates within the iteration budget; TooFewPoints when fewer than
-    ``cfg.sample_size`` points are supplied.
+    ``MIN_POINTS`` (9) points are supplied.
 
     The loop runs on the conditioned cloud.  It draws and solves CHUNK
     minimal samples at a time, then replays them one iteration at a time,
@@ -314,9 +300,8 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     required_iterations) after every iteration.
     """
     pts = as_points(points)
-    n = cfg.sample_size
-    if len(pts) < n:
-        raise TooFewPoints(f"need at least {n} points, got {len(pts)}")
+    if len(pts) < MIN_POINTS:
+        raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
     start = time.perf_counter()
     local, center, scale = condition(pts)
     spread = np.linalg.eigvalsh(local.T @ local)
@@ -324,7 +309,6 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
         raise NoModelFound("points are coplanar, collinear or identical")
     local_cfg = replace(cfg, epsilon=cfg.epsilon / scale)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    score_metric = cfg.resolved_score_metric()
 
     best_model: Optional[EllipsoidModel] = None
     best_score = -math.inf
@@ -335,11 +319,11 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     iteration = 0
 
     while iteration < required:
-        for candidate in _candidates(local, n, min(CHUNK, required - iteration), rng):
+        for candidate in _candidates(local, min(CHUNK, required - iteration), rng):
             iteration += 1
             improved = False
             if candidate is not None:
-                d = evaluate_metric(score_metric, local, candidate)
+                d = evaluate_metric(cfg.score_metric, local, candidate)
                 score = float(np.sum(point_energy(d, local_cfg.epsilon)))
                 if score > best_sample_score:
                     best_sample_score = score
@@ -354,7 +338,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
                             improved = True
             if improved:
                 best_labels = best_d < local_cfg.epsilon
-                required = required_iterations(float(best_labels.mean()), cfg.mu, n,
+                required = required_iterations(float(best_labels.mean()), cfg.mu, MIN_POINTS,
                                                cfg.min_iterations, cfg.max_iterations)
             if progress is not None:
                 progress(iteration, best_score, required)

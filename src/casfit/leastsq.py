@@ -122,16 +122,9 @@ def point_energy(distance, epsilon: float):
 
 
 def gaussian_weights(points, model: EllipsoidModel, eps_lo: float,
-                     metric: MetricKind | None = None) -> np.ndarray:
+                     metric: MetricKind = cas()) -> np.ndarray:
     """Per-point weights point_energy(d, eps_lo) under ``metric``.
 
     Infinite distances produce weight exactly zero.
     """
-    if metric is None:
-        metric = cas()
     return point_energy(np.atleast_1d(evaluate_metric(metric, points, model)), eps_lo)
-
-
-def cas_weights(points, model: EllipsoidModel, eps_lo: float, lam: float = 0.5) -> np.ndarray:
-    """Gaussian weights under the combined axial / Sampson metric."""
-    return gaussian_weights(points, model, eps_lo, cas(lam))

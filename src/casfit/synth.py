@@ -8,6 +8,7 @@ so instances of different sizes are corrupted comparably.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +84,8 @@ class DatasetSpec:
             raise ValueError(f"kind must be one of {DATASET_KINDS}, got {self.kind!r}")
         if self.point_count < 9:
             raise ValueError("point_count must be at least 9")
-        if self.sigma_rel < 0.0:
-            raise ValueError("sigma_rel must be non-negative")
+        if not 0.0 <= self.sigma_rel < math.inf:
+            raise ValueError("sigma_rel must be non-negative and finite")
         if not 0.0 <= self.outlier_fraction <= 1.0:
             raise ValueError("outlier_fraction must lie in [0, 1]")
         if self.instance_count < 1:

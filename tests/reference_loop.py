@@ -27,14 +27,14 @@ from casfit import (DegenerateQuadric, EllipsoidGeometry, EllipsoidModel, FitCon
                     RankDeficient, TooFewPoints, classify, gaussian_weights,
                     model_score, required_iterations, sample_minimal, wls_fit)
 from casfit.consensus import _lo_schedule, _to_scene
-from casfit.leastsq import condition, solve_stack
+from casfit.leastsq import MIN_POINTS, condition, solve_stack
 from casfit.quadric import ELLIPSOID, as_points, check_ellipsoids
 
 
 def reference_local_optimize(model, points, cfg: FitConfig) -> Optional[EllipsoidModel]:
     pts = as_points(points)
-    weight_metric = cfg.resolved_weight_metric()
-    score_metric = cfg.resolved_score_metric()
+    weight_metric = cfg.weight_metric
+    score_metric = cfg.score_metric
     current = model
     best: Optional[EllipsoidModel] = None
     best_score = -math.inf
@@ -64,14 +64,14 @@ def solve_sample(sample) -> Optional[EllipsoidModel]:
 
 def reference_fit(points, cfg: FitConfig, progress=None) -> FitReport:
     pts = as_points(points)
-    n = cfg.sample_size
+    n = MIN_POINTS
     if len(pts) < n:
         raise TooFewPoints(f"need at least {n} points, got {len(pts)}")
     local, center, scale = condition(pts)
     local_cfg = replace(cfg, epsilon=cfg.epsilon / scale)
     eps = local_cfg.epsilon
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    score_metric = cfg.resolved_score_metric()
+    score_metric = cfg.score_metric
 
     best_model: Optional[EllipsoidModel] = None
     best_score = -math.inf

@@ -141,9 +141,15 @@ class TestGridConstruction:
                 ({"lo_steps": True}, {}, {}),
                 ({"score_metric": 5}, {}, {}),
                 ({"weight_metric": 5}, {}, {}),
+                ({"weight_metric": ""}, {}, {}),
+                ({"sample_size": 9}, {}, {}),
+                ({"mu": 5.0}, {}, {}),
+                ({"lo_steps": 0}, {}, {}),
+                ({"epsilon_rel_sigma": -1.0}, {}, {}),
                 ({}, {}, {"runs_per_instance": 2.5}),
                 ({}, {}, {"seed": 1.0})):
-            doc = {"variants": [{"name": "x", **variant}],
+            # a bad later variant fails on load, before any cell runs
+            doc = {"variants": [{"name": "ok"}, {"name": "x", **variant}],
                    "datasets": [{"kind": "gaussian", **dataset}], **top}
             with pytest.raises(ParseError):
                 grid_from_json(doc)

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from casfit import read_report, sample_surface, save_points
+from casfit import (DatasetSpec, ExperimentGrid, GridVariant, load_points,
+                    read_report, run_grid, sample_surface, save_points)
+from casfit import bench
 from casfit.cli import main
 
 from conftest import make_model
@@ -104,6 +106,44 @@ class TestSynthCommand:
             b = (tmp_path / "two" / f"instance_{i:03d}.csv").read_bytes()
             assert a == b
 
+    def test_points_and_truth_are_those_bench_fits(self, tmp_path, monkeypatch):
+        spec = DatasetSpec(kind="outlier", point_count=40, sigma_rel=0.1,
+                           outlier_fraction=0.25, instance_count=2, seed=11)
+        assert run_cli(["synth", "--kind", "outlier", "--count", "40", "--sigma-rel", "0.1",
+                        "--fraction", "0.25", "--instances", "2", "--seed", "11",
+                        "--out", str(tmp_path)]) == 0
+        fitted, truths = [], []
+
+        def fit(points, cfg):
+            fitted.append(points)
+            return fit_original(points, cfg)
+
+        def fitting_errors(estimated, truth):
+            truths.append(truth)
+            return errors_original(estimated, truth)
+
+        fit_original, errors_original = bench.fit, bench.fitting_errors
+        monkeypatch.setattr(bench, "fit", fit)
+        monkeypatch.setattr(bench, "fitting_errors", fitting_errors)
+        variant = GridVariant(name="v", min_iterations=5, max_iterations=20)
+        run_grid(ExperimentGrid(variants=(variant,), datasets=(spec,), runs_per_instance=1))
+        assert len(fitted) == len(truths) == 2
+        for i in range(2):
+            stem = tmp_path / f"instance_{i:03d}"
+            sidecar = json.loads(stem.with_suffix(".json").read_text())
+            assert np.array_equal(load_points(stem.with_suffix(".csv")), fitted[i])
+            assert sidecar["model"]["q"] == truths[i].coeffs.tolist()
+            assert sidecar["spec"] == {"kind": "outlier", "point_count": 40, "sigma_rel": 0.1,
+                                       "outlier_fraction": 0.25, "instance_count": 2,
+                                       "seed": 11, "instance": i}
+
+    @pytest.mark.parametrize("sigma_rel", ["nan", "inf"])
+    def test_non_finite_noise_fails(self, tmp_path, sigma_rel):
+        out = tmp_path / "data"
+        assert run_cli(["synth", "--kind", "gaussian", "--sigma-rel", sigma_rel,
+                        "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestBenchCommand:
     def test_runs_grid_to_csv(self, tmp_path):
@@ -123,6 +163,18 @@ class TestBenchCommand:
         data_rows, aggregate_rows = read_report(out)
         assert len(data_rows) == 4
         assert len(aggregate_rows) == 1
+
+    def test_bad_later_variant_fails_before_any_fit(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "fit", lambda *args: calls.append(args))
+        grid = {"variants": [{"name": "good"}, {"name": "bad", "mu": 5.0}],
+                "datasets": [{"kind": "gaussian", "instance_count": 2}],
+                "runs_per_instance": 10}
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        out = tmp_path / "report.csv"
+        assert run_cli(["bench", str(grid_path), "--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
 
 
 class TestDistancesCommand:

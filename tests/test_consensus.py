@@ -180,14 +180,14 @@ class TestLocalOptimize:
             result = local_optimize(start, inst.points, cfg)
             assert result is not None
             refined, after, d = result
-            metric = cfg.resolved_score_metric()
+            metric = cfg.score_metric
             assert after == model_score(refined, inst.points, cfg.epsilon, metric)
             assert np.array_equal(d, evaluate_metric(metric, inst.points, refined))
             if after > model_score(start, inst.points, cfg.epsilon, metric):
                 improved += 1
         assert improved >= 0.9 * trials
 
-    @pytest.mark.parametrize("weight_metric", [None, SAMPSON])
+    @pytest.mark.parametrize("weight_metric", [cas(), SAMPSON])
     def test_one_evaluation_per_model(self, monkeypatch, weight_metric):
         # The start model is evaluated under the weight metric once, unless
         # its score distances are passed and the two metrics agree; each
@@ -196,7 +196,7 @@ class TestLocalOptimize:
         inst = cloud(0.3, seed=5)
         cfg = FitConfig(epsilon=1.5 * inst.sigma, weight_metric=weight_metric)
         start = inst.truth
-        score_metric = cfg.resolved_score_metric()
+        score_metric = cfg.score_metric
         start_d = evaluate_metric(score_metric, inst.points, start)
         kinds = []
         valid = []
@@ -222,7 +222,7 @@ class TestLocalOptimize:
             results.append(local_optimize(start, inst.points, cfg, distances))
             assert results[-1] is not None
             assert len(valid) == cfg.lo_steps
-            if weight_metric is None:
+            if weight_metric == score_metric:
                 assert kinds == [score_metric] * (len(valid) + (distances is None))
             else:
                 assert kinds.count(score_metric) == kinds.count(weight_metric) == len(valid)
@@ -369,7 +369,7 @@ class TestFit:
             monkeypatch.setattr(consensus, name, None)
         report = fit(inst.points, cfg)
         monkeypatch.undo()
-        metric = cfg.resolved_score_metric()
+        metric = cfg.score_metric
         want = model_score(report.model, inst.points, cfg.epsilon, metric)
         assert abs(report.score - want) <= 1e-12 * abs(want)
         d = np.asarray(evaluate_metric(metric, inst.points, report.model))
@@ -379,7 +379,7 @@ class TestFit:
     def test_refits_start_from_the_candidate_distances(self, monkeypatch):
         inst = cloud(0.3, seed=8)
         cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=1)
-        metric = cfg.resolved_score_metric()
+        metric = cfg.score_metric
         passed = []
 
         def spy(model, points, local_cfg, distances=None):
@@ -421,7 +421,7 @@ def fit_both(points, cfg):
         assert score == ref_score or abs(score - ref_score) <= 1e-12 * abs(ref_score)
     assert np.abs(got.model.coeffs - want.model.coeffs).max() <= 1e-12
     assert abs(got.score - want.score) <= 1e-12 * abs(want.score)
-    d = np.asarray(evaluate_metric(cfg.resolved_score_metric(), points, want.model))
+    d = np.asarray(evaluate_metric(cfg.score_metric, points, want.model))
     flipped = got.inlier_mask != want.inlier_mask
     assert np.all(np.abs(d[flipped] - cfg.epsilon) <= 1e-9 * cfg.epsilon)
     assert got.inlier_ratio == float(got.inlier_mask.mean())
@@ -508,15 +508,15 @@ class TestScreen:
     """The 9x9 screen in ``_candidates`` drops rows and changes no candidate."""
 
     @staticmethod
-    def same_candidates(points, n, chunks=8):
+    def same_candidates(points, chunks=8):
         """Assert ``_candidates`` yields the exact path's candidates; count them."""
         local = condition(points)[0]
         got_rng = np.random.Generator(np.random.PCG64(5))
         want_rng = np.random.Generator(np.random.PCG64(5))
         found = 0
         for _ in range(chunks):
-            got = list(consensus._candidates(local, n, CHUNK, got_rng))
-            want = exact_candidates(local, n, CHUNK, want_rng)
+            got = list(consensus._candidates(local, CHUNK, got_rng))
+            want = exact_candidates(local, 9, CHUNK, want_rng)
             assert [g is None for g in got] == [w is None for w in want]
             for model, fields in zip(got, want):
                 if model is not None:
@@ -530,7 +530,7 @@ class TestScreen:
     @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5])
     def test_contaminated_clouds(self, fraction):
         inst = cloud(fraction, seed=int(10 * fraction) + 61)
-        assert self.same_candidates(inst.points, 9) > 0
+        assert self.same_candidates(inst.points) > 0
         local = condition(inst.points)[0]
         samples = local[sample_minimal(len(local), 9, np.random.default_rng(5), count=512)]
         # the screen does drop rows: most samples of a noisy cloud are no ellipsoid
@@ -544,7 +544,7 @@ class TestScreen:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(blocks, np.ones((CHUNK, 9, 1)))
         assert consensus._screen(samples).all()
-        self.same_candidates(points, 9)
+        self.same_candidates(points)
 
     def test_rows_that_overflow_are_kept(self, monkeypatch):
         local = condition(cloud(0.5, seed=61).points)[0]
@@ -559,10 +559,6 @@ class TestScreen:
         monkeypatch.setattr(np.linalg, "solve", overflowing)
         keep = consensus._screen(samples)
         assert keep[::2].all() and not keep[1::2].all()
-
-    def test_larger_samples_are_not_screened(self, monkeypatch):
-        monkeypatch.setattr(consensus, "_screen", None)
-        assert self.same_candidates(cloud(0.0, seed=61).points, 10) > 0
 
 
 class TestDegenerateInput:
@@ -629,7 +625,7 @@ class TestInvariance:
                   dataclasses.replace(cfg, epsilon=factor * cfg.epsilon))
         assert got.iterations == want.iterations
         assert got.lo_invocations == want.lo_invocations
-        d = np.asarray(evaluate_metric(cfg.resolved_score_metric(), points, want.model))
+        d = np.asarray(evaluate_metric(cfg.score_metric, points, want.model))
         flipped = got.inlier_mask != want.inlier_mask
         assert np.all(np.abs(d[flipped] - cfg.epsilon) <= 1e-9 * cfg.epsilon)
         size = factor * want.model.semiaxes
@@ -646,28 +642,33 @@ class TestFitConfig:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 FitConfig(epsilon=bad)
-        for field in ("sample_size", "lo_steps", "min_iterations", "max_iterations", "seed"):
+        for field in ("lo_steps", "min_iterations", "max_iterations", "seed"):
             with pytest.raises(ValueError, match=field):
                 FitConfig(epsilon=1.0, **{field: 60.5})
             with pytest.raises(ValueError, match=field):
                 FitConfig(epsilon=1.0, **{field: True})
         assert FitConfig(epsilon=1.0, seed=np.uint32(7)).seed == 7
         with pytest.raises(ValueError):
-            FitConfig(epsilon=1.0, lam=1.5)
-        with pytest.raises(ValueError):
             FitConfig(epsilon=1.0, mu=1.0)
-        with pytest.raises(ValueError):
-            FitConfig(epsilon=1.0, sample_size=8)
         with pytest.raises(ValueError):
             FitConfig(epsilon=1.0, lo_steps=0)
         with pytest.raises(ValueError):
             FitConfig(epsilon=1.0, min_iterations=0)
         with pytest.raises(ValueError):
             FitConfig(epsilon=1.0, max_iterations=10, min_iterations=20)
+        # the blend ratio is part of the metric kinds, and minimal samples
+        # always have MIN_POINTS points
+        for field, value in (("lam", 0.25), ("sample_size", 10)):
+            with pytest.raises(TypeError, match=field):
+                FitConfig(epsilon=1.0, **{field: value})
 
-    def test_metric_defaults_follow_lam(self):
-        cfg = FitConfig(epsilon=1.0, lam=0.25)
-        assert cfg.resolved_score_metric() == cas(0.25)
-        assert cfg.resolved_weight_metric() == cas(0.25)
-        pinned = FitConfig(epsilon=1.0, lam=0.25, score_metric=SAMPSON)
-        assert pinned.resolved_score_metric() == SAMPSON
+    def test_metric_defaults(self):
+        cfg = FitConfig(epsilon=1.0)
+        assert cfg.score_metric == cfg.weight_metric == cas()
+        pinned = FitConfig(epsilon=1.0, score_metric=SAMPSON)
+        assert pinned.score_metric == SAMPSON and pinned.weight_metric == cas()
+        # a kind, not None or its name, or the loop would fail deep inside
+        for field in ("score_metric", "weight_metric"):
+            for bad in (None, "cas:0.5"):
+                with pytest.raises(ValueError, match=field):
+                    FitConfig(epsilon=1.0, **{field: bad})

@@ -5,7 +5,7 @@ import pytest
 
 from casfit import (AXIAL, SAMPSON, EllipsoidModel, InsufficientSupport,
                     RankDeficient, TooFewPoints, algebraic_distance,
-                    cas_weights, gaussian_weights, lls_fit, wls_fit)
+                    gaussian_weights, lls_fit, wls_fit)
 from casfit.leastsq import condition, decondition, solve_stack
 from casfit.quadric import design_matrix, normalize_coeffs
 from casfit.synth import random_rotation, sample_surface
@@ -179,7 +179,7 @@ class TestWeights:
     def test_surface_points_get_unit_weight(self, rng):
         m = make_model(rng)
         pts = sample_surface(m, 50, rng)
-        w = cas_weights(pts, m, 0.1)
+        w = gaussian_weights(pts, m, 0.1)
         assert np.allclose(w, 1.0, atol=1e-12)
 
     def test_infinite_distance_gives_zero_weight(self, rng):
@@ -190,7 +190,7 @@ class TestWeights:
     def test_monotone_in_distance(self, rng):
         m = unit_sphere()
         pts = np.array([[1.0 + 0.1 * k, 0.0, 0.0] for k in range(10)])
-        w = cas_weights(pts, m, 0.3)
+        w = gaussian_weights(pts, m, 0.3)
         assert (np.diff(w) < 0.0).all()
         assert (w > 0.0).all() and (w <= 1.0).all()
 

@@ -132,8 +132,9 @@ class TestMakeInstance:
             DatasetSpec(kind="outlier", outlier_fraction=1.5)
         with pytest.raises(ValueError):
             DatasetSpec(kind="gaussian", point_count=0)
-        with pytest.raises(ValueError):
-            DatasetSpec(kind="gaussian", sigma_rel=-0.1)
+        for bad in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma_rel"):
+                DatasetSpec(kind="gaussian", sigma_rel=bad)
         with pytest.raises(ValueError):
             DatasetSpec(kind="gaussian", instance_count=0)
 
