@@ -172,9 +172,9 @@ def _cmd_distances(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["point_index", "metric", "value"])
         for kind in kinds:
-            values = np.atleast_1d(evaluate_metric(kind, points, model))
-            for i, value in enumerate(values):
-                writer.writerow([i, str(kind), f"{value:.17g}"])
+            values = np.atleast_1d(evaluate_metric(kind, points, model)).tolist()
+            name = str(kind)
+            writer.writerows([i, name, f"{value:.17g}"] for i, value in enumerate(values))
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

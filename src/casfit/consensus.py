@@ -19,7 +19,15 @@ conditions its points once per call and maps each refit back the same way.
 Every metric but the algebraic one is similarity invariant, so no decision
 changes beyond rounding, and the solves stay well conditioned at any offset.
 Minimal samples and refits share one solve-and-check path: the stacked
-``solve_stack`` and ``check_ellipsoids``, with failures as None, not raised.
+``solve_rows`` and ``check_ellipsoids``, with failures as None, not raised.
+
+Design rows depend only on the points, so each set of them is built once:
+``fit`` builds the rows of the conditioned cloud once and hands them to
+every candidate's evaluation and every ``local_optimize`` call, whose
+scores and weights use them; ``local_optimize`` builds the rows of its own
+conditioned points once for all of its refits; ``_candidates`` builds each
+chunk's (k, 9, 10) sample rows once for the screen and the exact solve.
+Nothing built here outlives the call that built it.
 
 Everything is deterministic for a fixed seed: the generator is PCG64 and
 samples are drawn in a fixed order, single threaded.  Samples are drawn,
@@ -46,7 +54,7 @@ from .errors import NoModelFound, TooFewPoints, require_integers
 # gaussian_weights, lls_fit and wls_fit are not called here but stay module
 # attributes: perfbench/tracer.py wraps them by these names.
 from .leastsq import (MIN_POINTS, SUPPORT_TOL, condition, decondition,  # noqa: F401
-                      gaussian_weights, lls_fit, point_energy, solve_stack, wls_fit)
+                      gaussian_weights, lls_fit, point_energy, solve_rows, wls_fit)
 from .quadric import (ELLIPSOID, EllipsoidGeometry, EllipsoidModel, as_points,
                       check_ellipsoids, design_matrix, normalize_rows)
 
@@ -86,6 +94,8 @@ class FitConfig:
 
     def __post_init__(self):
         require_integers(self, "lo_steps", "max_iterations", "min_iterations", "seed")
+        if not isinstance(self.local_opt, bool):
+            raise ValueError(f"local_opt must be a bool, got {self.local_opt!r}")
         for name in ("score_metric", "weight_metric"):
             if not isinstance(getattr(self, name), MetricKind):
                 raise ValueError(f"{name} must be a MetricKind, got {getattr(self, name)!r}")
@@ -188,36 +198,44 @@ def _lo_schedule(epsilon: float, steps: int) -> np.ndarray:
 
 
 def local_optimize(model: EllipsoidModel, points, cfg: FitConfig,
-                   distances: Optional[np.ndarray] = None) -> Optional[tuple]:
+                   distances: Optional[np.ndarray] = None,
+                   design: Optional[np.ndarray] = None) -> Optional[tuple]:
     """Weighted-refit cascade around ``model``; None when nothing validates.
 
-    The points are conditioned once per call.  Each step reweights them
-    against the current model with a shrinking kernel width, refits them
-    with the minimal samples' ``solve_stack`` and keeps the refit, mapped
-    back exactly, as the current model when it is an ellipsoid.  Returns
-    (model, score, distances under the score metric) of the best-scoring
-    step; a step is skipped when fewer than MIN_POINTS weights exceed
-    SUPPORT_TOL or its refit is not an ellipsoid.  ``distances``, when
-    given, are ``model``'s distances under the score metric; they stand in
-    for the first weights' evaluation when the two metrics are the same.
+    The points are conditioned once per call, and the design rows of the
+    conditioned points are built once for all steps.  Each step reweights
+    the points against the current model with a shrinking kernel width,
+    refits them with the minimal samples' ``solve_rows`` and keeps the
+    refit, mapped back exactly, as the current model when it is an
+    ellipsoid.  Returns (model, score, distances under the score metric) of
+    the best-scoring step; a step is skipped when fewer than MIN_POINTS
+    weights exceed SUPPORT_TOL or its refit is not an ellipsoid.
+    ``distances``, when given, are ``model``'s distances under the score
+    metric; they stand in for the first weights' evaluation when the two
+    metrics are the same.  ``design``, when given, is
+    ``design_matrix(points)``, which every score and weight evaluation uses;
+    it is built here when not given.
     """
     pts = as_points(points)
     if len(pts) < MIN_POINTS:
         raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
+    if design is None:
+        design = design_matrix(pts)
     local, center, scale = condition(pts)
+    rows = design_matrix(local)[None]
     weight_metric, score_metric = cfg.weight_metric, cfg.score_metric
     current, d_weight = model, (distances if weight_metric == score_metric else None)
     best, best_score = None, -math.inf
     for eps_lo in _lo_schedule(cfg.epsilon, cfg.lo_steps):
         if d_weight is None:
-            d_weight = evaluate_metric(weight_metric, pts, current)
+            d_weight = evaluate_metric(weight_metric, pts, current, design)
         w = point_energy(d_weight, eps_lo)
-        q, ok = solve_stack(local[None], w[None])
+        q, ok = solve_rows(rows, w[None])
         (refit,) = _models(q, ok & (np.count_nonzero(w > SUPPORT_TOL) >= MIN_POINTS))
         if refit is None:
             continue
         candidate = _to_scene(refit, center, scale)
-        d = evaluate_metric(score_metric, pts, candidate)
+        d = evaluate_metric(score_metric, pts, candidate, design)
         score = float(np.sum(point_energy(d, cfg.epsilon)))
         if score > best_score:
             best, best_score = (candidate, score, d), score
@@ -231,8 +249,8 @@ ProgressHook = Callable[[int, float, int], None]
 CHUNK = 64
 
 
-def _screen(samples: np.ndarray) -> np.ndarray:
-    """Rows of a conditioned (k, 9, 3) sample stack whose quadric may be an ellipsoid.
+def _screen(rows: np.ndarray) -> np.ndarray:
+    """Mask of the samples whose quadric may be an ellipsoid, from their (k, 9, 10) design rows.
 
     The design's last column is -1, so where the 9x9 block D[:, :9] is
     regular, q = (x, 1) with D[:, :9] x = 1 spans the row's null space.  One
@@ -241,10 +259,9 @@ def _screen(samples: np.ndarray) -> np.ndarray:
     row whose q is not finite is kept.  Every row is kept when some block is
     exactly singular.
     """
-    k = len(samples)
-    block = design_matrix(samples.reshape(k * 9, 3)).reshape(k, 9, 10)[:, :, :9]
+    k = len(rows)
     try:
-        x = np.linalg.solve(block, np.ones((k, 9, 1)))[:, :, 0]
+        x = np.linalg.solve(rows[:, :, :9], np.ones((k, 9, 1)))[:, :, 0]
     except np.linalg.LinAlgError:
         return np.ones(k, dtype=bool)
     finite = np.isfinite(x).all(axis=1)
@@ -254,7 +271,7 @@ def _screen(samples: np.ndarray) -> np.ndarray:
 
 
 def _models(coeffs: np.ndarray, ok: np.ndarray) -> list:
-    """Each ``solve_stack`` row as an EllipsoidModel; None where not ``ok`` or not an ellipsoid."""
+    """Each ``solve_rows`` row as an EllipsoidModel; None where not ``ok`` or not an ellipsoid."""
     verdict, rotation, translation, semiaxes = check_ellipsoids(coeffs)
     return [EllipsoidModel(coeffs[j], EllipsoidGeometry(rotation[j], translation[j], semiaxes[j]))
             if ok[j] and verdict[j] == ELLIPSOID else None for j in range(len(coeffs))]
@@ -263,11 +280,13 @@ def _models(coeffs: np.ndarray, ok: np.ndarray) -> list:
 def _candidates(pts: np.ndarray, k: int, rng: np.random.Generator) -> list:
     """Draw ``k`` minimal samples of conditioned points in order, screen them
     (``_screen``) and solve the rows it keeps as one stack; returns each
-    sample's ``_models`` entry, None for a row the screen drops.
+    sample's ``_models`` entry, None for a row the screen drops.  The
+    samples' design rows are built once for the screen and the solve.
     """
-    samples = pts[sample_minimal(len(pts), MIN_POINTS, rng, count=k)]
-    keep = _screen(samples)
-    models = iter(_models(*solve_stack(samples[keep])))
+    idx = sample_minimal(len(pts), MIN_POINTS, rng, count=k)
+    rows = design_matrix(pts[idx.reshape(-1)]).reshape(k, MIN_POINTS, 10)
+    keep = _screen(rows)
+    models = iter(_models(*solve_rows(rows[keep])))
     return [next(models) if kept else None for kept in keep]
 
 
@@ -307,6 +326,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     spread = np.linalg.eigvalsh(local.T @ local)
     if spread[0] <= FLAT_TOL * spread[-1]:
         raise NoModelFound("points are coplanar, collinear or identical")
+    design = design_matrix(local)
     local_cfg = replace(cfg, epsilon=cfg.epsilon / scale)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
 
@@ -323,7 +343,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
             iteration += 1
             improved = False
             if candidate is not None:
-                d = evaluate_metric(cfg.score_metric, local, candidate)
+                d = evaluate_metric(cfg.score_metric, local, candidate, design)
                 score = float(np.sum(point_energy(d, local_cfg.epsilon)))
                 if score > best_sample_score:
                     best_sample_score = score
@@ -332,7 +352,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
                         improved = True
                     if cfg.local_opt:
                         lo_invocations += 1
-                        refined = local_optimize(candidate, local, local_cfg, d)
+                        refined = local_optimize(candidate, local, local_cfg, d, design)
                         if refined is not None and refined[1] > best_score:
                             best_model, best_score, best_d = refined
                             improved = True

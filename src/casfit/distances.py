@@ -24,6 +24,12 @@ two (``cas``) gives a cheap metric that is useful at both ranges.
 The Sampson distance of the model center is returned as +inf: the algebraic
 gradient vanishes there, and downstream consumers (energies, weights,
 inlier tests) all treat an infinite distance as "infinitely far away".
+
+The algebraic and Sampson distances need the design rows d(x) of the
+points.  They build them unless the caller passes them as ``design``
+(``algebraic_distance``, ``sampson_distance`` and ``evaluate_metric`` take
+it): ``consensus.fit`` builds the rows of its cloud once and scores every
+candidate with them.  The other metrics do not use the rows.
 """
 
 from __future__ import annotations
@@ -115,11 +121,15 @@ def _shaped(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
-def algebraic_distance(points, model: EllipsoidModel):
-    """|d(x) @ q| for unit-norm, sign-normalized coefficients."""
+def algebraic_distance(points, model: EllipsoidModel, design=None):
+    """|d(x) @ q| for unit-norm, sign-normalized coefficients.
+
+    ``design``, when given, is ``design_matrix(points)``; it is not built again.
+    """
     scalar = _scalar_in(points)
-    vals = np.abs(design_matrix(points) @ model.coeffs)
-    return _shaped(vals, scalar)
+    if design is None:
+        design = design_matrix(points)
+    return _shaped(np.abs(design @ model.coeffs), scalar)
 
 
 def scaling_factor(points, model: EllipsoidModel):
@@ -143,15 +153,18 @@ def axial_distance(points, model: EllipsoidModel):
     return _shaped(vals, scalar)
 
 
-def sampson_distance(points, model: EllipsoidModel):
+def sampson_distance(points, model: EllipsoidModel, design=None):
     """First-order algebraic distance |F| / ||grad F||.
 
     Returns +inf where the gradient vanishes (only at the model center).
+    ``design``, when given, is ``design_matrix(points)``; it is not built again.
     """
     scalar = _scalar_in(points)
     pts = as_points(points)
     q = model.coeffs
-    values = np.abs(design_matrix(pts) @ q)
+    if design is None:
+        design = design_matrix(pts)
+    values = np.abs(design @ q)
     grad = 2.0 * (pts @ quadratic_block(q) + q[6:9])
     norms = np.linalg.norm(grad, axis=1)
     vanished = norms < GRADIENT_TOL * float(np.linalg.norm(q))
@@ -252,23 +265,32 @@ def cas_distance(points, model: EllipsoidModel, lam: float = 0.5):
     return evaluate_metric(cas(lam), points, model)
 
 
-def evaluate_metric(kind: MetricKind, points, model: EllipsoidModel):
-    """Evaluate any metric kind; blends resolve through their components."""
-    single = {
-        "algebraic": algebraic_distance,
-        "sampson": sampson_distance,
-        "orthogonal": orthogonal_distance,
-        "axial": axial_distance,
-    }
-    if kind.kind in single:
-        return single[kind.kind](points, model)
+def _component(name: str, points, model: EllipsoidModel, design):
+    # Each name is looked up at call time, so a wrapper put in its place is called.
+    if name == "algebraic":
+        return algebraic_distance(points, model, design)
+    if name == "sampson":
+        return sampson_distance(points, model, design)
+    if name == "orthogonal":
+        return orthogonal_distance(points, model)
+    return axial_distance(points, model)
+
+
+def evaluate_metric(kind: MetricKind, points, model: EllipsoidModel, design=None):
+    """Evaluate any metric kind; blends resolve through their components.
+
+    ``design``, when given, is ``design_matrix(points)``: the algebraic and
+    Sampson components use it instead of building it again.
+    """
+    if kind.kind not in _PAIR_KINDS:
+        return _component(kind.kind, points, model, design)
     first_name, second_name = _PAIR_KINDS[kind.kind]
     # Endpoints return the component untouched so that lam in {0, 1} is an
     # exact reduction (and 0 * inf never poisons the blend).
     if kind.lam == 0.0:
-        return single[second_name](points, model)
+        return _component(second_name, points, model, design)
     if kind.lam == 1.0:
-        return single[first_name](points, model)
-    first = single[first_name](points, model)
-    second = single[second_name](points, model)
+        return _component(first_name, points, model, design)
+    first = _component(first_name, points, model, design)
+    second = _component(second_name, points, model, design)
     return kind.lam * first + (1.0 - kind.lam) * second

@@ -11,6 +11,12 @@ the root-mean-square radius is sqrt(3), which keeps the normal matrix well
 conditioned far from the origin.  ``solve_stack`` takes conditioned stacks;
 ``wls_fit`` conditions its own points and maps the quadric back with
 ``decondition``.  ``fit`` and ``local_optimize`` condition once per call.
+
+``solve_stack`` builds the design rows of its samples and hands them to
+``solve_rows``.  Callers that already hold the rows call ``solve_rows``
+directly: ``consensus`` builds each chunk's sample rows once for its screen
+and its exact solve, and the rows of the cloud once per ``local_optimize``
+call for all of that call's weighted steps.
 """
 
 from __future__ import annotations
@@ -69,7 +75,11 @@ def solve_stack(samples: np.ndarray, weights: np.ndarray | None = None):
     no spatial extent included); its coefficients are then meaningless.
     """
     k, m = samples.shape[:2]
-    rows = design_matrix(samples.reshape(k * m, 3)).reshape(k, m, 10)
+    return solve_rows(design_matrix(samples.reshape(k * m, 3)).reshape(k, m, 10), weights)
+
+
+def solve_rows(rows: np.ndarray, weights: np.ndarray | None = None):
+    """``solve_stack`` on the (k, m, 10) ``design_matrix`` rows of the samples."""
     if weights is not None:
         rows = weights[:, :, None] * rows
     evals, evecs = np.linalg.eigh(np.swapaxes(rows, 1, 2) @ rows)

@@ -8,6 +8,7 @@ so instances of different sizes are corrupted comparably.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,10 @@ CENTER_RANGE = (-10.0, 10.0)
 OUTLIER_BOX_INFLATION = 2.0
 
 DATASET_KINDS = ("gaussian", "outlier")
+
+# load_points converts the rows of a file in blocks of this many, so the
+# field strings of at most one block are alive at a time.
+LOAD_BLOCK_ROWS = 1024
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -170,26 +175,55 @@ def load_points(path) -> np.ndarray:
     header line naming the columns is tolerated.  Raises ParseError with
     the offending line number otherwise.
     """
-    rows = []
+    blocks, rows, linenos = [], [], []
     header_seen = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            fields = [f for f in line.replace(",", " ").split() if f]
+            fields = line.replace(",", " ").split()
             if len(fields) != 3:
+                _raise_unparsed(path, rows, linenos)  # an earlier line fails first
                 raise ParseError(f"{path}: line {lineno}: expected 3 columns, got {len(fields)}")
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError:
-                if not rows and not header_seen:
-                    header_seen = True  # one leading header line is tolerated
-                    continue
-                raise ParseError(f"{path}: line {lineno}: could not parse {line!r}") from None
-    if not rows:
+            if not blocks and not rows and not header_seen and not _numeric(fields):
+                header_seen = True  # one leading header line is tolerated
+                continue
+            rows.append(fields)
+            linenos.append(lineno)
+            if len(rows) == LOAD_BLOCK_ROWS:
+                blocks.append(_to_floats(path, rows, linenos))
+                rows, linenos = [], []
+    if rows:
+        blocks.append(_to_floats(path, rows, linenos))
+    if not blocks:
         raise ParseError(f"{path}: no points found")
-    arr = np.asarray(rows, dtype=float)
+    arr = np.concatenate(blocks)
     if not np.isfinite(arr).all():
         raise ParseError(f"{path}: non-finite coordinates")
     return arr
+
+
+def _to_floats(path, rows: list, linenos: list) -> np.ndarray:
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        _raise_unparsed(path, rows, linenos)
+        raise
+
+
+def _numeric(fields: list) -> bool:
+    try:
+        [float(f) for f in fields]
+    except ValueError:
+        return False
+    return True
+
+
+def _raise_unparsed(path, rows: list, linenos: list) -> None:
+    """Raise ParseError naming the first of ``rows`` that is not numeric, if any."""
+    for fields, lineno in zip(rows, linenos):
+        if not _numeric(fields):
+            with open(path, "r", encoding="utf-8") as fh:
+                line = next(itertools.islice(fh, lineno - 1, None)).strip()
+            raise ParseError(f"{path}: line {lineno}: could not parse {line!r}")

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from casfit import (DatasetSpec, ExperimentGrid, GridVariant, load_points,
-                    read_report, run_grid, sample_surface, save_points)
+from casfit import (DatasetSpec, ExperimentGrid, GridVariant, ParseError, grid_from_json,
+                    load_points, read_report, run_grid, sample_surface, save_points)
 from casfit import bench
 from casfit.cli import main
 
@@ -170,6 +170,20 @@ class TestBenchCommand:
         grid = {"variants": [{"name": "good"}, {"name": "bad", "mu": 5.0}],
                 "datasets": [{"kind": "gaussian", "instance_count": 2}],
                 "runs_per_instance": 10}
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        out = tmp_path / "report.csv"
+        assert run_cli(["bench", str(grid_path), "--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+
+    def test_string_local_opt_fails_before_any_fit(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "fit", lambda *args: calls.append(args))
+        grid = {"variants": [{"name": "x", "local_opt": "false", "max_iterations": 60}],
+                "datasets": [{"kind": "gaussian", "instance_count": 1}],
+                "runs_per_instance": 1}
+        with pytest.raises(ParseError, match="local_opt"):
+            grid_from_json(grid)
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(json.dumps(grid))
         out = tmp_path / "report.csv"

@@ -10,7 +10,7 @@ from casfit import (AXIAL, SAMPSON, DatasetSpec, EllipsoidGeometry,
                     evaluate_metric, fit, local_optimize, make_instance,
                     model_score, point_energy, random_rotation,
                     required_iterations, sample_minimal, sample_surface)
-from casfit import consensus
+from casfit import consensus, distances
 from casfit.consensus import CHUNK, FLAT_TOL
 from casfit.leastsq import condition, solve_stack
 from casfit.quadric import ELLIPSOID, check_ellipsoids, design_matrix, normalize_coeffs
@@ -201,7 +201,7 @@ class TestLocalOptimize:
         kinds = []
         valid = []
 
-        def counted(kind, points, model):
+        def counted(kind, points, model, design=None):
             kinds.append(kind)
             return evaluate_metric(kind, points, model)
 
@@ -382,7 +382,7 @@ class TestFit:
         metric = cfg.score_metric
         passed = []
 
-        def spy(model, points, local_cfg, distances=None):
+        def spy(model, points, local_cfg, distances=None, design=None):
             passed.append(np.array_equal(distances, evaluate_metric(metric, points, model)))
             return local_optimize(model, points, local_cfg, distances)
 
@@ -390,6 +390,31 @@ class TestFit:
         report = fit(inst.points, cfg)
         assert len(passed) == report.lo_invocations >= 1
         assert all(passed)
+
+    def test_builds_the_cloud_design_once_per_fit_and_per_refit_cascade(self, monkeypatch):
+        # fit builds the conditioned cloud's rows once for every candidate's
+        # evaluation and every LO call; each LO call builds the rows of its
+        # own conditioned points once for all of its refits
+        inst = cloud(0.3, seed=8)
+        n = len(inst.points)
+        built = []
+
+        def counting(points):
+            rows = design_matrix(points)
+            built.append(len(rows))
+            return rows
+
+        for module in (consensus, distances):
+            monkeypatch.setattr(module, "design_matrix", counting)
+        cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=1)
+        report = fit(inst.points, cfg)
+        assert report.lo_invocations >= 1
+        assert built.count(n) == 1 + report.lo_invocations
+        # called on its own, local_optimize builds the rows it is not given
+        for design, builds in ((None, 2), (design_matrix(inst.points), 1)):
+            built.clear()
+            assert local_optimize(inst.truth, inst.points, cfg, design=design) is not None
+            assert built.count(n) == builds
 
     def test_local_opt_counts(self, rng):
         inst = contaminated(rng)
@@ -499,6 +524,12 @@ def exact_candidates(local, n, k, rng):
             if ok[i] and verdict[i] == ELLIPSOID else None for i in range(k)]
 
 
+def sample_rows(local, count):
+    """Design rows, shape (count, 9, 10), of one seeded draw of minimal samples."""
+    samples = local[sample_minimal(len(local), 9, np.random.default_rng(5), count=count)]
+    return design_matrix(samples.reshape(-1, 3)).reshape(count, 9, 10)
+
+
 def lattice(m=2):
     axis = np.arange(-m, m + 1, dtype=float)
     return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -531,24 +562,19 @@ class TestScreen:
     def test_contaminated_clouds(self, fraction):
         inst = cloud(fraction, seed=int(10 * fraction) + 61)
         assert self.same_candidates(inst.points) > 0
-        local = condition(inst.points)[0]
-        samples = local[sample_minimal(len(local), 9, np.random.default_rng(5), count=512)]
         # the screen does drop rows: most samples of a noisy cloud are no ellipsoid
-        assert consensus._screen(samples).mean() < 0.5
+        assert consensus._screen(sample_rows(condition(inst.points)[0], 512)).mean() < 0.5
 
     def test_singular_blocks_take_the_exact_path(self):
         points = lattice()
-        local = condition(points)[0]
-        samples = local[sample_minimal(len(local), 9, np.random.default_rng(5), count=CHUNK)]
-        blocks = design_matrix(samples.reshape(-1, 3)).reshape(CHUNK, 9, 10)[:, :, :9]
+        rows = sample_rows(condition(points)[0], CHUNK)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(blocks, np.ones((CHUNK, 9, 1)))
-        assert consensus._screen(samples).all()
+            np.linalg.solve(rows[:, :, :9], np.ones((CHUNK, 9, 1)))
+        assert consensus._screen(rows).all()
         self.same_candidates(points)
 
     def test_rows_that_overflow_are_kept(self, monkeypatch):
-        local = condition(cloud(0.5, seed=61).points)[0]
-        samples = local[sample_minimal(len(local), 9, np.random.default_rng(5), count=CHUNK)]
+        rows = sample_rows(condition(cloud(0.5, seed=61).points)[0], CHUNK)
         solve = np.linalg.solve
 
         def overflowing(a, b):
@@ -557,7 +583,7 @@ class TestScreen:
             return x
 
         monkeypatch.setattr(np.linalg, "solve", overflowing)
-        keep = consensus._screen(samples)
+        keep = consensus._screen(rows)
         assert keep[::2].all() and not keep[1::2].all()
 
 
@@ -661,6 +687,13 @@ class TestFitConfig:
         for field, value in (("lam", 0.25), ("sample_size", 10)):
             with pytest.raises(TypeError, match=field):
                 FitConfig(epsilon=1.0, **{field: value})
+
+    def test_local_opt_must_be_a_bool(self):
+        # its truth value would decide, so "false" would run the refits
+        assert FitConfig(epsilon=1.0, local_opt=False).local_opt is False
+        for bad in ("false", 0, 1, None):
+            with pytest.raises(ValueError, match="local_opt"):
+                FitConfig(epsilon=1.0, local_opt=bad)
 
     def test_metric_defaults(self):
         cfg = FitConfig(epsilon=1.0)

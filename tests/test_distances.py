@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casfit import (ALGEBRAIC, AXIAL, ORTHOGONAL, SAMPSON, MetricKind,
+from casfit import (ALGEBRAIC, AXIAL, METRIC_KINDS, ORTHOGONAL, SAMPSON, MetricKind,
                     algebraic_distance, axial_distance, cas, cas_distance,
                     evaluate_metric, orthogonal_distance, sampson_distance,
                     scaling_factor)
@@ -250,6 +250,26 @@ def test_axis_plane_distance_is_lipschitz(log_ratios, r_max, seed, coords, zeros
     p, p_moved = from_aligned(m, u), from_aligned(m, moved)
     gap = abs(orthogonal_distance(p, m) - orthogonal_distance(p_moved, m))
     assert gap <= np.linalg.norm(p - p_moved) + 1e-9 * r_max
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 30),
+       lam=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+       at_center=st.booleans())
+def test_passed_design_changes_no_bit(seed, count, lam, at_center):
+    # a caller's design_matrix(points) stands in for the one a metric builds
+    rng = np.random.default_rng(seed)
+    m = make_model(rng)
+    pts = m.center + rng.uniform(-8.0, 8.0, size=(count, 3))
+    if at_center:
+        pts[0] = m.center  # Sampson reads +inf there
+    points = pts[0] if count == 1 else pts
+    design = design_matrix(points)
+    for name in METRIC_KINDS:
+        kind = MetricKind(name, lam)
+        got = evaluate_metric(kind, points, m, design)
+        assert np.array_equal(got, evaluate_metric(kind, points, m))
+        assert np.ndim(got) == np.ndim(points) - 1
 
 
 class TestEuclideanInvariance:

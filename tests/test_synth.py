@@ -7,8 +7,8 @@ from casfit import (DatasetSpec, ParseError, algebraic_distance, downsample,
                     load_points, make_instance, orthogonal_distance,
                     random_ellipsoid, sample_surface, save_points,
                     scaling_factor)
-from casfit.synth import (CENTER_RANGE, OUTLIER_BOX_INFLATION, SEMIAXIS_RANGE,
-                          _bounding_half_extents, random_rotation)
+from casfit.synth import (CENTER_RANGE, LOAD_BLOCK_ROWS, OUTLIER_BOX_INFLATION,
+                          SEMIAXIS_RANGE, _bounding_half_extents, random_rotation)
 
 
 class TestRandomRotation:
@@ -204,3 +204,20 @@ class TestPointFiles:
         path.write_text("x,y,z\n1,2,3\n4,5\n")
         with pytest.raises(ParseError, match="line 3"):
             load_points(path)
+
+    def test_files_longer_than_one_block(self, rng, tmp_path):
+        # rows are converted a block at a time; neither the points nor the
+        # line an error names depend on where blocks begin
+        pts = rng.normal(size=(2 * LOAD_BLOCK_ROWS + 5, 3))
+        path = tmp_path / "big.csv"
+        save_points(pts, path)
+        assert np.array_equal(load_points(path), pts)
+        lines = path.read_text().splitlines()  # a header, then one line per point
+        for row in (0, LOAD_BLOCK_ROWS - 1, LOAD_BLOCK_ROWS, 2 * LOAD_BLOCK_ROWS + 4):
+            for bad, expect in (("1,2,oops", "could not parse '1,2,oops'"),
+                                ("1,2", "expected 3 columns")):
+                edited = lines.copy()
+                edited[1 + row] = bad
+                path.write_text("\n".join(edited + ["4,5"]) + "\n")
+                with pytest.raises(ParseError, match=f"line {row + 2}: {expect}"):
+                    load_points(path)
