@@ -111,7 +111,7 @@ def _cmd_fit(args) -> int:
     doc.update({
         "score": report.score,
         "inlier_ratio": report.inlier_ratio,
-        "labels": [int(v) for v in report.inlier_mask],
+        "labels": report.inlier_mask.astype(int).tolist(),
         "iterations": report.iterations,
         "lo_invocations": report.lo_invocations,
         "rng_algorithm": report.rng_algorithm,
@@ -139,7 +139,7 @@ def _cmd_synth(args) -> int:
         save_points(inst.points, stem + ".csv")
         sidecar = {
             "model": inst.truth.to_json_dict(),
-            "is_outlier": [int(v) for v in inst.is_outlier],
+            "is_outlier": inst.is_outlier.astype(int).tolist(),
             "sigma": inst.sigma,
             "spec": {**dataclasses.asdict(spec), "instance": i},
         }

@@ -21,13 +21,14 @@ changes beyond rounding, and the solves stay well conditioned at any offset.
 Minimal samples and refits share one solve-and-check path: the stacked
 ``solve_rows`` and ``check_ellipsoids``, with failures as None, not raised.
 
-Design rows depend only on the points, so each set of them is built once:
-``fit`` builds the rows of the conditioned cloud once and hands them to
-every candidate's evaluation and every ``local_optimize`` call, whose
-scores and weights use them; ``local_optimize`` builds the rows of its own
-conditioned points once for all of its refits; ``_candidates`` builds each
-chunk's (k, 9, 10) sample rows once for the screen and the exact solve.
-Nothing built here outlives the call that built it.
+Design rows depend only on the points, so each set of them is built once.
+Of the metrics, only the algebraic one reads them: when the score or weight
+metric is algebraic, ``fit`` builds the rows of the conditioned cloud once
+and hands them to every candidate's evaluation and every
+``local_optimize`` call.  ``local_optimize`` builds the rows of its own
+conditioned points once for all of its refits, and ``_candidates`` builds
+each chunk's (k, 9, 10) sample rows once for the screen and the exact
+solve.  Nothing built here outlives the call that built it.
 
 Everything is deterministic for a fixed seed: the generator is PCG64 and
 samples are drawn in a fixed order, single threaded.  Samples are drawn,
@@ -191,6 +192,11 @@ def sample_minimal(point_count: int, sample_size: int, rng: np.random.Generator,
     return idx[0] if count is None else idx
 
 
+def _reads_design(cfg: FitConfig) -> bool:
+    """Whether a metric of ``cfg`` reads design rows; only the algebraic one does."""
+    return "algebraic" in (cfg.score_metric.kind, cfg.weight_metric.kind)
+
+
 def _lo_schedule(epsilon: float, steps: int) -> np.ndarray:
     if steps == 1:
         return np.array([epsilon])
@@ -213,13 +219,13 @@ def local_optimize(model: EllipsoidModel, points, cfg: FitConfig,
     ``distances``, when given, are ``model``'s distances under the score
     metric; they stand in for the first weights' evaluation when the two
     metrics are the same.  ``design``, when given, is
-    ``design_matrix(points)``, which every score and weight evaluation uses;
-    it is built here when not given.
+    ``design_matrix(points)``, which algebraic scores and weights use; it is
+    built here when one of the metrics is algebraic and it is not given.
     """
     pts = as_points(points)
     if len(pts) < MIN_POINTS:
         raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
-    if design is None:
+    if design is None and _reads_design(cfg):
         design = design_matrix(pts)
     local, center, scale = condition(pts)
     rows = design_matrix(local)[None]
@@ -257,8 +263,11 @@ def _screen(rows: np.ndarray) -> np.ndarray:
     batched LU solve and the ellipsoid check on those q stand in for the
     10x10 eigen-solve: a row whose q is not an ellipsoid is dropped, and a
     row whose q is not finite is kept.  Every row is kept when some block is
-    exactly singular.
+    exactly singular.  Raises ValueError for rows of any other shape, which
+    would otherwise fail the solve and so keep every row.
     """
+    if rows.shape[1:] != (MIN_POINTS, 10):
+        raise ValueError(f"expected (k, {MIN_POINTS}, 10) design rows, got shape {rows.shape}")
     k = len(rows)
     try:
         x = np.linalg.solve(rows[:, :, :9], np.ones((k, 9, 1)))[:, :, 0]
@@ -326,7 +335,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     spread = np.linalg.eigvalsh(local.T @ local)
     if spread[0] <= FLAT_TOL * spread[-1]:
         raise NoModelFound("points are coplanar, collinear or identical")
-    design = design_matrix(local)
+    design = design_matrix(local) if _reads_design(cfg) else None
     local_cfg = replace(cfg, epsilon=cfg.epsilon / scale)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
 

@@ -21,15 +21,24 @@ surface but insensitive to where on the member the point sits; the Sampson
 distance is accurate near the surface but degrades far away.  Blending the
 two (``cas``) gives a cheap metric that is useful at both ranges.
 
+Both are read off the same coordinates.  With v = u / r, the point in the
+model's unit frame, s^2 = ||v||^2.  The unit-norm coefficients of the model
+are q = kappa * (R^T diag(r^-2) R, R^T diag(r^-2) t, ...) with
+kappa = (q1 + q2 + q3) / sum(r^-2), so the quadric is F = kappa (s^2 - 1),
+its gradient is 2 kappa R^T (v / r), and the Sampson distance |F| / ||grad F||
+is |s^2 - 1| / (2 ||v / r||).  The axial, Sampson and ``cas`` metrics compute
+from one (3, n) product v; s^2 adds its three squared rows.
+
 The Sampson distance of the model center is returned as +inf: the algebraic
 gradient vanishes there, and downstream consumers (energies, weights,
-inlier tests) all treat an infinite distance as "infinitely far away".
+inlier tests) all treat an infinite distance as "infinitely far away".  A
+point reads +inf where ||grad F|| = 2 kappa ||v / r|| falls below
+GRADIENT_TOL * ||q||.
 
-The algebraic and Sampson distances need the design rows d(x) of the
-points.  They build them unless the caller passes them as ``design``
-(``algebraic_distance``, ``sampson_distance`` and ``evaluate_metric`` take
-it): ``consensus.fit`` builds the rows of its cloud once and scores every
-candidate with them.  The other metrics do not use the rows.
+Only the algebraic distance reads the design rows d(x) of the points.  It
+builds them unless the caller passes them as ``design``
+(``algebraic_distance`` and ``evaluate_metric`` take it); every other
+metric ignores them.
 """
 
 from __future__ import annotations
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .quadric import EllipsoidModel, as_points, design_matrix, quadratic_block
+from .quadric import EllipsoidModel, as_points, design_matrix
 
 # Gradient norms below this (for unit-norm coefficients) count as vanished.
 GRADIENT_TOL = 1e-12
@@ -132,45 +141,67 @@ def algebraic_distance(points, model: EllipsoidModel, design=None):
     return _shaped(np.abs(design @ model.coeffs), scalar)
 
 
+def _unit_frame(points, model: EllipsoidModel) -> np.ndarray:
+    """v = (R x + t) / r for each point, shape (3, n): the model's unit frame."""
+    geom = model.geometry
+    r = geom.semiaxes
+    v = (geom.rotation / r[:, None]) @ as_points(points).T
+    v += (geom.translation / r)[:, None]  # in place: a second (3, n) temporary costs page faults
+    return v
+
+
+def _unit_squares(points, model: EllipsoidModel):
+    """Squared unit-frame coordinates v * v, shape (3, n), and their row sum s^2."""
+    squares = _unit_frame(points, model)
+    np.square(squares, out=squares)
+    return squares, squares[0] + squares[1] + squares[2]
+
+
+def _axial(level: np.ndarray, model: EllipsoidModel) -> np.ndarray:
+    """Axial distances from level = s^2."""
+    return np.abs(np.sqrt(level) - 1.0) * (np.linalg.norm(model.semiaxes) / 3.0)
+
+
+def _sampson(squares: np.ndarray, level: np.ndarray, model: EllipsoidModel) -> np.ndarray:
+    """Sampson distances from the squared unit-frame coordinates and level = s^2."""
+    inv_sq = 1.0 / np.square(model.semiaxes)
+    grad = 2.0 * np.sqrt(inv_sq @ squares)  # ||grad F|| / kappa = 2 ||v / r||
+    q = model.coeffs
+    kappa = float(q[:3].sum()) / float(inv_sq.sum())
+    with np.errstate(divide="ignore"):
+        vals = np.abs(level - 1.0) / grad
+    vals[kappa * grad < GRADIENT_TOL * float(np.linalg.norm(q))] = np.inf
+    return vals
+
+
 def scaling_factor(points, model: EllipsoidModel):
     """Semiaxis scale s of the concentric member surface through each point.
 
     s == 0 at the center, s == 1 exactly on the surface.
     """
-    scalar = _scalar_in(points)
-    pts = as_points(points)
-    geom = model.geometry
-    aligned = pts @ geom.rotation.T + geom.translation
-    vals = np.sqrt(np.square(aligned / geom.semiaxes).sum(axis=1))
-    return _shaped(vals, scalar)
+    _, level = _unit_squares(points, model)
+    return _shaped(np.sqrt(level), _scalar_in(points))
 
 
 def axial_distance(points, model: EllipsoidModel):
     """|s - 1| * ||semiaxes||_2 / 3: member offset converted to a length."""
-    scalar = _scalar_in(points)
-    s = np.atleast_1d(scaling_factor(points, model))
-    vals = np.abs(s - 1.0) * (np.linalg.norm(model.semiaxes) / 3.0)
-    return _shaped(vals, scalar)
+    _, level = _unit_squares(points, model)
+    return _shaped(_axial(level, model), _scalar_in(points))
 
 
-def sampson_distance(points, model: EllipsoidModel, design=None):
+def sampson_distance(points, model: EllipsoidModel):
     """First-order algebraic distance |F| / ||grad F||.
 
     Returns +inf where the gradient vanishes (only at the model center).
-    ``design``, when given, is ``design_matrix(points)``; it is not built again.
     """
-    scalar = _scalar_in(points)
-    pts = as_points(points)
-    q = model.coeffs
-    if design is None:
-        design = design_matrix(pts)
-    values = np.abs(design @ q)
-    grad = 2.0 * (pts @ quadratic_block(q) + q[6:9])
-    norms = np.linalg.norm(grad, axis=1)
-    vanished = norms < GRADIENT_TOL * float(np.linalg.norm(q))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(vanished, np.inf, values / np.where(vanished, 1.0, norms))
-    return _shaped(vals, scalar)
+    return _shaped(_sampson(*_unit_squares(points, model), model), _scalar_in(points))
+
+
+def _cas(points, model: EllipsoidModel, lam: float):
+    """lam * axial + (1 - lam) * sampson from one unit-frame product."""
+    squares, level = _unit_squares(points, model)
+    vals = lam * _axial(level, model) + (1.0 - lam) * _sampson(squares, level, model)
+    return _shaped(vals, _scalar_in(points))
 
 
 def _largest_root(w: np.ndarray, axes: np.ndarray) -> np.ndarray:
@@ -270,7 +301,7 @@ def _component(name: str, points, model: EllipsoidModel, design):
     if name == "algebraic":
         return algebraic_distance(points, model, design)
     if name == "sampson":
-        return sampson_distance(points, model, design)
+        return sampson_distance(points, model)
     if name == "orthogonal":
         return orthogonal_distance(points, model)
     return axial_distance(points, model)
@@ -279,8 +310,8 @@ def _component(name: str, points, model: EllipsoidModel, design):
 def evaluate_metric(kind: MetricKind, points, model: EllipsoidModel, design=None):
     """Evaluate any metric kind; blends resolve through their components.
 
-    ``design``, when given, is ``design_matrix(points)``: the algebraic and
-    Sampson components use it instead of building it again.
+    ``design``, when given, is ``design_matrix(points)``: the algebraic
+    metric uses it instead of building it again, and the others ignore it.
     """
     if kind.kind not in _PAIR_KINDS:
         return _component(kind.kind, points, model, design)
@@ -291,6 +322,8 @@ def evaluate_metric(kind: MetricKind, points, model: EllipsoidModel, design=None
         return _component(second_name, points, model, design)
     if kind.lam == 1.0:
         return _component(first_name, points, model, design)
+    if kind.kind == "cas":
+        return _cas(points, model, kind.lam)
     first = _component(first_name, points, model, design)
     second = _component(second_name, points, model, design)
     return kind.lam * first + (1.0 - kind.lam) * second

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from casfit import (AXIAL, SAMPSON, DatasetSpec, EllipsoidGeometry,
+from casfit import (ALGEBRAIC, AXIAL, SAMPSON, DatasetSpec, EllipsoidGeometry,
                     EllipsoidModel, FitConfig, MetricKind, NoModelFound,
                     TooFewPoints, axial_distance, cas, classify,
                     evaluate_metric, fit, local_optimize, make_instance,
@@ -392,9 +392,11 @@ class TestFit:
         assert all(passed)
 
     def test_builds_the_cloud_design_once_per_fit_and_per_refit_cascade(self, monkeypatch):
-        # fit builds the conditioned cloud's rows once for every candidate's
-        # evaluation and every LO call; each LO call builds the rows of its
-        # own conditioned points once for all of its refits
+        # only the algebraic metric reads design rows: fit builds the
+        # conditioned cloud's rows once for every candidate's evaluation and
+        # every LO call when a metric is algebraic, and not at all otherwise;
+        # each LO call builds the rows of its own conditioned points once for
+        # all of its refits
         inst = cloud(0.3, seed=8)
         n = len(inst.points)
         built = []
@@ -406,15 +408,18 @@ class TestFit:
 
         for module in (consensus, distances):
             monkeypatch.setattr(module, "design_matrix", counting)
-        cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=1)
-        report = fit(inst.points, cfg)
-        assert report.lo_invocations >= 1
-        assert built.count(n) == 1 + report.lo_invocations
-        # called on its own, local_optimize builds the rows it is not given
-        for design, builds in ((None, 2), (design_matrix(inst.points), 1)):
+        for metric, cloud_builds in ((cas(), 0), (ALGEBRAIC, 1)):
+            cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=1, score_metric=metric,
+                            weight_metric=metric)
             built.clear()
-            assert local_optimize(inst.truth, inst.points, cfg, design=design) is not None
-            assert built.count(n) == builds
+            report = fit(inst.points, cfg)
+            assert report.lo_invocations >= 1
+            assert built.count(n) == cloud_builds + report.lo_invocations
+            # called on its own, local_optimize builds the rows it reads and is not given
+            for design, builds in ((None, 1 + cloud_builds), (design_matrix(inst.points), 1)):
+                built.clear()
+                assert local_optimize(inst.truth, inst.points, cfg, design=design) is not None
+                assert built.count(n) == builds
 
     def test_local_opt_counts(self, rng):
         inst = contaminated(rng)
@@ -585,6 +590,12 @@ class TestScreen:
         monkeypatch.setattr(np.linalg, "solve", overflowing)
         keep = consensus._screen(rows)
         assert keep[::2].all() and not keep[1::2].all()
+
+    @pytest.mark.parametrize("shape", [(CHUNK, 9, 3), (CHUNK, 10, 10), (9, 10)])
+    def test_rows_of_another_shape_are_refused(self, shape):
+        # a stack of points instead of design rows must not switch the screen off
+        with pytest.raises(ValueError, match="design rows"):
+            consensus._screen(np.random.default_rng(3).normal(size=shape))
 
 
 class TestDegenerateInput:

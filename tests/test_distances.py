@@ -3,11 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casfit import (ALGEBRAIC, AXIAL, METRIC_KINDS, ORTHOGONAL, SAMPSON, MetricKind,
-                    algebraic_distance, axial_distance, cas, cas_distance,
-                    evaluate_metric, orthogonal_distance, sampson_distance,
+from casfit import (ALGEBRAIC, AXIAL, METRIC_KINDS, ORTHOGONAL, SAMPSON, EllipsoidGeometry,
+                    EllipsoidModel, MetricKind, algebraic_distance, axial_distance, cas,
+                    cas_distance, evaluate_metric, orthogonal_distance, sampson_distance,
                     scaling_factor)
-from casfit.quadric import design_matrix
+from casfit.distances import GRADIENT_TOL
+from casfit.quadric import design_matrix, quadratic_block
 from casfit.synth import random_rotation, sample_surface
 
 from conftest import axis_aligned, make_model, unit_sphere
@@ -272,6 +273,38 @@ def test_passed_design_changes_no_bit(seed, count, lam, at_center):
         assert np.ndim(got) == np.ndim(points) - 1
 
 
+def sampson_by_coefficients(points, model):
+    """|d(x) @ q| / ||2 (A x + b)|| from the coefficients; +inf where the gradient vanishes."""
+    q = model.coeffs
+    norms = np.linalg.norm(2.0 * (points @ quadratic_block(q) + q[6:9]), axis=1)
+    with np.errstate(divide="ignore"):
+        vals = np.abs(design_matrix(points) @ q) / norms
+    vals[norms < GRADIENT_TOL * np.linalg.norm(q)] = np.inf
+    return vals
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_r_max=st.floats(-3.0, 3.0),
+       log_ratios=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_sampson_matches_the_coefficient_formula(seed, log_r_max, log_ratios):
+    # the unit-frame form |s^2 - 1| / (2 ||v / r||) against |F| / ||grad F||
+    rng = np.random.default_rng(seed)
+    r_max = 10.0 ** log_r_max
+    rot = random_rotation(rng)
+    center = r_max * rng.uniform(-2.0, 2.0, 3)
+    m = EllipsoidModel.from_geometry(EllipsoidGeometry(
+        rot, -rot @ center, r_max * 10.0 ** -np.array([0.0, *log_ratios])))
+    u = rng.normal(size=(10, 3))
+    u *= m.semiaxes / np.linalg.norm(u / m.semiaxes, axis=1, keepdims=True)
+    near = from_aligned(m, u * (1.0 + 1e-6 * rng.normal(size=(10, 1))))
+    pts = np.vstack([m.center, near, m.center + r_max * rng.uniform(-3.0, 3.0, (30, 3))])
+    got = sampson_distance(pts, m)
+    want = sampson_by_coefficients(pts, m)
+    assert got[0] == want[0] == np.inf
+    assert np.isfinite(got[1:]).all()
+    assert (np.abs(got[1:] - want[1:]) <= np.maximum(1e-12 * r_max, 1e-9 * want[1:])).all()
+
+
 class TestEuclideanInvariance:
     def test_rigid_motion(self, rng):
         for _ in range(10):
@@ -323,6 +356,17 @@ class TestMetricKind:
                               np.asarray(sampson_distance(pts, m)))
         assert np.array_equal(np.asarray(cas_distance(pts, m, 1.0)),
                               np.asarray(axial_distance(pts, m)))
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.25, 0.5, 0.9])
+    def test_cas_is_the_blend_of_its_components(self, rng, lam):
+        # cas shares one unit-frame product between its terms, bit for bit
+        m = make_model(rng)
+        pts = m.center + rng.uniform(-6, 6, size=(200, 3))
+        pts[0] = m.center
+        expected = lam * np.asarray(axial_distance(pts, m)) \
+            + (1 - lam) * np.asarray(sampson_distance(pts, m))
+        assert np.array_equal(evaluate_metric(cas(lam), pts, m), expected)
+        assert evaluate_metric(cas(lam), pts[1], m) == expected[1]
 
     def test_blend_arithmetic(self, rng):
         m = make_model(rng)
