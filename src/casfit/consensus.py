@@ -12,23 +12,21 @@ not just for clearing the threshold.  Each model's distances under the score
 metric are evaluated once; its score, its inlier labels and the weights of
 the refit that follows it all come from that one array.
 
-``fit`` conditions the whole cloud once (``leastsq.condition``) and runs
-the loop in that frame with the threshold divided by the same scale; only
-the returned model is mapped back, its geometry exactly.  ``local_optimize``
-conditions its points once per call and maps each refit back the same way.
-Every metric but the algebraic one is similarity invariant, so no decision
-changes beyond rounding, and the solves stay well conditioned at any offset.
-Minimal samples and refits share one solve-and-check path: the stacked
-``solve_rows`` and ``check_ellipsoids``, with failures as None, not raised.
+``fit`` and ``local_optimize`` each condition their points once
+(``leastsq.condition``) and run in that frame with the threshold divided by
+the same scale; only the returned model is mapped back, its geometry
+exactly.  The refit cascade (``_refine``) runs in the frame it is handed and
+neither conditions nor maps.  Every metric but the algebraic one is
+similarity invariant, so no decision changes beyond rounding, and the solves
+stay well conditioned at any offset.  Minimal samples and refits share one
+solve-and-check path: the stacked ``solve_rows`` and ``check_ellipsoids``,
+with failures as None, not raised.
 
-Design rows depend only on the points, so each set of them is built once.
-Of the metrics, only the algebraic one reads them: when the score or weight
-metric is algebraic, ``fit`` builds the rows of the conditioned cloud once
-and hands them to every candidate's evaluation and every
-``local_optimize`` call.  ``local_optimize`` builds the rows of its own
-conditioned points once for all of its refits, and ``_candidates`` builds
-each chunk's (k, 9, 10) sample rows once for the screen and the exact
-solve.  Nothing built here outlives the call that built it.
+Design rows depend only on the points, and only the solves read them.
+``fit`` builds the rows of the conditioned cloud once for all of its refit
+cascades when local optimization is on, ``local_optimize`` once per call,
+and ``_candidates`` each chunk's (k, 9, 10) sample rows once for the screen
+and the exact solve.  Nothing built here outlives the call that built it.
 
 Everything is deterministic for a fixed seed: the generator is PCG64 and
 samples are drawn in a fixed order, single threaded.  Samples are drawn,
@@ -192,61 +190,66 @@ def sample_minimal(point_count: int, sample_size: int, rng: np.random.Generator,
     return idx[0] if count is None else idx
 
 
-def _reads_design(cfg: FitConfig) -> bool:
-    """Whether a metric of ``cfg`` reads design rows; only the algebraic one does."""
-    return "algebraic" in (cfg.score_metric.kind, cfg.weight_metric.kind)
-
-
 def _lo_schedule(epsilon: float, steps: int) -> np.ndarray:
     if steps == 1:
         return np.array([epsilon])
     return np.linspace(LO_EPS_START * epsilon, LO_EPS_END * epsilon, steps)
 
 
-def local_optimize(model: EllipsoidModel, points, cfg: FitConfig,
-                   distances: Optional[np.ndarray] = None,
-                   design: Optional[np.ndarray] = None) -> Optional[tuple]:
-    """Weighted-refit cascade around ``model``; None when nothing validates.
+def _refine(model: EllipsoidModel, pts: np.ndarray, rows: np.ndarray, cfg: FitConfig,
+            distances: Optional[np.ndarray] = None) -> Optional[tuple]:
+    """Refit cascade around ``model`` in the frame of ``pts``; None when nothing validates.
 
-    The points are conditioned once per call, and the design rows of the
-    conditioned points are built once for all steps.  Each step reweights
-    the points against the current model with a shrinking kernel width,
-    refits them with the minimal samples' ``solve_rows`` and keeps the
-    refit, mapped back exactly, as the current model when it is an
-    ellipsoid.  Returns (model, score, distances under the score metric) of
-    the best-scoring step; a step is skipped when fewer than MIN_POINTS
-    weights exceed SUPPORT_TOL or its refit is not an ellipsoid.
-    ``distances``, when given, are ``model``'s distances under the score
-    metric; they stand in for the first weights' evaluation when the two
-    metrics are the same.  ``design``, when given, is
-    ``design_matrix(points)``, which algebraic scores and weights use; it is
-    built here when one of the metrics is algebraic and it is not given.
+    ``rows`` is ``design_matrix(pts)[None]``.  Each step reweights the points
+    against the current model with a shrinking kernel width and refits them
+    through ``solve_rows``; the refit becomes the current model when it is an
+    ellipsoid, and the step is skipped when it is not or fewer than
+    MIN_POINTS weights exceed SUPPORT_TOL.  Returns (model, score, distances
+    under the score metric) of the best step.  ``distances``, when given, are
+    ``model``'s under the score metric and stand in for the first weights'
+    evaluation when the two metrics are the same.
     """
-    pts = as_points(points)
-    if len(pts) < MIN_POINTS:
-        raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
-    if design is None and _reads_design(cfg):
-        design = design_matrix(pts)
-    local, center, scale = condition(pts)
-    rows = design_matrix(local)[None]
     weight_metric, score_metric = cfg.weight_metric, cfg.score_metric
     current, d_weight = model, (distances if weight_metric == score_metric else None)
     best, best_score = None, -math.inf
     for eps_lo in _lo_schedule(cfg.epsilon, cfg.lo_steps):
         if d_weight is None:
-            d_weight = evaluate_metric(weight_metric, pts, current, design)
+            d_weight = evaluate_metric(weight_metric, pts, current)
         w = point_energy(d_weight, eps_lo)
         q, ok = solve_rows(rows, w[None])
         (refit,) = _models(q, ok & (np.count_nonzero(w > SUPPORT_TOL) >= MIN_POINTS))
         if refit is None:
             continue
-        candidate = _to_scene(refit, center, scale)
-        d = evaluate_metric(score_metric, pts, candidate, design)
+        d = evaluate_metric(score_metric, pts, refit)
         score = float(np.sum(point_energy(d, cfg.epsilon)))
         if score > best_score:
-            best, best_score = (candidate, score, d), score
-        current, d_weight = candidate, (d if weight_metric == score_metric else None)
+            best, best_score = (refit, score, d), score
+        current, d_weight = refit, (d if weight_metric == score_metric else None)
     return best
+
+
+def local_optimize(model: EllipsoidModel, points, cfg: FitConfig) -> Optional[tuple]:
+    """Weighted-refit cascade around ``model``; None when nothing validates.
+
+    The points are conditioned once, ``model`` is mapped into their frame
+    and the cascade (``_refine``) runs there on design rows built once.
+    Returns (model, score, distances under the score metric) of its
+    best-scoring step, with the model mapped back exactly and its distances
+    and score evaluated on ``points``.  Identical points give None.
+    """
+    pts = as_points(points)
+    if len(pts) < MIN_POINTS:
+        raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
+    local, center, scale = condition(pts)
+    if scale == 0.0:
+        return None
+    best = _refine(_to_scene(model, -center / scale, 1.0 / scale), local,
+                   design_matrix(local)[None], replace(cfg, epsilon=cfg.epsilon / scale))
+    if best is None:
+        return None
+    refined = _to_scene(best[0], center, scale)
+    d = evaluate_metric(cfg.score_metric, pts, refined)
+    return refined, float(np.sum(point_energy(d, cfg.epsilon))), d
 
 
 ProgressHook = Callable[[int, float, int], None]
@@ -335,7 +338,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     spread = np.linalg.eigvalsh(local.T @ local)
     if spread[0] <= FLAT_TOL * spread[-1]:
         raise NoModelFound("points are coplanar, collinear or identical")
-    design = design_matrix(local) if _reads_design(cfg) else None
+    rows = design_matrix(local)[None] if cfg.local_opt else None
     local_cfg = replace(cfg, epsilon=cfg.epsilon / scale)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
 
@@ -352,7 +355,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
             iteration += 1
             improved = False
             if candidate is not None:
-                d = evaluate_metric(cfg.score_metric, local, candidate, design)
+                d = evaluate_metric(cfg.score_metric, local, candidate)
                 score = float(np.sum(point_energy(d, local_cfg.epsilon)))
                 if score > best_sample_score:
                     best_sample_score = score
@@ -361,7 +364,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
                         improved = True
                     if cfg.local_opt:
                         lo_invocations += 1
-                        refined = local_optimize(candidate, local, local_cfg, d, design)
+                        refined = _refine(candidate, local, rows, local_cfg, d)
                         if refined is not None and refined[1] > best_score:
                             best_model, best_score, best_d = refined
                             improved = True

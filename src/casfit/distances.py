@@ -26,19 +26,16 @@ model's unit frame, s^2 = ||v||^2.  The unit-norm coefficients of the model
 are q = kappa * (R^T diag(r^-2) R, R^T diag(r^-2) t, ...) with
 kappa = (q1 + q2 + q3) / sum(r^-2), so the quadric is F = kappa (s^2 - 1),
 its gradient is 2 kappa R^T (v / r), and the Sampson distance |F| / ||grad F||
-is |s^2 - 1| / (2 ||v / r||).  The axial, Sampson and ``cas`` metrics compute
-from one (3, n) product v; s^2 adds its three squared rows.
+is |s^2 - 1| / (2 ||v / r||).  The algebraic distance |d(x) @ q| = |F| is
+kappa |s^2 - 1|.  The algebraic, axial, Sampson and ``cas`` metrics compute
+from one (3, n) product v, and s^2 adds its three squared rows; no metric
+builds the design rows d(x) of the points.
 
 The Sampson distance of the model center is returned as +inf: the algebraic
 gradient vanishes there, and downstream consumers (energies, weights,
 inlier tests) all treat an infinite distance as "infinitely far away".  A
 point reads +inf where ||grad F|| = 2 kappa ||v / r|| falls below
 GRADIENT_TOL * ||q||.
-
-Only the algebraic distance reads the design rows d(x) of the points.  It
-builds them unless the caller passes them as ``design``
-(``algebraic_distance`` and ``evaluate_metric`` take it); every other
-metric ignores them.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .quadric import EllipsoidModel, as_points, design_matrix
+from .quadric import EllipsoidModel, as_points
 
 # Gradient norms below this (for unit-norm coefficients) count as vanished.
 GRADIENT_TOL = 1e-12
@@ -130,17 +127,6 @@ def _shaped(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
-def algebraic_distance(points, model: EllipsoidModel, design=None):
-    """|d(x) @ q| for unit-norm, sign-normalized coefficients.
-
-    ``design``, when given, is ``design_matrix(points)``; it is not built again.
-    """
-    scalar = _scalar_in(points)
-    if design is None:
-        design = design_matrix(points)
-    return _shaped(np.abs(design @ model.coeffs), scalar)
-
-
 def _unit_frame(points, model: EllipsoidModel) -> np.ndarray:
     """v = (R x + t) / r for each point, shape (3, n): the model's unit frame."""
     geom = model.geometry
@@ -162,16 +148,26 @@ def _axial(level: np.ndarray, model: EllipsoidModel) -> np.ndarray:
     return np.abs(np.sqrt(level) - 1.0) * (np.linalg.norm(model.semiaxes) / 3.0)
 
 
+def _kappa(model: EllipsoidModel):
+    """kappa = (q1 + q2 + q3) / sum(r^-2), the scale of F = kappa (s^2 - 1), and r^-2."""
+    inv_sq = 1.0 / np.square(model.semiaxes)
+    return float(model.coeffs[:3].sum()) / float(inv_sq.sum()), inv_sq
+
+
 def _sampson(squares: np.ndarray, level: np.ndarray, model: EllipsoidModel) -> np.ndarray:
     """Sampson distances from the squared unit-frame coordinates and level = s^2."""
-    inv_sq = 1.0 / np.square(model.semiaxes)
+    kappa, inv_sq = _kappa(model)
     grad = 2.0 * np.sqrt(inv_sq @ squares)  # ||grad F|| / kappa = 2 ||v / r||
-    q = model.coeffs
-    kappa = float(q[:3].sum()) / float(inv_sq.sum())
     with np.errstate(divide="ignore"):
         vals = np.abs(level - 1.0) / grad
-    vals[kappa * grad < GRADIENT_TOL * float(np.linalg.norm(q))] = np.inf
+    vals[kappa * grad < GRADIENT_TOL * float(np.linalg.norm(model.coeffs))] = np.inf
     return vals
+
+
+def algebraic_distance(points, model: EllipsoidModel):
+    """|d(x) @ q| for unit-norm, sign-normalized coefficients, as kappa |s^2 - 1|."""
+    _, level = _unit_squares(points, model)
+    return _shaped(_kappa(model)[0] * np.abs(level - 1.0), _scalar_in(points))
 
 
 def scaling_factor(points, model: EllipsoidModel):
@@ -296,10 +292,10 @@ def cas_distance(points, model: EllipsoidModel, lam: float = 0.5):
     return evaluate_metric(cas(lam), points, model)
 
 
-def _component(name: str, points, model: EllipsoidModel, design):
+def _component(name: str, points, model: EllipsoidModel):
     # Each name is looked up at call time, so a wrapper put in its place is called.
     if name == "algebraic":
-        return algebraic_distance(points, model, design)
+        return algebraic_distance(points, model)
     if name == "sampson":
         return sampson_distance(points, model)
     if name == "orthogonal":
@@ -307,23 +303,19 @@ def _component(name: str, points, model: EllipsoidModel, design):
     return axial_distance(points, model)
 
 
-def evaluate_metric(kind: MetricKind, points, model: EllipsoidModel, design=None):
-    """Evaluate any metric kind; blends resolve through their components.
-
-    ``design``, when given, is ``design_matrix(points)``: the algebraic
-    metric uses it instead of building it again, and the others ignore it.
-    """
+def evaluate_metric(kind: MetricKind, points, model: EllipsoidModel):
+    """Evaluate any metric kind; blends resolve through their components."""
     if kind.kind not in _PAIR_KINDS:
-        return _component(kind.kind, points, model, design)
+        return _component(kind.kind, points, model)
     first_name, second_name = _PAIR_KINDS[kind.kind]
     # Endpoints return the component untouched so that lam in {0, 1} is an
     # exact reduction (and 0 * inf never poisons the blend).
     if kind.lam == 0.0:
-        return _component(second_name, points, model, design)
+        return _component(second_name, points, model)
     if kind.lam == 1.0:
-        return _component(first_name, points, model, design)
+        return _component(first_name, points, model)
     if kind.kind == "cas":
         return _cas(points, model, kind.lam)
-    first = _component(first_name, points, model, design)
-    second = _component(second_name, points, model, design)
+    first = _component(first_name, points, model)
+    second = _component(second_name, points, model)
     return kind.lam * first + (1.0 - kind.lam) * second

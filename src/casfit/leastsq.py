@@ -15,8 +15,8 @@ conditioned far from the origin.  ``solve_stack`` takes conditioned stacks;
 ``solve_stack`` builds the design rows of its samples and hands them to
 ``solve_rows``.  Callers that already hold the rows call ``solve_rows``
 directly: ``consensus`` builds each chunk's sample rows once for its screen
-and its exact solve, and the rows of the cloud once per ``local_optimize``
-call for all of that call's weighted steps.
+and its exact solve, and the rows of the conditioned cloud once per ``fit``
+or ``local_optimize`` call for all of that call's weighted refits.
 """
 
 from __future__ import annotations

@@ -50,12 +50,15 @@ def as_points(points) -> np.ndarray:
 
 
 def design_matrix(points) -> np.ndarray:
-    """Stack the quadric design rows d(x) for each point, shape (n, 10)."""
+    """Stack the quadric design rows d(x) for each point, shape (n, 10), filled in place."""
     pts = as_points(points)
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    cols = [x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z,
-            2 * x, 2 * y, 2 * z, -np.ones_like(x)]
-    return np.stack(cols, axis=1)
+    rows = np.empty((len(pts), 10))
+    np.square(pts, out=rows[:, :3])
+    np.multiply(pts, 2.0, out=rows[:, 6:9])
+    np.multiply(rows[:, 6:7], pts[:, 1:], out=rows[:, 3:5])  # (2x) y, (2x) z
+    np.multiply(rows[:, 7], pts[:, 2], out=rows[:, 5])  # (2y) z
+    rows[:, 9] = -1.0
+    return rows
 
 
 def normalize_coeffs(q) -> np.ndarray:

@@ -13,7 +13,8 @@ from casfit import (ALGEBRAIC, AXIAL, SAMPSON, DatasetSpec, EllipsoidGeometry,
 from casfit import consensus, distances
 from casfit.consensus import CHUNK, FLAT_TOL
 from casfit.leastsq import condition, solve_stack
-from casfit.quadric import ELLIPSOID, check_ellipsoids, design_matrix, normalize_coeffs
+from casfit.quadric import (ELLIPSOID, check_ellipsoids, design_matrix, geometry_to_coeffs,
+                            normalize_coeffs)
 
 from conftest import make_model, unit_sphere
 from reference_loop import reference_fit
@@ -189,19 +190,22 @@ class TestLocalOptimize:
 
     @pytest.mark.parametrize("weight_metric", [cas(), SAMPSON])
     def test_one_evaluation_per_model(self, monkeypatch, weight_metric):
-        # The start model is evaluated under the weight metric once, unless
-        # its score distances are passed and the two metrics agree; each
-        # valid refit once under the score metric, and once more under the
-        # weight metric only when the two differ and a later step needs it.
+        # The cascade, run as fit runs it (conditioned points and their
+        # rows), evaluates the start model under the weight metric once,
+        # unless its score distances are passed and the two metrics agree;
+        # each valid refit once under the score metric, and once more under
+        # the weight metric only when the two differ and a later step needs it.
         inst = cloud(0.3, seed=5)
-        cfg = FitConfig(epsilon=1.5 * inst.sigma, weight_metric=weight_metric)
-        start = inst.truth
+        local, center, scale = condition(inst.points)
+        rows = design_matrix(local)[None]
+        cfg = FitConfig(epsilon=1.5 * inst.sigma / scale, weight_metric=weight_metric)
+        start = consensus._to_scene(inst.truth, -center / scale, 1.0 / scale)
         score_metric = cfg.score_metric
-        start_d = evaluate_metric(score_metric, inst.points, start)
+        start_d = evaluate_metric(score_metric, local, start)
         kinds = []
         valid = []
 
-        def counted(kind, points, model, design=None):
+        def counted(kind, points, model):
             kinds.append(kind)
             return evaluate_metric(kind, points, model)
 
@@ -219,7 +223,7 @@ class TestLocalOptimize:
         for distances in (None, start_d):
             kinds.clear()
             valid.clear()
-            results.append(local_optimize(start, inst.points, cfg, distances))
+            results.append(consensus._refine(start, local, rows, cfg, distances))
             assert results[-1] is not None
             assert len(valid) == cfg.lo_steps
             if weight_metric == score_metric:
@@ -263,6 +267,30 @@ class TestLocalOptimize:
         got = result[0]
         assert np.abs(got.semiaxes - want.semiaxes).max() <= 1e-7
         assert np.abs(got.center - offset - want.center).max() <= 1e-7
+
+    @pytest.mark.parametrize("offset", [1e6, 1e7])
+    def test_far_from_the_origin(self, offset):
+        # one conditioning per call: the cascade runs in the conditioned
+        # frame, so moving the cloud and the start model moves the result
+        inst = cloud(0.3, seed=3)
+        cfg = FitConfig(epsilon=1.5 * inst.sigma)
+        shift = offset * np.array([1.0, -0.5, 0.25])
+        geom = inst.truth.geometry
+        moved = EllipsoidGeometry(geom.rotation, geom.translation - geom.rotation @ shift,
+                                  geom.semiaxes)
+        want = local_optimize(inst.truth, inst.points, cfg)[0]
+        result = local_optimize(EllipsoidModel(geometry_to_coeffs(moved), moved),
+                                inst.points + shift, cfg)
+        assert result is not None
+        got = result[0]
+        # no score is compared: the Sampson +inf rule is not scale free
+        tol = 1e-6 * want.semiaxes.min()
+        assert np.abs(got.semiaxes - want.semiaxes).max() <= tol
+        assert np.abs(got.center - shift - want.center).max() <= tol
+
+    def test_identical_points_yield_none(self):
+        # the conditioning scale is 0; nothing is divided by it
+        assert local_optimize(unit_sphere(), np.full((20, 3), 2.5), FitConfig(epsilon=0.1)) is None
 
     def test_far_model_yields_none(self, rng):
         inst = contaminated(rng)
@@ -381,22 +409,23 @@ class TestFit:
         cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=1)
         metric = cfg.score_metric
         passed = []
+        refine = consensus._refine
 
-        def spy(model, points, local_cfg, distances=None, design=None):
+        def spy(model, points, rows, local_cfg, distances=None):
             passed.append(np.array_equal(distances, evaluate_metric(metric, points, model)))
-            return local_optimize(model, points, local_cfg, distances)
+            return refine(model, points, rows, local_cfg, distances)
 
-        monkeypatch.setattr(consensus, "local_optimize", spy)
+        monkeypatch.setattr(consensus, "_refine", spy)
         report = fit(inst.points, cfg)
         assert len(passed) == report.lo_invocations >= 1
         assert all(passed)
 
     def test_builds_the_cloud_design_once_per_fit_and_per_refit_cascade(self, monkeypatch):
-        # only the algebraic metric reads design rows: fit builds the
-        # conditioned cloud's rows once for every candidate's evaluation and
-        # every LO call when a metric is algebraic, and not at all otherwise;
-        # each LO call builds the rows of its own conditioned points once for
-        # all of its refits
+        # no metric reads design rows, only the refit solves do: fit builds
+        # the conditioned cloud's rows once for all of its refit cascades
+        # when local optimization is on, whatever the metrics, and not at
+        # all when it is off; a lone local_optimize builds them once
+        assert not hasattr(distances, "design_matrix")
         inst = cloud(0.3, seed=8)
         n = len(inst.points)
         built = []
@@ -406,20 +435,18 @@ class TestFit:
             built.append(len(rows))
             return rows
 
-        for module in (consensus, distances):
-            monkeypatch.setattr(module, "design_matrix", counting)
-        for metric, cloud_builds in ((cas(), 0), (ALGEBRAIC, 1)):
-            cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=1, score_metric=metric,
-                            weight_metric=metric)
-            built.clear()
-            report = fit(inst.points, cfg)
-            assert report.lo_invocations >= 1
-            assert built.count(n) == cloud_builds + report.lo_invocations
-            # called on its own, local_optimize builds the rows it reads and is not given
-            for design, builds in ((None, 1 + cloud_builds), (design_matrix(inst.points), 1)):
+        monkeypatch.setattr(consensus, "design_matrix", counting)
+        for metric in (cas(), ALGEBRAIC):
+            for local_opt in (True, False):
+                cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=1, score_metric=metric,
+                                weight_metric=metric, local_opt=local_opt)
                 built.clear()
-                assert local_optimize(inst.truth, inst.points, cfg, design=design) is not None
-                assert built.count(n) == builds
+                report = fit(inst.points, cfg)
+                assert (report.lo_invocations >= 1) == local_opt
+                assert built.count(n) == local_opt
+            built.clear()
+            assert local_optimize(inst.truth, inst.points, cfg) is not None
+            assert built.count(n) == 1
 
     def test_local_opt_counts(self, rng):
         inst = contaminated(rng)

@@ -257,20 +257,20 @@ def test_axis_plane_distance_is_lipschitz(log_ratios, r_max, seed, coords, zeros
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 30),
        lam=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
        at_center=st.booleans())
-def test_passed_design_changes_no_bit(seed, count, lam, at_center):
-    # a caller's design_matrix(points) stands in for the one a metric builds
+def test_output_shape_follows_the_points(seed, count, lam, at_center):
+    # a scalar for a (3,) point, an (n,) array for an (n, 3) stack
     rng = np.random.default_rng(seed)
     m = make_model(rng)
     pts = m.center + rng.uniform(-8.0, 8.0, size=(count, 3))
     if at_center:
         pts[0] = m.center  # Sampson reads +inf there
     points = pts[0] if count == 1 else pts
-    design = design_matrix(points)
     for name in METRIC_KINDS:
-        kind = MetricKind(name, lam)
-        got = evaluate_metric(kind, points, m, design)
-        assert np.array_equal(got, evaluate_metric(kind, points, m))
-        assert np.ndim(got) == np.ndim(points) - 1
+        got = evaluate_metric(MetricKind(name, lam), points, m)
+        if count == 1:
+            assert isinstance(got, float)
+        else:
+            assert isinstance(got, np.ndarray) and got.shape == (count,)
 
 
 def sampson_by_coefficients(points, model):
@@ -288,6 +288,16 @@ def sampson_by_coefficients(points, model):
        log_ratios=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
 def test_sampson_matches_the_coefficient_formula(seed, log_r_max, log_ratios):
     # the unit-frame form |s^2 - 1| / (2 ||v / r||) against |F| / ||grad F||
+    m, pts, r_max = well_shaped(seed, log_r_max, log_ratios)
+    got = sampson_distance(pts, m)
+    want = sampson_by_coefficients(pts, m)
+    assert got[0] == want[0] == np.inf
+    assert np.isfinite(got[1:]).all()
+    assert (np.abs(got[1:] - want[1:]) <= np.maximum(1e-12 * r_max, 1e-9 * want[1:])).all()
+
+
+def well_shaped(seed, log_r_max, log_ratios):
+    """A random ellipsoid centered within 2 r_max of the origin, and points near and far."""
     rng = np.random.default_rng(seed)
     r_max = 10.0 ** log_r_max
     rot = random_rotation(rng)
@@ -298,11 +308,20 @@ def test_sampson_matches_the_coefficient_formula(seed, log_r_max, log_ratios):
     u *= m.semiaxes / np.linalg.norm(u / m.semiaxes, axis=1, keepdims=True)
     near = from_aligned(m, u * (1.0 + 1e-6 * rng.normal(size=(10, 1))))
     pts = np.vstack([m.center, near, m.center + r_max * rng.uniform(-3.0, 3.0, (30, 3))])
-    got = sampson_distance(pts, m)
-    want = sampson_by_coefficients(pts, m)
-    assert got[0] == want[0] == np.inf
-    assert np.isfinite(got[1:]).all()
-    assert (np.abs(got[1:] - want[1:]) <= np.maximum(1e-12 * r_max, 1e-9 * want[1:])).all()
+    return m, pts, r_max
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_r_max=st.floats(-3.0, 3.0),
+       log_ratios=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_algebraic_matches_the_coefficient_formula(seed, log_r_max, log_ratios):
+    # the unit-frame form kappa |s^2 - 1| against |d(x) @ q|, to rounding
+    # of the terms d_i(x) q_i that the coefficient form sums
+    m, pts, _ = well_shaped(seed, log_r_max, log_ratios)
+    terms = design_matrix(pts) * m.coeffs
+    want = np.abs(terms.sum(axis=1))
+    got = algebraic_distance(pts, m)
+    assert (np.abs(got - want) <= 1e-13 * np.abs(terms).sum(axis=1)).all()
 
 
 class TestEuclideanInvariance:

@@ -57,6 +57,21 @@ class TestMatrixForm:
             rhs = float((design_matrix(p) @ q)[0])
             assert np.isclose(lhs, rhs, atol=1e-10)
 
+    def test_design_rows_follow_the_formula(self, rng):
+        # d(x) = (x^2, y^2, z^2, 2xy, 2xz, 2yz, 2x, 2y, 2z, -1), bit for bit
+        def by_formula(p):
+            x, y, z = p
+            return [x * x, y * y, z * z, 2 * x * y, 2 * x * z, 2 * y * z,
+                    2 * x, 2 * y, 2 * z, -1.0]
+
+        pts = rng.normal(scale=1e3, size=(37, 3))
+        for points, want in ((pts[0], [by_formula(pts[0])]),
+                             (pts, [by_formula(p) for p in pts]),
+                             (np.empty((0, 3)), np.empty((0, 10)))):
+            rows = design_matrix(points)
+            assert rows.shape == np.shape(want)
+            assert rows.tobytes() == np.array(want, dtype=float).tobytes()
+
     def test_round_trip(self, rng):
         q = random_coeffs(rng)
         assert np.allclose(matrix_to_coeffs(coeffs_to_matrix(q)), q, atol=1e-15)
