@@ -6,7 +6,6 @@ Exit codes: 0 on success, 1 on usage errors, 2 on runtime errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -111,7 +110,7 @@ def _cmd_fit(args) -> int:
     doc.update({
         "score": report.score,
         "inlier_ratio": report.inlier_ratio,
-        "labels": report.inlier_mask.astype(int).tolist(),
+        "labels": [],  # written on one line below
         "iterations": report.iterations,
         "lo_invocations": report.lo_invocations,
         "rng_algorithm": report.rng_algorithm,
@@ -119,7 +118,8 @@ def _cmd_fit(args) -> int:
         "epsilon": args.epsilon,
         "seed": args.seed,
     })
-    text = json.dumps(doc, indent=2) + "\n"
+    labels = json.dumps(report.inlier_mask.astype(int).tolist())
+    text = json.dumps(doc, indent=2).replace('"labels": []', f'"labels": {labels}', 1) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -168,13 +168,13 @@ def _cmd_distances(args) -> int:
     model = EllipsoidModel.from_json_dict(doc)
     kinds = [MetricKind(k, args.lam) for k in METRIC_KINDS]
 
+    # the rows csv.writer would write: no field needs quoting, lines end in \r\n
     def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["point_index", "metric", "value"])
+        fh.write("point_index,metric,value\r\n")
         for kind in kinds:
             values = np.atleast_1d(evaluate_metric(kind, points, model)).tolist()
             name = str(kind)
-            writer.writerows([i, name, f"{value:.17g}"] for i, value in enumerate(values))
+            fh.write("".join(f"{i},{name},{value:.17g}\r\n" for i, value in enumerate(values)))
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -34,8 +34,9 @@ builds the design rows d(x) of the points.
 The Sampson distance of the model center is returned as +inf: the algebraic
 gradient vanishes there, and downstream consumers (energies, weights,
 inlier tests) all treat an infinite distance as "infinitely far away".  A
-point reads +inf where ||grad F|| = 2 kappa ||v / r|| falls below
-GRADIENT_TOL * ||q||.
+point reads +inf where its unit-frame radius s is at most GRADIENT_TOL.
+The test reads only the unit frame, so it does not change when the point
+and the model are moved, rotated or scaled together.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ import numpy as np
 from .errors import ConvergenceFailure
 from .quadric import EllipsoidModel, as_points
 
-# Gradient norms below this (for unit-norm coefficients) count as vanished.
+# The Sampson gradient counts as vanished at unit-frame radii s at or below
+# this, that is within this fraction of the semiaxes of the model center.
 GRADIENT_TOL = 1e-12
 
 # Largest-root solve: iteration cap and residual tolerance.
@@ -148,26 +150,20 @@ def _axial(level: np.ndarray, model: EllipsoidModel) -> np.ndarray:
     return np.abs(np.sqrt(level) - 1.0) * (np.linalg.norm(model.semiaxes) / 3.0)
 
 
-def _kappa(model: EllipsoidModel):
-    """kappa = (q1 + q2 + q3) / sum(r^-2), the scale of F = kappa (s^2 - 1), and r^-2."""
-    inv_sq = 1.0 / np.square(model.semiaxes)
-    return float(model.coeffs[:3].sum()) / float(inv_sq.sum()), inv_sq
-
-
 def _sampson(squares: np.ndarray, level: np.ndarray, model: EllipsoidModel) -> np.ndarray:
     """Sampson distances from the squared unit-frame coordinates and level = s^2."""
-    kappa, inv_sq = _kappa(model)
-    grad = 2.0 * np.sqrt(inv_sq @ squares)  # ||grad F|| / kappa = 2 ||v / r||
+    grad = 2.0 * np.sqrt((1.0 / np.square(model.semiaxes)) @ squares)  # ||grad F|| / kappa
     with np.errstate(divide="ignore"):
         vals = np.abs(level - 1.0) / grad
-    vals[kappa * grad < GRADIENT_TOL * float(np.linalg.norm(model.coeffs))] = np.inf
+    vals[level <= GRADIENT_TOL ** 2] = np.inf
     return vals
 
 
 def algebraic_distance(points, model: EllipsoidModel):
     """|d(x) @ q| for unit-norm, sign-normalized coefficients, as kappa |s^2 - 1|."""
     _, level = _unit_squares(points, model)
-    return _shaped(_kappa(model)[0] * np.abs(level - 1.0), _scalar_in(points))
+    kappa = float(model.coeffs[:3].sum()) / float((1.0 / np.square(model.semiaxes)).sum())
+    return _shaped(kappa * np.abs(level - 1.0), _scalar_in(points))
 
 
 def scaling_factor(points, model: EllipsoidModel):

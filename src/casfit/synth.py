@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -26,8 +28,9 @@ OUTLIER_BOX_INFLATION = 2.0
 
 DATASET_KINDS = ("gaussian", "outlier")
 
-# load_points converts the rows of a file in blocks of this many, so the
-# field strings of at most one block are alive at a time.
+# save_points formats, and the line reader of load_points converts, the
+# rows of a file in blocks of this many, so the strings of at most one
+# block are alive at a time.
 LOAD_BLOCK_ROWS = 1024
 
 
@@ -164,8 +167,9 @@ def save_points(points, path) -> None:
     pts = as_points(points)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,z\n")
-        for row in pts:
-            fh.write(f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g}\n")
+        for a in range(0, len(pts), LOAD_BLOCK_ROWS):
+            fh.write("".join(f"{x:.17g},{y:.17g},{z:.17g}\n"
+                             for x, y, z in pts[a:a + LOAD_BLOCK_ROWS].tolist()))
 
 
 def load_points(path) -> np.ndarray:
@@ -174,41 +178,96 @@ def load_points(path) -> np.ndarray:
     Lines starting with '#' and blank lines are skipped; one optional
     header line naming the columns is tolerated.  Raises ParseError with
     the offending line number otherwise.
+
+    A file without comments whose lines after the optional first-line
+    header hold only numbers and separators is parsed by ``np.loadtxt``;
+    any other file, and any file it does not read as exactly 3 values per
+    line, goes through the line reader, which alone builds error messages.
     """
-    blocks, rows, linenos = [], [], []
-    header_seen = False
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.replace(",", " ").split()
-            if len(fields) != 3:
-                _raise_unparsed(path, rows, linenos)  # an earlier line fails first
-                raise ParseError(f"{path}: line {lineno}: expected 3 columns, got {len(fields)}")
-            if not blocks and not rows and not header_seen and not _numeric(fields):
-                header_seen = True  # one leading header line is tolerated
-                continue
-            rows.append(fields)
-            linenos.append(lineno)
-            if len(rows) == LOAD_BLOCK_ROWS:
-                blocks.append(_to_floats(path, rows, linenos))
-                rows, linenos = [], []
-    if rows:
-        blocks.append(_to_floats(path, rows, linenos))
-    if not blocks:
-        raise ParseError(f"{path}: no points found")
-    arr = np.concatenate(blocks)
+        text = fh.read()
+    arr = _read_plain(path, text)
+    if arr is None:
+        arr = _read_lines(path, text)
     if not np.isfinite(arr).all():
         raise ParseError(f"{path}: non-finite coordinates")
     return arr
 
 
-def _to_floats(path, rows: list, linenos: list) -> np.ndarray:
+# Any character outside a plain numeric body, and a digit.
+_FOREIGN = re.compile(r"[^0-9eE.+\-, \t\n]")
+_DIGIT = re.compile(r"[0-9]")
+
+
+def _read_plain(path, text: str) -> Optional[np.ndarray]:
+    """Points of a plain file parsed in one numpy pass, or None to use the line reader.
+
+    Searches take a start position instead of slicing, so the text is never
+    copied; numpy reads the file from ``path`` in chunks of its own.
+    """
+    if "#" in text:
+        return None
+    end = text.find("\n")
+    if end < 0:
+        end = len(text)
+    fields = text[:end].replace(",", " ").split()
+    header = len(fields) == 3 and not _numeric(fields)
+    start = end + 1 if header else 0
+    if _FOREIGN.search(text, start) or not _DIGIT.search(text, start):
+        return None
+    line_count = text.count("\n", start) + (not text.endswith("\n"))
+    try:
+        arr = np.loadtxt(path, ndmin=2, comments=None, skiprows=int(header),
+                         delimiter="," if text.find(",", start) >= 0 else None,
+                         encoding="utf-8")
+    except ValueError:
+        return None
+    # numpy skips blank lines and lines of bare separators, which the line
+    # reader skips or rejects; a short count sends those files to it
+    return arr if arr.shape == (line_count, 3) else None
+
+
+def _lines(text: str):
+    """The lines of ``text`` one at a time, as iterating over its file gives them."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _read_lines(path, text: str) -> np.ndarray:
+    """Parse ``text`` line by line, converting rows in blocks of LOAD_BLOCK_ROWS."""
+    blocks, rows, linenos = [], [], []
+    header_seen = False
+    for lineno, raw in enumerate(_lines(text), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.replace(",", " ").split()
+        if len(fields) != 3:
+            _raise_unparsed(path, text, rows, linenos)  # an earlier line fails first
+            raise ParseError(f"{path}: line {lineno}: expected 3 columns, got {len(fields)}")
+        if not blocks and not rows and not header_seen and not _numeric(fields):
+            header_seen = True  # one leading header line is tolerated
+            continue
+        rows.append(fields)
+        linenos.append(lineno)
+        if len(rows) == LOAD_BLOCK_ROWS:
+            blocks.append(_to_floats(path, text, rows, linenos))
+            rows, linenos = [], []
+    if rows:
+        blocks.append(_to_floats(path, text, rows, linenos))
+    if not blocks:
+        raise ParseError(f"{path}: no points found")
+    return np.concatenate(blocks)
+
+
+def _to_floats(path, text: str, rows: list, linenos: list) -> np.ndarray:
     try:
         return np.array(rows, dtype=float)
     except ValueError:
-        _raise_unparsed(path, rows, linenos)
+        _raise_unparsed(path, text, rows, linenos)
         raise
 
 
@@ -220,10 +279,9 @@ def _numeric(fields: list) -> bool:
     return True
 
 
-def _raise_unparsed(path, rows: list, linenos: list) -> None:
+def _raise_unparsed(path, text: str, rows: list, linenos: list) -> None:
     """Raise ParseError naming the first of ``rows`` that is not numeric, if any."""
     for fields, lineno in zip(rows, linenos):
         if not _numeric(fields):
-            with open(path, "r", encoding="utf-8") as fh:
-                line = next(itertools.islice(fh, lineno - 1, None)).strip()
+            line = next(itertools.islice(_lines(text), lineno - 1, None)).strip()
             raise ParseError(f"{path}: line {lineno}: could not parse {line!r}")

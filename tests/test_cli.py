@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import shutil
@@ -8,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from casfit import (DatasetSpec, ExperimentGrid, GridVariant, ParseError, grid_from_json,
-                    load_points, read_report, run_grid, sample_surface, save_points)
+from casfit import (METRIC_KINDS, DatasetSpec, EllipsoidModel, ExperimentGrid, FitConfig,
+                    GridVariant, MetricKind, ParseError, cas, evaluate_metric, fit,
+                    grid_from_json, load_points, read_report, run_grid, sample_surface,
+                    save_points)
 from casfit import bench
 from casfit.cli import main
 
@@ -69,6 +73,33 @@ class TestFitCommand:
                         "--min-iterations", "5"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["inlier_ratio"] > 0.9
+
+    def test_document_is_the_indented_one_with_labels_on_one_line(self, points_file, tmp_path):
+        path, _ = points_file
+        out = tmp_path / "model.json"
+        assert run_cli(["fit", str(path), "--epsilon", "0.05", "--min-iterations", "5",
+                        "--seed", "42", "--out", str(out)]) == 0
+        # the document as json.dumps(doc, indent=2) wrote it, one label per line
+        report = fit(load_points(path), FitConfig(epsilon=0.05, min_iterations=5, seed=42))
+        doc = report.model.to_json_dict()
+        doc.update({
+            "score": report.score, "inlier_ratio": report.inlier_ratio,
+            "labels": report.inlier_mask.astype(int).tolist(),
+            "iterations": report.iterations, "lo_invocations": report.lo_invocations,
+            "rng_algorithm": report.rng_algorithm, "score_metric": str(cas()),
+            "epsilon": 0.05, "seed": 42,
+        })
+        indented = json.dumps(doc, indent=2)
+        text = out.read_text()
+        assert text.endswith("}\n")
+        got = json.loads(text)
+        assert got == json.loads(indented)
+        assert list(got) == list(doc)
+        labels_line = f'  "labels": {json.dumps(doc["labels"])},'
+        assert text.splitlines().count(labels_line) == 1
+        head, rest = indented.split('  "labels": [\n', 1)
+        tail = rest.split("\n  ],\n", 1)[1]
+        assert text == f"{head}{labels_line}\n{tail}\n"
 
     def test_progress_goes_to_stderr(self, points_file, capsys):
         path, _ = points_file
@@ -208,6 +239,30 @@ class TestDistancesCommand:
                            "axial+orthogonal:0.25"}
         values = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(v >= 0.0 for v in values)
+
+    def test_bytes_are_those_of_csv_writer(self, points_file, tmp_path, capsys):
+        path, truth = points_file
+        pts = np.vstack([truth.center, load_points(path)])  # Sampson reads +inf at the center
+        save_points(pts, path)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(truth.to_json_dict()))
+        model = EllipsoidModel.from_json_dict(json.loads(model_path.read_text()))
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["point_index", "metric", "value"])
+        for name in METRIC_KINDS:
+            kind = MetricKind(name, 0.25)
+            values = np.atleast_1d(evaluate_metric(kind, load_points(path), model)).tolist()
+            writer.writerows([i, str(kind), f"{v:.17g}"] for i, v in enumerate(values))
+        want = buf.getvalue()
+        assert ",sampson,inf\r\n" in want
+        out = tmp_path / "dist.csv"
+        argv = ["distances", str(path), str(model_path), "--lambda", "0.25"]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == want.encode()
+        capsys.readouterr()
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestExitCodes:

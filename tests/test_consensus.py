@@ -278,15 +278,17 @@ class TestLocalOptimize:
         geom = inst.truth.geometry
         moved = EllipsoidGeometry(geom.rotation, geom.translation - geom.rotation @ shift,
                                   geom.semiaxes)
-        want = local_optimize(inst.truth, inst.points, cfg)[0]
+        want, want_score, _ = local_optimize(inst.truth, inst.points, cfg)
         result = local_optimize(EllipsoidModel(geometry_to_coeffs(moved), moved),
                                 inst.points + shift, cfg)
         assert result is not None
-        got = result[0]
-        # no score is compared: the Sampson +inf rule is not scale free
+        got, score, d = result
         tol = 1e-6 * want.semiaxes.min()
         assert np.abs(got.semiaxes - want.semiaxes).max() <= tol
         assert np.abs(got.center - shift - want.center).max() <= tol
+        # the Sampson +inf rule reads the unit frame, so no far point reads +inf
+        assert np.isfinite(d).all()
+        assert abs(score - want_score) <= 1e-6 * abs(want_score)
 
     def test_identical_points_yield_none(self):
         # the conditioning scale is 0; nothing is divided by it

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from casfit import synth
 from casfit import (DatasetSpec, ParseError, algebraic_distance, downsample,
                     load_points, make_instance, orthogonal_distance,
                     random_ellipsoid, sample_surface, save_points,
                     scaling_factor)
 from casfit.synth import (CENTER_RANGE, LOAD_BLOCK_ROWS, OUTLIER_BOX_INFLATION,
                           SEMIAXIS_RANGE, _bounding_half_extents, random_rotation)
+
+from reference_reader import reference_load_points
 
 
 class TestRandomRotation:
@@ -221,3 +226,130 @@ class TestPointFiles:
                 path.write_text("\n".join(edited + ["4,5"]) + "\n")
                 with pytest.raises(ParseError, match=f"line {row + 2}: {expect}"):
                     load_points(path)
+
+
+def read_both(path):
+    """What load_points and the reference line reader make of ``path``."""
+    outcomes = []
+    for read in (load_points, reference_load_points):
+        try:
+            outcomes.append(read(path))
+        except (ParseError, ValueError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def assert_same_as_reference(path):
+    got, want = read_both(path)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # -0.0 too
+    else:
+        assert got == want
+
+
+# Line pieces: numbers in the spellings files use, and the tokens that
+# send a file to the line reader or make it fail there.
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["0", "-0", "+1", "1e5", "-2.5E-3", "+.5", "5.", "1e+05", "1E999"]))
+JUNK = st.sampled_from(["nan", "1_0", "inf", "x", "1e", "e", ".", "+", "-", "#", "#1", ""])
+SEPARATORS = st.sampled_from([",", " ", "\t", ", ", " ,", ",,", "  ", " \t"])
+SPECIAL_LINES = st.sampled_from(["", " ", "\t", "x,y,z", "x y z", "# note", "#", ",", ",,",
+                                 " , ", "a,b,c"])
+
+
+@st.composite
+def data_lines(draw):
+    count = draw(st.sampled_from([3, 3, 3, 3, 2, 4, 1]))
+    fields = draw(st.lists(st.one_of(NUMBERS, NUMBERS, NUMBERS, JUNK),
+                           min_size=count, max_size=count))
+    line = draw(SEPARATORS).join(fields)
+    if draw(st.booleans()):
+        line = draw(st.sampled_from([" ", "\t", ","])) + line
+    if draw(st.booleans()):
+        line += draw(st.sampled_from([" ", "\t", ","]))
+    return line
+
+
+@st.composite
+def point_texts(draw):
+    if draw(st.booleans()):  # one separator and three numbers a line, as most files are
+        sep = draw(st.sampled_from([",", " ", "\t", ", "]))
+        lines = [sep.join(fields) for fields in draw(st.lists(
+            st.lists(NUMBERS, min_size=3, max_size=3), max_size=12))]
+    else:
+        lines = draw(st.lists(st.one_of(data_lines(), data_lines(), data_lines(), SPECIAL_LINES),
+                              max_size=12))
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["x,y,z", "x y z", "a,b", "1,2,3"])))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join(lines)
+    return text + ending if draw(st.booleans()) else text
+
+
+class TestReaderEquivalence:
+    """load_points reads every file as the line-by-line reference reader does."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=point_texts())
+    def test_texts_read_as_the_reference_reads_them(self, tmp_path, text):
+        path = tmp_path / "pts.txt"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert_same_as_reference(path)
+
+    @pytest.mark.parametrize("body", [
+        "x,y,z\n1,2,3\n", "1 2 3", "1,2,3\r\n4,5,6\r\n", "1,2,3\r4,5,6\r",
+        "# a comment\n1 2 3\n\n  4\t5 6\n# tail comment\n", "# generated\nx,y,z\n1,2,3\n",
+        "1,2\n", "1,2,3\nx,y,z\n", "x,y,z\na,b,c\n1,2,3\n", "# nothing\n", "", "\n\n",
+        "1,2,nan\n", "1,2,1e999\n", "x,y,z\n1,2,3\n4,5\n", "1,,2,3\n", "1,2,3,\n",
+        "1 2,3\n", "1,2,3\n,,\n4,5,6\n", "1,2,3\n\n4,5,6\n", "x,y,z\n", "1_0,2,3\n",
+        " 1 , 2 , 3 \n", "1\t2\t3\n", "1,2,3\n4,5,6,7\n", "+.5,-5.,1E+3\n",
+    ])
+    def test_hand_made_files(self, tmp_path, body):
+        path = tmp_path / "hand.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(body)
+        assert_same_as_reference(path)
+
+    def test_block_boundaries(self, rng, tmp_path):
+        path = tmp_path / "big.csv"
+        save_points(rng.normal(size=(2 * LOAD_BLOCK_ROWS + 5, 3)), path)
+        lines = path.read_text().splitlines()
+        assert_same_as_reference(path)
+        for row in (0, 1, LOAD_BLOCK_ROWS - 1, LOAD_BLOCK_ROWS, 2 * LOAD_BLOCK_ROWS + 4):
+            for bad in ("1,2,oops", "1,2", "", "# note", "1,2,nan", "x,y,z", "1 2 3"):
+                edited = lines.copy()
+                edited[1 + row] = bad
+                path.write_text("\n".join(edited) + "\n")
+                assert_same_as_reference(path)
+
+    def test_saved_files_take_the_numpy_pass(self, rng, tmp_path, monkeypatch):
+        calls = []
+        line_reader = synth._read_lines
+
+        def spy(path, text):
+            calls.append(path)
+            return line_reader(path, text)
+
+        monkeypatch.setattr(synth, "_read_lines", spy)
+        path = tmp_path / "saved.csv"
+        pts = rng.normal(size=(LOAD_BLOCK_ROWS + 3, 3))
+        save_points(pts, path)
+        assert np.array_equal(load_points(path), pts)
+        assert calls == []
+        path.write_text("# a comment\n" + path.read_text())
+        assert np.array_equal(load_points(path), pts)
+        assert calls == [path]
+
+    def test_save_points_bytes(self, rng, tmp_path):
+        # blocks of rows, each row formatted as one %.17g line per point
+        pts = rng.normal(size=(LOAD_BLOCK_ROWS + 3, 3)) * 10.0 ** rng.integers(-20, 20, (1, 3))
+        path = tmp_path / "saved.csv"
+        save_points(pts, path)
+        want = "x,y,z\n" + "".join("%.17g,%.17g,%.17g\n" % tuple(row) for row in pts)
+        assert path.read_bytes() == want.encode()

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import casfit
-from casfit import DatasetSpec, EllipsoidModel, FitConfig, make_instance
+from casfit import DatasetSpec, EllipsoidModel, FitConfig, make_instance, save_points
 from casfit import bench, cli, consensus, distances, leastsq, quadric, synth
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -48,3 +48,23 @@ def test_install_traces_a_fit_and_uninstall_restores_every_name():
     for was, now in zip(before, namespaces()):
         assert was.keys() == now.keys()
         assert all(now[name] is value for name, value in was.items())
+
+
+def test_a_traced_cli_fit_records_the_reader_and_the_command(tmp_path):
+    # synth.load_us_per_point and cli.self_ms are read off these two spans
+    tracing = load_tracer()
+    inst = make_instance(DatasetSpec(kind="outlier", point_count=300, sigma_rel=0.05,
+                                     outlier_fraction=0.05, seed=2),
+                         np.random.default_rng(2))
+    path = tmp_path / "points.csv"
+    save_points(inst.points, path)
+    tracer = tracing.Tracer()
+    tracer.install(casfit)
+    try:
+        code = cli.main(["fit", str(path), "--epsilon", repr(1.5 * inst.sigma),
+                         "--max-iterations", "200", "--out", str(tmp_path / "model.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = {rec[tracing.NAME] for rec in tracer.spans}
+    assert {"synth.load_points", "cli.main", "consensus.fit"} <= names
