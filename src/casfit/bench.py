@@ -90,7 +90,6 @@ class GridVariant:
 
     name: str
     score_metric: str = "cas:0.5"
-    weight_metric: Optional[str] = None
     local_opt: bool = True
     lo_steps: int = 5
     epsilon: Optional[float] = None
@@ -114,10 +113,8 @@ class GridVariant:
                 raise ValueError(
                     f"variant {self.name!r} needs a noisy dataset to derive epsilon from")
             eps = self.epsilon_rel_sigma * sigma
-        score = MetricKind.parse(self.score_metric)
-        weight = score if self.weight_metric is None else MetricKind.parse(self.weight_metric)
         return FitConfig(
-            epsilon=eps, mu=self.mu, score_metric=score, weight_metric=weight,
+            epsilon=eps, mu=self.mu, score_metric=MetricKind.parse(self.score_metric),
             local_opt=self.local_opt, lo_steps=self.lo_steps,
             max_iterations=self.max_iterations, min_iterations=self.min_iterations,
             seed=seed)

@@ -44,10 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--epsilon", type=float, required=True,
                        help="inlier distance threshold")
     p_fit.add_argument("--metric", default="cas:0.5",
-                       help=f"score metric, one of {', '.join(METRIC_KINDS)}"
+                       help=f"score and refit weight metric, one of {', '.join(METRIC_KINDS)}"
                             " (blends take :ratio)")
-    p_fit.add_argument("--weight-metric", default=None,
-                       help="refit weight metric (default: same as --metric)")
     p_fit.add_argument("--no-lo", action="store_true",
                        help="disable the local-optimization cascade")
     p_fit.add_argument("--lo-steps", type=int, default=5)
@@ -90,12 +88,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_text(doc: dict, key: str) -> str:
+    """``json.dumps(doc, indent=2)``, but with the list under ``key`` on one line.
+
+    One entry per line would add a line per point and most of the
+    pure-Python encoder's time.
+    """
+    flat = json.dumps(doc[key])
+    return json.dumps({**doc, key: []}, indent=2).replace(f'"{key}": []', f'"{key}": {flat}', 1)
+
+
 def _cmd_fit(args) -> int:
     points = load_points(args.points)
     score = MetricKind.parse(args.metric)
-    weight = MetricKind.parse(args.weight_metric) if args.weight_metric else score
     cfg = FitConfig(
-        epsilon=args.epsilon, mu=args.mu, score_metric=score, weight_metric=weight,
+        epsilon=args.epsilon, mu=args.mu, score_metric=score,
         local_opt=not args.no_lo, lo_steps=args.lo_steps,
         min_iterations=args.min_iterations, max_iterations=args.max_iterations,
         seed=args.seed)
@@ -110,7 +117,7 @@ def _cmd_fit(args) -> int:
     doc.update({
         "score": report.score,
         "inlier_ratio": report.inlier_ratio,
-        "labels": [],  # written on one line below
+        "labels": report.inlier_mask.astype(int).tolist(),
         "iterations": report.iterations,
         "lo_invocations": report.lo_invocations,
         "rng_algorithm": report.rng_algorithm,
@@ -118,8 +125,7 @@ def _cmd_fit(args) -> int:
         "epsilon": args.epsilon,
         "seed": args.seed,
     })
-    labels = json.dumps(report.inlier_mask.astype(int).tolist())
-    text = json.dumps(doc, indent=2).replace('"labels": []', f'"labels": {labels}', 1) + "\n"
+    text = _json_text(doc, "labels") + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -144,8 +150,7 @@ def _cmd_synth(args) -> int:
             "spec": {**dataclasses.asdict(spec), "instance": i},
         }
         with open(stem + ".json", "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
+            fh.write(_json_text(sidecar, "is_outlier") + "\n")
     print(f"wrote {spec.instance_count} instances to {args.out}", file=sys.stderr)
     return 0
 

@@ -8,9 +8,10 @@ far, with a confidence target ``mu``.
 
 Scoring uses soft per-point energies exp(-d^2 / (2 eps^2)) rather than a
 hard inlier count, so models are rewarded for being close to many points,
-not just for clearing the threshold.  Each model's distances under the score
-metric are evaluated once; its score, its inlier labels and the weights of
-the refit that follows it all come from that one array.
+not just for clearing the threshold.  One metric, the score metric, gives
+both the scores and the refit weights.  Each model's distances under it are
+evaluated once; its score, its inlier labels and the weights of the refit
+that follows it all come from that one array.
 
 ``fit`` and ``local_optimize`` each condition their points once
 (``leastsq.condition``) and run in that frame with the threshold divided by
@@ -74,17 +75,16 @@ FLAT_TOL = 1e-20
 class FitConfig:
     """Knobs for one fitting run.
 
-    ``score_metric`` and ``weight_metric`` default to the combined
-    axial/Sampson metric ``cas:0.5``; its blend ratio is part of the kind.
-    Pass other kinds to reproduce plain sample consensus under a single
-    distance (no local optimization) or refits driven by another metric.
+    ``score_metric`` defaults to the combined axial/Sampson metric
+    ``cas:0.5``; its blend ratio is part of the kind.  It scores the
+    candidates and weights the refits.  Pass another kind to reproduce plain
+    sample consensus under a single distance (no local optimization).
     Minimal samples always have ``leastsq.MIN_POINTS`` (9) points.
     """
 
     epsilon: float
     mu: float = 0.95
     score_metric: MetricKind = cas()
-    weight_metric: MetricKind = cas()
     local_opt: bool = True
     lo_steps: int = 5
     max_iterations: int = 100_000
@@ -95,9 +95,8 @@ class FitConfig:
         require_integers(self, "lo_steps", "max_iterations", "min_iterations", "seed")
         if not isinstance(self.local_opt, bool):
             raise ValueError(f"local_opt must be a bool, got {self.local_opt!r}")
-        for name in ("score_metric", "weight_metric"):
-            if not isinstance(getattr(self, name), MetricKind):
-                raise ValueError(f"{name} must be a MetricKind, got {getattr(self, name)!r}")
+        if not isinstance(self.score_metric, MetricKind):
+            raise ValueError(f"score_metric must be a MetricKind, got {self.score_metric!r}")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.mu < 1.0:
@@ -200,31 +199,26 @@ def _refine(model: EllipsoidModel, pts: np.ndarray, rows: np.ndarray, cfg: FitCo
             distances: Optional[np.ndarray] = None) -> Optional[tuple]:
     """Refit cascade around ``model`` in the frame of ``pts``; None when nothing validates.
 
-    ``rows`` is ``design_matrix(pts)[None]``.  Each step reweights the points
-    against the current model with a shrinking kernel width and refits them
-    through ``solve_rows``; the refit becomes the current model when it is an
-    ellipsoid, and the step is skipped when it is not or fewer than
-    MIN_POINTS weights exceed SUPPORT_TOL.  Returns (model, score, distances
-    under the score metric) of the best step.  ``distances``, when given, are
-    ``model``'s under the score metric and stand in for the first weights'
-    evaluation when the two metrics are the same.
+    ``rows`` is ``design_matrix(pts)[None]``.  Each step weights the points by
+    the current model's score-metric distances with a shrinking kernel width
+    and refits them through ``solve_rows``; the refit becomes the current
+    model when it is an ellipsoid, and the step is skipped when it is not or
+    fewer than MIN_POINTS weights exceed SUPPORT_TOL.  Returns (model, score,
+    distances) of the best step.  ``distances``, when given, are ``model``'s
+    and stand in for its evaluation.
     """
-    weight_metric, score_metric = cfg.weight_metric, cfg.score_metric
-    current, d_weight = model, (distances if weight_metric == score_metric else None)
+    d = evaluate_metric(cfg.score_metric, pts, model) if distances is None else distances
     best, best_score = None, -math.inf
     for eps_lo in _lo_schedule(cfg.epsilon, cfg.lo_steps):
-        if d_weight is None:
-            d_weight = evaluate_metric(weight_metric, pts, current)
-        w = point_energy(d_weight, eps_lo)
+        w = point_energy(d, eps_lo)
         q, ok = solve_rows(rows, w[None])
         (refit,) = _models(q, ok & (np.count_nonzero(w > SUPPORT_TOL) >= MIN_POINTS))
         if refit is None:
             continue
-        d = evaluate_metric(score_metric, pts, refit)
+        d = evaluate_metric(cfg.score_metric, pts, refit)
         score = float(np.sum(point_energy(d, cfg.epsilon)))
         if score > best_score:
             best, best_score = (refit, score, d), score
-        current, d_weight = refit, (d if weight_metric == score_metric else None)
     return best
 
 

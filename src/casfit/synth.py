@@ -8,7 +8,6 @@ so instances of different sizes are corrupted comparably.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -28,9 +27,8 @@ OUTLIER_BOX_INFLATION = 2.0
 
 DATASET_KINDS = ("gaussian", "outlier")
 
-# save_points formats, and the line reader of load_points converts, the
-# rows of a file in blocks of this many, so the strings of at most one
-# block are alive at a time.
+# save_points formats the rows of a file in blocks of this many, so the
+# strings of at most one block are alive at a time.
 LOAD_BLOCK_ROWS = 1024
 
 
@@ -176,15 +174,16 @@ def load_points(path) -> np.ndarray:
     """Read a 3-column text file (comma or whitespace separated) of points.
 
     Lines starting with '#' and blank lines are skipped; one optional
-    header line naming the columns is tolerated.  Raises ParseError with
-    the offending line number otherwise.
+    header line naming the columns is tolerated, and so is a UTF-8
+    byte-order mark.  Raises ParseError with the offending line number
+    otherwise.
 
     A file without comments whose lines after the optional first-line
     header hold only numbers and separators is parsed by ``np.loadtxt``;
     any other file, and any file it does not read as exactly 3 values per
     line, goes through the line reader, which alone builds error messages.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read()
     arr = _read_plain(path, text)
     if arr is None:
@@ -219,7 +218,7 @@ def _read_plain(path, text: str) -> Optional[np.ndarray]:
     try:
         arr = np.loadtxt(path, ndmin=2, comments=None, skiprows=int(header),
                          delimiter="," if text.find(",", start) >= 0 else None,
-                         encoding="utf-8")
+                         encoding="utf-8-sig")
     except ValueError:
         return None
     # numpy skips blank lines and lines of bare separators, which the line
@@ -227,48 +226,28 @@ def _read_plain(path, text: str) -> Optional[np.ndarray]:
     return arr if arr.shape == (line_count, 3) else None
 
 
-def _lines(text: str):
-    """The lines of ``text`` one at a time, as iterating over its file gives them."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
 def _read_lines(path, text: str) -> np.ndarray:
-    """Parse ``text`` line by line, converting rows in blocks of LOAD_BLOCK_ROWS."""
-    blocks, rows, linenos = [], [], []
+    """Parse ``text`` line by line, raising at the first line that fails."""
+    rows = []
     header_seen = False
-    for lineno, raw in enumerate(_lines(text), start=1):
+    # split("\n"), not splitlines(), which splits on more characters than
+    # reading the file does and would renumber the lines
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.replace(",", " ").split()
         if len(fields) != 3:
-            _raise_unparsed(path, text, rows, linenos)  # an earlier line fails first
             raise ParseError(f"{path}: line {lineno}: expected 3 columns, got {len(fields)}")
-        if not blocks and not rows and not header_seen and not _numeric(fields):
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError:
+            if rows or header_seen:
+                raise ParseError(f"{path}: line {lineno}: could not parse {line!r}") from None
             header_seen = True  # one leading header line is tolerated
-            continue
-        rows.append(fields)
-        linenos.append(lineno)
-        if len(rows) == LOAD_BLOCK_ROWS:
-            blocks.append(_to_floats(path, text, rows, linenos))
-            rows, linenos = [], []
-    if rows:
-        blocks.append(_to_floats(path, text, rows, linenos))
-    if not blocks:
+    if not rows:
         raise ParseError(f"{path}: no points found")
-    return np.concatenate(blocks)
-
-
-def _to_floats(path, text: str, rows: list, linenos: list) -> np.ndarray:
-    try:
-        return np.array(rows, dtype=float)
-    except ValueError:
-        _raise_unparsed(path, text, rows, linenos)
-        raise
+    return np.array(rows)
 
 
 def _numeric(fields: list) -> bool:
@@ -277,11 +256,3 @@ def _numeric(fields: list) -> bool:
     except ValueError:
         return False
     return True
-
-
-def _raise_unparsed(path, text: str, rows: list, linenos: list) -> None:
-    """Raise ParseError naming the first of ``rows`` that is not numeric, if any."""
-    for fields, lineno in zip(rows, linenos):
-        if not _numeric(fields):
-            line = next(itertools.islice(_lines(text), lineno - 1, None)).strip()
-            raise ParseError(f"{path}: line {lineno}: could not parse {line!r}")

@@ -33,13 +33,12 @@ from casfit.quadric import ELLIPSOID, as_points, check_ellipsoids
 
 def reference_local_optimize(model, points, cfg: FitConfig) -> Optional[EllipsoidModel]:
     pts = as_points(points)
-    weight_metric = cfg.weight_metric
     score_metric = cfg.score_metric
     current = model
     best: Optional[EllipsoidModel] = None
     best_score = -math.inf
     for eps_lo in _lo_schedule(cfg.epsilon, cfg.lo_steps):
-        w = gaussian_weights(pts, current, eps_lo, weight_metric)
+        w = gaussian_weights(pts, current, eps_lo, score_metric)
         try:
             q = wls_fit(pts, w)
             candidate = EllipsoidModel.from_coeffs(q)

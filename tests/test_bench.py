@@ -140,8 +140,7 @@ class TestGridConstruction:
                 ({"max_iterations": 60.5}, {}, {}),
                 ({"lo_steps": True}, {}, {}),
                 ({"score_metric": 5}, {}, {}),
-                ({"weight_metric": 5}, {}, {}),
-                ({"weight_metric": ""}, {}, {}),
+                ({"weight_metric": "sampson"}, {}, {}),
                 ({"sample_size": 9}, {}, {}),
                 ({"mu": 5.0}, {}, {}),
                 ({"lo_steps": 0}, {}, {}),

@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from casfit import (METRIC_KINDS, DatasetSpec, EllipsoidModel, ExperimentGrid, FitConfig,
-                    GridVariant, MetricKind, ParseError, cas, evaluate_metric, fit,
-                    grid_from_json, load_points, read_report, run_grid, sample_surface,
-                    save_points)
-from casfit import bench
+from casfit import (METRIC_KINDS, SAMPSON, DatasetSpec, EllipsoidModel, ExperimentGrid,
+                    FitConfig, GridVariant, MetricKind, ParseError, cas, evaluate_metric, fit,
+                    grid_from_json, load_points, make_instance, read_report, run_grid,
+                    sample_surface, save_points)
+from casfit import bench, cli
 from casfit.cli import main
 
 from conftest import make_model
@@ -127,6 +127,18 @@ class TestSynthCommand:
             assert sidecar["spec"]["instance"] == i
             assert len(sidecar["model"]["q"]) == 10
 
+    def test_sidecar_is_the_indented_one_with_is_outlier_on_one_line(self, tmp_path):
+        assert run_cli(["synth", "--kind", "outlier", "--count", "40", "--fraction", "0.25",
+                        "--instances", "1", "--seed", "3", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "instance_000.json").read_text()
+        doc = json.loads(text)
+        assert list(doc) == ["model", "is_outlier", "sigma", "spec"]
+        indented = json.dumps(doc, indent=2)
+        line = f'  "is_outlier": {json.dumps(doc["is_outlier"])},'
+        head, rest = indented.split('  "is_outlier": [\n', 1)
+        tail = rest.split("\n  ],\n", 1)[1]
+        assert text == f"{head}{line}\n{tail}\n"
+
     def test_deterministic(self, tmp_path):
         for name in ("one", "two"):
             assert run_cli(["synth", "--kind", "gaussian", "--count", "40",
@@ -198,14 +210,17 @@ class TestBenchCommand:
     def test_bad_later_variant_fails_before_any_fit(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(bench, "fit", lambda *args: calls.append(args))
-        grid = {"variants": [{"name": "good"}, {"name": "bad", "mu": 5.0}],
-                "datasets": [{"kind": "gaussian", "instance_count": 2}],
-                "runs_per_instance": 10}
-        grid_path = tmp_path / "grid.json"
-        grid_path.write_text(json.dumps(grid))
-        out = tmp_path / "report.csv"
-        assert run_cli(["bench", str(grid_path), "--out", str(out)]) == 2
-        assert calls == [] and not out.exists()
+        for bad in ({"mu": 5.0}, {"weight_metric": "sampson"}):
+            grid = {"variants": [{"name": "good"}, {"name": "bad", **bad}],
+                    "datasets": [{"kind": "gaussian", "instance_count": 2}],
+                    "runs_per_instance": 10}
+            with pytest.raises(ParseError):
+                grid_from_json(grid)
+            grid_path = tmp_path / "grid.json"
+            grid_path.write_text(json.dumps(grid))
+            out = tmp_path / "report.csv"
+            assert run_cli(["bench", str(grid_path), "--out", str(out)]) == 2
+            assert calls == [] and not out.exists()
 
     def test_string_local_opt_fails_before_any_fit(self, tmp_path, monkeypatch):
         calls = []
@@ -220,6 +235,46 @@ class TestBenchCommand:
         out = tmp_path / "report.csv"
         assert run_cli(["bench", str(grid_path), "--out", str(out)]) == 2
         assert calls == [] and not out.exists()
+
+
+class TestConfigSurfaces:
+    """casfit fit, grid variants and FitConfig build the same configuration."""
+
+    def test_defaults_agree(self, points_file, monkeypatch):
+        path, _ = points_file
+        configs = []
+
+        def capture(points, cfg, progress=None):
+            configs.append(cfg)
+            return fit(points, cfg, progress)
+
+        monkeypatch.setattr(cli, "fit", capture)
+        for extra, want in (([], FitConfig(epsilon=0.05)),
+                            (["--metric", "sampson"],
+                             FitConfig(epsilon=0.05, score_metric=SAMPSON))):
+            configs.clear()
+            assert run_cli(["fit", str(path), "--epsilon", "0.05", *extra]) == 0
+            assert configs == [want]
+        variant = GridVariant(name="v", epsilon=0.05, epsilon_rel_sigma=None)
+        assert variant.make_config(sigma=0.3, seed=4) == FitConfig(epsilon=0.05, seed=4)
+        relative = GridVariant(name="v", epsilon_rel_sigma=1.5, score_metric="sampson")
+        assert relative.make_config(sigma=0.2, seed=4) == FitConfig(
+            epsilon=1.5 * 0.2, seed=4, score_metric=SAMPSON)
+
+    def test_cli_fit_is_the_python_fit(self, tmp_path):
+        # a metric other than cas() weights the refits on both surfaces
+        inst = make_instance(DatasetSpec("outlier", 500, 0.25, 0.3), np.random.default_rng(3))
+        path = tmp_path / "points.csv"
+        save_points(inst.points, path)
+        eps = 1.5 * inst.sigma
+        out = tmp_path / "model.json"
+        assert run_cli(["fit", str(path), "--epsilon", repr(eps), "--metric", "sampson",
+                        "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        report = fit(inst.points, FitConfig(epsilon=eps, score_metric=SAMPSON))
+        assert report.lo_invocations >= 1
+        assert np.array(doc["q"]).tobytes() == report.model.coeffs.tobytes()
+        assert doc["labels"] == report.inlier_mask.astype(int).tolist()
 
 
 class TestDistancesCommand:
@@ -272,6 +327,8 @@ class TestExitCodes:
         assert run_cli(["fit", "pts.csv"]) == 1  # missing --epsilon
         assert run_cli(["synth", "--kind", "gaussian"]) == 1  # missing --out
         assert run_cli(["fit", "pts.csv", "--epsilon", "abc"]) == 1
+        # the score metric also weights the refits
+        assert run_cli(["fit", "pts.csv", "--epsilon", "1", "--weight-metric", "sampson"]) == 1
         capsys.readouterr()
 
     def test_help_and_version_exit_0(self, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from casfit import (ALGEBRAIC, AXIAL, SAMPSON, DatasetSpec, EllipsoidGeometry,
-                    EllipsoidModel, FitConfig, MetricKind, NoModelFound,
+                    EllipsoidModel, FitConfig, NoModelFound,
                     TooFewPoints, axial_distance, cas, classify,
                     evaluate_metric, fit, local_optimize, make_instance,
                     model_score, point_energy, random_rotation,
@@ -188,17 +188,14 @@ class TestLocalOptimize:
                 improved += 1
         assert improved >= 0.9 * trials
 
-    @pytest.mark.parametrize("weight_metric", [cas(), SAMPSON])
-    def test_one_evaluation_per_model(self, monkeypatch, weight_metric):
+    def test_one_evaluation_per_model(self, monkeypatch):
         # The cascade, run as fit runs it (conditioned points and their
-        # rows), evaluates the start model under the weight metric once,
-        # unless its score distances are passed and the two metrics agree;
-        # each valid refit once under the score metric, and once more under
-        # the weight metric only when the two differ and a later step needs it.
+        # rows), evaluates the start model once unless its distances are
+        # passed, and each valid refit once, all under the score metric.
         inst = cloud(0.3, seed=5)
         local, center, scale = condition(inst.points)
         rows = design_matrix(local)[None]
-        cfg = FitConfig(epsilon=1.5 * inst.sigma / scale, weight_metric=weight_metric)
+        cfg = FitConfig(epsilon=1.5 * inst.sigma / scale)
         start = consensus._to_scene(inst.truth, -center / scale, 1.0 / scale)
         score_metric = cfg.score_metric
         start_d = evaluate_metric(score_metric, local, start)
@@ -226,10 +223,7 @@ class TestLocalOptimize:
             results.append(consensus._refine(start, local, rows, cfg, distances))
             assert results[-1] is not None
             assert len(valid) == cfg.lo_steps
-            if weight_metric == score_metric:
-                assert kinds == [score_metric] * (len(valid) + (distances is None))
-            else:
-                assert kinds.count(score_metric) == kinds.count(weight_metric) == len(valid)
+            assert kinds == [score_metric] * (len(valid) + (distances is None))
         # the passed distances are the ones it would have evaluated
         (model, score, d), (model_d, score_d, d_d) = results
         assert np.array_equal(model.coeffs, model_d.coeffs) and score == score_d
@@ -245,7 +239,7 @@ class TestLocalOptimize:
         # concentric member carry 9e-7, below SUPPORT_TOL: the one step
         # is skipped although the weighted normal matrix has full rank.
         start = make_model(rng)
-        cfg = FitConfig(epsilon=0.01, weight_metric=AXIAL, lo_steps=1)
+        cfg = FitConfig(epsilon=0.01, score_metric=AXIAL, lo_steps=1)
         grow = 3.0 * cfg.epsilon * math.sqrt(-2.0 * math.log(9e-7)) / np.linalg.norm(
             start.semiaxes)
         center = start.center
@@ -441,7 +435,7 @@ class TestFit:
         for metric in (cas(), ALGEBRAIC):
             for local_opt in (True, False):
                 cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=1, score_metric=metric,
-                                weight_metric=metric, local_opt=local_opt)
+                                local_opt=local_opt)
                 built.clear()
                 report = fit(inst.points, cfg)
                 assert (report.lo_invocations >= 1) == local_opt
@@ -511,17 +505,6 @@ class TestChunkedEquivalence:
         report, _ = fit_both(pts, FitConfig(epsilon=0.05, min_iterations=7,
                                             max_iterations=10_000, seed=2))
         assert report.iterations == 7 < CHUNK
-
-    @pytest.mark.parametrize("fraction", [0.3, 0.5])
-    @pytest.mark.parametrize("metrics", [
-        dict(weight_metric=SAMPSON),
-        dict(score_metric=cas(0.25), weight_metric=MetricKind("axial+orthogonal", 0.5)),
-    ])
-    def test_weight_metric_differs_from_score_metric(self, fraction, metrics):
-        inst = cloud(fraction, seed=int(10 * fraction) + 41)
-        report, _ = fit_both(inst.points, FitConfig(epsilon=1.5 * inst.sigma, seed=2,
-                                                    **metrics))
-        assert report.lo_invocations >= 1
 
     def test_budget_drops_inside_a_chunk(self):
         inst = cloud(0.3, seed=12)
@@ -722,9 +705,10 @@ class TestFitConfig:
             FitConfig(epsilon=1.0, min_iterations=0)
         with pytest.raises(ValueError):
             FitConfig(epsilon=1.0, max_iterations=10, min_iterations=20)
-        # the blend ratio is part of the metric kinds, and minimal samples
-        # always have MIN_POINTS points
-        for field, value in (("lam", 0.25), ("sample_size", 10)):
+        # the blend ratio is part of the metric kinds, minimal samples
+        # always have MIN_POINTS points, and the score metric also weights
+        # the refits
+        for field, value in (("lam", 0.25), ("sample_size", 10), ("weight_metric", SAMPSON)):
             with pytest.raises(TypeError, match=field):
                 FitConfig(epsilon=1.0, **{field: value})
 
@@ -736,12 +720,8 @@ class TestFitConfig:
                 FitConfig(epsilon=1.0, local_opt=bad)
 
     def test_metric_defaults(self):
-        cfg = FitConfig(epsilon=1.0)
-        assert cfg.score_metric == cfg.weight_metric == cas()
-        pinned = FitConfig(epsilon=1.0, score_metric=SAMPSON)
-        assert pinned.score_metric == SAMPSON and pinned.weight_metric == cas()
+        assert FitConfig(epsilon=1.0).score_metric == cas()
         # a kind, not None or its name, or the loop would fail deep inside
-        for field in ("score_metric", "weight_metric"):
-            for bad in (None, "cas:0.5"):
-                with pytest.raises(ValueError, match=field):
-                    FitConfig(epsilon=1.0, **{field: bad})
+        for bad in (None, "cas:0.5"):
+            with pytest.raises(ValueError, match="score_metric"):
+                FitConfig(epsilon=1.0, score_metric=bad)

@@ -190,6 +190,22 @@ class TestPointFiles:
         path.write_text("# generated\nx,y,z\n1,2,3\n")
         assert np.array_equal(load_points(path), np.array([[1.0, 2.0, 3.0]]))
 
+    @pytest.mark.parametrize("body, line_reader", [
+        ("1,2,3\n4,5,6\n7,8,9\n", False), ("x,y,z\n1,2,3\n4,5,6\n7,8,9\n", False),
+        ("# note\n1,2,3\n4,5,6\n7,8,9\n", True), ("x y z\n# note\n1 2 3\n4 5 6\n7 8 9\n", True),
+    ])
+    def test_byte_order_mark_is_not_a_header(self, tmp_path, monkeypatch, body, line_reader):
+        # a UTF-8 BOM used to make the first line non-numeric, so the
+        # first point was taken for a header
+        calls = []
+        read_lines = synth._read_lines
+        monkeypatch.setattr(synth, "_read_lines",
+                            lambda path, text: calls.append(path) or read_lines(path, text))
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        assert np.array_equal(load_points(path), np.arange(1.0, 10.0).reshape(3, 3))
+        assert bool(calls) == line_reader
+
     def test_parse_errors(self, tmp_path):
         cases = {
             "two_cols.csv": "1,2\n",
@@ -211,8 +227,8 @@ class TestPointFiles:
             load_points(path)
 
     def test_files_longer_than_one_block(self, rng, tmp_path):
-        # rows are converted a block at a time; neither the points nor the
-        # line an error names depend on where blocks begin
+        # save_points writes a block of rows at a time; neither the points
+        # nor the line an error names depend on where blocks begin
         pts = rng.normal(size=(2 * LOAD_BLOCK_ROWS + 5, 3))
         path = tmp_path / "big.csv"
         save_points(pts, path)
