@@ -79,13 +79,17 @@ def residuals(model: EllipsoidModel, points) -> ResidualTriple:
     )
 
 
+_UNSET = object()  # not None: passing None for both thresholds is an error
+
+
 @dataclass(frozen=True)
 class GridVariant:
     """A named method configuration inside an experiment grid.
 
     The inlier threshold is either ``epsilon`` (absolute) or
     ``epsilon_rel_sigma`` (a multiple of each instance's planted noise
-    level, mirroring per-dataset threshold tuning).
+    level, mirroring per-dataset threshold tuning).  With neither given,
+    ``epsilon_rel_sigma`` is 2.0.
     """
 
     name: str
@@ -93,12 +97,14 @@ class GridVariant:
     local_opt: bool = True
     lo_steps: int = 5
     epsilon: Optional[float] = None
-    epsilon_rel_sigma: Optional[float] = 2.0
+    epsilon_rel_sigma: Optional[float] = _UNSET  # type: ignore[assignment]
     mu: float = 0.95
     min_iterations: int = 50
     max_iterations: int = 100_000
 
     def __post_init__(self):
+        if self.epsilon_rel_sigma is _UNSET:
+            object.__setattr__(self, "epsilon_rel_sigma", 2.0 if self.epsilon is None else None)
         if (self.epsilon is None) == (self.epsilon_rel_sigma is None):
             raise ValueError("set exactly one of epsilon and epsilon_rel_sigma")
         # Every other field is checked by the FitConfig it makes, so a bad

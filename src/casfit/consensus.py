@@ -34,10 +34,10 @@ samples are drawn in a fixed order, single threaded.  Samples are drawn,
 solved and validated in chunks, which changes neither the draw order nor
 the iteration at which the loop stops.  One ``sample_minimal`` call draws a
 whole chunk and yields the rows of one call per sample, so the samples do
-not depend on where chunks begin.  Before the exact 10x10 eigen-solve, a
-batched 9x9 LU solve screens each chunk of nine-point samples; it skips
-only rows whose quadric is not an ellipsoid, so every candidate still comes
-from the exact solve.
+not depend on where chunks begin, and chunks grow as the loop runs.  A
+batched 9x9 LU solve and closed-form minors screen each chunk ahead of the
+exact 10x10 eigen-solve; they skip only rows that are no ellipsoid beyond
+rounding, so every candidate still comes from the exact solve.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .errors import NoModelFound, TooFewPoints, require_integers
 from .leastsq import (MIN_POINTS, SUPPORT_TOL, condition, decondition,  # noqa: F401
                       gaussian_weights, lls_fit, point_energy, solve_rows, wls_fit)
 from .quadric import (ELLIPSOID, EllipsoidGeometry, EllipsoidModel, as_points,
-                      check_ellipsoids, design_matrix, normalize_rows)
+                      check_ellipsoids, design_matrix)
 
 RNG_ALGORITHM = "PCG64"
 
@@ -248,8 +248,17 @@ def local_optimize(model: EllipsoidModel, points, cfg: FitConfig) -> Optional[tu
 
 ProgressHook = Callable[[int, float, int], None]
 
-# Minimal samples drawn, solved and validated together in one chunk.
+# Minimal samples drawn, solved and validated together: CHUNK at first, then as
+# many as the loop has run, up to MAX_CHUNK and never past the budget.
 CHUNK = 64
+MAX_CHUNK = 512
+
+# adj(A) = q[_ADJ[0]] q[_ADJ[1]] - q[_ADJ[2]] q[_ADJ[3]] in q's (a11, a22, a33, a12,
+# a13, a23) layout, b_i b_j in it, and each one's weight in b^T adj(A) b.
+_ADJ = np.array([[1, 0, 0, 4, 3, 3], [2, 2, 1, 5, 5, 4], [5, 4, 3, 3, 4, 0], [5, 4, 3, 2, 1, 5]])
+_OUTER = np.array([[6, 7, 8, 6, 6, 7], [6, 7, 8, 7, 8, 8]])
+_OUTER_WEIGHT = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+SCREEN_ROUNDING = 16 * 2.0**-53  # gamma_10 / (1 - gamma_10), and rounding the bound
 
 
 def _screen(rows: np.ndarray) -> np.ndarray:
@@ -257,11 +266,10 @@ def _screen(rows: np.ndarray) -> np.ndarray:
 
     The design's last column is -1, so where the 9x9 block D[:, :9] is
     regular, q = (x, 1) with D[:, :9] x = 1 spans the row's null space.  One
-    batched LU solve and the ellipsoid check on those q stand in for the
-    10x10 eigen-solve: a row whose q is not an ellipsoid is dropped, and a
-    row whose q is not finite is kept.  Every row is kept when some block is
-    exactly singular.  Raises ValueError for rows of any other shape, which
-    would otherwise fail the solve and so keep every row.
+    batched LU solve and ``_may_be_ellipsoids`` on those q stand in for the
+    10x10 eigen-solve.  Every row is kept when some block is exactly
+    singular.  Raises ValueError for rows of any other shape, which would
+    otherwise fail the solve and so keep every row.
     """
     if rows.shape[1:] != (MIN_POINTS, 10):
         raise ValueError(f"expected (k, {MIN_POINTS}, 10) design rows, got shape {rows.shape}")
@@ -270,16 +278,42 @@ def _screen(rows: np.ndarray) -> np.ndarray:
         x = np.linalg.solve(rows[:, :, :9], np.ones((k, 9, 1)))[:, :, 0]
     except np.linalg.LinAlgError:
         return np.ones(k, dtype=bool)
-    finite = np.isfinite(x).all(axis=1)
-    q = np.ones((k, 10))
-    q[finite, :9] = x[finite]
-    return ~finite | (check_ellipsoids(normalize_rows(q))[0] == ELLIPSOID)
+    return _may_be_ellipsoids(np.vstack([x.T, np.ones((1, k))]))
+
+
+def _may_be_ellipsoids(q: np.ndarray) -> np.ndarray:
+    """False for the columns of a (10, k) coefficient stack that are no ellipsoid beyond rounding.
+
+    Finite columns are scaled in place by an exact +-2^-e to trace(A) >= 0
+    (an ellipsoid's diagonal shares one sign, which its rounded sum keeps)
+    and largest entry in [1/2, 1).  An ellipsoid then has a11, a11 a22 -
+    a12^2, det A and b^T adj(A) b + q10 det A positive.  Each is a sum of
+    products with at most 10 roundings on any path, so its error is at most
+    gamma_10 times the same sum over absolute values (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1): below SCREEN_ROUNDING times the
+    computed absolute sum, plus the smallest normal double for underflow.  A
+    column is False only when one of the four is negative beyond that, so no
+    q that is an ellipsoid in exact arithmetic is turned away.
+    """
+    finite = np.isfinite(q).all(axis=0)
+    q[:, ~finite] = 1.0  # and kept
+    q *= np.ldexp(np.copysign(1.0, q[0] + q[1] + q[2]), -np.frexp(np.abs(q).max(axis=0))[1])
+    left, right = q[_ADJ[0]] * q[_ADJ[1]], q[_ADJ[2]] * q[_ADJ[3]]
+    adj, adj_abs = left - right, np.abs(left) + np.abs(right)
+    det = np.einsum("ik,ik->k", q[[0, 3, 4]], adj[[0, 3, 4]])  # sum of a_1j adj(A)_1j
+    det_abs = np.einsum("ik,ik->k", np.abs(q[[0, 3, 4]]), adj_abs[[0, 3, 4]])
+    outer = q[_OUTER[0]] * q[_OUTER[1]]
+    value = np.stack([q[0], adj[2], det, _OUTER_WEIGHT @ (adj * outer) + q[9] * det])
+    bound = np.stack([np.zeros_like(det), adj_abs[2], det_abs,
+                      _OUTER_WEIGHT @ (adj_abs * np.abs(outer)) + np.abs(q[9]) * det_abs])
+    return ~finite | (value >= -(SCREEN_ROUNDING * bound + np.finfo(float).tiny)).all(axis=0)
 
 
 def _models(coeffs: np.ndarray, ok: np.ndarray) -> list:
     """Each ``solve_rows`` row as an EllipsoidModel; None where not ``ok`` or not an ellipsoid."""
     verdict, rotation, translation, semiaxes = check_ellipsoids(coeffs)
-    return [EllipsoidModel(coeffs[j], EllipsoidGeometry(rotation[j], translation[j], semiaxes[j]))
+    return [EllipsoidModel(coeffs[j], EllipsoidGeometry._checked(
+                rotation[j], translation[j], semiaxes[j]))
             if ok[j] and verdict[j] == ELLIPSOID else None for j in range(len(coeffs))]
 
 
@@ -317,9 +351,9 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     validates within the iteration budget; TooFewPoints when fewer than
     ``MIN_POINTS`` (9) points are supplied.
 
-    The loop runs on the conditioned cloud.  It draws and solves CHUNK
-    minimal samples at a time, then replays them one iteration at a time,
-    so the result is that of one sample drawn and solved per iteration.
+    The loop runs on the conditioned cloud.  It draws and solves chunks of
+    minimal samples (see MAX_CHUNK), then replays them one iteration at a
+    time, so the result is that of one sample drawn and solved per iteration.
 
     The optional ``progress`` hook receives (iteration, best_score,
     required_iterations) after every iteration.
@@ -345,7 +379,8 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     iteration = 0
 
     while iteration < required:
-        for candidate in _candidates(local, min(CHUNK, required - iteration), rng):
+        chunk = min(max(iteration, CHUNK), MAX_CHUNK, required - iteration)
+        for candidate in _candidates(local, chunk, rng):
             iteration += 1
             improved = False
             if candidate is not None:

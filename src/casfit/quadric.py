@@ -150,6 +150,13 @@ class EllipsoidGeometry:
             val.setflags(write=False)
             object.__setattr__(self, name, val)
 
+    @classmethod
+    def _checked(cls, rotation, translation, semiaxes) -> "EllipsoidGeometry":
+        """The read-only fields of an ELLIPSOID row of ``check_ellipsoids``, not checked again."""
+        geom = object.__new__(cls)
+        geom.__dict__.update(rotation=rotation, translation=translation, semiaxes=semiaxes)
+        return geom
+
     @property
     def center(self) -> np.ndarray:
         """Ellipsoid center in scene coordinates."""
@@ -183,27 +190,33 @@ def check_ellipsoids(q: np.ndarray):
     Returns ``(verdict, rotation, translation, semiaxes)``.  ``verdict[i]``
     is ELLIPSOID for a real, bounded, non-degenerate ellipsoid, DEGENERATE
     when the quadratic block is rank deficient, INDEFINITE when it is not
-    positive definite, and UNBOUNDED when the surface has no real points.
-    The other three hold each row's EllipsoidGeometry fields (proper
-    rotation, descending semiaxes) and are meaningful only for ELLIPSOID
-    rows.
+    positive definite, and UNBOUNDED when the surface has no real points or
+    its geometry overflows.  The other three hold each row's read-only
+    EllipsoidGeometry fields (proper rotation, descending semiaxes); those of
+    ELLIPSOID rows pass every check of the EllipsoidGeometry constructor.
     """
     evals, evecs = np.linalg.eigh(quadratic_block(q))  # ascending eigenvalues
     abs_evals = np.abs(evals)
     max_abs = abs_evals.max(axis=1)
     degenerate = (max_abs == 0.0) | (abs_evals.min(axis=1) < DEGENERACY_TOL * max_abs)
     evecs[:, :, -1] *= np.copysign(1.0, np.linalg.det(evecs))[:, None]  # proper rotations
+    rotation = np.swapaxes(evecs, 1, 2)
     proj = (q[:, None, 6:9] @ evecs)[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         translation = proj / evals
         scale = np.einsum("ki,ki->k", proj, translation) + q[:, 9]
         semiaxes = np.sqrt(scale[:, None] / evals)
+        fits = ((np.abs(rotation @ evecs - np.eye(3)) <= 1e-9).all(axis=(1, 2))
+                & np.isfinite(translation).all(axis=1)
+                & ((semiaxes > 0.0) & (semiaxes < np.inf)).all(axis=1))
+    for field in (rotation, translation, semiaxes):
+        field.setflags(write=False)
     verdict = np.full(len(q), ELLIPSOID)
     # later tests take precedence
-    verdict[scale <= 0.0] = UNBOUNDED
+    verdict[~fits | (scale <= 0.0)] = UNBOUNDED
     verdict[evals[:, 0] <= 0.0] = INDEFINITE
     verdict[degenerate] = DEGENERATE
-    return verdict, np.swapaxes(evecs, 1, 2), translation, semiaxes
+    return verdict, rotation, translation, semiaxes
 
 
 def decompose(q) -> EllipsoidGeometry:

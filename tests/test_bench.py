@@ -94,6 +94,13 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             GridVariant(name="neither", epsilon=None, epsilon_rel_sigma=None)
 
+    def test_absolute_threshold_alone(self):
+        doc = {"variants": [{"name": "x", "epsilon": 0.1}], "datasets": [{"kind": "gaussian"}]}
+        (variant,) = grid_from_json(doc).variants
+        assert (variant.epsilon, variant.epsilon_rel_sigma) == (0.1, None)
+        assert GridVariant(name="x", epsilon=0.1).make_config(sigma=0.0, seed=1).epsilon == 0.1
+        assert GridVariant(name="x").epsilon_rel_sigma == 2.0
+
     def test_metric_strings_checked_eagerly(self):
         with pytest.raises(ValueError):
             GridVariant(name="bad", score_metric="euclidean")

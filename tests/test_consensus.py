@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from casfit import (ALGEBRAIC, AXIAL, SAMPSON, DatasetSpec, EllipsoidGeometry,
                     model_score, point_energy, random_rotation,
                     required_iterations, sample_minimal, sample_surface)
 from casfit import consensus, distances
-from casfit.consensus import CHUNK, FLAT_TOL
-from casfit.leastsq import condition, solve_stack
+from casfit.consensus import CHUNK, FLAT_TOL, MAX_CHUNK
+from casfit.leastsq import condition, solve_rows, solve_stack
 from casfit.quadric import (ELLIPSOID, check_ellipsoids, design_matrix, geometry_to_coeffs,
-                            normalize_coeffs)
+                            normalize_coeffs, normalize_rows)
 
 from conftest import make_model, unit_sphere
 from reference_loop import reference_fit
@@ -518,19 +519,53 @@ class TestChunkedEquivalence:
     def test_chunk_of_one_is_bitwise_equal(self, monkeypatch, fraction):
         inst = cloud(fraction, seed=int(10 * fraction) + 51)
         cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=6)
-        runs = []
-        for chunk in (CHUNK, 1):
-            monkeypatch.setattr(consensus, "CHUNK", chunk)
-            calls = []
-            runs.append((fit(inst.points, cfg, progress=lambda *args: calls.append(args)),
-                         calls))
-        (want, want_calls), (got, got_calls) = runs
-        assert got.model.coeffs.tobytes() == want.model.coeffs.tobytes()
-        assert got.model.semiaxes.tobytes() == want.model.semiaxes.tobytes()
-        assert got.score == want.score
-        assert np.array_equal(got.inlier_mask, want.inlier_mask)
-        assert (got.iterations, got.lo_invocations) == (want.iterations, want.lo_invocations)
-        assert got_calls == want_calls
+        want = fit_recorded(inst.points, cfg)
+        monkeypatch.setattr(consensus, "CHUNK", 1)
+        monkeypatch.setattr(consensus, "MAX_CHUNK", 1)
+        assert_bitwise_equal(fit_recorded(inst.points, cfg), want)
+
+    def test_chunks_grow(self, monkeypatch):
+        inst = cloud(0.5, seed=56)
+        cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=6)
+        draw, sizes = consensus.sample_minimal, []
+
+        def spy(point_count, sample_size, rng, count=None):
+            sizes.append(count)
+            return draw(point_count, sample_size, rng, count)
+
+        monkeypatch.setattr(consensus, "sample_minimal", spy)
+        want = fit_recorded(inst.points, cfg)
+        iterations = want[0].iterations
+        assert iterations > 4 * CHUNK
+        # CHUNK samples at first, then as many as have run, up to MAX_CHUNK
+        done, schedule = 0, []
+        for size in sizes[:-1]:
+            schedule.append(min(max(done, CHUNK), MAX_CHUNK))
+            done += size
+        assert sizes[:-1] == schedule and len(set(sizes)) >= 3
+        assert 0 < iterations - done <= sizes[-1]
+        assert len(sizes) < iterations / CHUNK
+        sizes.clear()
+        monkeypatch.setattr(consensus, "CHUNK", 1)
+        monkeypatch.setattr(consensus, "MAX_CHUNK", 1)
+        assert_bitwise_equal(fit_recorded(inst.points, cfg), want)
+        assert sizes == [1] * iterations
+
+
+def fit_recorded(points, cfg):
+    """``fit`` and the arguments of every progress call it made."""
+    calls = []
+    return fit(points, cfg, progress=lambda *args: calls.append(args)), calls
+
+
+def assert_bitwise_equal(got_run, want_run):
+    (got, got_calls), (want, want_calls) = got_run, want_run
+    assert got.model.coeffs.tobytes() == want.model.coeffs.tobytes()
+    assert got.model.semiaxes.tobytes() == want.model.semiaxes.tobytes()
+    assert got.score == want.score
+    assert np.array_equal(got.inlier_mask, want.inlier_mask)
+    assert (got.iterations, got.lo_invocations) == (want.iterations, want.lo_invocations)
+    assert got_calls == want_calls
 
 
 def exact_candidates(local, n, k, rng):
@@ -550,6 +585,57 @@ def sample_rows(local, count):
 def lattice(m=2):
     axis = np.arange(-m, m + 1, dtype=float)
     return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def exact_ellipsoid(q):
+    """Whether q, read exactly, is an ellipsoid: with the sign that makes
+    trace(A) positive, a11, a11 a22 - a12^2, det A and
+    b^T adj(A) b + q10 det A are all positive."""
+    a11, a22, a33, a12, a13, a23, b1, b2, b3, c = (Fraction(float(v)) for v in q)
+    trace = a11 + a22 + a33
+    if trace == 0:
+        return False
+    if trace < 0:
+        a11, a22, a33, a12, a13, a23, b1, b2, b3, c = (
+            -v for v in (a11, a22, a33, a12, a13, a23, b1, b2, b3, c))
+    c11, c22, c33 = a22 * a33 - a23 * a23, a11 * a33 - a13 * a13, a11 * a22 - a12 * a12
+    c12, c13, c23 = a13 * a23 - a12 * a33, a12 * a23 - a13 * a22, a12 * a13 - a11 * a23
+    det = a11 * c11 + a12 * c12 + a13 * c13
+    bounded = (c11 * b1 * b1 + c22 * b2 * b2 + c33 * b3 * b3
+               + 2 * (c12 * b1 * b2 + c13 * b1 * b3 + c23 * b2 * b3) + c * det)
+    return a11 > 0 and c33 > 0 and det > 0 and bounded > 0
+
+
+def coefficients(block, b, q10):
+    """q of x^T A x + 2 b.x - q10."""
+    return [*block[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]], *b, q10]
+
+
+def near_boundary_rows(rng):
+    """Coefficient rows with each quantity the screen tests at 0, a few ulps
+    either side of it and 1e-6 below it, and near-degenerate ellipsoids
+    (smallest eigenvalue ~1e-12 of the largest); also a mask of the rows
+    1e-6 past the boundary."""
+    rows, clear = [], []
+    c0 = 2.0 / 3.0  # det [[2, 1, 1], [1, 2, 1], [1, 1, c]] = 3c - 2
+    block = random_rotation(rng)
+    block = block.T @ np.diag([2.0, 1.0, 0.5]) @ block
+    b = rng.normal(size=3)
+    q10 = -float(b @ np.linalg.solve(block, b))  # b^T A^-1 b + q10 = 0
+    for k in (-4, -1, 0, 1, 4, -1e-6 * 2**52):
+        d = k * 2.0**-52
+        rows += [[d, 1, 1, 0, 0, 0, 0, 0, 0, 1],  # a11
+                 [1, 1, 1, np.sqrt(1 - d), 0, 0, 0, 0, 0, 1],  # 2x2 minor
+                 [2, 2, c0 + d / 4, 1, 1, 1, 0, 0, 0, 1],  # det A
+                 [1, 1, 1, 0, 0, 0, 0.75, 0, 0, -0.5625 + d / 2],  # bounded term
+                 coefficients(block, b, q10 + abs(q10) * d)]
+        clear += [k < -1e3] * 5
+    for ratio in (1e-12 * (1 - 1e-3), 1e-12, 1e-12 * (1 + 1e-6), 1e-12 * (1 + 1e-3)):
+        rot = random_rotation(rng)
+        block = rot.T @ np.diag([1.0, 0.5, ratio]) @ rot
+        rows.append(coefficients(block, 1e-3 * rng.normal(size=3), 1.0))
+        clear.append(False)
+    return np.array(rows), np.array(clear)
 
 
 class TestScreen:
@@ -602,6 +688,36 @@ class TestScreen:
         monkeypatch.setattr(np.linalg, "solve", overflowing)
         keep = consensus._screen(rows)
         assert keep[::2].all() and not keep[1::2].all()
+
+    def test_rows_near_the_boundary_are_kept(self, rng):
+        rows, clear = near_boundary_rows(rng)
+        rows = np.concatenate([rows, -rows])  # negative trace
+        clear = np.concatenate([clear, clear])
+        kept = consensus._may_be_ellipsoids(rows.T.copy())
+        exact = np.array([exact_ellipsoid(q) for q in rows])
+        accepted = check_ellipsoids(normalize_rows(rows))[0] == ELLIPSOID
+        assert kept[exact].all() and kept[accepted].all()
+        assert 0 < accepted.sum() < exact.sum() < kept.sum()
+        # the slack is small: rows 1e-6 past the boundary are dropped
+        assert not (exact[clear] | kept[clear]).any()
+
+    def test_seeded_rows_keep_every_accepted_row(self):
+        clouds = [cloud(f, seed=71 + i).points for i, f in enumerate((0.0, 0.3, 0.5))]
+        clouds.append(cloud(0.05, seed=74, count=10_000, sigma_rel=0.05).points)
+        total = kept = accepted = 0
+        for c, points in enumerate(clouds):
+            local = condition(points)[0]
+            rng = np.random.default_rng(c)
+            for _ in range(7):
+                idx = sample_minimal(len(local), 9, rng, count=4096)
+                rows = design_matrix(local[idx.reshape(-1)]).reshape(-1, 9, 10)
+                keep = consensus._screen(rows)
+                coeffs, ok = solve_rows(rows)
+                valid = ok & (check_ellipsoids(coeffs)[0] == ELLIPSOID)
+                assert not (valid & ~keep).any()
+                total, kept, accepted = total + len(rows), kept + keep.sum(), accepted + valid.sum()
+        assert total >= 100_000
+        assert 0 < accepted <= kept < total / 4
 
     @pytest.mark.parametrize("shape", [(CHUNK, 9, 3), (CHUNK, 10, 10), (9, 10)])
     def test_rows_of_another_shape_are_refused(self, shape):

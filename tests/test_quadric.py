@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,27 @@ class TestCheckEllipsoids:
                                (DEGENERATE, DegenerateQuadric)):
             with pytest.raises(error):
                 decompose(rows[verdict])
+
+    def test_geometry_that_overflows_is_not_an_ellipsoid(self):
+        # a unit-norm q whose semiaxes, ~1e320, do not fit in a double
+        q = np.array([1e-160, 1e-160, 1e-160, 0, 0, 0, 0.6, 0.8, 0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            verdict, _, _, semiaxes = check_ellipsoids(q[None])
+            assert verdict[0] == UNBOUNDED and not np.isfinite(semiaxes).all()
+            with pytest.raises(NotAnEllipsoid):
+                decompose(q)
+            with pytest.raises(NotAnEllipsoid):
+                EllipsoidModel.from_coeffs(q)
+            assert not validate_ellipsoid(q)
+
+    def test_ellipsoid_rows_pass_every_geometry_check(self, rng):
+        coeffs = np.stack([random_coeffs(rng) for _ in range(400)]
+                          + [geometry_to_coeffs(make_model(rng).geometry) for _ in range(40)])
+        verdict, rotation, translation, semiaxes = check_ellipsoids(coeffs)
+        assert (verdict == ELLIPSOID).sum() >= 40
+        for j in np.flatnonzero(verdict == ELLIPSOID):
+            EllipsoidGeometry(rotation[j], translation[j], semiaxes[j])  # raises on a failed check
 
     def test_hyperboloid_samples_fail_exactly_when_from_coeffs_raises(self, rng):
         samples = [hyperboloid_sample(rng) if k % 2 else sample_surface(make_model(rng), 9, rng)
