@@ -618,18 +618,30 @@ def near_boundary_rows(rng):
     1e-6 past the boundary."""
     rows, clear = [], []
     c0 = 2.0 / 3.0  # det [[2, 1, 1], [1, 2, 1], [1, 1, c]] = 3c - 2
-    block = random_rotation(rng)
-    block = block.T @ np.diag([2.0, 1.0, 0.5]) @ block
-    b = rng.normal(size=3)
-    q10 = -float(b @ np.linalg.solve(block, b))  # b^T A^-1 b + q10 = 0
     for k in (-4, -1, 0, 1, 4, -1e-6 * 2**52):
         d = k * 2.0**-52
         rows += [[d, 1, 1, 0, 0, 0, 0, 0, 0, 1],  # a11
                  [1, 1, 1, np.sqrt(1 - d), 0, 0, 0, 0, 0, 1],  # 2x2 minor
                  [2, 2, c0 + d / 4, 1, 1, 1, 0, 0, 0, 1],  # det A
-                 [1, 1, 1, 0, 0, 0, 0.75, 0, 0, -0.5625 + d / 2],  # bounded term
-                 coefficients(block, b, q10 + abs(q10) * d)]
-        clear += [k < -1e3] * 5
+                 [1, 1, 1, 0, 0, 0, 0.75, 0, 0, -0.5625 + d / 2]]  # bounded term
+        clear += [k < -1e3] * 4
+    # generic blocks: det A and the bounded term swept through 0 ulp by ulp,
+    # where rounding alone can flip their computed sign
+    for _ in range(20):
+        rot = random_rotation(rng)
+        block = rot.T @ np.diag(rng.uniform(0.2, 2.0, 3)) @ rot
+        b = rng.normal(size=3)
+        q10 = -float(b @ np.linalg.solve(block, b))  # b^T A^-1 b + q10 = 0
+        flat = block.copy()  # a33 with det = 0
+        flat[2, 2] = (block[0, 0] * block[1, 2] ** 2 + block[1, 1] * block[0, 2] ** 2
+                      - 2 * block[0, 1] * block[0, 2] * block[1, 2]) / (
+                          block[0, 0] * block[1, 1] - block[0, 1] ** 2)
+        a33 = flat[2, 2]
+        for k in range(-6, 7):
+            rows.append(coefficients(block, b, q10 + k * np.spacing(q10)))
+            flat[2, 2] = a33 + k * np.spacing(a33)
+            rows.append(coefficients(flat, np.zeros(3), 1.0))
+            clear += [False, False]
     for ratio in (1e-12 * (1 - 1e-3), 1e-12, 1e-12 * (1 + 1e-6), 1e-12 * (1 + 1e-3)):
         rot = random_rotation(rng)
         block = rot.T @ np.diag([1.0, 0.5, ratio]) @ rot
@@ -693,13 +705,27 @@ class TestScreen:
         rows, clear = near_boundary_rows(rng)
         rows = np.concatenate([rows, -rows])  # negative trace
         clear = np.concatenate([clear, clear])
-        kept = consensus._may_be_ellipsoids(rows.T.copy())
         exact = np.array([exact_ellipsoid(q) for q in rows])
         accepted = check_ellipsoids(normalize_rows(rows))[0] == ELLIPSOID
-        assert kept[exact].all() and kept[accepted].all()
-        assert 0 < accepted.sum() < exact.sum() < kept.sum()
-        # the slack is small: rows 1e-6 past the boundary are dropped
-        assert not (exact[clear] | kept[clear]).any()
+        assert 0 < accepted.sum() < exact.sum() and not exact[clear].any()
+        # powers of two change no sign, but unscaled they would overflow or underflow
+        for scale in (1.0, 2.0**600, 2.0**-600):
+            kept = consensus._may_be_ellipsoids(scale * rows.T)
+            assert kept[exact].all() and kept[accepted].all()
+            assert exact.sum() < kept.sum()
+            # the slack is small: rows 1e-6 past the boundary are dropped
+            assert not kept[clear].any()
+
+    def test_underflow_drops_no_ellipsoid(self):
+        # found by search: an ellipsoid whose minors underflow once it is
+        # scaled, so that rounding alone makes one of them negative
+        q = np.array([float.fromhex(h) for h in (
+            "0x1.5245b44038036p-359", "0x1.0dd4d2b23b12cp-358", "0x1.56a082b344a40p-357",
+            "-0x1.6e7c34dbd8bc3p-361", "0x1.d04abcd1fdc8cp-362", "-0x1.a6513951bba40p-358",
+            "-0x1.7f19198ac45a3p-176", "0x1.c15c47d1e4591p-177", "-0x1.d2089527718d1p-178",
+            "0x1.0000000000000p+0")])
+        assert exact_ellipsoid(q)
+        assert consensus._may_be_ellipsoids(q[:, None].copy()).all()
 
     def test_seeded_rows_keep_every_accepted_row(self):
         clouds = [cloud(f, seed=71 + i).points for i, f in enumerate((0.0, 0.3, 0.5))]

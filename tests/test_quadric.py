@@ -218,6 +218,8 @@ class TestCheckEllipsoids:
                           + [geometry_to_coeffs(make_model(rng).geometry) for _ in range(40)])
         verdict, rotation, translation, semiaxes = check_ellipsoids(coeffs)
         assert (verdict == ELLIPSOID).sum() >= 40
+        # consensus builds geometries from views of these without copying them
+        assert not any(f.flags.writeable for f in (rotation, translation, semiaxes))
         for j in np.flatnonzero(verdict == ELLIPSOID):
             EllipsoidGeometry(rotation[j], translation[j], semiaxes[j])  # raises on a failed check
 
