@@ -200,7 +200,7 @@ def check_ellipsoids(q: np.ndarray):
     max_abs = abs_evals.max(axis=1)
     degenerate = (max_abs == 0.0) | (abs_evals.min(axis=1) < DEGENERACY_TOL * max_abs)
     evecs[:, :, -1] *= np.copysign(1.0, np.linalg.det(evecs))[:, None]  # proper rotations
-    rotation = np.swapaxes(evecs, 1, 2)
+    rotation = np.swapaxes(evecs, 1, 2)  # column-major: BLAS rounds a row-major copy otherwise
     proj = (q[:, None, 6:9] @ evecs)[:, 0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         translation = proj / evals

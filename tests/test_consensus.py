@@ -741,7 +741,8 @@ class TestScreen:
                 coeffs, ok = solve_rows(rows)
                 valid = ok & (check_ellipsoids(coeffs)[0] == ELLIPSOID)
                 assert not (valid & ~keep).any()
-                total, kept, accepted = total + len(rows), kept + keep.sum(), accepted + valid.sum()
+                total += len(rows)
+                kept, accepted = kept + keep.sum(), accepted + valid.sum()
         assert total >= 100_000
         assert 0 < accepted <= kept < total / 4
 
