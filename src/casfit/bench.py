@@ -93,14 +93,14 @@ class GridVariant:
     """
 
     name: str
-    score_metric: str = "cas:0.5"
-    local_opt: bool = True
-    lo_steps: int = 5
+    score_metric: str = str(FitConfig.score_metric)
+    local_opt: bool = FitConfig.local_opt
+    lo_steps: int = FitConfig.lo_steps
     epsilon: Optional[float] = None
     epsilon_rel_sigma: Optional[float] = _UNSET  # type: ignore[assignment]
-    mu: float = 0.95
-    min_iterations: int = 50
-    max_iterations: int = 100_000
+    mu: float = FitConfig.mu
+    min_iterations: int = FitConfig.min_iterations
+    max_iterations: int = FitConfig.max_iterations
 
     def __post_init__(self):
         if self.epsilon_rel_sigma is _UNSET:
@@ -155,10 +155,8 @@ def grid_from_json(doc) -> ExperimentGrid:
     try:
         variants = tuple(GridVariant(**v) for v in doc["variants"])
         datasets = tuple(DatasetSpec(**d) for d in doc["datasets"])
-        return ExperimentGrid(
-            variants=variants, datasets=datasets,
-            runs_per_instance=doc.get("runs_per_instance", 100),
-            seed=doc.get("seed", 0))
+        given = {key: doc[key] for key in ("runs_per_instance", "seed") if key in doc}
+        return ExperimentGrid(variants=variants, datasets=datasets, **given)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -210,6 +208,9 @@ def run_grid(grid: ExperimentGrid, out_path=None, progress=None):
     blocks = []
     for variant in grid.variants:
         for di, dataset in enumerate(grid.datasets):
+            cell = {"variant": variant.name, "dataset_kind": dataset.kind,
+                    "noise_level": _fmt(dataset.sigma_rel),
+                    "outlier_fraction": _fmt(dataset.outlier_fraction)}
             block = []
             for ii in range(dataset.instance_count):
                 inst: Instance = instances[di][ii]
@@ -221,10 +222,7 @@ def run_grid(grid: ExperimentGrid, out_path=None, progress=None):
                     err = fitting_errors(report.model, inst.truth)
                     res = residuals(report.model, inst.points)
                     row = {
-                        "variant": variant.name,
-                        "dataset_kind": dataset.kind,
-                        "noise_level": _fmt(dataset.sigma_rel),
-                        "outlier_fraction": _fmt(dataset.outlier_fraction),
+                        **cell,
                         "instance": str(ii),
                         "run": str(ri),
                         "param_err": _fmt(err.parameter_error),
@@ -241,7 +239,7 @@ def run_grid(grid: ExperimentGrid, out_path=None, progress=None):
                     block.append(row)
                     if progress is not None:
                         progress(row)
-            blocks.append((block, _aggregate(variant.name, dataset, block)))
+            blocks.append((block, _aggregate(cell, block)))
     data_rows = [row for block, _ in blocks for row in block]
     aggregate_rows = [agg for _, agg in blocks]
     if out_path is not None:
@@ -249,15 +247,8 @@ def run_grid(grid: ExperimentGrid, out_path=None, progress=None):
     return data_rows, aggregate_rows
 
 
-def _aggregate(variant_name: str, dataset: DatasetSpec, block: Sequence[dict]) -> dict:
-    agg = {
-        "variant": variant_name,
-        "dataset_kind": dataset.kind,
-        "noise_level": _fmt(dataset.sigma_rel),
-        "outlier_fraction": _fmt(dataset.outlier_fraction),
-        "instance": "all",
-        "run": "aggregate",
-    }
+def _aggregate(cell: dict, block: Sequence[dict]) -> dict:
+    agg = {**cell, "instance": "all", "run": "aggregate"}
     for col in AGGREGATE_COLUMNS:
         vals = np.array([float(row[col]) for row in block])
         agg[col] = f"{vals.mean():.15g}±{vals.std():.15g}"

@@ -43,17 +43,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("points", help="3-column text file of points")
     p_fit.add_argument("--epsilon", type=float, required=True,
                        help="inlier distance threshold")
-    p_fit.add_argument("--metric", default="cas:0.5",
+    p_fit.add_argument("--metric", default=str(FitConfig.score_metric),
                        help=f"score and refit weight metric, one of {', '.join(METRIC_KINDS)}"
                             " (blends take :ratio)")
     p_fit.add_argument("--no-lo", action="store_true",
                        help="disable the local-optimization cascade")
-    p_fit.add_argument("--lo-steps", type=int, default=5)
-    p_fit.add_argument("--mu", type=float, default=0.95,
+    p_fit.add_argument("--lo-steps", type=int, default=FitConfig.lo_steps)
+    p_fit.add_argument("--mu", type=float, default=FitConfig.mu,
                        help="confidence target for the adaptive stop")
-    p_fit.add_argument("--min-iterations", type=int, default=50)
-    p_fit.add_argument("--max-iterations", type=int, default=100_000)
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--min-iterations", type=int, default=FitConfig.min_iterations)
+    p_fit.add_argument("--max-iterations", type=int, default=FitConfig.max_iterations)
+    p_fit.add_argument("--seed", type=int, default=FitConfig.seed)
     p_fit.add_argument("--out", default=None, help="write the result JSON here")
     p_fit.add_argument("--progress", action="store_true",
                        help="report progress on stderr")

@@ -50,12 +50,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distances import MetricKind, cas, evaluate_metric
-from .errors import NoModelFound, TooFewPoints, require_integers
+from .errors import NoModelFound, NotAnEllipsoid, TooFewPoints, require_integers
 # gaussian_weights, lls_fit and wls_fit are not called here but stay module
 # attributes: perfbench/tracer.py wraps them by these names.
 from .leastsq import (MIN_POINTS, SUPPORT_TOL, condition, decondition,  # noqa: F401
                       gaussian_weights, lls_fit, point_energy, solve_rows, wls_fit)
-from .quadric import (ELLIPSOID, EllipsoidGeometry, EllipsoidModel, as_points,
+from .quadric import (ELLIPSOID, SQUARE_RANGE, EllipsoidGeometry, EllipsoidModel, as_points,
                       check_ellipsoids, design_matrix)
 
 RNG_ALGORITHM = "PCG64"
@@ -76,7 +76,7 @@ class FitConfig:
     """Knobs for one fitting run.
 
     ``score_metric`` defaults to the combined axial/Sampson metric
-    ``cas:0.5``; its blend ratio is part of the kind.  It scores the
+    ``cas()``; its blend ratio is part of the kind.  It scores the
     candidates and weights the refits.  Pass another kind to reproduce plain
     sample consensus under a single distance (no local optimization).
     Minimal samples always have ``leastsq.MIN_POINTS`` (9) points.
@@ -135,7 +135,7 @@ def model_score(model: EllipsoidModel, points, epsilon: float,
 
 def required_iterations(v: float, mu: float, n: int,
                         min_iterations: int = 1,
-                        max_iterations: int = 100_000) -> int:
+                        max_iterations: int = FitConfig.max_iterations) -> int:
     """Adaptive iteration budget ceil(log(1 - mu) / log(1 - v^n)), clamped.
 
     ``v`` is the inlier ratio of the best model so far.  v == 0 (or an
@@ -334,11 +334,20 @@ def _to_scene(model: EllipsoidModel, center: np.ndarray, scale: float) -> Ellips
     """``model``, fitted to points conditioned with ``center`` and ``scale``, in their frame.
 
     The geometry maps exactly: with x_l = (x - c) / s, s (R x_l + t) is
-    R x + (s t - R c), and the semiaxes scale by s.
+    R x + (s t - R c), and the semiaxes scale by s.  Raises NotAnEllipsoid
+    when a semiaxis lies below SQUARE_RANGE, or a semiaxis, the translation,
+    ``center`` or ``scale`` above it: the unit-norm coefficients would then
+    overflow or carry the model only in subnormal digits.
     """
     geom = model.geometry
-    return EllipsoidModel(decondition(model.coeffs, center, scale), EllipsoidGeometry(
-        geom.rotation, scale * geom.translation - geom.rotation @ center, scale * geom.semiaxes))
+    translation = scale * geom.translation - geom.rotation @ center
+    semiaxes = scale * geom.semiaxes
+    low, high = semiaxes.min(), max(scale, *np.abs(center), *np.abs(translation), *semiaxes)
+    if low < SQUARE_RANGE[0] or high > SQUARE_RANGE[1]:
+        raise NotAnEllipsoid(f"ellipsoid magnitudes {low:.3g} to {high:.3g} leave "
+                             "[%.3g, %.3g], the range unit-norm coefficients carry" % SQUARE_RANGE)
+    return EllipsoidModel(decondition(model.coeffs, center, scale),
+                          EllipsoidGeometry(geom.rotation, translation, semiaxes))
 
 
 def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitReport:
@@ -349,7 +358,8 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     sample-consensus best improves.  Raises NoModelFound at once when the
     points are coplanar, collinear or identical, and when no candidate
     validates within the iteration budget; TooFewPoints when fewer than
-    ``MIN_POINTS`` (9) points are supplied.
+    ``MIN_POINTS`` (9) points are supplied; NotAnEllipsoid when the fitted
+    ellipsoid's magnitudes leave what its coefficients carry (``_to_scene``).
 
     The loop runs on the conditioned cloud.  It draws and solves chunks of
     minimal samples (see MAX_CHUNK), then replays them one iteration at a

@@ -121,49 +121,24 @@ def cas(lam: float = 0.5) -> MetricKind:
     return MetricKind("cas", lam)
 
 
-def _scalar_in(points) -> bool:
-    return np.asarray(points).ndim == 1
-
-
-def _shaped(values: np.ndarray, scalar: bool):
-    return float(values[0]) if scalar else values
-
-
-def _unit_frame(points, model: EllipsoidModel) -> np.ndarray:
-    """v = (R x + t) / r for each point, shape (3, n): the model's unit frame."""
-    geom = model.geometry
-    r = geom.semiaxes
-    v = (geom.rotation / r[:, None]) @ as_points(points).T
-    v += (geom.translation / r)[:, None]  # in place: a second (3, n) temporary costs page faults
-    return v
+def _shaped(values: np.ndarray, points):
+    """A float for a single (3,) point, else the (n,) array itself."""
+    return float(values[0]) if np.asarray(points).ndim == 1 else values
 
 
 def _unit_squares(points, model: EllipsoidModel):
-    """Squared unit-frame coordinates v * v, shape (3, n), and their row sum s^2."""
-    squares = _unit_frame(points, model)
+    """Squared unit-frame coordinates v * v, v = (R x + t) / r, shape (3, n), and their sum s^2."""
+    geom = model.geometry
+    r = geom.semiaxes
+    squares = (geom.rotation / r[:, None]) @ as_points(points).T
+    squares += (geom.translation / r)[:, None]  # in place: a second temporary costs page faults
     np.square(squares, out=squares)
     return squares, squares[0] + squares[1] + squares[2]
 
 
-def _axial(level: np.ndarray, model: EllipsoidModel) -> np.ndarray:
-    """Axial distances from level = s^2."""
-    return np.abs(np.sqrt(level) - 1.0) * (np.linalg.norm(model.semiaxes) / 3.0)
-
-
-def _sampson(squares: np.ndarray, level: np.ndarray, model: EllipsoidModel) -> np.ndarray:
-    """Sampson distances from the squared unit-frame coordinates and level = s^2."""
-    grad = 2.0 * np.sqrt((1.0 / np.square(model.semiaxes)) @ squares)  # ||grad F|| / kappa
-    with np.errstate(divide="ignore"):
-        vals = np.abs(level - 1.0) / grad
-    vals[level <= GRADIENT_TOL ** 2] = np.inf
-    return vals
-
-
 def algebraic_distance(points, model: EllipsoidModel):
     """|d(x) @ q| for unit-norm, sign-normalized coefficients, as kappa |s^2 - 1|."""
-    _, level = _unit_squares(points, model)
-    kappa = float(model.coeffs[:3].sum()) / float((1.0 / np.square(model.semiaxes)).sum())
-    return _shaped(kappa * np.abs(level - 1.0), _scalar_in(points))
+    return evaluate_metric(ALGEBRAIC, points, model)
 
 
 def scaling_factor(points, model: EllipsoidModel):
@@ -172,13 +147,12 @@ def scaling_factor(points, model: EllipsoidModel):
     s == 0 at the center, s == 1 exactly on the surface.
     """
     _, level = _unit_squares(points, model)
-    return _shaped(np.sqrt(level), _scalar_in(points))
+    return _shaped(np.sqrt(level), points)
 
 
 def axial_distance(points, model: EllipsoidModel):
     """|s - 1| * ||semiaxes||_2 / 3: member offset converted to a length."""
-    _, level = _unit_squares(points, model)
-    return _shaped(_axial(level, model), _scalar_in(points))
+    return evaluate_metric(AXIAL, points, model)
 
 
 def sampson_distance(points, model: EllipsoidModel):
@@ -186,14 +160,7 @@ def sampson_distance(points, model: EllipsoidModel):
 
     Returns +inf where the gradient vanishes (only at the model center).
     """
-    return _shaped(_sampson(*_unit_squares(points, model), model), _scalar_in(points))
-
-
-def _cas(points, model: EllipsoidModel, lam: float):
-    """lam * axial + (1 - lam) * sampson from one unit-frame product."""
-    squares, level = _unit_squares(points, model)
-    vals = lam * _axial(level, model) + (1.0 - lam) * _sampson(squares, level, model)
-    return _shaped(vals, _scalar_in(points))
+    return evaluate_metric(SAMPSON, points, model)
 
 
 def _largest_root(w: np.ndarray, axes: np.ndarray) -> np.ndarray:
@@ -253,7 +220,6 @@ def _largest_root(w: np.ndarray, axes: np.ndarray) -> np.ndarray:
 
 def orthogonal_distance(points, model: EllipsoidModel):
     """Exact Euclidean distance to the ellipsoid surface (unsigned)."""
-    scalar = _scalar_in(points)
     pts = as_points(points)
     geom = model.geometry
     aligned = pts @ geom.rotation.T + geom.translation
@@ -280,7 +246,7 @@ def orthogonal_distance(points, model: EllipsoidModel):
     with np.errstate(divide="ignore", invalid="ignore"):
         foot = np.where(active, r_sq * w / (excess + shift[:, None]), 0.0)
     gap = np.square(w - foot).sum(axis=1) + floor * np.maximum(slack, 0.0)
-    return _shaped(np.sqrt(gap), scalar)
+    return _shaped(np.sqrt(gap), points)
 
 
 def cas_distance(points, model: EllipsoidModel, lam: float = 0.5):
@@ -288,30 +254,33 @@ def cas_distance(points, model: EllipsoidModel, lam: float = 0.5):
     return evaluate_metric(cas(lam), points, model)
 
 
-def _component(name: str, points, model: EllipsoidModel):
-    # Each name is looked up at call time, so a wrapper put in its place is called.
-    if name == "algebraic":
-        return algebraic_distance(points, model)
-    if name == "sampson":
-        return sampson_distance(points, model)
-    if name == "orthogonal":
-        return orthogonal_distance(points, model)
-    return axial_distance(points, model)
-
-
 def evaluate_metric(kind: MetricKind, points, model: EllipsoidModel):
-    """Evaluate any metric kind; blends resolve through their components."""
-    if kind.kind not in _PAIR_KINDS:
-        return _component(kind.kind, points, model)
-    first_name, second_name = _PAIR_KINDS[kind.kind]
-    # Endpoints return the component untouched so that lam in {0, 1} is an
-    # exact reduction (and 0 * inf never poisons the blend).
-    if kind.lam == 0.0:
-        return _component(second_name, points, model)
-    if kind.lam == 1.0:
-        return _component(first_name, points, model)
-    if kind.kind == "cas":
-        return _cas(points, model, kind.lam)
-    first = _component(first_name, points, model)
-    second = _component(second_name, points, model)
-    return kind.lam * first + (1.0 - kind.lam) * second
+    """Evaluate any metric kind: a float for a (3,) point, an (n,) array for a stack.
+
+    Every metric but the orthogonal one reads one unit-frame product.  A
+    blend at lam 0 or 1 is its component untouched, so that the endpoints
+    are an exact reduction (and 0 * inf never poisons the blend).
+    """
+    names = _PAIR_KINDS.get(kind.kind, (kind.kind,))
+    if kind.lam in (0.0, 1.0) and len(names) == 2:
+        names = names[:1] if kind.lam == 1.0 else names[1:]
+    terms = {}
+    if "orthogonal" in names:
+        # Looked up at call time, so a wrapper put in its place is called.  It runs
+        # first, so that its temporaries and the unit frame's are not alive at once.
+        terms["orthogonal"] = np.atleast_1d(orthogonal_distance(points, model))
+    if names != ("orthogonal",):
+        squares, level = _unit_squares(points, model)
+    if "algebraic" in names:
+        kappa = float(model.coeffs[:3].sum()) / float((1.0 / np.square(model.semiaxes)).sum())
+        terms["algebraic"] = kappa * np.abs(level - 1.0)
+    if "axial" in names:
+        terms["axial"] = np.abs(np.sqrt(level) - 1.0) * (np.linalg.norm(model.semiaxes) / 3.0)
+    if "sampson" in names:  # +inf at the center
+        vals = 2.0 * np.sqrt((1.0 / np.square(model.semiaxes)) @ squares)  # ||grad F|| / kappa
+        with np.errstate(divide="ignore"):  # in place: one more live (n,) array costs page faults
+            terms["sampson"] = np.divide(np.abs(level - 1.0), vals, out=vals)
+        vals[level <= GRADIENT_TOL ** 2] = np.inf
+    if len(names) == 1:
+        return _shaped(terms[names[0]], points)
+    return _shaped(kind.lam * terms[names[0]] + (1.0 - kind.lam) * terms[names[1]], points)

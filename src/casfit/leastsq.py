@@ -21,12 +21,14 @@ or ``local_optimize`` call for all of that call's weighted refits.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .distances import MetricKind, cas, evaluate_metric
 from .errors import InsufficientSupport, RankDeficient, TooFewPoints
 from .quadric import (EllipsoidModel, as_points, design_matrix, normalize_coeffs,
-                      normalize_rows, quadratic_block)
+                      normalize_rows, quadratic_block, square_exponent)
 
 # Minimum number of points (and of usably weighted points) for a quadric.
 MIN_POINTS = 9
@@ -43,11 +45,14 @@ def condition(points: np.ndarray):
 
     Returns ``(local, center, scale)`` with ``points == center + scale *
     local`` up to rounding.  Identical points have ``scale`` 0 and an
-    all-zero ``local``.
+    all-zero ``local``.  Offsets are squared within ``quadric.SQUARE_RANGE``,
+    after an exact power-of-two scaling where they leave it.
     """
     center = points.mean(axis=0)
     shifted = points - center
-    scale = float(np.sqrt(np.square(shifted).sum(axis=1).mean() / 3.0))
+    shift = square_exponent(float(max(shifted.max(), -shifted.min())))
+    unit = np.ldexp(shifted, -shift) if shift else shifted
+    scale = math.ldexp(float(np.sqrt(np.square(unit).sum(axis=1).mean() / 3.0)), shift)
     return (shifted / scale if scale > 0.0 else shifted), center, scale
 
 

@@ -18,6 +18,7 @@ points on the surface satisfy sum((u_i / r_i)^2) == 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,12 @@ DEGENERACY_TOL = 1e-12
 # Absolute floor (relative to the matrix magnitude) for the symmetry check
 # in matrix_to_coeffs.
 SYMMETRY_TOL = 1e-12
+
+# Largest magnitudes whose squares neither underflow nor overflow, even summed 2^23 at a time.
+SQUARE_RANGE = (2.0**-500, 2.0**500)
+
+# Largest entry of |R R^T - I| for which a rotation counts as orthonormal.
+ORTHONORMAL_TOL = 1e-9
 
 
 def as_points(points) -> np.ndarray:
@@ -66,21 +73,32 @@ def normalize_coeffs(q) -> np.ndarray:
 
     The sign is chosen so that the trace of the quadratic block (q1+q2+q3)
     is positive.  A zero trace is left untouched; such a vector can never
-    validate as an ellipsoid anyway.
+    validate as an ellipsoid anyway.  Where the largest entry leaves
+    SQUARE_RANGE, q is scaled by an exact power of two before it is squared.
     """
     q = np.asarray(q, dtype=float).reshape(10)
     if not np.isfinite(q).all():
         raise ValueError("coefficients must be finite")
-    if np.linalg.norm(q) == 0.0:
+    if not q.any():
         raise ValueError("coefficient vector is zero")
-    return normalize_rows(q[None])[0]
+    shift = square_exponent(float(np.abs(q).max()))
+    return normalize_rows((np.ldexp(q, -shift) if shift else q)[None])[0]
 
 
 def normalize_rows(q: np.ndarray) -> np.ndarray:
-    """normalize_coeffs for each row of a finite, non-zero (k, 10) stack."""
+    """normalize_coeffs for each row of a finite (k, 10) stack.
+
+    Each row's largest entry must lie in SQUARE_RANGE, as in the unit
+    eigenvectors that ``leastsq.solve_rows`` passes.
+    """
     # Stacked dot products round like np.linalg.norm of a single 1-D row.
     q = q / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
     return np.where(q[:, :3].sum(axis=1, keepdims=True) < 0.0, -q, q)
+
+
+def square_exponent(largest: float) -> int:
+    """e with largest * 2^-e in [1/2, 1) where largest >= 0 leaves SQUARE_RANGE, else 0."""
+    return 0 if SQUARE_RANGE[0] <= largest <= SQUARE_RANGE[1] else math.frexp(largest)[1]
 
 
 def coeffs_to_matrix(q) -> np.ndarray:
@@ -140,7 +158,7 @@ class EllipsoidGeometry:
         axes = np.array(self.semiaxes, dtype=float).reshape(3)
         if not (np.isfinite(rot).all() and np.isfinite(trans).all() and np.isfinite(axes).all()):
             raise ValueError("geometry fields must be finite")
-        if np.abs(rot @ rot.T - np.eye(3)).max() > 1e-9:
+        if np.abs(rot @ rot.T - np.eye(3)).max() > ORTHONORMAL_TOL:
             raise ValueError("rotation is not orthonormal")
         if np.linalg.det(rot) < 0.0:
             raise ValueError("rotation must be proper (det +1)")
@@ -206,7 +224,7 @@ def check_ellipsoids(q: np.ndarray):
         translation = proj / evals
         scale = np.einsum("ki,ki->k", proj, translation) + q[:, 9]
         semiaxes = np.sqrt(scale[:, None] / evals)
-        fits = ((np.abs(rotation @ evecs - np.eye(3)) <= 1e-9).all(axis=(1, 2))
+        fits = ((np.abs(rotation @ evecs - np.eye(3)) <= ORTHONORMAL_TOL).all(axis=(1, 2))
                 & np.isfinite(translation).all(axis=1)
                 & ((semiaxes > 0.0) & (semiaxes < np.inf)).all(axis=1))
     for field in (rotation, translation, semiaxes):
@@ -219,6 +237,15 @@ def check_ellipsoids(q: np.ndarray):
     return verdict, rotation, translation, semiaxes
 
 
+# The exception and message that EllipsoidModel.from_coeffs raises for each
+# verdict of check_ellipsoids but ELLIPSOID.
+_REJECTIONS = {
+    DEGENERATE: (DegenerateQuadric, "quadratic block is rank deficient"),
+    INDEFINITE: (NotAnEllipsoid, "quadratic block is not positive definite"),
+    UNBOUNDED: (NotAnEllipsoid, "no real bounded surface for these coefficients"),
+}
+
+
 def decompose(q) -> EllipsoidGeometry:
     """Recover rotation, translation and semiaxes from quadric coefficients.
 
@@ -226,19 +253,7 @@ def decompose(q) -> EllipsoidGeometry:
     NotAnEllipsoid when the coefficients describe any other quadric type
     (hyperboloid, cone, imaginary surface, ...).
     """
-    return _decompose_unit(normalize_coeffs(q))
-
-
-def _decompose_unit(q: np.ndarray) -> EllipsoidGeometry:
-    """decompose for coefficients that are already normalized."""
-    verdict, rotation, translation, semiaxes = (v[0] for v in check_ellipsoids(q[None]))
-    if verdict == DEGENERATE:
-        raise DegenerateQuadric("quadratic block is rank deficient")
-    if verdict == INDEFINITE:
-        raise NotAnEllipsoid("quadratic block is not positive definite")
-    if verdict == UNBOUNDED:
-        raise NotAnEllipsoid("no real bounded surface for these coefficients")
-    return EllipsoidGeometry(rotation=rotation, translation=translation, semiaxes=semiaxes)
+    return EllipsoidModel.from_coeffs(q).geometry
 
 
 def validate_ellipsoid(q) -> bool:
@@ -268,8 +283,13 @@ class EllipsoidModel:
 
     @classmethod
     def from_coeffs(cls, q) -> "EllipsoidModel":
+        """Normalize ``q`` and decompose it; raises as ``decompose`` does."""
         q = normalize_coeffs(q)
-        return cls(coeffs=q, geometry=_decompose_unit(q))
+        verdict, *fields = (v[0] for v in check_ellipsoids(q[None]))
+        if verdict != ELLIPSOID:
+            error, message = _REJECTIONS[verdict]
+            raise error(message)
+        return cls(coeffs=q, geometry=EllipsoidGeometry(*fields))
 
     @classmethod
     def from_geometry(cls, geom: EllipsoidGeometry) -> "EllipsoidModel":

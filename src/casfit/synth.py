@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParseError, require_integers
+from .leastsq import MIN_POINTS
 from .quadric import EllipsoidGeometry, EllipsoidModel, as_points
 
 SEMIAXIS_RANGE = (1.0, 5.0)
@@ -88,8 +89,8 @@ class DatasetSpec:
         require_integers(self, "point_count", "instance_count", "seed")
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"kind must be one of {DATASET_KINDS}, got {self.kind!r}")
-        if self.point_count < 9:
-            raise ValueError("point_count must be at least 9")
+        if self.point_count < MIN_POINTS:
+            raise ValueError(f"point_count must be at least {MIN_POINTS}")
         if not 0.0 <= self.sigma_rel < math.inf:
             raise ValueError("sigma_rel must be non-negative and finite")
         if not 0.0 <= self.outlier_fraction <= 1.0:

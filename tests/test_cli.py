@@ -1,4 +1,7 @@
 import csv
+import dataclasses
+import importlib
+import inspect
 import io
 import json
 import os
@@ -12,8 +15,8 @@ import pytest
 
 from casfit import (METRIC_KINDS, SAMPSON, DatasetSpec, EllipsoidModel, ExperimentGrid,
                     FitConfig, GridVariant, MetricKind, ParseError, cas, evaluate_metric, fit,
-                    grid_from_json, load_points, make_instance, read_report, run_grid,
-                    sample_surface, save_points)
+                    grid_from_json, load_points, make_instance, read_report,
+                    required_iterations, run_grid, sample_surface, save_points)
 from casfit import bench, cli
 from casfit.cli import main
 
@@ -261,6 +264,21 @@ class TestConfigSurfaces:
         assert relative.make_config(sigma=0.2, seed=4) == FitConfig(
             epsilon=1.5 * 0.2, seed=4, score_metric=SAMPSON)
 
+    def test_every_default_is_the_fit_config_one(self):
+        args = cli._build_parser().parse_args(["fit", "p", "--epsilon", "1"])
+        from_cli = FitConfig(
+            epsilon=args.epsilon, mu=args.mu, score_metric=MetricKind.parse(args.metric),
+            local_opt=not args.no_lo, lo_steps=args.lo_steps,
+            min_iterations=args.min_iterations, max_iterations=args.max_iterations,
+            seed=args.seed)
+        from_grid = GridVariant(name="v").make_config(sigma=0.5, seed=3)
+        for got, want in ((from_cli, FitConfig(epsilon=1.0)),
+                          (from_grid, FitConfig(epsilon=2.0 * 0.5, seed=3))):
+            for field in dataclasses.fields(FitConfig):
+                assert getattr(got, field.name) == getattr(want, field.name), field.name
+        budget = inspect.signature(required_iterations).parameters["max_iterations"]
+        assert budget.default == FitConfig(epsilon=1.0).max_iterations
+
     def test_cli_fit_is_the_python_fit(self, tmp_path):
         # a metric other than cas() weights the refits on both surfaces
         inst = make_instance(DatasetSpec("outlier", 500, 0.25, 0.3), np.random.default_rng(3))
@@ -396,6 +414,21 @@ class TestEntryPoints:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "casfit" in proc.stdout
+
+    def test_console_script_mapping(self, monkeypatch, capsys):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parent.parent
+        with open(root / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["casfit"]
+        assert target == "casfit.cli:main"
+        module, _, name = target.partition(":")
+        entry = getattr(importlib.import_module(module), name)
+        # an installed script runs sys.exit(entry()) with the command line in sys.argv
+        monkeypatch.setattr(sys, "argv", ["casfit", "--version"])
+        with pytest.raises(SystemExit) as exc:
+            sys.exit(entry())
+        assert exc.value.code == 0
+        assert "casfit" in capsys.readouterr().out
 
     @pytest.mark.skipif(shutil.which("casfit") is None,
                         reason="console script not on PATH")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from casfit import (ALGEBRAIC, AXIAL, SAMPSON, DatasetSpec, EllipsoidGeometry,
+from casfit import (ALGEBRAIC, AXIAL, SAMPSON, CasfitError, DatasetSpec, EllipsoidGeometry,
                     EllipsoidModel, FitConfig, NoModelFound,
                     TooFewPoints, axial_distance, cas, classify,
                     evaluate_metric, fit, local_optimize, make_instance,
@@ -825,6 +825,43 @@ class TestInvariance:
         # relative to the ellipsoid's size, not to the offset
         center = factor * rot @ want.model.center + shift
         assert np.abs(got.model.center - center).max() <= 1e-6 * size.min()
+
+
+class TestMagnitudes:
+    """One clean cloud, scaled with its center: the fit either returns
+    coefficients that read back to its geometry, or says it cannot."""
+
+    @staticmethod
+    def scaled_fit(scale):
+        truth = EllipsoidModel.from_geometry(EllipsoidGeometry(
+            random_rotation(np.random.default_rng(4)), [1.0, -2.0, 0.5], [3.0, 2.0, 1.0]))
+        points = sample_surface(truth, 50, np.random.default_rng(0))
+        return fit(scale * points, FitConfig(epsilon=0.01 * scale, seed=0))
+
+    @pytest.mark.parametrize("scale", [1e78, 1e100, 1e150])
+    def test_large_models_read_back(self, scale):
+        report = self.scaled_fit(scale)
+        back = EllipsoidModel.from_json_dict(report.model.to_json_dict())
+        size = report.model.semiaxes
+        assert np.all(np.abs(back.semiaxes - size) <= 1e-12 * size)
+
+    def test_every_decade_fits_or_raises_a_typed_error(self):
+        outcomes = {}
+        for k in range(-300, 301):
+            try:
+                report = self.scaled_fit(10.0 ** k)
+            except CasfitError as exc:
+                assert "coplanar" not in str(exc)
+                outcomes[k] = "raised"
+                continue
+            back = EllipsoidModel.from_coeffs(report.model.coeffs)
+            size = report.model.semiaxes
+            assert np.all(np.abs(back.semiaxes - size) <= 1e-6 * size), k
+            assert np.all(np.abs(back.center - report.model.center) <= 1e-6 * size.min()), k
+            outcomes[k] = "fitted"
+        # the range README states, 2^-500 to 2^500 for semiaxes and center
+        assert all(outcomes[k] == "fitted" for k in range(-150, 150))
+        assert outcomes[-152] == outcomes[151] == "raised"
 
 
 class TestFitConfig:

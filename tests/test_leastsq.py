@@ -86,6 +86,16 @@ class TestCondition:
         assert abs(math.sqrt(np.square(local).sum(axis=1).mean()) - math.sqrt(3.0)) < 1e-12
         assert np.abs(center + scale * local - pts).max() <= 1e-12
 
+    @pytest.mark.parametrize("exponent", [-1000, -600, 600, 1000])
+    def test_power_of_two_scaling_is_exact(self, rng, exponent):
+        # squares of these coordinates under- or overflow
+        pts = 100.0 + 3.0 * rng.normal(size=(200, 3))
+        local, center, scale = condition(pts)
+        got = condition(np.ldexp(pts, exponent))
+        assert np.array_equal(got[0], local)
+        assert np.array_equal(got[1], np.ldexp(center, exponent))
+        assert got[2] == math.ldexp(scale, exponent)
+
     def test_identical_points_have_zero_scale(self):
         local, center, scale = condition(np.tile([1.0, 2.0, 3.0], (30, 1)))
         assert scale == 0.0

@@ -40,6 +40,12 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize_coeffs(np.zeros(10))
 
+    @pytest.mark.parametrize("exponent", [-1000, -600, 600, 1020])
+    def test_scale_free_at_any_magnitude(self, rng, exponent):
+        # entries whose squares under- or overflow
+        q = rng.normal(size=10)
+        assert np.array_equal(normalize_coeffs(np.ldexp(q, exponent)), normalize_coeffs(q))
+
     def test_nonfinite_rejected(self):
         q = np.ones(10)
         q[3] = np.nan
