@@ -19,7 +19,7 @@ from .consensus import FitConfig, fit
 from .distances import METRIC_KINDS, MetricKind, evaluate_metric
 from .errors import CasfitError
 from .quadric import EllipsoidModel
-from .synth import DatasetSpec, load_points, make_instance, save_points
+from .synth import DATASET_KINDS, DatasetSpec, load_points, make_instance, save_points
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -60,14 +60,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=_cmd_fit)
 
     p_synth = sub.add_parser("synth", help="generate synthetic instances")
-    p_synth.add_argument("--kind", choices=["gaussian", "outlier"], required=True)
-    p_synth.add_argument("--count", type=int, default=500, help="points per instance")
-    p_synth.add_argument("--sigma-rel", type=float, default=0.25,
+    p_synth.add_argument("--kind", choices=DATASET_KINDS, required=True)
+    p_synth.add_argument("--count", type=int, default=DatasetSpec.point_count,
+                         help="points per instance")
+    p_synth.add_argument("--sigma-rel", type=float, default=DatasetSpec.sigma_rel,
                          help="noise std relative to the mean semiaxis")
-    p_synth.add_argument("--fraction", type=float, default=0.0,
+    p_synth.add_argument("--fraction", type=float, default=DatasetSpec.outlier_fraction,
                          help="outlier fraction (outlier kind only)")
-    p_synth.add_argument("--instances", type=int, default=10)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--instances", type=int, default=DatasetSpec.instance_count)
+    p_synth.add_argument("--seed", type=int, default=DatasetSpec.seed)
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.set_defaults(func=_cmd_synth)
 
@@ -81,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dist = sub.add_parser("distances", help="evaluate all metrics for a point file")
     p_dist.add_argument("points", help="3-column text file of points")
     p_dist.add_argument("model", help="model JSON (a document with a 'q' field)")
-    p_dist.add_argument("--lambda", dest="lam", type=float, default=0.5,
+    p_dist.add_argument("--lambda", dest="lam", type=float, default=MetricKind.lam,
                         help="blend ratio for the two-term metrics")
     p_dist.add_argument("--out", default=None, help="write the CSV here (default stdout)")
     p_dist.set_defaults(func=_cmd_distances)

@@ -50,13 +50,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distances import MetricKind, cas, evaluate_metric
-from .errors import NoModelFound, NotAnEllipsoid, TooFewPoints, require_integers
+from .errors import NoModelFound, TooFewPoints, require_integers
 # gaussian_weights, lls_fit and wls_fit are not called here but stay module
 # attributes: perfbench/tracer.py wraps them by these names.
 from .leastsq import (MIN_POINTS, SUPPORT_TOL, condition, decondition,  # noqa: F401
                       gaussian_weights, lls_fit, point_energy, solve_rows, wls_fit)
-from .quadric import (ELLIPSOID, SQUARE_RANGE, EllipsoidGeometry, EllipsoidModel, as_points,
-                      check_ellipsoids, design_matrix)
+from .quadric import (ELLIPSOID, EllipsoidGeometry, EllipsoidModel, as_points, check_ellipsoids,
+                      design_matrix, require_carried)
 
 RNG_ALGORITHM = "PCG64"
 
@@ -335,17 +335,13 @@ def _to_scene(model: EllipsoidModel, center: np.ndarray, scale: float) -> Ellips
 
     The geometry maps exactly: with x_l = (x - c) / s, s (R x_l + t) is
     R x + (s t - R c), and the semiaxes scale by s.  Raises NotAnEllipsoid
-    when a semiaxis lies below SQUARE_RANGE, or a semiaxis, the translation,
-    ``center`` or ``scale`` above it: the unit-norm coefficients would then
-    overflow or carry the model only in subnormal digits.
+    when a semiaxis lies below ``quadric.SQUARE_RANGE``, or a semiaxis, the
+    translation, ``center`` or ``scale`` above it (``require_carried``).
     """
     geom = model.geometry
     translation = scale * geom.translation - geom.rotation @ center
     semiaxes = scale * geom.semiaxes
-    low, high = semiaxes.min(), max(scale, *np.abs(center), *np.abs(translation), *semiaxes)
-    if low < SQUARE_RANGE[0] or high > SQUARE_RANGE[1]:
-        raise NotAnEllipsoid(f"ellipsoid magnitudes {low:.3g} to {high:.3g} leave "
-                             "[%.3g, %.3g], the range unit-norm coefficients carry" % SQUARE_RANGE)
+    require_carried(semiaxes.min(), max(scale, *np.abs(center), *np.abs(translation), *semiaxes))
     return EllipsoidModel(decondition(model.coeffs, center, scale),
                           EllipsoidGeometry(geom.rotation, translation, semiaxes))
 

@@ -52,9 +52,8 @@ from .quadric import EllipsoidModel, as_points
 # this, that is within this fraction of the semiaxes of the model center.
 GRADIENT_TOL = 1e-12
 
-# Largest-root solve: iteration cap and residual tolerance.
+# Largest-root solve: a safety cap on its Newton steps.
 ROOT_MAX_ITERATIONS = 200
-ROOT_TOL = 1e-12
 
 # Aligned coordinates at or below this fraction of the longest semiaxis are
 # treated as exact zeros.  Near an axis plane the foot-point equation turns
@@ -164,58 +163,36 @@ def sampson_distance(points, model: EllipsoidModel):
 
 
 def _largest_root(w: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Largest root t of sum((r_i w_i / (r_i^2 + t))^2) == 1, row-wise.
+    """Largest root t of sum((r_i w_i / (r_i^2 + t))^2) == 1, row-wise, for w >= 0.
 
-    Returns the shift s = t + min(r)^2 and forms each denominator as
-    (r_i^2 - min(r)^2) + s: near the center t approaches -min(r)^2, where
+    Returns the shift s = t + min(r)^2, with denominators e_i + s and
+    e_i = r_i^2 - min(r)^2: near the center t approaches -min(r)^2, where
     r_i^2 + t would cancel away most digits of the shortest axes' terms.
 
-    Requires w >= 0 and a positive residual at s = 0 in every row (+inf when
-    a shortest axis has w_i > 0).  The root then lies in (0, max(r) * ||w||]:
-    the residual decreases from a positive left end, and at the right end
-    each term is bounded by (w_i / ||w||)^2, so the row sums to at most one.
-    Bisection on that bracket is unconditionally safe.
+    On s > 0, f(s) = sum(a_i / (e_i + s)^2) - 1 with a_i = (r_i w_i)^2 is
+    convex and decreasing, so Newton's method started left of the root
+    climbs to it monotonically, never overshooting.  s0 = max(0, max_i(r_i
+    w_i - e_i)) lies left of it: at s0 > 0 one term is at least one, and
+    s0 = 0 only when no shortest axis has w_i > 0, where f(0) is finite.  A
+    row stops when a step no longer raises s, so a row with f(0) <= 0 (root
+    pinned at 0, the center included) returns 0.  Terms with a_i = 0 get a
+    nonzero denominator: an inactive shortest axis reads 0, not 0/0, at 0.
     """
-    excess = np.square(axes) - float(np.square(axes).min())
-    rw_sq = np.square(axes * w)
-    lo = np.zeros(w.shape[0])
-    hi = float(axes.max()) * np.linalg.norm(w, axis=1)
-
-    def residual(s):
-        with np.errstate(divide="ignore", over="ignore"):
-            return (rw_sq / np.square(excess + s[:, None])).sum(axis=1) - 1.0
-
-    converged = np.zeros(w.shape[0], dtype=bool)
-    eps = np.finfo(float).eps
-    s = 0.5 * (lo + hi)
+    rw = axes * w
+    a = np.square(rw)
+    excess = np.where(a > 0.0, np.square(axes) - float(np.square(axes).min()), 1.0)
+    s = np.maximum((rw - excess).max(axis=1), 0.0)
     for _ in range(ROOT_MAX_ITERATIONS):
-        s = 0.5 * (lo + hi)
-        res = residual(s)
-        converged |= np.abs(res) < ROOT_TOL
-        # Steep roots (point close to an axis plane) cannot meet the residual
-        # tolerance; a bracket narrowed to a few ulps is as converged as the
-        # arithmetic allows.
-        converged |= hi - lo <= 4.0 * eps * hi
-        if converged.all():
-            break
-        above = res > 0.0
-        lo = np.where(above, s, lo)
-        hi = np.where(above, hi, s)
-    else:
-        if not converged.all():
-            raise ConvergenceFailure(
-                f"foot-point root solve did not reach {ROOT_TOL} within "
-                f"{ROOT_MAX_ITERATIONS} iterations")
-    # Newton polish from the bisection basin pushes s to full precision.
-    for _ in range(3):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            res = residual(s)
-            deriv = -2.0 * (rw_sq / (excess + s[:, None]) ** 3).sum(axis=1)
-            step = np.where(deriv != 0.0, res / deriv, 0.0)
-        s_new = s - step
-        ok = np.isfinite(s_new) & (s_new > 0.0)
-        s = np.where(ok, s_new, s)
-    return s
+            d = excess + s[:, None]
+            terms = a / np.square(d)
+            raised = s + (terms.sum(axis=1) - 1.0) / (2.0 * (terms / d).sum(axis=1))
+        rising = raised > s
+        if not rising.any():
+            return s
+        s = np.where(rising, raised, s)
+    raise ConvergenceFailure(
+        f"foot-point root solve still rising after {ROOT_MAX_ITERATIONS} iterations")
 
 
 def orthogonal_distance(points, model: EllipsoidModel):
@@ -231,18 +208,15 @@ def orthogonal_distance(points, model: EllipsoidModel):
     excess = r_sq - floor
     active = w > 0.0
 
-    # A row whose residual at the left end of the bracket is not positive has
-    # its root pinned there, at shift 0 (only possible when its coordinates on
-    # the shortest axes are all zero, the center included): the nearest point
+    # A row with a non-negative slack has its root pinned at shift 0, where
+    # the root solve returns it (only possible when its coordinates on the
+    # shortest axes are all zero, the center included): the nearest point
     # leaves the row's active subspace along a shortest axis, which takes up
     # the missing floor * slack.
     with np.errstate(divide="ignore", invalid="ignore"):
         g = np.where(active, axes * w / excess, 0.0)
     slack = 1.0 - np.square(g).sum(axis=1)
-    pinned = slack >= 0.0
-    shift = np.zeros(len(pts))
-    if not pinned.all():
-        shift[~pinned] = _largest_root(w[~pinned], axes)
+    shift = _largest_root(w, axes)
     with np.errstate(divide="ignore", invalid="ignore"):
         foot = np.where(active, r_sq * w / (excess + shift[:, None]), 0.0)
     gap = np.square(w - foot).sum(axis=1) + floor * np.maximum(slack, 0.0)

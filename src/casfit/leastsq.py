@@ -8,15 +8,15 @@ of the 10x10 normal matrix.
 The solve runs on conditioned points (Hartley's normalization):
 ``condition`` centers them on their mean and scales them isotropically so
 the root-mean-square radius is sqrt(3), which keeps the normal matrix well
-conditioned far from the origin.  ``solve_stack`` takes conditioned stacks;
-``wls_fit`` conditions its own points and maps the quadric back with
-``decondition``.  ``fit`` and ``local_optimize`` condition once per call.
+conditioned far from the origin.  ``solve_rows`` takes the design rows of
+conditioned stacks; ``wls_fit`` conditions its own points and maps the
+quadric back with ``decondition``.  ``fit`` and ``local_optimize`` condition
+once per call.
 
-``solve_stack`` builds the design rows of its samples and hands them to
-``solve_rows``.  Callers that already hold the rows call ``solve_rows``
-directly: ``consensus`` builds each chunk's sample rows once for its screen
-and its exact solve, and the rows of the conditioned cloud once per ``fit``
-or ``local_optimize`` call for all of that call's weighted refits.
+Callers build the design rows (``quadric.design_matrix``) once and hand them
+to ``solve_rows``: ``consensus`` builds each chunk's sample rows once for its
+screen and its exact solve, and the rows of the conditioned cloud once per
+``fit`` or ``local_optimize`` call for all of that call's weighted refits.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .distances import MetricKind, cas, evaluate_metric
 from .errors import InsufficientSupport, RankDeficient, TooFewPoints
 from .quadric import (EllipsoidModel, as_points, design_matrix, normalize_coeffs,
-                      normalize_rows, quadratic_block, square_exponent)
+                      normalize_rows, quadratic_block, require_carried, square_exponent)
 
 # Minimum number of points (and of usably weighted points) for a quadric.
 MIN_POINTS = 9
@@ -70,21 +70,16 @@ def decondition(q_local: np.ndarray, center: np.ndarray, scale: float) -> np.nda
     return normalize_coeffs(q)
 
 
-def solve_stack(samples: np.ndarray, weights: np.ndarray | None = None):
-    """Weighted algebraic quadric fit of every sample in a conditioned (k, m, 3) stack.
-
-    ``weights`` is None (uniform) or a (k, m) array.  Returns the normalized
-    coefficients, in the frame of the samples, shape (k, 10), and a boolean
-    mask of the rows that are well posed.  A row is not well posed when the
-    smallest eigenvector of its normal matrix is not isolated (points with
-    no spatial extent included); its coefficients are then meaningless.
-    """
-    k, m = samples.shape[:2]
-    return solve_rows(design_matrix(samples.reshape(k * m, 3)).reshape(k, m, 10), weights)
-
-
 def solve_rows(rows: np.ndarray, weights: np.ndarray | None = None):
-    """``solve_stack`` on the (k, m, 10) ``design_matrix`` rows of the samples."""
+    """Weighted algebraic quadric fit of k conditioned samples of m points each.
+
+    ``rows`` holds their (k, m, 10) ``design_matrix`` rows and ``weights`` is
+    None (uniform) or a (k, m) array.  Returns the normalized coefficients,
+    in the frame of the samples, shape (k, 10), and a boolean mask of the
+    well-posed rows: a row is not well posed when the smallest eigenvector
+    of its normal matrix is not isolated (points with no spatial extent
+    included), and its coefficients are then meaningless.
+    """
     if weights is not None:
         rows = weights[:, :, None] * rows
     evals, evecs = np.linalg.eigh(np.swapaxes(rows, 1, 2) @ rows)
@@ -96,9 +91,11 @@ def wls_fit(points, weights=None) -> np.ndarray:
     """Weighted algebraic quadric fit; returns normalized coefficients.
 
     ``weights`` may be None (uniform).  Raises InsufficientSupport when
-    fewer than MIN_POINTS weights exceed SUPPORT_TOL and RankDeficient when
+    fewer than MIN_POINTS weights exceed SUPPORT_TOL, RankDeficient when
     the points have no spatial extent or the smallest eigenvector of the
-    normal matrix is not isolated.
+    normal matrix is not isolated, and NotAnEllipsoid when their RMS spread
+    lies below ``quadric.SQUARE_RANGE`` or it or their mean above it
+    (``require_carried``).
     """
     pts = as_points(points)
     if len(pts) < MIN_POINTS:
@@ -114,10 +111,11 @@ def wls_fit(points, weights=None) -> np.ndarray:
                 f"fewer than {MIN_POINTS} points carry weight above {SUPPORT_TOL}")
         weights = w[None]
     local, center, scale = condition(pts)
-    q, ok = solve_stack(local[None], weights)
+    q, ok = solve_rows(design_matrix(local)[None], weights)
     if not ok[0]:
         raise RankDeficient("points have no spatial extent or the smallest eigenvector "
                             "of the normal matrix is not isolated")
+    require_carried(scale, max(scale, *np.abs(center)))
     return decondition(q[0], center, scale)
 
 

@@ -101,6 +101,15 @@ def square_exponent(largest: float) -> int:
     return 0 if SQUARE_RANGE[0] <= largest <= SQUARE_RANGE[1] else math.frexp(largest)[1]
 
 
+def require_carried(low: float, high: float) -> None:
+    """Raise NotAnEllipsoid when a model's smallest magnitude ``low`` lies below
+    SQUARE_RANGE or its largest ``high`` above it: its unit-norm coefficients
+    would overflow or carry it only in subnormal digits."""
+    if low < SQUARE_RANGE[0] or high > SQUARE_RANGE[1]:
+        raise NotAnEllipsoid(f"ellipsoid magnitudes {low:.3g} to {high:.3g} leave "
+                             "[%.3g, %.3g], the range unit-norm coefficients carry" % SQUARE_RANGE)
+
+
 def coeffs_to_matrix(q) -> np.ndarray:
     """Symmetric 4x4 matrix Q with xh @ Q @ xh == d(x) @ q."""
     q = np.asarray(q, dtype=float).reshape(10)

@@ -4,7 +4,7 @@ This is the loop ``casfit.fit`` ran before it solved minimal samples in
 chunks and screened them, kept as the reference the chunked loop is tested
 against.  It runs in ``fit``'s frame and with its kernel: it conditions the
 cloud once with ``condition``, divides epsilon by the same scale, solves
-each sample on its own with the one-row ``solve_stack`` and
+each sample on its own with a one-row ``solve_rows`` and
 ``check_ellipsoids``, and maps only the returned model back with
 ``_to_scene``.  It draws each sample with its own ``sample_minimal`` call,
 scores each candidate with ``model_score`` and classifies the returned
@@ -27,8 +27,8 @@ from casfit import (DegenerateQuadric, EllipsoidGeometry, EllipsoidModel, FitCon
                     RankDeficient, TooFewPoints, classify, gaussian_weights,
                     model_score, required_iterations, sample_minimal, wls_fit)
 from casfit.consensus import _lo_schedule, _to_scene
-from casfit.leastsq import MIN_POINTS, condition, solve_stack
-from casfit.quadric import ELLIPSOID, as_points, check_ellipsoids
+from casfit.leastsq import MIN_POINTS, condition, solve_rows
+from casfit.quadric import ELLIPSOID, as_points, check_ellipsoids, design_matrix
 
 
 def reference_local_optimize(model, points, cfg: FitConfig) -> Optional[EllipsoidModel]:
@@ -53,7 +53,7 @@ def reference_local_optimize(model, points, cfg: FitConfig) -> Optional[Ellipsoi
 
 def solve_sample(sample) -> Optional[EllipsoidModel]:
     """The ellipsoid through one conditioned minimal sample, or None."""
-    coeffs, ok = solve_stack(sample[None])
+    coeffs, ok = solve_rows(design_matrix(sample)[None])
     verdict, rotation, translation, semiaxes = check_ellipsoids(coeffs)
     if not ok[0] or verdict[0] != ELLIPSOID:
         return None

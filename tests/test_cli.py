@@ -19,6 +19,7 @@ from casfit import (METRIC_KINDS, SAMPSON, DatasetSpec, EllipsoidModel, Experime
                     required_iterations, run_grid, sample_surface, save_points)
 from casfit import bench, cli
 from casfit.cli import main
+from casfit.synth import DATASET_KINDS
 
 from conftest import make_model
 
@@ -278,6 +279,25 @@ class TestConfigSurfaces:
                 assert getattr(got, field.name) == getattr(want, field.name), field.name
         budget = inspect.signature(required_iterations).parameters["max_iterations"]
         assert budget.default == FitConfig(epsilon=1.0).max_iterations
+
+    def test_synth_and_distances_defaults_are_the_library_ones(self):
+        parser = cli._build_parser()
+        synth = parser._subparsers._group_actions[0].choices["synth"]
+        kind = next(action for action in synth._actions if action.dest == "kind")
+        assert tuple(kind.choices) == DATASET_KINDS
+        for name in DATASET_KINDS:
+            args = parser.parse_args(["synth", "--kind", name, "--out", "d"])
+            from_cli = DatasetSpec(kind=args.kind, point_count=args.count,
+                                   sigma_rel=args.sigma_rel, outlier_fraction=args.fraction,
+                                   instance_count=args.instances, seed=args.seed)
+            for field in dataclasses.fields(DatasetSpec):
+                assert getattr(from_cli, field.name) == getattr(DatasetSpec(name), field.name), \
+                    field.name
+        args = parser.parse_args(["distances", "p", "m"])
+        for name in METRIC_KINDS:
+            for field in dataclasses.fields(MetricKind):
+                assert getattr(MetricKind(name, args.lam), field.name) == \
+                    getattr(MetricKind(name), field.name), field.name
 
     def test_cli_fit_is_the_python_fit(self, tmp_path):
         # a metric other than cas() weights the refits on both surfaces

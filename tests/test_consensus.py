@@ -13,7 +13,7 @@ from casfit import (ALGEBRAIC, AXIAL, SAMPSON, CasfitError, DatasetSpec, Ellipso
                     required_iterations, sample_minimal, sample_surface)
 from casfit import consensus, distances
 from casfit.consensus import CHUNK, FLAT_TOL, MAX_CHUNK
-from casfit.leastsq import condition, solve_rows, solve_stack
+from casfit.leastsq import condition, solve_rows
 from casfit.quadric import (ELLIPSOID, check_ellipsoids, design_matrix, geometry_to_coeffs,
                             normalize_coeffs, normalize_rows)
 
@@ -569,8 +569,9 @@ def assert_bitwise_equal(got_run, want_run):
 
 
 def exact_candidates(local, n, k, rng):
-    """Every row of one draw through solve_stack and check_ellipsoids, unscreened."""
-    coeffs, ok = solve_stack(local[sample_minimal(len(local), n, rng, count=k)])
+    """Every row of one draw through solve_rows and check_ellipsoids, unscreened."""
+    idx = sample_minimal(len(local), n, rng, count=k)
+    coeffs, ok = solve_rows(design_matrix(local[idx.reshape(-1)]).reshape(k, n, 10))
     verdict, rotation, translation, semiaxes = check_ellipsoids(coeffs)
     return [(coeffs[i], rotation[i], translation[i], semiaxes[i])
             if ok[i] and verdict[i] == ELLIPSOID else None for i in range(k)]

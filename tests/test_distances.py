@@ -7,7 +7,7 @@ from casfit import (ALGEBRAIC, AXIAL, METRIC_KINDS, ORTHOGONAL, SAMPSON, Ellipso
                     EllipsoidModel, MetricKind, algebraic_distance, axial_distance, cas,
                     cas_distance, evaluate_metric, orthogonal_distance, sampson_distance,
                     scaling_factor)
-from casfit.distances import GRADIENT_TOL
+from casfit.distances import GRADIENT_TOL, ZERO_SNAP
 from casfit.quadric import design_matrix, quadratic_block
 from casfit.synth import random_rotation, sample_surface
 
@@ -251,6 +251,79 @@ def test_axis_plane_distance_is_lipschitz(log_ratios, r_max, seed, coords, zeros
     p, p_moved = from_aligned(m, u), from_aligned(m, moved)
     gap = abs(orthogonal_distance(p, m) - orthogonal_distance(p_moved, m))
     assert gap <= np.linalg.norm(p - p_moved) + 1e-9 * r_max
+
+
+def bisected_distance(w, semiaxes):
+    """Distance of an aligned point w >= 0 to the axis-aligned ellipsoid, in long double.
+
+    Bisects sum(a_i / (e_i + s)^2) == 1, a_i = (r_i w_i)^2 and
+    e_i = r_i^2 - min(r)^2, on [0, max(r) ||w||], where each term is at most
+    (w_i / ||w||)^2; a point with no root above 0 is pinned at 0.  Zero terms
+    are left out, so that an inactive shortest axis adds nothing.
+    """
+    r = np.asarray(semiaxes, dtype=np.longdouble)
+    w = np.asarray(w, dtype=np.longdouble)
+    active = w > 0
+    a, excess = np.square(r * w)[active], (np.square(r) - np.square(r).min())[active]
+
+    def residual(s):
+        with np.errstate(divide="ignore"):
+            return np.sum(a / np.square(excess + s)) - 1
+
+    slack, s = -residual(np.longdouble(0)), np.longdouble(0)
+    if slack < 0:
+        lo, hi = np.longdouble(0), r.max() * np.sqrt(np.sum(np.square(w)))
+        mid = (lo + hi) / 2
+        while lo < mid < hi:
+            lo, hi = (mid, hi) if residual(mid) > 0 else (lo, mid)
+            mid = (lo + hi) / 2
+        s = lo
+    foot = np.square(r[active]) * w[active] / (excess + s)
+    gap = np.sum(np.square(w[active] - foot)) + np.square(r).min() * max(slack, 0)
+    return float(np.sqrt(gap))
+
+
+@settings(max_examples=500, deadline=None)
+@given(log_ratios=st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)),
+       ties=st.sampled_from(("none", "long", "short", "sphere")),
+       order=st.permutations(range(3)),
+       r_max=st.floats(1e-3, 1e3),
+       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+       zeros=st.sets(st.integers(0, 2), max_size=2),
+       level=st.one_of(st.floats(-6.0, 3.0).map(lambda k: 1.0 + 10.0 ** k),
+                       st.floats(-6.0, -0.05).map(lambda k: 1.0 - 10.0 ** k),
+                       st.floats(-12.0, -1.0).map(lambda k: 10.0 ** k),
+                       st.just(0.0)))
+@example(log_ratios=(4.0, 4.0), ties="none", order=[0, 1, 2], r_max=1.0,
+         direction=(0.0, 0.0, 0.0), zeros=set(), level=0.0)  # the center
+@example(log_ratios=(0.2, 0.5), ties="none", order=[0, 1, 2], r_max=1.0,
+         direction=(1.0, 1.0, 0.0), zeros=set(), level=0.1)  # pinned inside
+def test_orthogonal_distance_property(log_ratios, ties, order, r_max, direction, zeros, level):
+    # points 1e-6 to 1e3 semiaxes off the surface, on axis planes and near the
+    # center, of ellipsoids with semiaxis ratios up to 1e4, spheroids and
+    # spheres, against the radial bracket and a long double bisection
+    exponents = {"none": log_ratios, "long": (0.0, log_ratios[1]),
+                 "short": (log_ratios[0], log_ratios[0]), "sphere": (0.0, 0.0)}[ties]
+    semiaxes = r_max * 10.0 ** -np.array([0.0, *exponents])[list(order)]
+    m = axis_aligned(semiaxes)
+    u = np.array(direction)
+    u[sorted(zeros)] = 0.0
+    scale = np.linalg.norm(u / semiaxes)
+    p = level * u / scale if scale > 0.0 else np.zeros(3)
+    d = orthogonal_distance(p, m)
+
+    # the distance is that of the point ZERO_SNAP moves (by at most 1e-13 r_max)
+    w = np.where(np.abs(p) <= ZERO_SNAP * semiaxes.max(), 0.0, np.abs(p))
+    atol = 1e-15 * np.linalg.norm(w)
+    want = bisected_distance(w, semiaxes)
+    assert abs(d - want) <= 1e-12 * want + atol
+
+    # on the ellipsoid scaled by s through the point, the distance lies between
+    # |s - 1| min(r) and |s - 1| ||u||, u the surface point on the ray through it
+    s = np.sqrt(np.sum(np.square(w.astype(np.longdouble) / semiaxes)))
+    assert d >= abs(s - 1) * semiaxes.min() * (1 - 1e-12) - atol
+    if s > 0:
+        assert d <= abs(s - 1) * np.linalg.norm(w) / s * (1 + 1e-12) + atol
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from casfit import (AXIAL, SAMPSON, EllipsoidModel, InsufficientSupport,
-                    RankDeficient, TooFewPoints, algebraic_distance,
+from casfit import (AXIAL, SAMPSON, CasfitError, EllipsoidGeometry, EllipsoidModel,
+                    InsufficientSupport, RankDeficient, TooFewPoints, algebraic_distance,
                     gaussian_weights, lls_fit, wls_fit)
-from casfit.leastsq import condition, decondition, solve_stack
+from casfit.leastsq import condition, decondition, solve_rows
 from casfit.quadric import design_matrix, normalize_coeffs
 from casfit.synth import random_rotation, sample_surface
 
@@ -103,13 +103,13 @@ class TestCondition:
         assert not local.any()
 
 
-class TestSolveStack:
+class TestSolveRows:
     def test_rows_match_lls_fit(self, rng):
         m = make_model(rng)
         pts = np.vstack([sample_surface(m, 60, rng), rng.uniform(-8, 8, size=(40, 3))])
         samples = [pts[rng.choice(len(pts), 9, replace=False)] for _ in range(50)]
         frames = [condition(sample) for sample in samples]
-        coeffs, ok = solve_stack(np.stack([local for local, _, _ in frames]))
+        coeffs, ok = solve_rows(np.stack([design_matrix(local) for local, _, _ in frames]))
         assert coeffs.shape == (50, 10) and ok.all()
         for sample, (_, center, scale), q in zip(samples, frames, coeffs):
             assert np.abs(decondition(q, center, scale) - lls_fit(sample)).max() <= 1e-15
@@ -120,7 +120,8 @@ class TestSolveStack:
         coplanar = np.zeros((9, 3))
         coplanar[:, :2] = rng.uniform(-5, 5, size=(9, 2))
         repeated = np.tile([1.0, 2.0, 3.0], (9, 1))
-        coeffs, ok = solve_stack(np.stack([good, coplanar, repeated, good]))
+        samples = (good, coplanar, repeated, good)
+        coeffs, ok = solve_rows(np.stack([design_matrix(sample) for sample in samples]))
         assert ok.tolist() == [True, False, False, True]
         assert np.array_equal(coeffs[0], coeffs[3])
         for bad in (coplanar, repeated):
@@ -174,6 +175,37 @@ class TestWls:
             wls_fit(pts, np.ones(19))
         with pytest.raises(ValueError):
             wls_fit(pts, np.full(20, np.nan))
+
+
+class TestMagnitudes:
+    """One clean cloud, scaled with its center: each fit either returns
+    coefficients that read back to the unscaled fit's geometry, or raises."""
+
+    def test_every_decade_fits_or_raises_a_typed_error(self):
+        truth = EllipsoidModel.from_geometry(EllipsoidGeometry(
+            random_rotation(np.random.default_rng(4)), [1.0, -2.0, 0.5], [3.0, 2.0, 1.0]))
+        points = sample_surface(truth, 50, np.random.default_rng(0))
+        weights = np.random.default_rng(1).uniform(0.5, 1.0, 50)
+        unit = EllipsoidModel.from_coeffs(lls_fit(points))
+        outcomes = {}
+        for k in [*range(-300, 301), 155, 160, -160]:
+            scale = 10.0 ** k
+            for how, solve in (("lls", lambda: lls_fit(scale * points)),
+                               ("wls", lambda: wls_fit(scale * points, weights))):
+                try:
+                    back = EllipsoidModel.from_coeffs(solve())
+                except CasfitError:
+                    outcomes[how, k] = "raised"
+                    continue
+                size = scale * unit.semiaxes
+                assert np.all(np.abs(back.semiaxes - size) <= 1e-6 * size), (how, k)
+                assert np.all(np.abs(back.center - scale * unit.center)
+                              <= 1e-6 * size.min()), (how, k)
+                outcomes[how, k] = "fitted"
+        # the range README states, 2^-500 to 2^500 for the spread and the mean
+        for how in ("lls", "wls"):
+            assert all(outcomes[how, k] == "fitted" for k in range(-150, 150))
+            assert all(outcomes[how, k] == "raised" for k in (-200, -160, 155, 160, 200))
 
 
 class TestWeights:

@@ -7,7 +7,7 @@ from casfit import (DegenerateQuadric, EllipsoidGeometry, EllipsoidModel,
                     NotAnEllipsoid, coeffs_to_matrix, decompose, design_matrix,
                     geometry_to_coeffs, matrix_to_coeffs, normalize_coeffs,
                     validate_ellipsoid)
-from casfit.leastsq import condition, solve_stack
+from casfit.leastsq import condition, solve_rows
 from casfit.quadric import (DEGENERATE, ELLIPSOID, INDEFINITE, UNBOUNDED,
                             check_ellipsoids)
 from casfit.synth import random_rotation, sample_surface
@@ -232,9 +232,10 @@ class TestCheckEllipsoids:
     def test_hyperboloid_samples_fail_exactly_when_from_coeffs_raises(self, rng):
         samples = [hyperboloid_sample(rng) if k % 2 else sample_surface(make_model(rng), 9, rng)
                    for k in range(40)]
-        # solve_stack takes conditioned samples; raw ones off the origin can
-        # fail its eigengap test
-        coeffs, ok = solve_stack(np.stack([condition(sample)[0] for sample in samples]))
+        # solve_rows takes the rows of conditioned samples; raw ones off the
+        # origin can fail its eigengap test
+        coeffs, ok = solve_rows(np.stack([design_matrix(condition(sample)[0])
+                                          for sample in samples]))
         assert ok.all()
         passed = check_ellipsoids(coeffs)[0] == ELLIPSOID
         for q, accepted in zip(coeffs, passed):
