@@ -55,8 +55,8 @@ from .errors import NoModelFound, TooFewPoints, require_integers
 # attributes: perfbench/tracer.py wraps them by these names.
 from .leastsq import (MIN_POINTS, SUPPORT_TOL, condition, decondition,  # noqa: F401
                       gaussian_weights, lls_fit, point_energy, solve_rows, wls_fit)
-from .quadric import (ELLIPSOID, EllipsoidGeometry, EllipsoidModel, as_points, check_ellipsoids,
-                      design_matrix, require_carried)
+from .quadric import (ELLIPSOID, SQUARE_RANGE, EllipsoidGeometry, EllipsoidModel, as_points,
+                      check_ellipsoids, design_matrix, require_carried)
 
 RNG_ALGORITHM = "PCG64"
 
@@ -196,18 +196,16 @@ def _lo_schedule(epsilon: float, steps: int) -> np.ndarray:
 
 
 def _refine(model: EllipsoidModel, pts: np.ndarray, rows: np.ndarray, cfg: FitConfig,
-            distances: Optional[np.ndarray] = None) -> Optional[tuple]:
+            d: np.ndarray) -> Optional[tuple]:
     """Refit cascade around ``model`` in the frame of ``pts``; None when nothing validates.
 
     ``rows`` is ``design_matrix(pts)[None]``.  Each step weights the points by
     the current model's score-metric distances with a shrinking kernel width
     and refits them through ``solve_rows``; the refit becomes the current
     model when it is an ellipsoid, and the step is skipped when it is not or
-    fewer than MIN_POINTS weights exceed SUPPORT_TOL.  Returns (model, score,
-    distances) of the best step.  ``distances``, when given, are ``model``'s
-    and stand in for its evaluation.
+    fewer than MIN_POINTS weights exceed SUPPORT_TOL.  ``d`` are ``model``'s
+    score-metric distances.  Returns (model, score, distances) of the best step.
     """
-    d = evaluate_metric(cfg.score_metric, pts, model) if distances is None else distances
     best, best_score = None, -math.inf
     for eps_lo in _lo_schedule(cfg.epsilon, cfg.lo_steps):
         w = point_energy(d, eps_lo)
@@ -229,7 +227,8 @@ def local_optimize(model: EllipsoidModel, points, cfg: FitConfig) -> Optional[tu
     and the cascade (``_refine``) runs there on design rows built once.
     Returns (model, score, distances under the score metric) of its
     best-scoring step, with the model mapped back exactly and its distances
-    and score evaluated on ``points``.  Identical points give None.
+    and score evaluated on ``points``.  Identical points give None; it raises
+    NotAnEllipsoid up front as ``fit`` does.
     """
     pts = as_points(points)
     if len(pts) < MIN_POINTS:
@@ -237,8 +236,11 @@ def local_optimize(model: EllipsoidModel, points, cfg: FitConfig) -> Optional[tu
     local, center, scale = condition(pts)
     if scale == 0.0:
         return None
-    best = _refine(_to_scene(model, -center / scale, 1.0 / scale), local,
-                   design_matrix(local)[None], replace(cfg, epsilon=cfg.epsilon / scale))
+    require_carried(max(scale, SQUARE_RANGE[0]), max(scale, *np.abs(center)))  # upper end
+    start = _to_scene(model, -center / scale, 1.0 / scale)
+    best = _refine(start, local, design_matrix(local)[None],
+                   replace(cfg, epsilon=cfg.epsilon / scale),
+                   evaluate_metric(cfg.score_metric, local, start))
     if best is None:
         return None
     refined = _to_scene(best[0], center, scale)
@@ -354,8 +356,9 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     sample-consensus best improves.  Raises NoModelFound at once when the
     points are coplanar, collinear or identical, and when no candidate
     validates within the iteration budget; TooFewPoints when fewer than
-    ``MIN_POINTS`` (9) points are supplied; NotAnEllipsoid when the fitted
-    ellipsoid's magnitudes leave what its coefficients carry (``_to_scene``).
+    ``MIN_POINTS`` (9) points are supplied; NotAnEllipsoid up front when the
+    points' spread or mean lies above ``quadric.SQUARE_RANGE``, and when the
+    fitted ellipsoid's magnitudes leave it (``_to_scene``).
 
     The loop runs on the conditioned cloud.  It draws and solves chunks of
     minimal samples (see MAX_CHUNK), then replays them one iteration at a
@@ -369,6 +372,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
         raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
     start = time.perf_counter()
     local, center, scale = condition(pts)
+    require_carried(max(scale, SQUARE_RANGE[0]), max(scale, *np.abs(center)))  # upper end
     spread = np.linalg.eigvalsh(local.T @ local)
     if spread[0] <= FLAT_TOL * spread[-1]:
         raise NoModelFound("points are coplanar, collinear or identical")

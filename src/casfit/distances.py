@@ -29,7 +29,9 @@ its gradient is 2 kappa R^T (v / r), and the Sampson distance |F| / ||grad F||
 is |s^2 - 1| / (2 ||v / r||).  The algebraic distance |d(x) @ q| = |F| is
 kappa |s^2 - 1|.  The algebraic, axial, Sampson and ``cas`` metrics compute
 from one (3, n) product v, and s^2 adds its three squared rows; no metric
-builds the design rows d(x) of the points.
+builds the design rows d(x) of the points.  The exact orthogonal distance
+runs one Newton iteration in lengths scaled by a power of two, so it stays
+finite wherever the true distance does.
 
 The Sampson distance of the model center is returned as +inf: the algebraic
 gradient vanishes there, and downstream consumers (energies, weights,
@@ -56,9 +58,10 @@ GRADIENT_TOL = 1e-12
 ROOT_MAX_ITERATIONS = 200
 
 # Aligned coordinates at or below this fraction of the longest semiaxis are
-# treated as exact zeros.  Near an axis plane the foot-point equation turns
-# stiff; a zeroed coordinate drops out of it exactly, and snapping moves the
-# query point by at most this amount.
+# treated as exact zeros, which moves the query point by at most this amount.
+# A far smaller coordinate on a shortest axis starts the foot-point Newton
+# iteration at a shift so small that its derivative leaves the double range,
+# and the iteration stalls; a zeroed coordinate drops out exactly.
 ZERO_SNAP = 1e-13
 
 _SINGLE_KINDS = ("algebraic", "sampson", "orthogonal", "axial")
@@ -162,65 +165,52 @@ def sampson_distance(points, model: EllipsoidModel):
     return evaluate_metric(SAMPSON, points, model)
 
 
-def _largest_root(w: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """Largest root t of sum((r_i w_i / (r_i^2 + t))^2) == 1, row-wise, for w >= 0.
+def orthogonal_distance(points, model: EllipsoidModel):
+    """Exact Euclidean distance to the ellipsoid surface (unsigned).
 
-    Returns the shift s = t + min(r)^2, with denominators e_i + s and
-    e_i = r_i^2 - min(r)^2: near the center t approaches -min(r)^2, where
-    r_i^2 + t would cancel away most digits of the shortest axes' terms.
-
-    On s > 0, f(s) = sum(a_i / (e_i + s)^2) - 1 with a_i = (r_i w_i)^2 is
-    convex and decreasing, so Newton's method started left of the root
-    climbs to it monotonically, never overshooting.  s0 = max(0, max_i(r_i
-    w_i - e_i)) lies left of it: at s0 > 0 one term is at least one, and
-    s0 = 0 only when no shortest axis has w_i > 0, where f(0) is finite.  A
-    row stops when a step no longer raises s, so a row with f(0) <= 0 (root
-    pinned at 0, the center included) returns 0.  Terms with a_i = 0 get a
-    nonzero denominator: an inactive shortest axis reads 0, not 0/0, at 0.
+    With w = |R x + t| and e_i = r_i^2 - min(r)^2, the foot point is r_i^2 w_i
+    / (e_i + s) at the largest root s >= 0 of the convex, decreasing f(s) =
+    sum((r_i w_i / (e_i + s))^2) - 1; shifting the usual root by min(r)^2
+    keeps the shortest axes' digits near the center.  Newton's method from
+    s0 = max(0, max_i(r_i w_i - e_i)), where one term is at least one or no
+    shortest axis has w_i > 0, climbs to it without overshooting; a row stops
+    when a step no longer raises s.  A row that stays at 0 has f(0) <= 0 (the
+    center included): its nearest point leaves its active subspace along a
+    shortest axis, adding min(r)^2 (-f(0)) to the squared distance.  e_i = 1
+    where r_i w_i = 0, so an inactive shortest axis reads 0, not 0/0.  Each
+    row is in units of 2^k, k the exponent of its largest coordinate or
+    semiaxis (exact, and every length below one); terms are squared ratios
+    and the distance a hypot, so none overflows.
     """
-    rw = axes * w
-    a = np.square(rw)
-    excess = np.where(a > 0.0, np.square(axes) - float(np.square(axes).min()), 1.0)
-    s = np.maximum((rw - excess).max(axis=1), 0.0)
+    geom = model.geometry
+    # rows per axis, (3, n): each sum or extreme over the axes is two row operations
+    w = np.abs(as_points(points) @ geom.rotation.T + geom.translation).T.copy()
+    axes = geom.semiaxes[:, None]
+    w[w <= ZERO_SNAP * float(axes.max())] = 0.0
+    unit = np.frexp(np.maximum(w.max(axis=0), axes.max()))[1]
+    r, r_min = np.ldexp(axes, -unit), np.ldexp(axes.min(), -unit)
+    np.ldexp(w, -unit, out=w)
+    rw = r * w
+    r_sq = np.square(r)
+    excess = np.where(rw > 0.0, r_sq - np.square(r_min), 1.0)
+    s = np.maximum((rw - excess).max(axis=0), 0.0)
     for _ in range(ROOT_MAX_ITERATIONS):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d = excess + s[:, None]
-            terms = a / np.square(d)
-            raised = s + (terms.sum(axis=1) - 1.0) / (2.0 * (terms / d).sum(axis=1))
+            d = excess + s
+            terms = np.square(rw / d)
+            residual = terms.sum(axis=0) - 1.0
+            raised = s + residual / (2.0 * (terms / d).sum(axis=0))
         rising = raised > s
         if not rising.any():
-            return s
+            break
         s = np.where(rising, raised, s)
-    raise ConvergenceFailure(
-        f"foot-point root solve still rising after {ROOT_MAX_ITERATIONS} iterations")
-
-
-def orthogonal_distance(points, model: EllipsoidModel):
-    """Exact Euclidean distance to the ellipsoid surface (unsigned)."""
-    pts = as_points(points)
-    geom = model.geometry
-    aligned = pts @ geom.rotation.T + geom.translation
-    w = np.abs(aligned)
-    axes = geom.semiaxes
-    w[w <= ZERO_SNAP * float(axes.max())] = 0.0
-    r_sq = np.square(axes)
-    floor = float(r_sq.min())
-    excess = r_sq - floor
-    active = w > 0.0
-
-    # A row with a non-negative slack has its root pinned at shift 0, where
-    # the root solve returns it (only possible when its coordinates on the
-    # shortest axes are all zero, the center included): the nearest point
-    # leaves the row's active subspace along a shortest axis, which takes up
-    # the missing floor * slack.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.where(active, axes * w / excess, 0.0)
-    slack = 1.0 - np.square(g).sum(axis=1)
-    shift = _largest_root(w, axes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        foot = np.where(active, r_sq * w / (excess + shift[:, None]), 0.0)
-    gap = np.square(w - foot).sum(axis=1) + floor * np.maximum(slack, 0.0)
-    return _shaped(np.sqrt(gap), points)
+    else:
+        raise ConvergenceFailure(
+            f"foot-point root solve still rising after {ROOT_MAX_ITERATIONS} iterations")
+    gap = w - r_sq * w / d
+    pinned = r_min * np.sqrt(np.where(s > 0.0, 0.0, np.maximum(-residual, 0.0)))
+    dist = np.hypot(np.hypot(gap[0], gap[1]), np.hypot(gap[2], pinned))
+    return _shaped(np.ldexp(dist, unit), points)
 
 
 def cas_distance(points, model: EllipsoidModel, lam: float = 0.5):

@@ -28,7 +28,7 @@ import numpy as np
 from .distances import MetricKind, cas, evaluate_metric
 from .errors import InsufficientSupport, RankDeficient, TooFewPoints
 from .quadric import (EllipsoidModel, as_points, design_matrix, normalize_coeffs,
-                      normalize_rows, quadratic_block, require_carried, square_exponent)
+                      normalize_rows, quadratic_block, require_carried)
 
 # Minimum number of points (and of usably weighted points) for a quadric.
 MIN_POINTS = 9
@@ -45,15 +45,16 @@ def condition(points: np.ndarray):
 
     Returns ``(local, center, scale)`` with ``points == center + scale *
     local`` up to rounding.  Identical points have ``scale`` 0 and an
-    all-zero ``local``.  Offsets are squared within ``quadric.SQUARE_RANGE``,
-    after an exact power-of-two scaling where they leave it.
+    all-zero ``local``.  Sums and squares are taken in units of the power of
+    two that takes the largest magnitude into [1/2, 1): exact, and no overflow.
     """
-    center = points.mean(axis=0)
-    shifted = points - center
-    shift = square_exponent(float(max(shifted.max(), -shifted.min())))
-    unit = np.ldexp(shifted, -shift) if shift else shifted
-    scale = math.ldexp(float(np.sqrt(np.square(unit).sum(axis=1).mean() / 3.0)), shift)
-    return (shifted / scale if scale > 0.0 else shifted), center, scale
+    unit = math.frexp(float(max(points.max(), -points.min())))[1]
+    shifted = np.ldexp(points, -unit)
+    center = shifted.mean(axis=0)
+    shifted -= center
+    scale = float(np.sqrt(np.square(shifted).sum(axis=1).mean() / 3.0))
+    local = np.divide(shifted, scale, out=shifted) if scale > 0.0 else shifted
+    return local, np.ldexp(center, unit), math.ldexp(scale, unit)
 
 
 def decondition(q_local: np.ndarray, center: np.ndarray, scale: float) -> np.ndarray:

@@ -73,16 +73,16 @@ def normalize_coeffs(q) -> np.ndarray:
 
     The sign is chosen so that the trace of the quadratic block (q1+q2+q3)
     is positive.  A zero trace is left untouched; such a vector can never
-    validate as an ellipsoid anyway.  Where the largest entry leaves
-    SQUARE_RANGE, q is scaled by an exact power of two before it is squared.
+    validate as an ellipsoid anyway.  q is first scaled by the exact power of
+    two that takes its largest entry into [1/2, 1), so its squared norm
+    neither overflows nor underflows.
     """
     q = np.asarray(q, dtype=float).reshape(10)
     if not np.isfinite(q).all():
         raise ValueError("coefficients must be finite")
     if not q.any():
         raise ValueError("coefficient vector is zero")
-    shift = square_exponent(float(np.abs(q).max()))
-    return normalize_rows((np.ldexp(q, -shift) if shift else q)[None])[0]
+    return normalize_rows(np.ldexp(q, -math.frexp(float(np.abs(q).max()))[1])[None])[0]
 
 
 def normalize_rows(q: np.ndarray) -> np.ndarray:
@@ -94,11 +94,6 @@ def normalize_rows(q: np.ndarray) -> np.ndarray:
     # Stacked dot products round like np.linalg.norm of a single 1-D row.
     q = q / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
     return np.where(q[:, :3].sum(axis=1, keepdims=True) < 0.0, -q, q)
-
-
-def square_exponent(largest: float) -> int:
-    """e with largest * 2^-e in [1/2, 1) where largest >= 0 leaves SQUARE_RANGE, else 0."""
-    return 0 if SQUARE_RANGE[0] <= largest <= SQUARE_RANGE[1] else math.frexp(largest)[1]
 
 
 def require_carried(low: float, high: float) -> None:

@@ -400,6 +400,13 @@ class TestExitCodes:
         assert run_cli(["fit", str(planar), "--epsilon", "0.1"]) == 2
         assert "coplanar, collinear or identical" in capsys.readouterr().err
 
+        # coordinates whose sum leaves the double range: a typed error naming
+        # the magnitude, not a failed eigen-solve
+        huge = tmp_path / "huge.csv"
+        save_points(np.random.default_rng(0).uniform(1e306, 2e306, (500, 3)), huge)
+        assert run_cli(["fit", str(huge), "--epsilon", "1e304"]) == 2
+        assert "ellipsoid magnitudes" in capsys.readouterr().err
+
         not_json = tmp_path / "grid.json"
         not_json.write_text("{oops")
         assert run_cli(["bench", str(not_json), "--out",

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from casfit import (ALGEBRAIC, AXIAL, SAMPSON, CasfitError, DatasetSpec, EllipsoidGeometry,
-                    EllipsoidModel, FitConfig, NoModelFound,
+                    EllipsoidModel, FitConfig, NoModelFound, NotAnEllipsoid,
                     TooFewPoints, axial_distance, cas, classify,
-                    evaluate_metric, fit, local_optimize, make_instance,
+                    evaluate_metric, fit, lls_fit, local_optimize, make_instance,
                     model_score, point_energy, random_rotation,
-                    required_iterations, sample_minimal, sample_surface)
+                    required_iterations, sample_minimal, sample_surface, wls_fit)
 from casfit import consensus, distances
 from casfit.consensus import CHUNK, FLAT_TOL, MAX_CHUNK
 from casfit.leastsq import condition, solve_rows
@@ -191,12 +191,15 @@ class TestLocalOptimize:
 
     def test_one_evaluation_per_model(self, monkeypatch):
         # The cascade, run as fit runs it (conditioned points and their
-        # rows), evaluates the start model once unless its distances are
-        # passed, and each valid refit once, all under the score metric.
+        # rows), takes the start model's distances from its caller and
+        # evaluates each valid refit once, all under the score metric;
+        # local_optimize adds one evaluation of the start model and one of
+        # the mapped-back winner.
         inst = cloud(0.3, seed=5)
         local, center, scale = condition(inst.points)
         rows = design_matrix(local)[None]
-        cfg = FitConfig(epsilon=1.5 * inst.sigma / scale)
+        scene_cfg = FitConfig(epsilon=1.5 * inst.sigma)
+        cfg = dataclasses.replace(scene_cfg, epsilon=scene_cfg.epsilon / scale)
         start = consensus._to_scene(inst.truth, -center / scale, 1.0 / scale)
         score_metric = cfg.score_metric
         start_d = evaluate_metric(score_metric, local, start)
@@ -217,18 +220,17 @@ class TestLocalOptimize:
         monkeypatch.setattr(consensus, "_models", models)
         for name in ("gaussian_weights", "model_score", "classify"):
             monkeypatch.setattr(consensus, name, None)
-        results = []
-        for distances in (None, start_d):
-            kinds.clear()
-            valid.clear()
-            results.append(consensus._refine(start, local, rows, cfg, distances))
-            assert results[-1] is not None
-            assert len(valid) == cfg.lo_steps
-            assert kinds == [score_metric] * (len(valid) + (distances is None))
-        # the passed distances are the ones it would have evaluated
-        (model, score, d), (model_d, score_d, d_d) = results
-        assert np.array_equal(model.coeffs, model_d.coeffs) and score == score_d
-        assert np.array_equal(d, d_d)
+        model, _, _ = consensus._refine(start, local, rows, cfg, start_d)
+        assert len(valid) == cfg.lo_steps
+        assert kinds == [score_metric] * len(valid)
+        kinds.clear()
+        valid.clear()
+        refined, _, _ = local_optimize(inst.truth, inst.points, scene_cfg)
+        assert len(valid) == cfg.lo_steps
+        assert kinds == [score_metric] * (len(valid) + 2)
+        # it hands the cascade the start model's own distances
+        scene = consensus._to_scene(model, center, scale)
+        assert np.array_equal(refined.coeffs, scene.coeffs)
 
     def test_too_few_points(self, rng):
         with pytest.raises(TooFewPoints):
@@ -863,6 +865,19 @@ class TestMagnitudes:
         # the range README states, 2^-500 to 2^500 for semiaxes and center
         assert all(outcomes[k] == "fitted" for k in range(-150, 150))
         assert outcomes[-152] == outcomes[151] == "raised"
+
+    def test_coordinate_sums_past_the_double_range(self):
+        # finite coordinates whose sum overflows: each entry point names the
+        # magnitude instead of failing its eigen-solve, reading the cloud as
+        # non-finite, or fitting on an underflowed threshold
+        points = np.random.default_rng(0).uniform(1e306, 2e306, (500, 3))
+        cfg = FitConfig(epsilon=1e304, seed=0)
+        for call in (lambda: fit(points, cfg),
+                     lambda: local_optimize(unit_sphere(), points, cfg),
+                     lambda: lls_fit(points),
+                     lambda: wls_fit(points, np.ones(len(points)))):
+            with pytest.raises(NotAnEllipsoid, match="e\\+306"):
+                call()
 
 
 class TestFitConfig:

@@ -207,20 +207,60 @@ class TestOrthogonal:
         assert np.allclose(batch, single, rtol=1e-12, atol=1e-14)
 
         # generic points share one batch with axis-plane points, on-axis
-        # points (inside and out) and the center
+        # points (inside and out), the center and points far beyond 1e154,
+        # bit for bit
         for semiaxes in (None, (3.0, 1.0, 1.0), (2.0, 2.0, 2.0), (1e3, 1.0, 0.5)):
             m = make_model(rng) if semiaxes is None else rigidly_moved(
                 axis_aligned(semiaxes), random_rotation(rng), rng.uniform(-5, 5, 3))
-            u = rng.uniform(-2.0, 2.0, size=(40, 3)) * m.semiaxes
-            u[np.arange(10, 20), rng.integers(0, 3, 10)] = 0.0
-            u[20:30] *= np.eye(3)[rng.integers(0, 3, 10)]
-            u[30:35] *= 0.1 * np.eye(3)[rng.integers(0, 3, 5)]
-            u[35] = 0.0
-            pts = from_aligned(m, u)
+            pts = from_aligned(m, mixed_aligned(m, rng))
             batch = orthogonal_distance(pts, m)
             single = np.array([orthogonal_distance(p, m) for p in pts])
-            assert np.allclose(batch, single, rtol=1e-12, atol=1e-14)
+            assert np.array_equal(batch, single)
             assert abs(batch[35] - m.semiaxes.min()) < 1e-12 * m.semiaxes.max()
+            assert np.isfinite(batch).all()
+
+    def test_beyond_the_square_range(self):
+        # (r w)^2 and the squared gap overflow here unless lengths are scaled
+        m = axis_aligned((3.0, 2.0, 1.0))
+        d = orthogonal_distance(np.array([[1e155, 1e155, 1e155], [1e160, 1.0, 1.0]]), m)
+        assert abs(d[0] - np.sqrt(3.0) * 1e155) <= 1e-15 * d[0]
+        assert abs(d[1] - 1e160) <= 1e-15 * d[1]
+
+    @pytest.mark.parametrize("exponent", [-1000, -600, -300, 300, 600, 1000])
+    def test_power_of_two_scaling_is_exact(self, rng, exponent):
+        # q cannot carry these models, so the geometry is scaled directly
+        m = rigidly_moved(axis_aligned((3.0, 1.5, 1.0)), random_rotation(rng),
+                          rng.uniform(-5.0, 5.0, 3))
+        geom = m.geometry
+        scaled = EllipsoidModel(m.coeffs, EllipsoidGeometry(
+            geom.rotation, np.ldexp(geom.translation, exponent),
+            np.ldexp(geom.semiaxes, exponent)))
+        pts = from_aligned(m, mixed_aligned(m, rng)[:36])
+        assert np.array_equal(orthogonal_distance(np.ldexp(pts, exponent), scaled),
+                              np.ldexp(orthogonal_distance(pts, m), exponent))
+
+    def test_zero_snap_keeps_the_derivative_in_range(self):
+        # a shortest-axis coordinate of 1e-305 would start the Newton
+        # iteration at a shift whose derivative overflows, and stall it; the
+        # snapped point reads its long double bisection
+        semiaxes = np.array([1.0, 2.2277739e-3, 1.88399981e-4])
+        p = np.array([0.208, 0.72 * semiaxes[1], 1e-305])
+        d = orthogonal_distance(p, axis_aligned(semiaxes))
+        assert abs(d - 1.2420143016360954e-4) <= 1e-12 * d
+
+
+def mixed_aligned(model, rng):
+    """38 aligned points: generic (0-9), on axis planes (10-19), on axes inside
+    and out (20-29) and near the center (30-34), the center (35), and two far
+    points past 1e154 (36, 37)."""
+    u = rng.uniform(-2.0, 2.0, size=(38, 3)) * model.semiaxes
+    u[np.arange(10, 20), rng.integers(0, 3, 10)] = 0.0
+    u[20:30] *= np.eye(3)[rng.integers(0, 3, 10)]
+    u[30:35] *= 0.1 * np.eye(3)[rng.integers(0, 3, 5)]
+    u[35] = 0.0
+    u[36] = 1e155
+    u[37] = (1e160, 1.0, 1.0)
+    return u
 
 
 _coord = st.floats(-3.0, 3.0, allow_nan=False)
