@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,10 +30,7 @@ CSV_COLUMNS = (
 )
 
 # Columns aggregated as mean +/- std in the per-(variant, dataset) rows.
-AGGREGATE_COLUMNS = (
-    "param_err", "semiaxis_err", "center_err", "sampson_res", "orth_res",
-    "axial_res", "iterations", "lo_count", "is_ellipsoid", "wall_ms",
-)
+AGGREGATE_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("param_err"):]
 
 
 @dataclass(frozen=True)
@@ -157,8 +153,6 @@ def grid_from_json(doc) -> ExperimentGrid:
         datasets = tuple(DatasetSpec(**d) for d in doc["datasets"])
         given = {key: doc[key] for key in ("runs_per_instance", "seed") if key in doc}
         return ExperimentGrid(variants=variants, datasets=datasets, **given)
-    except ParseError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad grid document: {exc}") from exc
 
@@ -182,16 +176,6 @@ def _fit_seed(grid_seed: int, dataset_index: int, instance_index: int, run_index
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _grid_instances(grid: ExperimentGrid) -> list:
-    per_dataset = []
-    for dataset in grid.datasets:
-        per_dataset.append([
-            make_instance(dataset, _instance_rng(dataset, i))
-            for i in range(dataset.instance_count)
-        ])
-    return per_dataset
-
-
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
@@ -204,7 +188,8 @@ def run_grid(grid: ExperimentGrid, out_path=None, progress=None):
     there as CSV, with each (variant, dataset) block followed by its
     aggregate row (instance 'all', run 'aggregate', cells 'mean±std').
     """
-    instances = _grid_instances(grid)
+    instances = [[make_instance(dataset, _instance_rng(dataset, i))
+                  for i in range(dataset.instance_count)] for dataset in grid.datasets]
     blocks = []
     for variant in grid.variants:
         for di, dataset in enumerate(grid.datasets):
@@ -216,9 +201,7 @@ def run_grid(grid: ExperimentGrid, out_path=None, progress=None):
                 inst: Instance = instances[di][ii]
                 for ri in range(grid.runs_per_instance):
                     cfg = variant.make_config(inst.sigma, _fit_seed(grid.seed, di, ii, ri))
-                    start = time.perf_counter()
                     report = fit(inst.points, cfg)
-                    wall_ms = 1e3 * (time.perf_counter() - start)
                     err = fitting_errors(report.model, inst.truth)
                     res = residuals(report.model, inst.points)
                     row = {
@@ -234,7 +217,7 @@ def run_grid(grid: ExperimentGrid, out_path=None, progress=None):
                         "iterations": str(report.iterations),
                         "lo_count": str(report.lo_invocations),
                         "is_ellipsoid": str(int(validate_ellipsoid(report.model.coeffs))),
-                        "wall_ms": f"{wall_ms:.3f}",
+                        "wall_ms": f"{1e3 * report.wall_time:.3f}",
                     }
                     block.append(row)
                     if progress is not None:

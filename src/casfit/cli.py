@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .bench import _instance_rng, load_grid, run_grid
 from .consensus import FitConfig, fit
-from .distances import METRIC_KINDS, MetricKind, evaluate_metric
+from .distances import _PAIR_KINDS, METRIC_KINDS, MetricKind, _blend, evaluate_metric
 from .errors import CasfitError
 from .quadric import EllipsoidModel
 from .synth import DATASET_KINDS, DatasetSpec, load_points, make_instance, save_points
@@ -173,12 +173,15 @@ def _cmd_distances(args) -> int:
         doc = json.load(fh)
     model = EllipsoidModel.from_json_dict(doc)
     kinds = [MetricKind(k, args.lam) for k in METRIC_KINDS]
+    # each single kind once: the blends are made from these values
+    singles = {k.kind: np.atleast_1d(evaluate_metric(k, points, model))
+               for k in kinds if k.kind not in _PAIR_KINDS}
 
     # the rows csv.writer would write: no field needs quoting, lines end in \r\n
     def write(fh):
         fh.write("point_index,metric,value\r\n")
         for kind in kinds:
-            values = np.atleast_1d(evaluate_metric(kind, points, model)).tolist()
+            values = _blend(kind, singles).tolist()
             name = str(kind)
             fh.write("".join(f"{i},{name},{value:.17g}\r\n" for i, value in enumerate(values)))
 

@@ -30,8 +30,8 @@ is |s^2 - 1| / (2 ||v / r||).  The algebraic distance |d(x) @ q| = |F| is
 kappa |s^2 - 1|.  The algebraic, axial, Sampson and ``cas`` metrics compute
 from one (3, n) product v, and s^2 adds its three squared rows; no metric
 builds the design rows d(x) of the points.  The exact orthogonal distance
-runs one Newton iteration in lengths scaled by a power of two, so it stays
-finite wherever the true distance does.
+runs one Newton iteration.  Every metric takes lengths in units of a power
+of two, so it stays finite wherever the true distance does.
 
 The Sampson distance of the model center is returned as +inf: the algebraic
 gradient vanishes there, and downstream consumers (energies, weights,
@@ -43,6 +43,7 @@ and the model are moved, rotated or scaled together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,14 +129,45 @@ def _shaped(values: np.ndarray, points):
     return float(values[0]) if np.asarray(points).ndim == 1 else values
 
 
-def _unit_squares(points, model: EllipsoidModel):
-    """Squared unit-frame coordinates v * v, v = (R x + t) / r, shape (3, n), and their sum s^2."""
+def _unit_terms(names, points, model: EllipsoidModel) -> dict:
+    """The unit-frame metrics in ``names``, and s as "scale", each an (n,) array.
+
+    Lengths are in units of 2^k, which take the shortest semiaxis into [1, 2),
+    folded back into the model's scalars; a row whose squares overflow takes v
+    in units that bring s near 2^60, where s - 1 still reads s.  Both are exact."""
     geom = model.geometry
-    r = geom.semiaxes
-    squares = (geom.rotation / r[:, None]) @ as_points(points).T
-    squares += (geom.translation / r)[:, None]  # in place: a second temporary costs page faults
-    np.square(squares, out=squares)
-    return squares, squares[0] + squares[1] + squares[2]
+    bottom = min(geom.semiaxes.tolist())
+    mantissa, k = math.frexp(bottom)  # bottom = mantissa 2^k, mantissa in [1/2, 1)
+    k -= 1  # so 2^-k takes the shortest semiaxis into [1, 2)
+    pts = as_points(points)
+    far, terms = (), {}
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = np.ldexp(geom.semiaxes, -k)  # at least 1
+        squares = (geom.rotation / geom.semiaxes[:, None]) @ pts.T  # v = (R x + t) / r
+        squares += (geom.translation / geom.semiaxes)[:, None]  # in place: fewer page faults
+        np.square(squares, out=squares)
+        level = squares[0] + squares[1] + squares[2]  # bounds (1 / r^2) @ squares, as r >= 1
+        if not level.max(initial=0.0) < np.inf:
+            far = np.flatnonzero(~(level < np.inf))
+            v = (pts[far] @ geom.rotation.T + geom.translation) / r  # v 2^k, finite as r >= 1
+            unit = np.frexp(np.abs(v).max(axis=1))[1] - 60
+            squares[:, far] = np.square(np.ldexp(v, -unit[:, None])).T
+            level[far] = squares[0, far] + squares[1, far] + squares[2, far]
+        if "scale" in names:
+            terms["scale"] = np.sqrt(level)
+        if "algebraic" in names:
+            kappa = np.ldexp(float(model.coeffs[:3].sum()) / (1.0 / np.square(r)).sum(), 2 * k)
+            terms["algebraic"] = kappa * np.abs(level - 1.0)
+        if "axial" in names:  # |s - 1| ||semiaxes|| / 3
+            terms["axial"] = np.abs(np.sqrt(level) - 1.0) * math.ldexp(math.sqrt(r.dot(r)) / 3.0, k)
+        if "sampson" in names:  # +inf at the center; in place: a live (n,) array costs page faults
+            vals = np.sqrt((1.0 / np.square(r)) @ squares)  # 2^k ||grad F|| / (2 kappa)
+            terms["sampson"] = np.divide(np.abs(level - 1.0), vals, out=vals)
+            vals *= bottom / (4.0 * mantissa)  # 2^(k - 1), exact
+            vals[level <= GRADIENT_TOL ** 2] = np.inf
+        for name, vals in terms.items() if len(far) else ():
+            vals[far] = np.ldexp(vals[far], (unit - k) * (2 if name == "algebraic" else 1))
+    return terms
 
 
 def algebraic_distance(points, model: EllipsoidModel):
@@ -148,8 +180,7 @@ def scaling_factor(points, model: EllipsoidModel):
 
     s == 0 at the center, s == 1 exactly on the surface.
     """
-    _, level = _unit_squares(points, model)
-    return _shaped(np.sqrt(level), points)
+    return _shaped(_unit_terms(("scale",), points, model)["scale"], points)
 
 
 def axial_distance(points, model: EllipsoidModel):
@@ -218,33 +249,31 @@ def cas_distance(points, model: EllipsoidModel, lam: float = 0.5):
     return evaluate_metric(cas(lam), points, model)
 
 
-def evaluate_metric(kind: MetricKind, points, model: EllipsoidModel):
-    """Evaluate any metric kind: a float for a (3,) point, an (n,) array for a stack.
-
-    Every metric but the orthogonal one reads one unit-frame product.  A
-    blend at lam 0 or 1 is its component untouched, so that the endpoints
-    are an exact reduction (and 0 * inf never poisons the blend).
-    """
+def _components(kind: MetricKind) -> tuple:
+    """The single kinds in ``kind``.  A blend at lam 0 or 1 is its component untouched, so
+    that the endpoints are an exact reduction (and 0 * inf never poisons the blend)."""
     names = _PAIR_KINDS.get(kind.kind, (kind.kind,))
     if kind.lam in (0.0, 1.0) and len(names) == 2:
         names = names[:1] if kind.lam == 1.0 else names[1:]
+    return names
+
+
+def _blend(kind: MetricKind, terms: dict) -> np.ndarray:
+    """The values of ``kind`` from ``terms``, the (n,) values of its ``_components``."""
+    names = _components(kind)
+    if len(names) == 1:
+        return terms[names[0]]
+    return kind.lam * terms[names[0]] + (1.0 - kind.lam) * terms[names[1]]
+
+
+def evaluate_metric(kind: MetricKind, points, model: EllipsoidModel):
+    """Evaluate any metric kind: a float for a (3,) point, an (n,) array for a stack."""
+    names = _components(kind)
     terms = {}
     if "orthogonal" in names:
         # Looked up at call time, so a wrapper put in its place is called.  It runs
         # first, so that its temporaries and the unit frame's are not alive at once.
         terms["orthogonal"] = np.atleast_1d(orthogonal_distance(points, model))
     if names != ("orthogonal",):
-        squares, level = _unit_squares(points, model)
-    if "algebraic" in names:
-        kappa = float(model.coeffs[:3].sum()) / float((1.0 / np.square(model.semiaxes)).sum())
-        terms["algebraic"] = kappa * np.abs(level - 1.0)
-    if "axial" in names:
-        terms["axial"] = np.abs(np.sqrt(level) - 1.0) * (np.linalg.norm(model.semiaxes) / 3.0)
-    if "sampson" in names:  # +inf at the center
-        vals = 2.0 * np.sqrt((1.0 / np.square(model.semiaxes)) @ squares)  # ||grad F|| / kappa
-        with np.errstate(divide="ignore"):  # in place: one more live (n,) array costs page faults
-            terms["sampson"] = np.divide(np.abs(level - 1.0), vals, out=vals)
-        vals[level <= GRADIENT_TOL ** 2] = np.inf
-    if len(names) == 1:
-        return _shaped(terms[names[0]], points)
-    return _shaped(kind.lam * terms[names[0]] + (1.0 - kind.lam) * terms[names[1]], points)
+        terms.update(_unit_terms(names, points, model))
+    return _shaped(_blend(kind, terms), points)

@@ -105,16 +105,16 @@ def require_carried(low: float, high: float) -> None:
                              "[%.3g, %.3g], the range unit-norm coefficients carry" % SQUARE_RANGE)
 
 
+# The entries of the quadric matrix Q that q holds, in order; q10 is -Q[3, 3].
+_Q_ENTRIES = (np.array([0, 1, 2, 0, 0, 1, 0, 1, 2, 3]), np.array([0, 1, 2, 1, 2, 2, 3, 3, 3, 3]))
+_Q_SIGNS = np.array([1.0] * 9 + [-1.0])
+_Q_INDEX = np.empty((4, 4), dtype=int)  # Q[i, j] == (q * _Q_SIGNS)[_Q_INDEX[i, j]]
+_Q_INDEX[_Q_ENTRIES] = _Q_INDEX[_Q_ENTRIES[::-1]] = np.arange(10)
+
+
 def coeffs_to_matrix(q) -> np.ndarray:
     """Symmetric 4x4 matrix Q with xh @ Q @ xh == d(x) @ q."""
-    q = np.asarray(q, dtype=float).reshape(10)
-    q1, q2, q3, q4, q5, q6, q7, q8, q9, q10 = q
-    return np.array([
-        [q1, q4, q5, q7],
-        [q4, q2, q6, q8],
-        [q5, q6, q3, q9],
-        [q7, q8, q9, -q10],
-    ])
+    return (np.asarray(q, dtype=float).reshape(10) * _Q_SIGNS)[_Q_INDEX]
 
 
 def matrix_to_coeffs(mat) -> np.ndarray:
@@ -125,22 +125,12 @@ def matrix_to_coeffs(mat) -> np.ndarray:
     scale = max(1.0, float(np.abs(mat).max()))
     if float(np.abs(mat - mat.T).max()) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric")
-    sym = 0.5 * (mat + mat.T)
-    return np.array([
-        sym[0, 0], sym[1, 1], sym[2, 2],
-        sym[0, 1], sym[0, 2], sym[1, 2],
-        sym[0, 3], sym[1, 3], sym[2, 3],
-        -sym[3, 3],
-    ])
-
-
-_BLOCK_INDEX = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
+    return (0.5 * (mat + mat.T))[_Q_ENTRIES] * _Q_SIGNS
 
 
 def quadratic_block(q) -> np.ndarray:
     """The symmetric 3x3 block of the quadric matrix; (..., 10) gives (..., 3, 3)."""
-    q = np.asarray(q, dtype=float)
-    return q[..., _BLOCK_INDEX].reshape(q.shape[:-1] + (3, 3))
+    return np.asarray(q, dtype=float)[..., _Q_INDEX[:3, :3]]
 
 
 @dataclass(frozen=True)
@@ -187,19 +177,13 @@ class EllipsoidGeometry:
 
 def geometry_to_coeffs(geom: EllipsoidGeometry) -> np.ndarray:
     """Quadric coefficients of the ellipsoid described by ``geom``."""
-    rot = geom.rotation
-    trans = geom.translation
+    rot, trans = geom.rotation, geom.translation
     inv_sq = 1.0 / np.square(geom.semiaxes)
-    block = rot.T @ (inv_sq[:, None] * rot)
-    linear = rot.T @ (inv_sq * trans)
-    const = float(trans @ (inv_sq * trans)) - 1.0
-    q = np.array([
-        block[0, 0], block[1, 1], block[2, 2],
-        block[0, 1], block[0, 2], block[1, 2],
-        linear[0], linear[1], linear[2],
-        -const,
-    ])
-    return normalize_coeffs(q)
+    mat = np.empty((4, 4))  # only the entries that q holds are read
+    mat[:3, :3] = rot.T @ (inv_sq[:, None] * rot)
+    mat[:3, 3] = rot.T @ (inv_sq * trans)
+    mat[3, 3] = float(trans @ (inv_sq * trans)) - 1.0
+    return normalize_coeffs(mat[_Q_ENTRIES] * _Q_SIGNS)
 
 
 # Verdicts of check_ellipsoids, one per coefficient row.
@@ -293,7 +277,7 @@ class EllipsoidModel:
         if verdict != ELLIPSOID:
             error, message = _REJECTIONS[verdict]
             raise error(message)
-        return cls(coeffs=q, geometry=EllipsoidGeometry(*fields))
+        return cls(coeffs=q, geometry=EllipsoidGeometry._checked(*fields))
 
     @classmethod
     def from_geometry(cls, geom: EllipsoidGeometry) -> "EllipsoidModel":

@@ -135,6 +135,8 @@ class TestGridConstruction:
             grid_from_json([])
         with pytest.raises(ParseError):
             grid_from_json({"datasets": []})
+        with pytest.raises(ParseError, match="at least one variant"):
+            grid_from_json({"variants": [], "datasets": [{"kind": "gaussian"}]})
         with pytest.raises(ParseError):
             grid_from_json({"variants": [{"name": "x", "bogus_field": 1}],
                             "datasets": [{"kind": "gaussian"}]})
@@ -153,6 +155,7 @@ class TestGridConstruction:
                 ({"lo_steps": 0}, {}, {}),
                 ({"epsilon_rel_sigma": -1.0}, {}, {}),
                 ({}, {}, {"runs_per_instance": 2.5}),
+                ({}, {}, {"runs_per_instance": 0}),
                 ({}, {}, {"seed": 1.0})):
             # a bad later variant fails on load, before any cell runs
             doc = {"variants": [{"name": "ok"}, {"name": "x", **variant}],

@@ -15,9 +15,9 @@ import pytest
 
 from casfit import (METRIC_KINDS, SAMPSON, DatasetSpec, EllipsoidModel, ExperimentGrid,
                     FitConfig, GridVariant, MetricKind, ParseError, cas, evaluate_metric, fit,
-                    grid_from_json, load_points, make_instance, read_report,
-                    required_iterations, run_grid, sample_surface, save_points)
-from casfit import bench, cli
+                    grid_from_json, load_points, make_instance, orthogonal_distance,
+                    read_report, required_iterations, run_grid, sample_surface, save_points)
+from casfit import bench, cli, distances
 from casfit.cli import main
 from casfit.synth import DATASET_KINDS
 
@@ -193,7 +193,7 @@ class TestSynthCommand:
 
 
 class TestBenchCommand:
-    def test_runs_grid_to_csv(self, tmp_path):
+    def test_runs_grid_to_csv(self, tmp_path, capsys):
         grid = {
             "variants": [{"name": "full", "min_iterations": 20,
                           "max_iterations": 100}],
@@ -206,10 +206,13 @@ class TestBenchCommand:
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(json.dumps(grid))
         out = tmp_path / "report.csv"
-        assert run_cli(["bench", str(grid_path), "--out", str(out)]) == 0
+        assert run_cli(["bench", str(grid_path), "--out", str(out), "--progress"]) == 0
         data_rows, aggregate_rows = read_report(out)
         assert len(data_rows) == 4
         assert len(aggregate_rows) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"full outlier f=0.20000000000000001 instance {i} run {r}"
+            for i in range(2) for r in range(2)]
 
     def test_bad_later_variant_fails_before_any_fit(self, tmp_path, monkeypatch):
         calls = []
@@ -333,7 +336,7 @@ class TestDistancesCommand:
         values = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(v >= 0.0 for v in values)
 
-    def test_bytes_are_those_of_csv_writer(self, points_file, tmp_path, capsys):
+    def test_bytes_are_those_of_csv_writer(self, points_file, tmp_path, capsys, monkeypatch):
         path, truth = points_file
         pts = np.vstack([truth.center, load_points(path)])  # Sampson reads +inf at the center
         save_points(pts, path)
@@ -349,6 +352,10 @@ class TestDistancesCommand:
             writer.writerows([i, str(kind), f"{v:.17g}"] for i, v in enumerate(values))
         want = buf.getvalue()
         assert ",sampson,inf\r\n" in want
+        # the blends reuse the orthogonal column: one exact solve per run
+        solves = []
+        monkeypatch.setattr(distances, "orthogonal_distance",
+                            lambda *args: solves.append(1) or orthogonal_distance(*args))
         out = tmp_path / "dist.csv"
         argv = ["distances", str(path), str(model_path), "--lambda", "0.25"]
         assert run_cli(argv + ["--out", str(out)]) == 0
@@ -356,6 +363,7 @@ class TestDistancesCommand:
         capsys.readouterr()
         assert run_cli(argv) == 0
         assert capsys.readouterr().out == want
+        assert len(solves) == 2
 
 
 class TestExitCodes:

@@ -44,6 +44,21 @@ class TestEnergy:
         with pytest.raises(ValueError):
             point_energy(1.0, 0.0)
 
+    @pytest.mark.parametrize("exponent", [-700, 700])
+    def test_power_of_two_scaling_is_exact(self, rng, exponent):
+        # eps^2 under- or overflows here unless d and eps are scaled first
+        d = np.concatenate([rng.uniform(0.0, 6.0, 200), [0.0, 1e-300, 1e90, np.inf]])
+        assert np.array_equal(point_energy(np.ldexp(d, exponent), math.ldexp(1.0, exponent)),
+                              point_energy(d, 1.0))
+
+    def test_tiny_epsilon_fits_without_warning(self):
+        # eps^2 underflows unless scaled; only points whose distance rounds
+        # to 0 score, 1 each, so the fit spends its whole budget
+        inst = contaminated(np.random.default_rng(0), fraction=0.3, count=500)
+        report = fit(inst.points, FitConfig(epsilon=1e-200, seed=1, max_iterations=2000))
+        assert report.iterations == 2000
+        assert report.score == report.inlier_mask.sum() < 50
+
     def test_score_matches_two_pass_recomputation(self, rng):
         m = make_model(rng)
         pts = np.vstack([sample_surface(m, 150, rng),
@@ -84,6 +99,12 @@ class TestRequiredIterations:
 
     def test_more_confidence_needs_more_draws(self):
         assert required_iterations(0.5, 0.999, 9) > required_iterations(0.5, 0.9, 9)
+
+    def test_bad_arguments_rejected(self):
+        for v, mu, n, message in ((1.5, 0.95, 9, "inlier ratio"), (0.5, 1.0, 9, "mu"),
+                                  (0.5, 0.95, 0, "sample size")):
+            with pytest.raises(ValueError, match=message):
+                required_iterations(v, mu, n)
 
 
 class TestClassify:

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casfit import (ALGEBRAIC, AXIAL, METRIC_KINDS, ORTHOGONAL, SAMPSON, EllipsoidGeometry,
-                    EllipsoidModel, MetricKind, algebraic_distance, axial_distance, cas,
-                    cas_distance, evaluate_metric, orthogonal_distance, sampson_distance,
-                    scaling_factor)
+from casfit import (ALGEBRAIC, AXIAL, METRIC_KINDS, ORTHOGONAL, SAMPSON, ConvergenceFailure,
+                    EllipsoidGeometry, EllipsoidModel, MetricKind, algebraic_distance,
+                    axial_distance, cas, cas_distance, evaluate_metric, orthogonal_distance,
+                    sampson_distance, scaling_factor)
+from casfit import distances
 from casfit.distances import GRADIENT_TOL, ZERO_SNAP
 from casfit.quadric import design_matrix, quadratic_block
 from casfit.synth import random_rotation, sample_surface
@@ -220,11 +221,18 @@ class TestOrthogonal:
             assert np.isfinite(batch).all()
 
     def test_beyond_the_square_range(self):
-        # (r w)^2 and the squared gap overflow here unless lengths are scaled
+        # (r w)^2, the squared gap and the unit-frame squares overflow here
+        # unless lengths are scaled; algebraic's true values pass the largest double
         m = axis_aligned((3.0, 2.0, 1.0))
-        d = orthogonal_distance(np.array([[1e155, 1e155, 1e155], [1e160, 1.0, 1.0]]), m)
-        assert abs(d[0] - np.sqrt(3.0) * 1e155) <= 1e-15 * d[0]
-        assert abs(d[1] - 1e160) <= 1e-15 * d[1]
+        pts = np.array([[1e155, 1e155, 1e155], [1e160, 1.0, 1.0]])
+        for metric, want in ((orthogonal_distance, (np.sqrt(3.0) * 1e155, 1e160)),
+                             (axial_distance, (1.4550889837454216e155, 4.157397096415490e159)),
+                             (sampson_distance, (6.564331821389480e154, 5e159)),
+                             (cas_distance, (1.0557610829421848e155, 4.578698548207745e159)),
+                             (scaling_factor, (np.sqrt(1 / 9 + 1 / 4 + 1) * 1e155, 1e160 / 3))):
+            got = metric(pts, m)
+            assert np.all(np.abs(got - want) <= 1e-15 * np.array(want)), metric.__name__
+        assert np.array_equal(algebraic_distance(pts, m), [np.inf, np.inf])
 
     @pytest.mark.parametrize("exponent", [-1000, -600, -300, 300, 600, 1000])
     def test_power_of_two_scaling_is_exact(self, rng, exponent):
@@ -236,8 +244,15 @@ class TestOrthogonal:
             geom.rotation, np.ldexp(geom.translation, exponent),
             np.ldexp(geom.semiaxes, exponent)))
         pts = from_aligned(m, mixed_aligned(m, rng)[:36])
-        assert np.array_equal(orthogonal_distance(np.ldexp(pts, exponent), scaled),
-                              np.ldexp(orthogonal_distance(pts, m), exponent))
+        for metric in (orthogonal_distance, axial_distance, sampson_distance, cas_distance):
+            assert np.array_equal(metric(np.ldexp(pts, exponent), scaled),
+                                  np.ldexp(metric(pts, m), exponent)), metric.__name__
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # this point's root takes more than one Newton step
+        monkeypatch.setattr(distances, "ROOT_MAX_ITERATIONS", 1)
+        with pytest.raises(ConvergenceFailure, match="after 1 iterations"):
+            orthogonal_distance(np.array([4.0, 3.0, 2.0]), axis_aligned((3.0, 2.0, 1.0)))
 
     def test_zero_snap_keeps_the_derivative_in_range(self):
         # a shortest-axis coordinate of 1e-305 would start the Newton

@@ -65,6 +65,12 @@ class TestMatrixForm:
             rhs = float((design_matrix(p) @ q)[0])
             assert np.isclose(lhs, rhs, atol=1e-10)
 
+    def test_points_must_be_finite_triples(self):
+        for bad, message in (([1.0, 2.0], "shape"), (np.ones((4, 2)), "shape"),
+                             ([[0.0, np.inf, 0.0]], "finite")):
+            with pytest.raises(ValueError, match=message):
+                design_matrix(bad)
+
     def test_design_rows_follow_the_formula(self, rng):
         # d(x) = (x^2, y^2, z^2, 2xy, 2xz, 2yz, 2x, 2y, 2z, -1), bit for bit
         def by_formula(p):
@@ -90,6 +96,8 @@ class TestMatrixForm:
         mat[0, 1] += 1e-6
         with pytest.raises(ValueError):
             matrix_to_coeffs(mat)
+        with pytest.raises(ValueError, match="4x4"):
+            matrix_to_coeffs(mat[:3, :3])
 
     def test_constant_term_sign(self):
         # the (3, 3) entry carries -q10 so the sphere x^2+y^2+z^2 = 1 has
@@ -266,6 +274,12 @@ class TestGeometry:
     def test_nonpositive_semiaxes_rejected(self):
         with pytest.raises(ValueError):
             EllipsoidGeometry(np.eye(3), np.zeros(3), [1.0, 0.0, 1.0])
+
+    def test_nonfinite_fields_rejected(self):
+        for trans, axes in (([0.0, np.nan, 0.0], [1.0, 1.0, 1.0]),
+                            ([0.0, 0.0, 0.0], [1.0, np.inf, 1.0])):
+            with pytest.raises(ValueError, match="finite"):
+                EllipsoidGeometry(np.eye(3), trans, axes)
 
 
 class TestSurfaceMembership:

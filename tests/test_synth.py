@@ -168,6 +168,10 @@ class TestDownsample:
         b = downsample(pts, 12, np.random.default_rng(8))
         assert np.array_equal(a, b)
 
+    def test_negative_count_rejected(self, rng):
+        with pytest.raises(ValueError, match="non-negative"):
+            downsample(rng.normal(size=(5, 3)), -1, rng)
+
 
 class TestPointFiles:
     def test_round_trip_is_exact(self, rng, tmp_path):
