@@ -91,10 +91,8 @@ class GridVariant:
     name: str
     score_metric: str = str(FitConfig.score_metric)
     local_opt: bool = FitConfig.local_opt
-    lo_steps: int = FitConfig.lo_steps
     epsilon: Optional[float] = None
     epsilon_rel_sigma: Optional[float] = _UNSET  # type: ignore[assignment]
-    mu: float = FitConfig.mu
     min_iterations: int = FitConfig.min_iterations
     max_iterations: int = FitConfig.max_iterations
 
@@ -108,18 +106,11 @@ class GridVariant:
         self.make_config(sigma=1.0, seed=0)
 
     def make_config(self, sigma: float, seed: int) -> FitConfig:
-        if self.epsilon is not None:
-            eps = self.epsilon
-        else:
-            if not sigma > 0.0:
-                raise ValueError(
-                    f"variant {self.name!r} needs a noisy dataset to derive epsilon from")
-            eps = self.epsilon_rel_sigma * sigma
+        eps = self.epsilon if self.epsilon is not None else self.epsilon_rel_sigma * sigma
         return FitConfig(
-            epsilon=eps, mu=self.mu, score_metric=MetricKind.parse(self.score_metric),
-            local_opt=self.local_opt, lo_steps=self.lo_steps,
-            max_iterations=self.max_iterations, min_iterations=self.min_iterations,
-            seed=seed)
+            epsilon=eps, score_metric=MetricKind.parse(self.score_metric),
+            local_opt=self.local_opt, max_iterations=self.max_iterations,
+            min_iterations=self.min_iterations, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -142,6 +133,11 @@ class ExperimentGrid:
             raise ValueError("variant names must be unique")
         if self.runs_per_instance < 1:
             raise ValueError("runs_per_instance must be positive")
+        # sigma is sigma_rel times a mean semiaxis of at least 1: 0 exactly where sigma_rel is
+        for v in self.variants:
+            if v.epsilon is None and any(d.sigma_rel == 0.0 for d in self.datasets):
+                raise ValueError(
+                    f"variant {v.name!r} needs a noisy dataset to derive epsilon from")
 
 
 def grid_from_json(doc) -> ExperimentGrid:

@@ -48,9 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             " (blends take :ratio)")
     p_fit.add_argument("--no-lo", action="store_true",
                        help="disable the local-optimization cascade")
-    p_fit.add_argument("--lo-steps", type=int, default=FitConfig.lo_steps)
-    p_fit.add_argument("--mu", type=float, default=FitConfig.mu,
-                       help="confidence target for the adaptive stop")
     p_fit.add_argument("--min-iterations", type=int, default=FitConfig.min_iterations)
     p_fit.add_argument("--max-iterations", type=int, default=FitConfig.max_iterations)
     p_fit.add_argument("--seed", type=int, default=FitConfig.seed)
@@ -103,8 +100,7 @@ def _cmd_fit(args) -> int:
     points = load_points(args.points)
     score = MetricKind.parse(args.metric)
     cfg = FitConfig(
-        epsilon=args.epsilon, mu=args.mu, score_metric=score,
-        local_opt=not args.no_lo, lo_steps=args.lo_steps,
+        epsilon=args.epsilon, score_metric=score, local_opt=not args.no_lo,
         min_iterations=args.min_iterations, max_iterations=args.max_iterations,
         seed=args.seed)
     hook = None

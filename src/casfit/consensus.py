@@ -4,7 +4,7 @@ The engine repeatedly fits a quadric to a minimal point sample, keeps the
 candidate whose Gaussian-kernel score over all points is highest, and runs
 a short weighted-refit cascade whenever the sample-consensus best improves.
 The number of iterations adapts to the inlier ratio of the best model so
-far, with a confidence target ``mu``.
+far, with the confidence target ``MU``.
 
 Scoring uses soft per-point energies exp(-d^2 / (2 eps^2)) rather than a
 hard inlier count, so models are rewarded for being close to many points,
@@ -60,7 +60,11 @@ from .quadric import (ELLIPSOID, SQUARE_RANGE, EllipsoidGeometry, EllipsoidModel
 
 RNG_ALGORITHM = "PCG64"
 
-# Annealing range of the refit kernel width, as multiples of eps.
+# Confidence that the adaptive stop has drawn one all-inlier sample.
+MU = 0.95
+
+# The refit cascade's LO_STEPS kernel widths run from LO_EPS_START to LO_EPS_END x eps.
+LO_STEPS = 5
 LO_EPS_START = 1.5
 LO_EPS_END = 0.5
 
@@ -77,32 +81,27 @@ class FitConfig:
 
     ``score_metric`` defaults to the combined axial/Sampson metric
     ``cas()``; its blend ratio is part of the kind.  It scores the
-    candidates and weights the refits.  Pass another kind to reproduce plain
-    sample consensus under a single distance (no local optimization).
-    Minimal samples always have ``leastsq.MIN_POINTS`` (9) points.
+    candidates and weights the refits.  Another kind with ``local_opt=False``
+    reproduces plain sample consensus under a single distance.  Minimal
+    samples always have ``leastsq.MIN_POINTS`` (9) points, the adaptive stop
+    targets ``MU`` and the refit cascade has ``LO_STEPS`` steps.
     """
 
     epsilon: float
-    mu: float = 0.95
     score_metric: MetricKind = cas()
     local_opt: bool = True
-    lo_steps: int = 5
     max_iterations: int = 100_000
     min_iterations: int = 50
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, "lo_steps", "max_iterations", "min_iterations", "seed")
+        require_integers(self, "max_iterations", "min_iterations", "seed")
         if not isinstance(self.local_opt, bool):
             raise ValueError(f"local_opt must be a bool, got {self.local_opt!r}")
         if not isinstance(self.score_metric, MetricKind):
             raise ValueError(f"score_metric must be a MetricKind, got {self.score_metric!r}")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("mu must lie strictly between 0 and 1")
-        if self.lo_steps < 1:
-            raise ValueError("lo_steps must be at least 1")
         if self.min_iterations < 1 or self.max_iterations < self.min_iterations:
             raise ValueError("iteration bounds must satisfy 1 <= min <= max")
 
@@ -189,10 +188,8 @@ def sample_minimal(point_count: int, sample_size: int, rng: np.random.Generator,
     return idx[0] if count is None else idx
 
 
-def _lo_schedule(epsilon: float, steps: int) -> np.ndarray:
-    if steps == 1:
-        return np.array([epsilon])
-    return np.linspace(LO_EPS_START * epsilon, LO_EPS_END * epsilon, steps)
+def _lo_schedule(epsilon: float) -> np.ndarray:
+    return np.linspace(LO_EPS_START * epsilon, LO_EPS_END * epsilon, LO_STEPS)
 
 
 def _refine(model: EllipsoidModel, pts: np.ndarray, rows: np.ndarray, cfg: FitConfig,
@@ -207,7 +204,7 @@ def _refine(model: EllipsoidModel, pts: np.ndarray, rows: np.ndarray, cfg: FitCo
     score-metric distances.  Returns (model, score, distances) of the best step.
     """
     best, best_score = None, -math.inf
-    for eps_lo in _lo_schedule(cfg.epsilon, cfg.lo_steps):
+    for eps_lo in _lo_schedule(cfg.epsilon):
         w = point_energy(d, eps_lo)
         q, ok = solve_rows(rows, w[None])
         (refit,) = _models(q, ok & (np.count_nonzero(w > SUPPORT_TOL) >= MIN_POINTS))
@@ -409,7 +406,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
                             improved = True
             if improved:
                 best_labels = best_d < local_cfg.epsilon
-                required = required_iterations(float(best_labels.mean()), cfg.mu, MIN_POINTS,
+                required = required_iterations(float(best_labels.mean()), MU, MIN_POINTS,
                                                cfg.min_iterations, cfg.max_iterations)
             if progress is not None:
                 progress(iteration, best_score, required)

@@ -94,11 +94,13 @@ class MetricKind:
 
     @classmethod
     def parse(cls, text: str) -> "MetricKind":
-        """Parse 'sampson' or 'cas:0.25' style strings."""
+        """Parse 'sampson' or 'cas:0.25' style strings; a single kind takes no ratio."""
         if not isinstance(text, str):
             raise ValueError(f"metric must be a string, got {text!r}")
         name, sep, ratio = text.partition(":")
         name = name.strip().lower()
+        if sep and name in _SINGLE_KINDS:
+            raise ValueError(f"metric {name!r} takes no blend ratio, got {text!r}")
         if sep:
             try:
                 lam = float(ratio)
@@ -108,8 +110,9 @@ class MetricKind:
         return cls(name)
 
     def __str__(self) -> str:
+        # the shortest text that parses back to the same ratio
         if self.kind in _PAIR_KINDS:
-            return f"{self.kind}:{self.lam:g}"
+            return f"{self.kind}:{np.format_float_positional(float(self.lam), trim='-')}"
         return self.kind
 
 

@@ -26,7 +26,7 @@ from casfit import (DegenerateQuadric, EllipsoidGeometry, EllipsoidModel, FitCon
                     FitReport, InsufficientSupport, NoModelFound, NotAnEllipsoid,
                     RankDeficient, TooFewPoints, classify, gaussian_weights,
                     model_score, required_iterations, sample_minimal, wls_fit)
-from casfit.consensus import _lo_schedule, _to_scene
+from casfit.consensus import MU, _lo_schedule, _to_scene
 from casfit.leastsq import MIN_POINTS, condition, solve_rows
 from casfit.quadric import ELLIPSOID, as_points, check_ellipsoids, design_matrix
 
@@ -37,7 +37,7 @@ def reference_local_optimize(model, points, cfg: FitConfig) -> Optional[Ellipsoi
     current = model
     best: Optional[EllipsoidModel] = None
     best_score = -math.inf
-    for eps_lo in _lo_schedule(cfg.epsilon, cfg.lo_steps):
+    for eps_lo in _lo_schedule(cfg.epsilon):
         w = gaussian_weights(pts, current, eps_lo, score_metric)
         try:
             q = wls_fit(pts, w)
@@ -104,7 +104,7 @@ def reference_fit(points, cfg: FitConfig, progress=None) -> FitReport:
                         improved = True
         if improved:
             ratio = float(classify(local, best_model, eps, score_metric).mean())
-            required = required_iterations(ratio, cfg.mu, n,
+            required = required_iterations(ratio, MU, n,
                                            cfg.min_iterations, cfg.max_iterations)
         if progress is not None:
             progress(iteration, best_score, required)

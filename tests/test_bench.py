@@ -99,6 +99,12 @@ class TestGridConstruction:
         (variant,) = grid_from_json(doc).variants
         assert (variant.epsilon, variant.epsilon_rel_sigma) == (0.1, None)
         assert GridVariant(name="x", epsilon=0.1).make_config(sigma=0.0, seed=1).epsilon == 0.1
+        # a noise-free dataset takes an absolute threshold alone
+        doc["datasets"] = [{"kind": "gaussian", "sigma_rel": 0}]
+        assert grid_from_json(doc).datasets[0].sigma_rel == 0
+        doc["variants"].append({"name": "rel"})
+        with pytest.raises(ParseError, match="'rel' needs a noisy dataset"):
+            grid_from_json(doc)
         assert GridVariant(name="x").epsilon_rel_sigma == 2.0
 
     def test_metric_strings_checked_eagerly(self):
@@ -108,8 +114,12 @@ class TestGridConstruction:
     def test_unique_variant_names(self):
         v = GridVariant(name="a")
         with pytest.raises(ValueError):
-            ExperimentGrid(variants=(v, GridVariant(name="a", lo_steps=3)),
+            ExperimentGrid(variants=(v, GridVariant(name="a", local_opt=False)),
                            datasets=(DatasetSpec(kind="gaussian"),))
+        # the confidence target and the refit schedule are constants
+        for field, value in (("mu", 0.95), ("lo_steps", 5)):
+            with pytest.raises(TypeError, match=field):
+                GridVariant(name="a", **{field: value})
 
     def test_json_round_trip(self):
         doc = {
@@ -147,13 +157,18 @@ class TestGridConstruction:
                 ({}, {"point_count": 60.5}, {}),
                 ({}, {"seed": "4"}, {}),
                 ({"max_iterations": 60.5}, {}, {}),
-                ({"lo_steps": True}, {}, {}),
+                ({"max_iterations": True}, {}, {}),
+                ({"min_iterations": 0}, {}, {}),
+                ({"epsilon": 0.0}, {}, {}),
                 ({"score_metric": 5}, {}, {}),
+                ({"score_metric": "sampson:0.3"}, {}, {}),
+                # removed settings, rejected whatever their value
                 ({"weight_metric": "sampson"}, {}, {}),
                 ({"sample_size": 9}, {}, {}),
-                ({"mu": 5.0}, {}, {}),
-                ({"lo_steps": 0}, {}, {}),
+                ({"mu": 0.95}, {}, {}),
+                ({"lo_steps": 5}, {}, {}),
                 ({"epsilon_rel_sigma": -1.0}, {}, {}),
+                ({}, {"sigma_rel": 0.0}, {}),
                 ({}, {}, {"runs_per_instance": 2.5}),
                 ({}, {}, {"runs_per_instance": 0}),
                 ({}, {}, {"seed": 1.0})):

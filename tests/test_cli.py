@@ -217,11 +217,21 @@ class TestBenchCommand:
     def test_bad_later_variant_fails_before_any_fit(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(bench, "fit", lambda *args: calls.append(args))
-        for bad in ({"mu": 5.0}, {"weight_metric": "sampson"}):
-            grid = {"variants": [{"name": "good"}, {"name": "bad", **bad}],
-                    "datasets": [{"kind": "gaussian", "instance_count": 2}],
-                    "runs_per_instance": 10}
-            with pytest.raises(ParseError):
+        good, noisy = {"name": "good"}, {"kind": "gaussian", "instance_count": 2}
+        for variants, dataset, message in (
+                # removed settings: the confidence target and the refit
+                # schedule are constants, and the score metric weights refits
+                ([good, {"name": "bad", "mu": 0.95}], noisy, "mu"),
+                ([good, {"name": "bad", "lo_steps": 5}], noisy, "lo_steps"),
+                ([good, {"name": "bad", "weight_metric": "sampson"}], noisy, "weight_metric"),
+                ([good, {"name": "bad", "min_iterations": 0}], noisy, "iteration bounds"),
+                # a relative threshold on a noise-free dataset, after the
+                # absolute variant's cells
+                ([{"name": "abs", "epsilon": 0.05}, {"name": "rel"}],
+                 {"kind": "gaussian", "sigma_rel": 0, "instance_count": 2},
+                 "'rel' needs a noisy dataset")):
+            grid = {"variants": variants, "datasets": [dataset], "runs_per_instance": 10}
+            with pytest.raises(ParseError, match=message):
                 grid_from_json(grid)
             grid_path = tmp_path / "grid.json"
             grid_path.write_text(json.dumps(grid))
@@ -268,18 +278,43 @@ class TestConfigSurfaces:
         assert relative.make_config(sigma=0.2, seed=4) == FitConfig(
             epsilon=1.5 * 0.2, seed=4, score_metric=SAMPSON)
 
+    # Each FitConfig field: its casfit fit option and its GridVariant field,
+    # each with the map from its value to the FitConfig one.  A grid variant
+    # takes its seed from the grid.
+    SURFACES = {
+        "epsilon": (("epsilon", float), ("epsilon", float)),
+        "score_metric": (("metric", MetricKind.parse), ("score_metric", MetricKind.parse)),
+        "local_opt": (("no_lo", lambda no_lo: not no_lo), ("local_opt", bool)),
+        "max_iterations": (("max_iterations", int), ("max_iterations", int)),
+        "min_iterations": (("min_iterations", int), ("min_iterations", int)),
+        "seed": (("seed", int), None),
+    }
+
     def test_every_default_is_the_fit_config_one(self):
-        args = cli._build_parser().parse_args(["fit", "p", "--epsilon", "1"])
-        from_cli = FitConfig(
-            epsilon=args.epsilon, mu=args.mu, score_metric=MetricKind.parse(args.metric),
-            local_opt=not args.no_lo, lo_steps=args.lo_steps,
-            min_iterations=args.min_iterations, max_iterations=args.max_iterations,
-            seed=args.seed)
-        from_grid = GridVariant(name="v").make_config(sigma=0.5, seed=3)
-        for got, want in ((from_cli, FitConfig(epsilon=1.0)),
-                          (from_grid, FitConfig(epsilon=2.0 * 0.5, seed=3))):
-            for field in dataclasses.fields(FitConfig):
-                assert getattr(got, field.name) == getattr(want, field.name), field.name
+        parser = cli._build_parser()
+        fit_parser = parser._subparsers._group_actions[0].choices["fit"]
+        options = {action.dest: action for action in fit_parser._actions
+                   if action.dest not in ("help", "points", "out", "progress")}
+        variant_defaults = {field.name: field.default for field in dataclasses.fields(GridVariant)
+                            if field.name not in ("name", "epsilon_rel_sigma")}
+        fields = dataclasses.fields(FitConfig)
+        assert [field.name for field in fields] == list(self.SURFACES)
+        # neither surface has a setting FitConfig lacks
+        assert set(options) == {cli_side[0] for cli_side, _ in self.SURFACES.values()}
+        assert set(variant_defaults) == {grid_side[0] for _, grid_side in self.SURFACES.values()
+                                         if grid_side is not None}
+        for field in fields:
+            (dest, from_cli), grid_side = self.SURFACES[field.name]
+            if field.default is dataclasses.MISSING:
+                # no default anywhere: the option is required, and a variant
+                # without it takes a relative threshold
+                assert options[dest].required, field.name
+                assert grid_side is None or variant_defaults[grid_side[0]] is None, field.name
+                continue
+            assert from_cli(options[dest].default) == field.default, field.name
+            if grid_side is not None:
+                name, from_grid = grid_side
+                assert from_grid(variant_defaults[name]) == field.default, field.name
         budget = inspect.signature(required_iterations).parameters["max_iterations"]
         assert budget.default == FitConfig(epsilon=1.0).max_iterations
 
@@ -375,6 +410,9 @@ class TestExitCodes:
         assert run_cli(["fit", "pts.csv", "--epsilon", "abc"]) == 1
         # the score metric also weights the refits
         assert run_cli(["fit", "pts.csv", "--epsilon", "1", "--weight-metric", "sampson"]) == 1
+        # the confidence target and the refit schedule are constants
+        assert run_cli(["fit", "pts.csv", "--epsilon", "1", "--mu", "0.9"]) == 1
+        assert run_cli(["fit", "pts.csv", "--epsilon", "1", "--lo-steps", "3"]) == 1
         capsys.readouterr()
 
     def test_help_and_version_exit_0(self, capsys):
@@ -398,8 +436,8 @@ class TestExitCodes:
 
         ok = tmp_path / "ok.csv"
         ok.write_text("x,y,z\n" + "\n".join("1,2,3" for _ in range(12)) + "\n")
-        assert run_cli(["fit", str(ok), "--epsilon", "0.1",
-                        "--metric", "euclidean"]) == 2
+        for metric in ("euclidean", "sampson:0.3"):
+            assert run_cli(["fit", str(ok), "--epsilon", "0.1", "--metric", metric]) == 2
         assert run_cli(["fit", str(ok), "--epsilon", "-1.0"]) == 2
         assert run_cli(["fit", str(ok), "--epsilon", "inf"]) == 2
 

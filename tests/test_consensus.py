@@ -242,12 +242,12 @@ class TestLocalOptimize:
         for name in ("gaussian_weights", "model_score", "classify"):
             monkeypatch.setattr(consensus, name, None)
         model, _, _ = consensus._refine(start, local, rows, cfg, start_d)
-        assert len(valid) == cfg.lo_steps
+        assert len(valid) == consensus.LO_STEPS
         assert kinds == [score_metric] * len(valid)
         kinds.clear()
         valid.clear()
         refined, _, _ = local_optimize(inst.truth, inst.points, scene_cfg)
-        assert len(valid) == cfg.lo_steps
+        assert len(valid) == consensus.LO_STEPS
         assert kinds == [score_metric] * (len(valid) + 2)
         # it hands the cascade the start model's own distances
         scene = consensus._to_scene(model, center, scale)
@@ -260,15 +260,16 @@ class TestLocalOptimize:
 
     def test_step_needs_nine_supported_points(self, rng):
         # 8 points on the start model carry weight 1 and 20,000 on a
-        # concentric member carry 9e-7, below SUPPORT_TOL: the one step
-        # is skipped although the weighted normal matrix has full rank.
+        # concentric member carry 9e-7 at the widest kernel, below
+        # SUPPORT_TOL, and less at every narrower one: each step is skipped
+        # although the weighted normal matrix has full rank.
         start = make_model(rng)
-        cfg = FitConfig(epsilon=0.01, score_metric=AXIAL, lo_steps=1)
-        grow = 3.0 * cfg.epsilon * math.sqrt(-2.0 * math.log(9e-7)) / np.linalg.norm(
-            start.semiaxes)
+        cfg = FitConfig(epsilon=0.01, score_metric=AXIAL)
+        widest = consensus.LO_EPS_START * cfg.epsilon
+        grow = 3.0 * widest * math.sqrt(-2.0 * math.log(9e-7)) / np.linalg.norm(start.semiaxes)
         center = start.center
         shell = center + (1.0 + grow) * (sample_surface(start, 20_000, rng) - center)
-        assert np.allclose(point_energy(axial_distance(shell, start), cfg.epsilon), 9e-7)
+        assert np.allclose(point_energy(axial_distance(shell, start), widest), 9e-7)
         points = np.vstack([sample_surface(start, 8, rng), shell])
         assert local_optimize(start, points, cfg) is None
 
@@ -908,24 +909,21 @@ class TestFitConfig:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 FitConfig(epsilon=bad)
-        for field in ("lo_steps", "min_iterations", "max_iterations", "seed"):
+        for field in ("min_iterations", "max_iterations", "seed"):
             with pytest.raises(ValueError, match=field):
                 FitConfig(epsilon=1.0, **{field: 60.5})
             with pytest.raises(ValueError, match=field):
                 FitConfig(epsilon=1.0, **{field: True})
         assert FitConfig(epsilon=1.0, seed=np.uint32(7)).seed == 7
         with pytest.raises(ValueError):
-            FitConfig(epsilon=1.0, mu=1.0)
-        with pytest.raises(ValueError):
-            FitConfig(epsilon=1.0, lo_steps=0)
-        with pytest.raises(ValueError):
             FitConfig(epsilon=1.0, min_iterations=0)
         with pytest.raises(ValueError):
             FitConfig(epsilon=1.0, max_iterations=10, min_iterations=20)
         # the blend ratio is part of the metric kinds, minimal samples
-        # always have MIN_POINTS points, and the score metric also weights
-        # the refits
-        for field, value in (("lam", 0.25), ("sample_size", 10), ("weight_metric", SAMPSON)):
+        # always have MIN_POINTS points, the score metric also weights the
+        # refits, and the confidence target and refit schedule are constants
+        for field, value in (("lam", 0.25), ("sample_size", 10), ("weight_metric", SAMPSON),
+                             ("mu", 0.95), ("lo_steps", 5)):
             with pytest.raises(TypeError, match=field):
                 FitConfig(epsilon=1.0, **{field: value})
 

@@ -495,6 +495,20 @@ class TestMetricKind:
             MetricKind.parse("cas:nope")
         with pytest.raises(ValueError):
             MetricKind("cas", 1.5)
+        # a single kind would drop the ratio, so the text would not name it
+        for name in METRIC_KINDS:
+            if name not in distances._PAIR_KINDS:
+                with pytest.raises(ValueError, match="takes no blend ratio"):
+                    MetricKind.parse(f"{name}:0.3")
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(sorted(distances._PAIR_KINDS)),
+           lam=st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 0.5, 0.25, 0.1, 0.1234567, 1 / 3, 5e-324, 1e-5]))
+    def test_text_round_trips(self, name, lam):
+        kind = MetricKind(name, lam)
+        assert MetricKind.parse(str(kind)) == kind
+        if lam in (0.0, 1.0, 0.5, 0.25, 0.1):  # the text written before
+            assert str(kind) == f"{name}:{lam:g}"
 
     def test_lambda_endpoints_reduce_exactly(self, rng):
         m = make_model(rng)
