@@ -87,13 +87,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _json_text(doc: dict, key: str) -> str:
-    """``json.dumps(doc, indent=2)``, but with the list under ``key`` on one line.
+    """``json.dumps(doc, indent=2)``, but with the boolean array under ``key`` as 0/1 on one line.
 
     One entry per line would add a line per point and most of the
     pure-Python encoder's time.
     """
-    flat = json.dumps(doc[key])
-    return json.dumps({**doc, key: []}, indent=2).replace(f'"{key}": []', f'"{key}": {flat}', 1)
+    flat = ", ".join((doc[key].view(np.uint8) + ord("0")).tobytes().decode("ascii"))
+    return json.dumps({**doc, key: []}, indent=2).replace(f'"{key}": []', f'"{key}": [{flat}]', 1)
 
 
 def _cmd_fit(args) -> int:
@@ -114,7 +114,7 @@ def _cmd_fit(args) -> int:
     doc.update({
         "score": report.score,
         "inlier_ratio": report.inlier_ratio,
-        "labels": report.inlier_mask.astype(int).tolist(),
+        "labels": report.inlier_mask,
         "iterations": report.iterations,
         "lo_invocations": report.lo_invocations,
         "rng_algorithm": report.rng_algorithm,
@@ -142,7 +142,7 @@ def _cmd_synth(args) -> int:
         save_points(inst.points, stem + ".csv")
         sidecar = {
             "model": inst.truth.to_json_dict(),
-            "is_outlier": inst.is_outlier.astype(int).tolist(),
+            "is_outlier": inst.is_outlier,
             "sigma": inst.sigma,
             "spec": {**dataclasses.asdict(spec), "instance": i},
         }

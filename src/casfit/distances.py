@@ -161,11 +161,14 @@ def _unit_terms(names, points, model: EllipsoidModel) -> dict:
         if "algebraic" in names:
             kappa = np.ldexp(float(model.coeffs[:3].sum()) / (1.0 / np.square(r)).sum(), 2 * k)
             terms["algebraic"] = kappa * np.abs(level - 1.0)
-        if "axial" in names:  # |s - 1| ||semiaxes|| / 3
-            terms["axial"] = np.abs(np.sqrt(level) - 1.0) * math.ldexp(math.sqrt(r.dot(r)) / 3.0, k)
+        if "axial" in names:  # |s - 1| ||semiaxes|| / 3, in place as Sampson
+            vals = terms["axial"] = np.sqrt(level)
+            np.abs(np.subtract(vals, 1.0, out=vals), out=vals)
+            vals *= math.ldexp(math.sqrt(r.dot(r)) / 3.0, k)
         if "sampson" in names:  # +inf at the center; in place: a live (n,) array costs page faults
             vals = np.sqrt((1.0 / np.square(r)) @ squares)  # 2^k ||grad F|| / (2 kappa)
-            terms["sampson"] = np.divide(np.abs(level - 1.0), vals, out=vals)
+            offset = level - 1.0
+            terms["sampson"] = np.divide(np.abs(offset, out=offset), vals, out=vals)
             vals *= bottom / (4.0 * mantissa)  # 2^(k - 1), exact
             vals[level <= GRADIENT_TOL ** 2] = np.inf
         for name, vals in terms.items() if len(far) else ():
@@ -266,7 +269,8 @@ def _blend(kind: MetricKind, terms: dict) -> np.ndarray:
     names = _components(kind)
     if len(names) == 1:
         return terms[names[0]]
-    return kind.lam * terms[names[0]] + (1.0 - kind.lam) * terms[names[1]]
+    blend = kind.lam * terms[names[0]]  # terms stay untouched: casfit distances reuses them
+    return np.add(blend, (1.0 - kind.lam) * terms[names[1]], out=blend)
 
 
 def evaluate_metric(kind: MetricKind, points, model: EllipsoidModel):

@@ -79,11 +79,13 @@ def solve_rows(rows: np.ndarray, weights: np.ndarray | None = None):
     in the frame of the samples, shape (k, 10), and a boolean mask of the
     well-posed rows: a row is not well posed when the smallest eigenvector
     of its normal matrix is not isolated (points with no spatial extent
-    included), and its coefficients are then meaningless.
+    included), and its coefficients are then meaningless.  The weights scale
+    the columns, so ``design_matrix``'s column-major rows are read contiguously.
     """
+    cols = np.swapaxes(rows, 1, 2)
     if weights is not None:
-        rows = weights[:, :, None] * rows
-    evals, evecs = np.linalg.eigh(np.swapaxes(rows, 1, 2) @ rows)
+        cols = cols * weights[:, None, :]
+    evals, evecs = np.linalg.eigh(cols @ np.swapaxes(cols, 1, 2))
     ok = evals[:, 1] - evals[:, 0] > EIGENGAP_TOL * np.maximum(evals[:, -1], 1e-300)
     return normalize_rows(evecs[:, :, 0]), ok
 

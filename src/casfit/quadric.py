@@ -57,9 +57,9 @@ def as_points(points) -> np.ndarray:
 
 
 def design_matrix(points) -> np.ndarray:
-    """Stack the quadric design rows d(x) for each point, shape (n, 10), filled in place."""
+    """Stack the quadric design rows d(x) of each point, (n, 10) column-major, filled in place."""
     pts = as_points(points)
-    rows = np.empty((len(pts), 10))
+    rows = np.empty((len(pts), 10), order="F")
     np.square(pts, out=rows[:, :3])
     np.multiply(pts, 2.0, out=rows[:, 6:9])
     np.multiply(rows[:, 6:7], pts[:, 1:], out=rows[:, 3:5])  # (2x) y, (2x) z
@@ -176,12 +176,20 @@ class EllipsoidGeometry:
 
 
 def geometry_to_coeffs(geom: EllipsoidGeometry) -> np.ndarray:
-    """Quadric coefficients of the ellipsoid described by ``geom``."""
-    rot, trans = geom.rotation, geom.translation
-    inv_sq = 1.0 / np.square(geom.semiaxes)
+    """Quadric coefficients of the ellipsoid described by ``geom``.
+
+    Lengths are squared in units of 2^e (e >= 0) that take the longest into
+    [1/2, 1), exact and without overflow; raises NotAnEllipsoid when it lies
+    above SQUARE_RANGE, or the shortest semiaxis in those units below it.
+    """
+    rot, axes = geom.rotation, geom.semiaxes
+    longest = max(*axes, *np.abs(geom.translation))
+    e = max(math.frexp(longest)[1], 0)
+    require_carried(math.ldexp(axes.min(), -e), longest)
+    inv_sq, trans = 1.0 / np.square(np.ldexp(axes, -e)), np.ldexp(geom.translation, -e)
     mat = np.empty((4, 4))  # only the entries that q holds are read
-    mat[:3, :3] = rot.T @ (inv_sq[:, None] * rot)
-    mat[:3, 3] = rot.T @ (inv_sq * trans)
+    mat[:3, :3] = np.ldexp(rot.T @ (inv_sq[:, None] * rot), -2 * e)
+    mat[:3, 3] = np.ldexp(rot.T @ (inv_sq * trans), -e)
     mat[3, 3] = float(trans @ (inv_sq * trans)) - 1.0
     return normalize_coeffs(mat[_Q_ENTRIES] * _Q_SIGNS)
 

@@ -9,7 +9,6 @@ so instances of different sizes are corrupted comparably.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -194,16 +193,17 @@ def load_points(path) -> np.ndarray:
     return arr
 
 
-# Any character outside a plain numeric body, and a digit.
-_FOREIGN = re.compile(r"[^0-9eE.+\-, \t\n]")
-_DIGIT = re.compile(r"[0-9]")
+# A plain numeric body holds digits and these characters only, and a digit.
+_NON_DIGITS = "eE.+-, \t\n"
+_PLAIN = b"0123456789" + _NON_DIGITS.encode("ascii")
 
 
 def _read_plain(path, text: str) -> Optional[np.ndarray]:
     """Points of a plain file parsed in one numpy pass, or None to use the line reader.
 
-    Searches take a start position instead of slicing, so the text is never
-    copied; numpy reads the file from ``path`` in chunks of its own.
+    The body is vetted in one byte pass: ``translate`` deletes the plain
+    characters, and anything left over is foreign.  numpy reads the file from
+    ``path`` in chunks of its own.
     """
     if "#" in text:
         return None
@@ -212,13 +212,14 @@ def _read_plain(path, text: str) -> Optional[np.ndarray]:
         end = len(text)
     fields = text[:end].replace(",", " ").split()
     header = len(fields) == 3 and not _numeric(fields)
-    start = end + 1 if header else 0
-    if _FOREIGN.search(text, start) or not _DIGIT.search(text, start):
+    body = text[end + 1:] if header else text
+    plain = body.isascii() and not body.encode("ascii").translate(None, _PLAIN)
+    if not plain or not body.strip(_NON_DIGITS):  # stripped of the rest, a plain body keeps digits
         return None
-    line_count = text.count("\n", start) + (not text.endswith("\n"))
+    line_count = body.count("\n") + (not body.endswith("\n"))
     try:
         arr = np.loadtxt(path, ndmin=2, comments=None, skiprows=int(header),
-                         delimiter="," if text.find(",", start) >= 0 else None,
+                         delimiter="," if "," in body else None,
                          encoding="utf-8-sig")
     except ValueError:
         return None

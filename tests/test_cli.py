@@ -114,6 +114,21 @@ class TestFitCommand:
         json.loads(captured.out)  # stdout stays machine readable
 
 
+class TestJsonText:
+    @pytest.mark.parametrize("mask", [
+        np.zeros(9, dtype=bool), np.ones(9, dtype=bool), np.arange(9) % 3 == 0,
+        np.zeros(10_000, dtype=bool), np.ones(10_000, dtype=bool),
+        np.random.default_rng(4).random(10_000) < 0.05,
+    ], ids=["zeros-9", "ones-9", "mixed-9", "zeros-10000", "ones-10000", "mixed-10000"])
+    def test_flags_are_the_indented_document_with_the_list_on_one_line(self, mask):
+        doc = {"q": [1.0, -0.5], "labels": mask, "seed": 3}
+        flags = mask.astype(int).tolist()
+        indented = json.dumps({**doc, "labels": flags}, indent=2)
+        head, rest = indented.split('  "labels": [\n', 1)
+        tail = rest.split("\n  ],\n", 1)[1]
+        assert cli._json_text(doc, "labels") == f'{head}  "labels": {json.dumps(flags)},\n{tail}'
+
+
 class TestSynthCommand:
     def test_writes_instances_with_sidecars(self, tmp_path):
         out = tmp_path / "data"

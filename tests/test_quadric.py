@@ -170,6 +170,30 @@ class TestDecompose:
             decompose(q)
 
 
+class TestFromGeometry:
+    @pytest.mark.parametrize("semiaxes, translation", [
+        ((1.0, 1e-200, 1e-300), (0.0, 0.0, 0.0)),
+        ((1e-100,) * 3, (1e100, 0.0, 0.0)),
+        ((3.0, 2.0, 1.0), (1e160, 0.0, 0.0)),
+        ((1e200, 1.0, 1.0), (0.0, 0.0, 0.0)),
+    ])
+    def test_geometry_unit_norm_coefficients_cannot_carry(self, semiaxes, translation):
+        # squaring these lengths as they are overflows or underflows; in units of
+        # the longest, the shortest semiaxis still leaves the carried range
+        geom = EllipsoidGeometry(np.eye(3), translation, semiaxes)
+        with pytest.raises(NotAnEllipsoid, match="range unit-norm coefficients carry"):
+            EllipsoidModel.from_geometry(geom)
+
+    @pytest.mark.parametrize("exponent", [-400, 400])
+    def test_geometry_far_in_the_double_range_reads_back(self, exponent):
+        rot = random_rotation(np.random.default_rng(5))
+        semiaxes = np.ldexp([3.0, 2.0, 1.0], exponent)
+        center = np.ldexp([1.0, -2.0, 0.5], exponent)
+        model = EllipsoidModel.from_geometry(EllipsoidGeometry(rot, -rot @ center, semiaxes))
+        assert np.allclose(model.semiaxes, semiaxes, rtol=1e-9, atol=0.0)
+        assert np.allclose(model.center, center, rtol=0.0, atol=1e-9 * semiaxes[0])
+
+
 class TestValidate:
     def test_true_for_random_ellipsoids(self, rng):
         for _ in range(200):

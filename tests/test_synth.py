@@ -275,8 +275,12 @@ NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
     st.integers(-10**6, 10**6).map(str),
     st.sampled_from(["0", "-0", "+1", "1e5", "-2.5E-3", "+.5", "5.", "1e+05", "1E999"]))
-JUNK = st.sampled_from(["nan", "1_0", "inf", "x", "1e", "e", ".", "+", "-", "#", "#1", ""])
-SEPARATORS = st.sampled_from([",", " ", "\t", ", ", " ,", ",,", "  ", " \t"])
+# Non-ASCII digits parse as floats, and str.split() splits on the non-ASCII
+# and ASCII control separators; the numpy pass takes none of them.
+JUNK = st.sampled_from(["nan", "1_0", "inf", "x", "1e", "e", ".", "+", "-", "#", "#1", "",
+                        "\uff11", "\u0663"])
+SEPARATORS = st.sampled_from([",", " ", "\t", ", ", " ,", ",,", "  ", " \t",
+                              "\xa0", "\x0b", "\x0c", "\x1c", "\x85"])
 SPECIAL_LINES = st.sampled_from(["", " ", "\t", "x,y,z", "x y z", "# note", "#", ",", ",,",
                                  " , ", "a,b,c"])
 
@@ -304,7 +308,8 @@ def point_texts(draw):
         lines = draw(st.lists(st.one_of(data_lines(), data_lines(), data_lines(), SPECIAL_LINES),
                               max_size=12))
     if draw(st.booleans()):
-        lines.insert(0, draw(st.sampled_from(["x,y,z", "x y z", "a,b", "1,2,3"])))
+        lines.insert(0, draw(st.sampled_from(["x,y,z", "x y z", "a,b", "1,2,3", "\u03b1,\u03b2,\u03b3",
+                                              "\uff11,\uff12,\uff13"])))
     ending = draw(st.sampled_from(["\n", "\r\n"]))
     text = ending.join(lines)
     return text + ending if draw(st.booleans()) else text
@@ -329,6 +334,7 @@ class TestReaderEquivalence:
         "1,2,nan\n", "1,2,1e999\n", "x,y,z\n1,2,3\n4,5\n", "1,,2,3\n", "1,2,3,\n",
         "1 2,3\n", "1,2,3\n,,\n4,5,6\n", "1,2,3\n\n4,5,6\n", "x,y,z\n", "1_0,2,3\n",
         " 1 , 2 , 3 \n", "1\t2\t3\n", "1,2,3\n4,5,6,7\n", "+.5,-5.,1E+3\n",
+        "\u03b1,\u03b2,\u03b3\n1,2,3\n", "x,y,z\n1,\uff12,3\n", "1\xa02\xa03\n", "1\x0b2 3\n",
     ])
     def test_hand_made_files(self, tmp_path, body):
         path = tmp_path / "hand.csv"
@@ -362,7 +368,11 @@ class TestReaderEquivalence:
         save_points(pts, path)
         assert np.array_equal(load_points(path), pts)
         assert calls == []
-        path.write_text("# a comment\n" + path.read_text())
+        body = path.read_text().split("\n", 1)[1]
+        path.write_text("\u03b1,\u03b2,\u03b3\n" + body, encoding="utf-8")  # only the body is vetted
+        assert np.array_equal(load_points(path), pts)
+        assert calls == []
+        path.write_text("# a comment\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
         assert np.array_equal(load_points(path), pts)
         assert calls == [path]
 
