@@ -192,16 +192,15 @@ def _lo_schedule(epsilon: float) -> np.ndarray:
     return np.linspace(LO_EPS_START * epsilon, LO_EPS_END * epsilon, LO_STEPS)
 
 
-def _refine(model: EllipsoidModel, pts: np.ndarray, rows: np.ndarray, cfg: FitConfig,
-            d: np.ndarray) -> Optional[tuple]:
-    """Refit cascade around ``model`` in the frame of ``pts``; None when nothing validates.
+def _refine(pts: np.ndarray, rows: np.ndarray, cfg: FitConfig, d: np.ndarray) -> Optional[tuple]:
+    """Refit cascade from the distances ``d`` in the frame of ``pts``; None when nothing validates.
 
     ``rows`` is ``design_matrix(pts)[None]``.  Each step weights the points by
-    the current model's score-metric distances with a shrinking kernel width
-    and refits them through ``solve_rows``; the refit becomes the current
-    model when it is an ellipsoid, and the step is skipped when it is not or
-    fewer than MIN_POINTS weights exceed SUPPORT_TOL.  ``d`` are ``model``'s
-    score-metric distances.  Returns (model, score, distances) of the best step.
+    the current model's score-metric distances, ``d`` at the start, with a
+    shrinking kernel width and refits them through ``solve_rows``; the refit
+    becomes the current model when it is an ellipsoid, and the step is
+    skipped when it is not or fewer than MIN_POINTS weights exceed
+    SUPPORT_TOL.  Returns (model, score, distances) of the best step.
     """
     best, best_score = None, -math.inf
     for eps_lo in _lo_schedule(cfg.epsilon):
@@ -235,7 +234,7 @@ def local_optimize(model: EllipsoidModel, points, cfg: FitConfig) -> Optional[tu
         return None
     require_carried(max(scale, SQUARE_RANGE[0]), max(scale, *np.abs(center)))  # upper end
     start = _to_scene(model, -center / scale, 1.0 / scale)
-    best = _refine(start, local, design_matrix(local)[None],
+    best = _refine(local, design_matrix(local)[None],
                    replace(cfg, epsilon=cfg.epsilon / scale),
                    evaluate_metric(cfg.score_metric, local, start))
     if best is None:
@@ -252,12 +251,10 @@ ProgressHook = Callable[[int, float, int], None]
 CHUNK = 64
 MAX_CHUNK = 512
 
-# adj(A) = q[_ADJ[0]] q[_ADJ[1]] - q[_ADJ[2]] q[_ADJ[3]] in q's (a11, a22, a33, a12,
-# a13, a23) layout, b_i b_j in it, and each one's weight in b^T adj(A) b.
-_ADJ = np.array([[1, 0, 0, 4, 3, 3], [2, 2, 1, 5, 5, 4], [5, 4, 3, 3, 4, 0], [5, 4, 3, 2, 1, 5]])
-_OUTER = np.array([[6, 7, 8, 6, 6, 7], [6, 7, 8, 7, 8, 8]])
-_OUTER_WEIGHT = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
-SCREEN_ROUNDING = 16 * 2.0**-53  # gamma_10 / (1 - gamma_10), and rounding the bound
+# adj(A)_11, adj(A)_33, adj(A)_12 and adj(A)_13 = q[_ADJ[0]] q[_ADJ[1]] - q[_ADJ[2]] q[_ADJ[3]]
+# in q's (a11, a22, a33, a12, a13, a23) layout.
+_ADJ = np.array([[1, 0, 4, 3], [2, 1, 5, 5], [5, 3, 3, 4], [5, 3, 2, 1]])
+SCREEN_ROUNDING = 16 * 2.0**-53  # above gamma_5, with room for rounding the bound
 
 
 def _screen(rows: np.ndarray) -> np.ndarray:
@@ -265,46 +262,47 @@ def _screen(rows: np.ndarray) -> np.ndarray:
 
     The design's last column is -1, so where the 9x9 block D[:, :9] is
     regular, q = (x, 1) with D[:, :9] x = 1 spans the row's null space.  One
-    batched LU solve and ``_may_be_ellipsoids`` on those q stand in for the
-    10x10 eigen-solve.  Every row is kept when some block is exactly
-    singular.  Raises ValueError for rows of any other shape, which would
-    otherwise fail the solve and so keep every row.
+    batched LU solve and ``_may_be_ellipsoids`` on the quadratic blocks of
+    those q stand in for the 10x10 eigen-solve.  Every row is kept when some
+    block is exactly singular.  Raises ValueError for rows of any other
+    shape, which would otherwise fail the solve and so keep every row.
     """
     if rows.shape[1:] != (MIN_POINTS, 10):
         raise ValueError(f"expected (k, {MIN_POINTS}, 10) design rows, got shape {rows.shape}")
-    k = len(rows)
     try:
-        x = np.linalg.solve(rows[:, :, :9], np.ones((k, 9, 1)))[:, :, 0]
+        x = np.linalg.solve(rows[:, :, :9], np.ones((len(rows), 9, 1)))[:, :, 0]
     except np.linalg.LinAlgError:
-        return np.ones(k, dtype=bool)
-    return _may_be_ellipsoids(np.vstack([x.T, np.ones((1, k))]))
+        return np.ones(len(rows), dtype=bool)
+    return _may_be_ellipsoids(x[:, :6].T.copy())  # contiguous rows: faster than the view
 
 
-def _may_be_ellipsoids(q: np.ndarray) -> np.ndarray:
-    """False for the columns of a (10, k) coefficient stack that are no ellipsoid beyond rounding.
+def _may_be_ellipsoids(a: np.ndarray) -> np.ndarray:
+    """False for the columns of a (6, k) block stack that are not definite beyond rounding.
+
+    The blocks are in q's (a11, a22, a33, a12, a13, a23) layout.  Definiteness
+    alone decides: a quadric with a definite block is an ellipsoid, a single
+    point or empty, so a minimal sample's quadric, through nine distinct real
+    points, is a real ellipsoid once its block is definite.
 
     Finite columns are scaled in place by an exact +-2^-e to trace(A) >= 0
-    (an ellipsoid's diagonal shares one sign, which its rounded sum keeps)
-    and largest entry in [1/2, 1).  An ellipsoid then has a11, a11 a22 -
-    a12^2, det A and b^T adj(A) b + q10 det A positive.  Each is a sum of
-    products with at most 10 roundings on any path, so its error is at most
-    gamma_10 times the same sum over absolute values (Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.1): below SCREEN_ROUNDING times the
-    computed absolute sum, plus the smallest normal double for underflow.  A
-    column is False only when one of the four is negative beyond that, so no
-    q that is an ellipsoid in exact arithmetic is turned away.
+    (a definite diagonal shares one sign, which its rounded sum keeps) and
+    largest entry in [1/2, 1).  A definite block then has a11, a11 a22 -
+    a12^2 and det A positive.  Each is a sum of products with at most 5
+    roundings on any path, so its error is below SCREEN_ROUNDING times the
+    computed sum over absolute values (gamma_5, Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1), plus the smallest normal double.
+    A column is False only when one of the three is negative beyond that, so
+    no row that is an ellipsoid in exact arithmetic is turned away.
     """
-    finite = np.isfinite(q).all(axis=0)
-    q[:, ~finite] = 1.0  # and kept
-    q *= np.ldexp(np.copysign(1.0, q[0] + q[1] + q[2]), -np.frexp(np.abs(q).max(axis=0))[1])
-    left, right = q[_ADJ[0]] * q[_ADJ[1]], q[_ADJ[2]] * q[_ADJ[3]]
+    finite = np.isfinite(a).all(axis=0)
+    a[:, ~finite] = 1.0  # and kept
+    a *= np.ldexp(np.copysign(1.0, a[0] + a[1] + a[2]), -np.frexp(np.abs(a).max(axis=0))[1])
+    left, right = a[_ADJ[0]] * a[_ADJ[1]], a[_ADJ[2]] * a[_ADJ[3]]
     adj, adj_abs = left - right, np.abs(left) + np.abs(right)
-    det = np.einsum("ik,ik->k", q[[0, 3, 4]], adj[[0, 3, 4]])  # sum of a_1j adj(A)_1j
-    det_abs = np.einsum("ik,ik->k", np.abs(q[[0, 3, 4]]), adj_abs[[0, 3, 4]])
-    outer = q[_OUTER[0]] * q[_OUTER[1]]
-    value = np.stack([q[0], adj[2], det, _OUTER_WEIGHT @ (adj * outer) + q[9] * det])
-    bound = np.stack([np.zeros_like(det), adj_abs[2], det_abs,
-                      _OUTER_WEIGHT @ (adj_abs * np.abs(outer)) + np.abs(q[9]) * det_abs])
+    det = np.einsum("ik,ik->k", a[[0, 3, 4]], adj[[0, 2, 3]])  # sum of a_1j adj(A)_1j
+    det_abs = np.einsum("ik,ik->k", np.abs(a[[0, 3, 4]]), adj_abs[[0, 2, 3]])
+    value = np.stack([a[0], adj[1], det])
+    bound = np.stack([np.zeros_like(det), adj_abs[1], det_abs])
     return ~finite | (value >= -(SCREEN_ROUNDING * bound + np.finfo(float).tiny)).all(axis=0)
 
 
@@ -400,7 +398,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
                         improved = True
                     if cfg.local_opt:
                         lo_invocations += 1
-                        refined = _refine(candidate, local, rows, local_cfg, d)
+                        refined = _refine(local, rows, local_cfg, d)
                         if refined is not None and refined[1] > best_score:
                             best_model, best_score, best_d = refined
                             improved = True

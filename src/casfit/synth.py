@@ -92,8 +92,8 @@ class DatasetSpec:
             raise ValueError(f"point_count must be at least {MIN_POINTS}")
         if not 0.0 <= self.sigma_rel < math.inf:
             raise ValueError("sigma_rel must be non-negative and finite")
-        if not 0.0 <= self.outlier_fraction <= 1.0:
-            raise ValueError("outlier_fraction must lie in [0, 1]")
+        if not 0.0 <= self.outlier_fraction <= (1.0 if self.kind == "outlier" else 0.0):
+            raise ValueError("outlier_fraction must lie in [0, 1], and be 0 for the gaussian kind")
         if self.instance_count < 1:
             raise ValueError("instance_count must be positive")
 
@@ -126,14 +126,14 @@ def _bounding_half_extents(model: EllipsoidModel) -> np.ndarray:
 def make_instance(spec: DatasetSpec, rng: np.random.Generator) -> Instance:
     """Draw a truth ellipsoid and a corrupted point cloud from ``spec``.
 
-    For the outlier kind, exactly round(outlier_fraction * point_count)
-    points are replaced by uniform draws from the inflated bounding box of
+    Exactly round(outlier_fraction * point_count) points (0 for the gaussian
+    kind) are replaced by uniform draws from the inflated bounding box of
     the truth; the rest are noisy surface points.  Points are ordered with
     the inliers first.
     """
     truth = random_ellipsoid(rng)
     sigma = spec.sigma_rel * float(truth.semiaxes.mean())
-    n_out = int(round(spec.outlier_fraction * spec.point_count)) if spec.kind == "outlier" else 0
+    n_out = int(round(spec.outlier_fraction * spec.point_count))
     n_in = spec.point_count - n_out
 
     points = sample_surface(truth, n_in, rng)
@@ -207,25 +207,22 @@ def _read_plain(path, text: str) -> Optional[np.ndarray]:
     """
     if "#" in text:
         return None
-    end = text.find("\n")
-    if end < 0:
-        end = len(text)
-    fields = text[:end].replace(",", " ").split()
+    first, _, rest = text.partition("\n")
+    fields = first.replace(",", " ").split()
     header = len(fields) == 3 and not _numeric(fields)
-    body = text[end + 1:] if header else text
+    body = rest if header else text
     plain = body.isascii() and not body.encode("ascii").translate(None, _PLAIN)
     if not plain or not body.strip(_NON_DIGITS):  # stripped of the rest, a plain body keeps digits
         return None
-    line_count = body.count("\n") + (not body.endswith("\n"))
     try:
         arr = np.loadtxt(path, ndmin=2, comments=None, skiprows=int(header),
                          delimiter="," if "," in body else None,
                          encoding="utf-8-sig")
     except ValueError:
         return None
-    # numpy skips blank lines and lines of bare separators, which the line
-    # reader skips or rejects; a short count sends those files to it
-    return arr if arr.shape == (line_count, 3) else None
+    # numpy skips only blank lines (and whitespace-only ones in a whitespace-separated
+    # file), which the line reader skips too
+    return arr if arr.shape[1] == 3 else None
 
 
 def _read_lines(path, text: str) -> np.ndarray:

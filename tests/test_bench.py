@@ -150,6 +150,9 @@ class TestGridConstruction:
         with pytest.raises(ParseError):
             grid_from_json({"variants": [{"name": "x", "bogus_field": 1}],
                             "datasets": [{"kind": "gaussian"}]})
+        with pytest.raises(ParseError, match="gaussian"):  # it would report 0.3 and plant none
+            grid_from_json({"variants": [{"name": "x"}],
+                            "datasets": [{"kind": "gaussian", "outlier_fraction": 0.3}]})
         good = {"variants": [{"name": "x"}], "datasets": [{"kind": "gaussian"}]}
         assert grid_from_json(good).variants[0].name == "x"
         for variant, dataset, top in (

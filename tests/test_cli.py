@@ -206,6 +206,13 @@ class TestSynthCommand:
                         "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_fraction_on_the_gaussian_kind_fails(self, tmp_path):
+        # the kind plants no outliers, so every sidecar would report a fraction it lacks
+        out = tmp_path / "data"
+        assert run_cli(["synth", "--kind", "gaussian", "--fraction", "0.3",
+                        "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestBenchCommand:
     def test_runs_grid_to_csv(self, tmp_path, capsys):

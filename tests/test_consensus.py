@@ -14,8 +14,8 @@ from casfit import (ALGEBRAIC, AXIAL, SAMPSON, CasfitError, DatasetSpec, Ellipso
 from casfit import consensus, distances
 from casfit.consensus import CHUNK, FLAT_TOL, MAX_CHUNK
 from casfit.leastsq import condition, solve_rows
-from casfit.quadric import (ELLIPSOID, check_ellipsoids, design_matrix, geometry_to_coeffs,
-                            normalize_coeffs, normalize_rows)
+from casfit.quadric import (ELLIPSOID, UNBOUNDED, check_ellipsoids, design_matrix,
+                            geometry_to_coeffs, normalize_coeffs, normalize_rows)
 
 from conftest import make_model, unit_sphere
 from reference_loop import reference_fit
@@ -241,7 +241,7 @@ class TestLocalOptimize:
         monkeypatch.setattr(consensus, "_models", models)
         for name in ("gaussian_weights", "model_score", "classify"):
             monkeypatch.setattr(consensus, name, None)
-        model, _, _ = consensus._refine(start, local, rows, cfg, start_d)
+        model, _, _ = consensus._refine(local, rows, cfg, start_d)
         assert len(valid) == consensus.LO_STEPS
         assert kinds == [score_metric] * len(valid)
         kinds.clear()
@@ -426,16 +426,26 @@ class TestFit:
         assert np.all(np.abs(d[flipped] - cfg.epsilon) <= 1e-9 * cfg.epsilon)
 
     def test_refits_start_from_the_candidate_distances(self, monkeypatch):
+        # each cascade is handed the very array fit evaluated for the
+        # candidate it starts from, and that array is the candidate's distances
         inst = cloud(0.3, seed=8)
         cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=1)
         metric = cfg.score_metric
+        last = {}
         passed = []
         refine = consensus._refine
 
-        def spy(model, points, rows, local_cfg, distances=None):
-            passed.append(np.array_equal(distances, evaluate_metric(metric, points, model)))
-            return refine(model, points, rows, local_cfg, distances)
+        def evaluated(kind, points, model):
+            d = evaluate_metric(kind, points, model)
+            last.update(model=model, d=d)
+            return d
 
+        def spy(points, rows, local_cfg, d):
+            passed.append(d is last["d"]
+                          and np.array_equal(d, evaluate_metric(metric, points, last["model"])))
+            return refine(points, rows, local_cfg, d)
+
+        monkeypatch.setattr(consensus, "evaluate_metric", evaluated)
         monkeypatch.setattr(consensus, "_refine", spy)
         report = fit(inst.points, cfg)
         assert len(passed) == report.lo_invocations >= 1
@@ -637,10 +647,11 @@ def coefficients(block, b, q10):
 
 
 def near_boundary_rows(rng):
-    """Coefficient rows with each quantity the screen tests at 0, a few ulps
-    either side of it and 1e-6 below it, and near-degenerate ellipsoids
+    """Coefficient rows with each quantity of ``exact_ellipsoid`` at 0, a few
+    ulps either side of it and 1e-6 below it, and near-degenerate ellipsoids
     (smallest eigenvalue ~1e-12 of the largest); also a mask of the rows
-    1e-6 past the boundary."""
+    1e-6 past a definiteness boundary.  The screen tests definiteness only,
+    so rows past the real-surface boundary are kept and not in the mask."""
     rows, clear = [], []
     c0 = 2.0 / 3.0  # det [[2, 1, 1], [1, 2, 1], [1, 1, c]] = 3c - 2
     for k in (-4, -1, 0, 1, 4, -1e-6 * 2**52):
@@ -649,7 +660,7 @@ def near_boundary_rows(rng):
                  [1, 1, 1, np.sqrt(1 - d), 0, 0, 0, 0, 0, 1],  # 2x2 minor
                  [2, 2, c0 + d / 4, 1, 1, 1, 0, 0, 0, 1],  # det A
                  [1, 1, 1, 0, 0, 0, 0.75, 0, 0, -0.5625 + d / 2]]  # bounded term
-        clear += [k < -1e3] * 4
+        clear += [k < -1e3] * 3 + [False]
     # generic blocks: det A and the bounded term swept through 0 ulp by ulp,
     # where rounding alone can flip their computed sign
     for _ in range(20):
@@ -735,10 +746,10 @@ class TestScreen:
         assert 0 < accepted.sum() < exact.sum() and not exact[clear].any()
         # powers of two change no sign, but unscaled they would overflow or underflow
         for scale in (1.0, 2.0**600, 2.0**-600):
-            kept = consensus._may_be_ellipsoids(scale * rows.T)
+            kept = consensus._may_be_ellipsoids(scale * rows[:, :6].T)
             assert kept[exact].all() and kept[accepted].all()
             assert exact.sum() < kept.sum()
-            # the slack is small: rows 1e-6 past the boundary are dropped
+            # the slack is small: rows 1e-6 past a definiteness boundary are dropped
             assert not kept[clear].any()
 
     def test_underflow_drops_no_ellipsoid(self):
@@ -750,7 +761,7 @@ class TestScreen:
             "-0x1.7f19198ac45a3p-176", "0x1.c15c47d1e4591p-177", "-0x1.d2089527718d1p-178",
             "0x1.0000000000000p+0")])
         assert exact_ellipsoid(q)
-        assert consensus._may_be_ellipsoids(q[:, None].copy()).all()
+        assert consensus._may_be_ellipsoids(q[:6, None].copy()).all()
 
     def test_seeded_rows_keep_every_accepted_row(self):
         clouds = [cloud(f, seed=71 + i).points for i, f in enumerate((0.0, 0.3, 0.5))]
@@ -770,6 +781,26 @@ class TestScreen:
                 kept, accepted = kept + keep.sum(), accepted + valid.sum()
         assert total >= 100_000
         assert 0 < accepted <= kept < total / 4
+
+    def test_definite_minimal_samples_have_real_surfaces(self):
+        # the screen tests definiteness only: a quadric through nine real
+        # points whose block is definite is a real ellipsoid, so no row it
+        # keeps and the exact solve marks ok comes back UNBOUNDED
+        clouds = [cloud(0.0, seed=81, sigma_rel=0.0), cloud(0.0, seed=82),
+                  cloud(0.3, seed=83), cloud(0.5, seed=84),
+                  cloud(0.05, seed=85, count=10_000, sigma_rel=0.05)]
+        total = definite = 0
+        for c, inst in enumerate(clouds):
+            local = condition(inst.points)[0]
+            rng = np.random.default_rng(c)
+            for _ in range(6):
+                idx = sample_minimal(len(local), 9, rng, count=4096)
+                rows = design_matrix(local[idx.reshape(-1)]).reshape(-1, 9, 10)
+                coeffs, ok = solve_rows(rows)
+                kept = consensus._screen(rows) & ok
+                assert not (check_ellipsoids(coeffs[kept])[0] == UNBOUNDED).any()
+                total, definite = total + len(rows), definite + kept.sum()
+        assert total >= 100_000 and 0 < definite < total
 
     @pytest.mark.parametrize("shape", [(CHUNK, 9, 3), (CHUNK, 10, 10), (9, 10)])
     def test_rows_of_another_shape_are_refused(self, shape):

@@ -86,10 +86,12 @@ class TestMakeInstance:
         assert inst.is_outlier[300:].all()
 
     def test_gaussian_kind_has_no_outliers(self, rng):
-        spec = DatasetSpec(kind="gaussian", point_count=100, sigma_rel=0.1,
-                           outlier_fraction=0.4)  # fraction ignored for this kind
+        spec = DatasetSpec(kind="gaussian", point_count=100, sigma_rel=0.1)
         inst = make_instance(spec, rng)
         assert not inst.is_outlier.any()
+        # a fraction the kind would report but not plant is refused
+        with pytest.raises(ValueError, match="gaussian"):
+            DatasetSpec(kind="gaussian", point_count=100, sigma_rel=0.1, outlier_fraction=0.4)
 
     def test_sigma_definition(self, rng):
         spec = DatasetSpec(kind="gaussian", point_count=50, sigma_rel=0.2)
@@ -375,6 +377,45 @@ class TestReaderEquivalence:
         path.write_text("# a comment\n" + path.read_text(encoding="utf-8"), encoding="utf-8")
         assert np.array_equal(load_points(path), pts)
         assert calls == [path]
+
+    @pytest.mark.parametrize("body, numpy_pass", [
+        ("1,2,3\n\n4,5,6\n", True), ("\n1,2,3\n4,5,6", True), ("x,y,z\n\n1,2,3\n", True),
+        ("1,2,3\r\n\r\n4,5,6\r\n", True), ("1,2,3\n4,5,6\n\n", True),  # blank lines
+        ("1 2 3\n \t \n4 5 6\n", True), ("\t\n1\t2\t3\n  ", True),  # whitespace-only lines
+        ("1,2,3\n  \n4,5,6\n", False), ("1,2,3\n4,5,6\n\t", False),  # in comma files
+        ("1,2,3\n,\n4,5,6\n", False), (",,\n1,2,3\n", False), ("1,2,3\n , , \n", False),
+    ])
+    def test_blank_lines(self, tmp_path, monkeypatch, body, numpy_pass):
+        # both readers skip blank lines, so the numpy pass keeps the files
+        # that have them; numpy raises on the other lines without a value
+        calls = []
+        line_reader = synth._read_lines
+
+        def spy(path, text):
+            calls.append(path)
+            return line_reader(path, text)
+
+        monkeypatch.setattr(synth, "_read_lines", spy)
+        path = tmp_path / "blank.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(body)
+        assert_same_as_reference(path)
+        assert (calls == []) == numpy_pass
+
+    def test_numpy_skips_only_blank_lines(self, tmp_path):
+        # synth._read_plain keeps np.loadtxt's rows without counting lines:
+        # it relies on numpy skipping only the lines the line reader skips
+        def load(text, delimiter):
+            path = tmp_path / "pin.txt"
+            path.write_text(text)
+            return np.loadtxt(path, ndmin=2, comments=None, delimiter=delimiter).tolist()
+
+        rows = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        assert load("1,2,3\n\n4,5,6\n\n", ",") == rows
+        assert load("1 2 3\n \t \n\n4 5 6\n  ", None) == rows
+        for line in (",", ",,", " , , ", "  ", "\t"):
+            with pytest.raises(ValueError):
+                load(f"1,2,3\n{line}\n4,5,6\n", ",")
 
     def test_save_points_bytes(self, rng, tmp_path):
         # blocks of rows, each row formatted as one %.17g line per point
