@@ -19,7 +19,7 @@ from .consensus import FitConfig, fit
 from .distances import _PAIR_KINDS, METRIC_KINDS, MetricKind, _blend, evaluate_metric
 from .errors import CasfitError
 from .quadric import EllipsoidModel
-from .synth import DATASET_KINDS, DatasetSpec, load_points, make_instance, save_points
+from .synth import DATASET_KINDS, DatasetSpec, _write_rows, load_points, make_instance, save_points
 
 USAGE_EXIT = 1
 RUNTIME_EXIT = 2
@@ -177,9 +177,11 @@ def _cmd_distances(args) -> int:
     def write(fh):
         fh.write("point_index,metric,value\r\n")
         for kind in kinds:
-            values = _blend(kind, singles).tolist()
-            name = str(kind)
-            fh.write("".join(f"{i},{name},{value:.17g}\r\n" for i, value in enumerate(values)))
+            values = _blend(kind, singles)
+            flat = [0] * (2 * len(values))  # index, value, index, value, ...
+            flat[::2], flat[1::2] = range(len(values)), values.tolist()
+            row = "%d," + str(kind).replace("%", "%%") + ",%.17g\r\n"
+            _write_rows(fh, row, len(values), lambda a, b: tuple(flat[2 * a:2 * b]))
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -310,10 +310,13 @@ class EllipsoidModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EllipsoidModel":
-        """Inverse of to_json_dict; only ``q`` is read.  Raises ParseError."""
+        """Inverse of to_json_dict; only ``q``, 10 numbers, is read.  Raises ParseError."""
         if not isinstance(doc, dict) or "q" not in doc:
             raise ParseError("model document must be a JSON object with a 'q' field")
+        q = doc["q"]
+        if not (isinstance(q, list) and len(q) == 10 and all(type(v) in (int, float) for v in q)):
+            raise ParseError("bad model field 'q': expected a list of 10 numbers")
         try:
-            return cls.from_coeffs(np.asarray(doc["q"], dtype=float))
-        except (TypeError, ValueError) as exc:
+            return cls.from_coeffs(np.array(q, dtype=float))
+        except (OverflowError, ValueError) as exc:
             raise ParseError(f"bad model field 'q': {exc}") from None

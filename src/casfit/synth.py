@@ -27,8 +27,8 @@ OUTLIER_BOX_INFLATION = 2.0
 
 DATASET_KINDS = ("gaussian", "outlier")
 
-# save_points formats the rows of a file in blocks of this many, so the
-# strings of at most one block are alive at a time.
+# save_points and casfit distances format their rows in blocks of this many, one %
+# operation per block, so the strings of at most one block are alive at a time.
 LOAD_BLOCK_ROWS = 1024
 
 
@@ -165,9 +165,16 @@ def save_points(points, path) -> None:
     pts = as_points(points)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,z\n")
-        for a in range(0, len(pts), LOAD_BLOCK_ROWS):
-            fh.write("".join(f"{x:.17g},{y:.17g},{z:.17g}\n"
-                             for x, y, z in pts[a:a + LOAD_BLOCK_ROWS].tolist()))
+        _write_rows(fh, "%.17g,%.17g,%.17g\n", len(pts),
+                    lambda a, b: tuple(pts[a:b].ravel().tolist()))
+
+
+def _write_rows(fh, row: str, count: int, fields) -> None:
+    """Write ``count`` rows of the template ``row``: ``row * (b - a) % fields(a, b)`` per block."""
+    block = row * LOAD_BLOCK_ROWS
+    for a in range(0, count, LOAD_BLOCK_ROWS):
+        b = min(a + LOAD_BLOCK_ROWS, count)
+        fh.write((block if b - a == LOAD_BLOCK_ROWS else row * (b - a)) % fields(a, b))
 
 
 def load_points(path) -> np.ndarray:

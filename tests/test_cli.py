@@ -19,7 +19,7 @@ from casfit import (METRIC_KINDS, SAMPSON, DatasetSpec, EllipsoidModel, Experime
                     read_report, required_iterations, run_grid, sample_surface, save_points)
 from casfit import bench, cli, distances
 from casfit.cli import main
-from casfit.synth import DATASET_KINDS
+from casfit.synth import DATASET_KINDS, LOAD_BLOCK_ROWS
 
 from conftest import make_model
 
@@ -422,6 +422,35 @@ class TestDistancesCommand:
         assert capsys.readouterr().out == want
         assert len(solves) == 2
 
+    def test_rows_past_one_block(self, rng, tmp_path, capsys):
+        # the writer formats a block of rows at a time: the last, partial
+        # block and the Sampson inf at the model center must come out whole
+        model = make_model(rng)
+        pts = sample_surface(model, 2 * LOAD_BLOCK_ROWS + 5, rng)
+        pts[0] = model.center
+        pts[1:] += 0.1 * rng.normal(size=(len(pts) - 1, 3))
+        path, model_path = tmp_path / "points.csv", tmp_path / "model.json"
+        save_points(pts, path)
+        model_path.write_text(json.dumps(model.to_json_dict()))
+        model = EllipsoidModel.from_json_dict(json.loads(model_path.read_text()))
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["point_index", "metric", "value"])
+        for name in METRIC_KINDS:
+            kind = MetricKind(name)
+            values = np.atleast_1d(evaluate_metric(kind, load_points(path), model)).tolist()
+            writer.writerows([i, str(kind), f"{v:.17g}"] for i, v in enumerate(values))
+        want = buf.getvalue()
+        assert want.startswith("point_index,metric,value\r\n0,algebraic,")
+        assert "\r\n0,sampson,inf\r\n" in want
+        assert want.endswith(f"\r\n{len(pts) - 1},axial+orthogonal:0.5,{values[-1]:.17g}\r\n")
+        out = tmp_path / "dist.csv"
+        assert run_cli(["distances", str(path), str(model_path), "--out", str(out)]) == 0
+        assert out.read_bytes() == want.encode()
+        capsys.readouterr()
+        assert run_cli(["distances", str(path), str(model_path)]) == 0
+        assert capsys.readouterr().out == want
+
 
 class TestExitCodes:
     def test_usage_errors_exit_1(self, capsys):
@@ -492,7 +521,13 @@ class TestExitCodes:
                 "runs_per_instance": 1}))
             assert run_cli(["bench", str(grid), "--out", str(tmp_path / "r.csv")]) == 2
 
-        for text in ("{}", "[1, 2]", '{"q": [1, 2]}', '{"q": {"a": 1}}'):
+        # a q that is not 10 JSON numbers, even where numpy would read one
+        sphere = [1, 1, 1, 0, 0, 0, 0, 0, 0, 1]
+        for text in ("{}", "[1, 2]", '{"q": [1, 2]}', '{"q": {"a": 1}}',
+                     json.dumps({"q": [str(v) for v in sphere]}),
+                     json.dumps({"q": [bool(v) for v in sphere]}),
+                     json.dumps({"q": [sphere[:5], sphere[5:]]}),
+                     json.dumps({"q": [10 ** 400] + sphere[1:]})):  # past the double range
             model = tmp_path / "model.json"
             model.write_text(text)
             assert run_cli(["distances", str(ok), str(model)]) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from casfit import (DegenerateQuadric, EllipsoidGeometry, EllipsoidModel,
-                    NotAnEllipsoid, coeffs_to_matrix, decompose, design_matrix,
+                    NotAnEllipsoid, ParseError, coeffs_to_matrix, decompose, design_matrix,
                     geometry_to_coeffs, matrix_to_coeffs, normalize_coeffs,
                     validate_ellipsoid)
 from casfit.leastsq import condition, solve_rows
@@ -339,3 +339,15 @@ class TestModelJson:
         doc = model.to_json_dict()
         assert np.allclose(np.array(doc["rotation"]).reshape(3, 3),
                            model.geometry.rotation)
+
+    def test_q_must_be_a_list_of_ten_numbers(self, rng):
+        q = make_model(rng).to_json_dict()["q"]
+        sphere = [1, 1, 1, 0, 0, 0, 0, 0, 0, 1]  # JSON ints read as the floats they name
+        floats = [float(v) for v in sphere]
+        assert np.array_equal(EllipsoidModel.from_json_dict({"q": sphere}).coeffs,
+                              EllipsoidModel.from_json_dict({"q": floats}).coeffs)
+        for bad in ([str(v) for v in q], [True] * 3 + [False] * 6 + [True],
+                    [[1, 1, 1, 0, 0], [0, 0, 0, 0, 1]], q[:9], q + [0.0], tuple(q),
+                    {"a": 1}, "q", 1.0, None, q[:9] + [None], [10 ** 400] + q[1:]):
+            with pytest.raises(ParseError, match="bad model field 'q'"):
+                EllipsoidModel.from_json_dict({"q": bad})

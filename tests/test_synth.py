@@ -424,3 +424,18 @@ class TestReaderEquivalence:
         save_points(pts, path)
         want = "x,y,z\n" + "".join("%.17g,%.17g,%.17g\n" % tuple(row) for row in pts)
         assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("rows", [0, 1, LOAD_BLOCK_ROWS - 1, LOAD_BLOCK_ROWS,
+                                      LOAD_BLOCK_ROWS + 1, 2 * LOAD_BLOCK_ROWS + 5])
+    def test_save_points_bytes_edges_and_layouts(self, rng, tmp_path, rows):
+        # save_points formats a block of rows per % operation; the bytes are
+        # those of one f-string per row, in every layout numpy hands it
+        edge = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 2.0, 0.1]
+        pts = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-20, 20, (1, 3))
+        pts.ravel()[:len(edge)] = edge[:pts.size]
+        for layout in (pts, np.asfortranarray(pts), np.repeat(pts, 2, axis=0)[::2]):
+            path = tmp_path / "saved.csv"
+            save_points(layout, path)
+            want = "x,y,z\n" + "".join(f"{x:.17g},{y:.17g},{z:.17g}\n"
+                                        for x, y, z in pts.tolist())
+            assert path.read_bytes() == want.encode()
