@@ -33,7 +33,7 @@ EOF
 echo
 echo "=== distances: every metric for the fitted model ==="
 "$PY" -m casfit.cli distances "$WORK/data/instance_000.csv" "$WORK/model.json" \
-    --lambda 0.5 --out "$WORK/distances.csv"
+    --out "$WORK/distances.csv"
 head -3 "$WORK/distances.csv"
 echo "... ($(wc -l < "$WORK/distances.csv") lines)"
 

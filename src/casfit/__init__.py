@@ -26,9 +26,9 @@ from .leastsq import gaussian_weights, lls_fit, wls_fit
 from .quadric import (EllipsoidGeometry, EllipsoidModel, coeffs_to_matrix,
                       decompose, design_matrix, geometry_to_coeffs,
                       matrix_to_coeffs, normalize_coeffs, validate_ellipsoid)
-from .synth import (DatasetSpec, Instance, downsample, load_points,
-                    make_instance, random_ellipsoid, random_rotation,
-                    sample_surface, save_points)
+from .synth import (DatasetSpec, Instance, load_points, make_instance,
+                    random_ellipsoid, random_rotation, sample_surface,
+                    save_points)
 
 __all__ = [
     "__version__",
@@ -47,7 +47,7 @@ __all__ = [
     "point_energy", "required_iterations", "classify", "sample_minimal",
     # synthetic data
     "DatasetSpec", "Instance", "random_ellipsoid", "random_rotation",
-    "sample_surface", "make_instance", "downsample", "load_points", "save_points",
+    "sample_surface", "make_instance", "load_points", "save_points",
     # benchmarks
     "ErrorTriple", "ResidualTriple", "fitting_errors", "residuals",
     "GridVariant", "ExperimentGrid", "grid_from_json", "load_grid",

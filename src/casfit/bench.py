@@ -19,7 +19,7 @@ import numpy as np
 
 from .consensus import FitConfig, fit
 from .distances import MetricKind, axial_distance, orthogonal_distance, sampson_distance
-from .errors import ParseError, require_integers
+from .errors import ParseError, require_integers, require_reals
 from .quadric import EllipsoidModel, validate_ellipsoid
 from .synth import DatasetSpec, Instance, make_instance
 
@@ -101,6 +101,7 @@ class GridVariant:
             object.__setattr__(self, "epsilon_rel_sigma", 2.0 if self.epsilon is None else None)
         if (self.epsilon is None) == (self.epsilon_rel_sigma is None):
             raise ValueError("set exactly one of epsilon and epsilon_rel_sigma")
+        require_reals(self, "epsilon" if self.epsilon_rel_sigma is None else "epsilon_rel_sigma")
         # Every other field is checked by the FitConfig it makes, so a bad
         # value fails when the grid is loaded, not after earlier cells ran.
         self.make_config(sigma=1.0, seed=0)

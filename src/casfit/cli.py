@@ -79,8 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dist = sub.add_parser("distances", help="evaluate all metrics for a point file")
     p_dist.add_argument("points", help="3-column text file of points")
     p_dist.add_argument("model", help="model JSON (a document with a 'q' field)")
-    p_dist.add_argument("--lambda", dest="lam", type=float, default=MetricKind.lam,
-                        help="blend ratio for the two-term metrics")
     p_dist.add_argument("--out", default=None, help="write the CSV here (default stdout)")
     p_dist.set_defaults(func=_cmd_distances)
     return parser
@@ -168,7 +166,7 @@ def _cmd_distances(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     model = EllipsoidModel.from_json_dict(doc)
-    kinds = [MetricKind(k, args.lam) for k in METRIC_KINDS]
+    kinds = [MetricKind(k) for k in METRIC_KINDS]
     # each single kind once: the blends are made from these values
     singles = {k.kind: np.atleast_1d(evaluate_metric(k, points, model))
                for k in kinds if k.kind not in _PAIR_KINDS}
@@ -178,10 +176,12 @@ def _cmd_distances(args) -> int:
         fh.write("point_index,metric,value\r\n")
         for kind in kinds:
             values = _blend(kind, singles)
-            flat = [0] * (2 * len(values))  # index, value, index, value, ...
-            flat[::2], flat[1::2] = range(len(values)), values.tolist()
-            row = "%d," + str(kind).replace("%", "%%") + ",%.17g\r\n"
-            _write_rows(fh, row, len(values), lambda a, b: tuple(flat[2 * a:2 * b]))
+
+            def fields(a, b):  # index, value, index, value, ... of one block
+                flat = [0] * (2 * (b - a))
+                flat[::2], flat[1::2] = range(a, b), values[a:b].tolist()
+                return tuple(flat)
+            _write_rows(fh, f"%d,{kind},%.17g\r\n", len(values), fields)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -50,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distances import MetricKind, cas, evaluate_metric
-from .errors import NoModelFound, TooFewPoints, require_integers
+from .errors import NoModelFound, TooFewPoints, require_integers, require_reals
 # gaussian_weights, lls_fit and wls_fit are not called here but stay module
 # attributes: perfbench/tracer.py wraps them by these names.
 from .leastsq import (MIN_POINTS, SUPPORT_TOL, condition, decondition,  # noqa: F401
@@ -96,6 +96,7 @@ class FitConfig:
 
     def __post_init__(self):
         require_integers(self, "max_iterations", "min_iterations", "seed")
+        require_reals(self, "epsilon")
         if not isinstance(self.local_opt, bool):
             raise ValueError(f"local_opt must be a bool, got {self.local_opt!r}")
         if not isinstance(self.score_metric, MetricKind):

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, require_reals
 from .quadric import EllipsoidModel, as_points
 
 # The Sampson gradient counts as vanished at unit-frame radii s at or below
@@ -80,7 +80,7 @@ class MetricKind:
 
     For a pair kind the value is lam * first + (1 - lam) * second, where
     the pair ordering is the one in the kind name ("cas" blends axial
-    with Sampson).  ``lam`` is ignored by the four single kinds.
+    with Sampson).  The four single kinds take only the default ``lam``.
     """
 
     kind: str
@@ -89,6 +89,9 @@ class MetricKind:
     def __post_init__(self):
         if self.kind not in METRIC_KINDS:
             raise ValueError(f"unknown metric kind {self.kind!r}; choose from {METRIC_KINDS}")
+        require_reals(self, "lam")
+        if self.kind in _SINGLE_KINDS and self.lam != MetricKind.lam:
+            raise ValueError(f"metric {self.kind!r} takes no blend ratio, got {self.lam}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
 
@@ -98,16 +101,11 @@ class MetricKind:
         if not isinstance(text, str):
             raise ValueError(f"metric must be a string, got {text!r}")
         name, sep, ratio = text.partition(":")
-        name = name.strip().lower()
-        if sep and name in _SINGLE_KINDS:
-            raise ValueError(f"metric {name!r} takes no blend ratio, got {text!r}")
-        if sep:
-            try:
-                lam = float(ratio)
-            except ValueError:
-                raise ValueError(f"bad blend ratio in metric {text!r}") from None
-            return cls(name, lam)
-        return cls(name)
+        try:
+            lam = float(ratio) if sep else cls.lam
+        except ValueError:
+            raise ValueError(f"bad blend ratio in metric {text!r}") from None
+        return cls(name.strip().lower(), lam)
 
     def __str__(self) -> str:
         # the shortest text that parses back to the same ratio
@@ -259,7 +257,7 @@ def _components(kind: MetricKind) -> tuple:
     """The single kinds in ``kind``.  A blend at lam 0 or 1 is its component untouched, so
     that the endpoints are an exact reduction (and 0 * inf never poisons the blend)."""
     names = _PAIR_KINDS.get(kind.kind, (kind.kind,))
-    if kind.lam in (0.0, 1.0) and len(names) == 2:
+    if kind.lam in (0.0, 1.0):  # never for a single kind, whose lam is 0.5
         names = names[:1] if kind.lam == 1.0 else names[1:]
     return names
 

@@ -1,14 +1,23 @@
-"""Exception types and the integer-field check shared across the library."""
+"""Exception types and the number-field checks shared across the library."""
 
 import numbers
 
 
 def require_integers(record, *names) -> None:
     """Raise ValueError unless each named field of ``record`` is an integer."""
-    for name in names:
+    _require(record, names, numbers.Integral, "an integer")
+
+
+def require_reals(record, *names) -> None:
+    """Raise ValueError unless each named field of ``record`` is a real number."""
+    _require(record, names, numbers.Real, "a real number")
+
+
+def _require(record, names, kind, what: str) -> None:
+    for name in names:  # a bool is an Integral, but JSON's true is no number
         value = getattr(record, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 class CasfitError(Exception):

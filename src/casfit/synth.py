@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParseError, require_integers
+from .errors import ParseError, require_integers, require_reals
 from .leastsq import MIN_POINTS
 from .quadric import EllipsoidGeometry, EllipsoidModel, as_points
 
@@ -86,6 +86,7 @@ class DatasetSpec:
 
     def __post_init__(self):
         require_integers(self, "point_count", "instance_count", "seed")
+        require_reals(self, "sigma_rel", "outlier_fraction")
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"kind must be one of {DATASET_KINDS}, got {self.kind!r}")
         if self.point_count < MIN_POINTS:
@@ -147,17 +148,6 @@ def make_instance(spec: DatasetSpec, rng: np.random.Generator) -> Instance:
     is_outlier = np.zeros(spec.point_count, dtype=bool)
     is_outlier[n_in:] = True
     return Instance(truth=truth, points=points, is_outlier=is_outlier, sigma=sigma)
-
-
-def downsample(points, target_count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform subset without replacement, preserving the input order."""
-    pts = as_points(points)
-    if target_count < 0:
-        raise ValueError("target_count must be non-negative")
-    if len(pts) <= target_count:
-        return pts.copy()
-    idx = np.sort(rng.choice(len(pts), size=target_count, replace=False))
-    return pts[idx]
 
 
 def save_points(points, path) -> None:

@@ -87,6 +87,11 @@ class TestGridConstruction:
         assert absolute.make_config(sigma=0.0, seed=1).epsilon == 0.4
         with pytest.raises(ValueError):
             rel.make_config(sigma=0.0, seed=1)
+        # the threshold given must be a real number, not a bool or a string
+        for given in ({"epsilon_rel_sigma": True}, {"epsilon_rel_sigma": "1.5"},
+                      {"epsilon": True}, {"epsilon": "0.4"}):
+            with pytest.raises(ValueError, match=f"{next(iter(given))} must be a real number"):
+                GridVariant(name="bad", **given)
 
     def test_exactly_one_threshold(self):
         with pytest.raises(ValueError):
@@ -174,7 +179,13 @@ class TestGridConstruction:
                 ({}, {"sigma_rel": 0.0}, {}),
                 ({}, {}, {"runs_per_instance": 2.5}),
                 ({}, {}, {"runs_per_instance": 0}),
-                ({}, {}, {"seed": 1.0})):
+                ({}, {}, {"seed": 1.0}),
+                # a JSON boolean is no real number: true would run, and be reported, as 1
+                ({}, {"sigma_rel": True}, {}),
+                ({}, {"outlier_fraction": False}, {}),
+                ({"epsilon": True}, {}, {}),
+                ({"epsilon_rel_sigma": True}, {}, {}),
+                ({"epsilon_rel_sigma": "2"}, {}, {})):
             # a bad later variant fails on load, before any cell runs
             doc = {"variants": [{"name": "ok"}, {"name": "x", **variant}],
                    "datasets": [{"kind": "gaussian", **dataset}], **top}

@@ -340,7 +340,7 @@ class TestConfigSurfaces:
         budget = inspect.signature(required_iterations).parameters["max_iterations"]
         assert budget.default == FitConfig(epsilon=1.0).max_iterations
 
-    def test_synth_and_distances_defaults_are_the_library_ones(self):
+    def test_synth_and_distances_defaults_are_the_library_ones(self, capsys):
         parser = cli._build_parser()
         synth = parser._subparsers._group_actions[0].choices["synth"]
         kind = next(action for action in synth._actions if action.dest == "kind")
@@ -353,11 +353,15 @@ class TestConfigSurfaces:
             for field in dataclasses.fields(DatasetSpec):
                 assert getattr(from_cli, field.name) == getattr(DatasetSpec(name), field.name), \
                     field.name
-        args = parser.parse_args(["distances", "p", "m"])
-        for name in METRIC_KINDS:
-            for field in dataclasses.fields(MetricKind):
-                assert getattr(MetricKind(name, args.lam), field.name) == \
-                    getattr(MetricKind(name), field.name), field.name
+        # distances writes the library's kinds at their default ratio, which
+        # it takes from no option: another ratio is a blend of its own rows
+        distances_parser = parser._subparsers._group_actions[0].choices["distances"]
+        assert {action.dest for action in distances_parser._actions} == \
+            {"help", "points", "model", "out"}
+        assert vars(parser.parse_args(["distances", "p", "m"])).keys() == \
+            {"command", "func", "points", "model", "out"}
+        assert run_cli(["distances", "p", "m", "--lambda", "0.3"]) == 1
+        assert "unrecognized arguments: --lambda" in capsys.readouterr().err
 
     def test_cli_fit_is_the_python_fit(self, tmp_path):
         # a metric other than cas() weights the refits on both surfaces
@@ -378,20 +382,39 @@ class TestConfigSurfaces:
 class TestDistancesCommand:
     def test_csv_covers_all_metrics(self, points_file, tmp_path, capsys):
         path, truth = points_file
+        pts = np.vstack([truth.center, load_points(path)])  # Sampson reads +inf at the center
+        save_points(pts, path)
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(truth.to_json_dict()))
         out = tmp_path / "dist.csv"
-        assert run_cli(["distances", str(path), str(model_path),
-                        "--lambda", "0.25", "--out", str(out)]) == 0
+        assert run_cli(["distances", str(path), str(model_path), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "point_index,metric,value"
-        assert len(lines) == 1 + 7 * 120
+        assert len(lines) == 1 + 7 * 121
         metrics = {line.split(",")[1] for line in lines[1:]}
         assert metrics == {"algebraic", "sampson", "orthogonal", "axial",
-                           "cas:0.25", "sampson+orthogonal:0.25",
-                           "axial+orthogonal:0.25"}
+                           "cas:0.5", "sampson+orthogonal:0.5",
+                           "axial+orthogonal:0.5"}
+        assert metrics == {str(MetricKind(name)) for name in METRIC_KINDS}
         values = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(v >= 0.0 for v in values)
+        # each block in file order; %.17g reads back exactly
+        rows = {}
+        for line in lines[1:]:
+            index, metric, value = line.split(",")
+            assert int(index) == len(rows.setdefault(metric, []))
+            rows[metric].append(float(value))
+        rows = {metric: np.array(values) for metric, values in rows.items()}
+        assert rows["sampson"][0] == np.inf
+        # a pair row is 0.5 first + 0.5 second of the same point's single rows, bitwise
+        for name, (first, second) in distances._PAIR_KINDS.items():
+            blend = 0.5 * rows[first] + 0.5 * rows[second]
+            assert rows[f"{name}:0.5"].tobytes() == blend.tobytes(), name
+        # and the README recipe for another ratio is the library's blend, bitwise
+        model = EllipsoidModel.from_json_dict(json.loads(model_path.read_text()))
+        lam = 0.25
+        recipe = lam * rows["axial"] + (1 - lam) * rows["sampson"]
+        assert recipe.tobytes() == evaluate_metric(cas(lam), load_points(path), model).tobytes()
 
     def test_bytes_are_those_of_csv_writer(self, points_file, tmp_path, capsys, monkeypatch):
         path, truth = points_file
@@ -404,7 +427,7 @@ class TestDistancesCommand:
         writer = csv.writer(buf)
         writer.writerow(["point_index", "metric", "value"])
         for name in METRIC_KINDS:
-            kind = MetricKind(name, 0.25)
+            kind = MetricKind(name)
             values = np.atleast_1d(evaluate_metric(kind, load_points(path), model)).tolist()
             writer.writerows([i, str(kind), f"{v:.17g}"] for i, v in enumerate(values))
         want = buf.getvalue()
@@ -414,7 +437,7 @@ class TestDistancesCommand:
         monkeypatch.setattr(distances, "orthogonal_distance",
                             lambda *args: solves.append(1) or orthogonal_distance(*args))
         out = tmp_path / "dist.csv"
-        argv = ["distances", str(path), str(model_path), "--lambda", "0.25"]
+        argv = ["distances", str(path), str(model_path)]
         assert run_cli(argv + ["--out", str(out)]) == 0
         assert out.read_bytes() == want.encode()
         capsys.readouterr()

@@ -940,6 +940,11 @@ class TestFitConfig:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 FitConfig(epsilon=bad)
+        # a bool would fit at epsilon 1, a string raised an untyped TypeError
+        for bad in (True, "1", None):
+            with pytest.raises(ValueError, match="epsilon must be a real number"):
+                FitConfig(epsilon=bad)
+        assert FitConfig(epsilon=np.float32(0.5)).epsilon == 0.5
         for field in ("min_iterations", "max_iterations", "seed"):
             with pytest.raises(ValueError, match=field):
                 FitConfig(epsilon=1.0, **{field: 60.5})

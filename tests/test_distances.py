@@ -394,7 +394,8 @@ def test_output_shape_follows_the_points(seed, count, lam, at_center):
         pts[0] = m.center  # Sampson reads +inf there
     points = pts[0] if count == 1 else pts
     for name in METRIC_KINDS:
-        got = evaluate_metric(MetricKind(name, lam), points, m)
+        kind = MetricKind(name, lam) if name in distances._PAIR_KINDS else MetricKind(name)
+        got = evaluate_metric(kind, points, m)
         if count == 1:
             assert isinstance(got, float)
         else:
@@ -500,6 +501,23 @@ class TestMetricKind:
             if name not in distances._PAIR_KINDS:
                 with pytest.raises(ValueError, match="takes no blend ratio"):
                     MetricKind.parse(f"{name}:0.3")
+
+    def test_single_kinds_take_only_the_default_ratio(self):
+        # a ratio would make the kind unequal to its constant and its text
+        # parse to another kind, and nothing would read it
+        for constant in (ALGEBRAIC, SAMPSON, ORTHOGONAL, AXIAL):
+            assert MetricKind(constant.kind, MetricKind.lam) == constant
+            assert MetricKind.parse(str(constant)) == constant
+            for lam in (0.0, 0.3, 1.0):
+                with pytest.raises(ValueError, match="takes no blend ratio"):
+                    MetricKind(constant.kind, lam)
+
+    def test_ratio_must_be_a_real_number(self):
+        # True read as cas:1, a string raised an untyped TypeError
+        for bad in (True, False, "0.5", None):
+            with pytest.raises(ValueError, match="lam must be a real number"):
+                MetricKind("cas", bad)
+        assert str(MetricKind("cas", np.float64(0.25))) == "cas:0.25"
 
     @settings(max_examples=300, deadline=None)
     @given(name=st.sampled_from(sorted(distances._PAIR_KINDS)),

@@ -1,0 +1,38 @@
+"""No module of the package imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "casfit"
+
+# Imported and never called: perfbench's tracer patches these names on consensus.
+ALLOWED = {
+    "consensus": {"gaussian_weights", "lls_fit", "wls_fit"},
+}
+
+
+def unused_imports(source: str) -> set:
+    """The names bound by the imports of ``source`` that no other line reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    # an attribute chain such as np.linalg.eigh starts with the Name np
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_the_check_sees_unused_names():
+    source = ("from __future__ import annotations\nimport os, numpy as np\n"
+              "import os.path\nfrom math import inf, nan as missing\nx = np.pi + inf\n")
+    assert unused_imports(source) == {"os", "missing"}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__"))
+def test_no_unused_imports(module):
+    unused = unused_imports((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert unused == ALLOWED.get(module, set())

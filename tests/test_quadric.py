@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casfit import (DegenerateQuadric, EllipsoidGeometry, EllipsoidModel,
                     NotAnEllipsoid, ParseError, coeffs_to_matrix, decompose, design_matrix,
@@ -260,6 +262,29 @@ class TestCheckEllipsoids:
         assert not any(f.flags.writeable for f in (rotation, translation, semiaxes))
         for j in np.flatnonzero(verdict == ELLIPSOID):
             EllipsoidGeometry(rotation[j], translation[j], semiaxes[j])  # raises on a failed check
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), span=st.integers(0, 300), definite=st.booleans())
+    def test_wide_ellipsoid_rows_pass_the_geometry_constructor(self, seed, span, definite):
+        # check_ellipsoids tests only the semiaxes: eigh's vectors must be
+        # orthonormal, with the det sign fixed, and an overflowing translation
+        # must show as a non-finite semiaxis, whatever the magnitudes of q
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(-1.0, 1.0, (256, 10)) * 10.0 ** rng.integers(-span, span + 1, (256, 10))
+        if definite:  # eigenvalue ratios up to 1e11, so that many blocks are ellipsoids
+            rot = np.linalg.qr(rng.normal(size=(256, 3, 3)))[0]
+            evals = 10.0 ** rng.uniform(-11.0, 0.0, (256, 1, 3))
+            block = (rot * evals) @ np.swapaxes(rot, 1, 2)
+            block *= 10.0 ** rng.integers(-span, span + 1, (256, 1, 1))
+            raw[:, :6] = block[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
+        verdict, rotation, translation, semiaxes = check_ellipsoids(
+            np.stack([normalize_coeffs(q) for q in raw]))
+        if definite and span == 0:
+            assert (verdict == ELLIPSOID).sum() >= 64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in np.flatnonzero(verdict == ELLIPSOID):
+                EllipsoidGeometry(rotation[j], translation[j], semiaxes[j])
 
     def test_hyperboloid_samples_fail_exactly_when_from_coeffs_raises(self, rng):
         samples = [hyperboloid_sample(rng) if k % 2 else sample_surface(make_model(rng), 9, rng)

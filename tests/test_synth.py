@@ -6,10 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from casfit import synth
-from casfit import (DatasetSpec, ParseError, algebraic_distance, downsample,
-                    load_points, make_instance, orthogonal_distance,
-                    random_ellipsoid, sample_surface, save_points,
-                    scaling_factor)
+from casfit import (DatasetSpec, ParseError, algebraic_distance, load_points,
+                    make_instance, orthogonal_distance, random_ellipsoid,
+                    sample_surface, save_points, scaling_factor)
 from casfit.synth import (CENTER_RANGE, LOAD_BLOCK_ROWS, OUTLIER_BOX_INFLATION,
                           SEMIAXIS_RANGE, _bounding_half_extents, random_rotation)
 
@@ -145,34 +144,14 @@ class TestMakeInstance:
         with pytest.raises(ValueError):
             DatasetSpec(kind="gaussian", instance_count=0)
 
-
-class TestDownsample:
-    def test_subset_in_order(self, rng):
-        pts = rng.normal(size=(100, 3))
-        sub = downsample(pts, 30, rng)
-        assert sub.shape == (30, 3)
-        rows = {tuple(r) for r in pts}
-        assert all(tuple(r) in rows for r in sub)
-        idx = [int(np.flatnonzero((pts == r).all(axis=1))[0]) for r in sub]
-        assert idx == sorted(idx)
-        assert len(set(idx)) == len(idx)
-
-    def test_small_input_copied_through(self, rng):
-        pts = rng.normal(size=(10, 3))
-        out = downsample(pts, 20, rng)
-        assert np.array_equal(out, pts)
-        out[0, 0] = 42.0
-        assert pts[0, 0] != 42.0
-
-    def test_deterministic(self, rng):
-        pts = rng.normal(size=(50, 3))
-        a = downsample(pts, 12, np.random.default_rng(8))
-        b = downsample(pts, 12, np.random.default_rng(8))
-        assert np.array_equal(a, b)
-
-    def test_negative_count_rejected(self, rng):
-        with pytest.raises(ValueError, match="non-negative"):
-            downsample(rng.normal(size=(5, 3)), -1, rng)
+    @pytest.mark.parametrize("field", ["sigma_rel", "outlier_fraction"])
+    @pytest.mark.parametrize("bad", [True, False, "0.25", None, [0.25]])
+    def test_real_fields_take_only_numbers(self, field, bad):
+        # a JSON true is no number: it would run, and be reported, as 1
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            DatasetSpec(kind="outlier", **{field: bad})
+        spec = DatasetSpec(kind="outlier", **{field: np.float64(0.25)})
+        assert getattr(spec, field) == 0.25
 
 
 class TestPointFiles:
