@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -184,7 +185,13 @@ def run_grid(grid: ExperimentGrid, out_path=None, progress=None):
     instance, run) order.  When ``out_path`` is given the report is written
     there as CSV, with each (variant, dataset) block followed by its
     aggregate row (instance 'all', run 'aggregate', cells 'mean±std').
+    It is written after the last cell, but one that cannot be written raises before the first.
     """
+    if out_path is not None:  # open it as the writer will, and leave no new file behind
+        existed = os.path.exists(out_path)
+        open(out_path, "a", encoding="utf-8").close()
+        if not existed:
+            os.remove(os.path.realpath(out_path))  # a symlink stays, its new target goes
     instances = [[make_instance(dataset, _instance_rng(dataset, i))
                   for i in range(dataset.instance_count)] for dataset in grid.datasets]
     blocks = []

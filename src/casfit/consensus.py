@@ -20,7 +20,7 @@ exactly.  The refit cascade (``_refine``) runs in the frame it is handed and
 neither conditions nor maps.  Every metric but the algebraic one is
 similarity invariant, so no decision changes beyond rounding, and the solves
 stay well conditioned at any offset.  Minimal samples and refits share one
-solve-and-check path: the stacked ``solve_rows`` and ``check_ellipsoids``,
+solve-and-build path: the stacked ``solve_rows`` and ``quadric._ellipsoids``,
 with failures as None, not raised.
 
 Design rows depend only on the points, and only the solves read them.
@@ -55,8 +55,8 @@ from .errors import NoModelFound, TooFewPoints, require_integers, require_reals
 # attributes: perfbench/tracer.py wraps them by these names.
 from .leastsq import (MIN_POINTS, SUPPORT_TOL, condition, decondition,  # noqa: F401
                       gaussian_weights, lls_fit, point_energy, solve_rows, wls_fit)
-from .quadric import (ELLIPSOID, SQUARE_RANGE, EllipsoidGeometry, EllipsoidModel, as_points,
-                      check_ellipsoids, design_matrix, require_carried)
+from .quadric import (SQUARE_RANGE, EllipsoidGeometry, EllipsoidModel, _ellipsoids, as_points,
+                      design_matrix, require_carried)
 
 RNG_ALGORITHM = "PCG64"
 
@@ -207,7 +207,7 @@ def _refine(pts: np.ndarray, rows: np.ndarray, cfg: FitConfig, d: np.ndarray) ->
     for eps_lo in _lo_schedule(cfg.epsilon):
         w = point_energy(d, eps_lo)
         q, ok = solve_rows(rows, w[None])
-        (refit,) = _models(q, ok & (np.count_nonzero(w > SUPPORT_TOL) >= MIN_POINTS))
+        (refit,) = _ellipsoids(q, ok & (np.count_nonzero(w > SUPPORT_TOL) >= MIN_POINTS))[1]
         if refit is None:
             continue
         d = evaluate_metric(cfg.score_metric, pts, refit)
@@ -307,24 +307,16 @@ def _may_be_ellipsoids(a: np.ndarray) -> np.ndarray:
     return ~finite | (value >= -(SCREEN_ROUNDING * bound + np.finfo(float).tiny)).all(axis=0)
 
 
-def _models(coeffs: np.ndarray, ok: np.ndarray) -> list:
-    """Each ``solve_rows`` row as an EllipsoidModel; None where not ``ok`` or not an ellipsoid."""
-    verdict, rotation, translation, semiaxes = check_ellipsoids(coeffs)
-    return [EllipsoidModel(coeffs[j], EllipsoidGeometry._checked(
-                rotation[j], translation[j], semiaxes[j]))
-            if ok[j] and verdict[j] == ELLIPSOID else None for j in range(len(coeffs))]
-
-
 def _candidates(pts: np.ndarray, k: int, rng: np.random.Generator) -> list:
     """Draw ``k`` minimal samples of conditioned points in order, screen them
     (``_screen``) and solve the rows it keeps as one stack; returns each
-    sample's ``_models`` entry, None for a row the screen drops.  The
+    sample's ``_ellipsoids`` model, None for a row the screen drops.  The
     samples' design rows are built once for the screen and the solve.
     """
     idx = sample_minimal(len(pts), MIN_POINTS, rng, count=k)
     rows = design_matrix(pts[idx.reshape(-1)]).reshape(k, MIN_POINTS, 10)
     keep = _screen(rows)
-    models = iter(_models(*solve_rows(rows[keep])))
+    models = iter(_ellipsoids(*solve_rows(rows[keep]))[1])
     return [next(models) if kept else None for kept in keep]
 
 
@@ -340,8 +332,8 @@ def _to_scene(model: EllipsoidModel, center: np.ndarray, scale: float) -> Ellips
     translation = scale * geom.translation - geom.rotation @ center
     semiaxes = scale * geom.semiaxes
     require_carried(semiaxes.min(), max(scale, *np.abs(center), *np.abs(translation), *semiaxes))
-    return EllipsoidModel(decondition(model.coeffs, center, scale),
-                          EllipsoidGeometry(geom.rotation, translation, semiaxes))
+    return EllipsoidModel._paired(decondition(model.coeffs, center, scale),
+                                  EllipsoidGeometry(geom.rotation, translation, semiaxes))
 
 
 def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitReport:

@@ -233,8 +233,7 @@ def check_ellipsoids(q: np.ndarray):
     return verdict, rotation, translation, semiaxes
 
 
-# The exception and message that EllipsoidModel.from_coeffs raises for each
-# verdict of check_ellipsoids but ELLIPSOID.
+# The exception and message that from_coeffs raises for each verdict but ELLIPSOID.
 _REJECTIONS = {
     DEGENERATE: (DegenerateQuadric, "quadratic block is rank deficient"),
     INDEFINITE: (NotAnEllipsoid, "quadratic block is not positive definite"),
@@ -242,13 +241,17 @@ _REJECTIONS = {
 }
 
 
-def decompose(q) -> EllipsoidGeometry:
-    """Recover rotation, translation and semiaxes from quadric coefficients.
+def _ellipsoids(q: np.ndarray, ok=True) -> tuple:
+    """The one builder of checked models: ``check_ellipsoids``' verdicts on a unit-norm (k, 10)
+    stack ``q``, and each row's EllipsoidModel, None unless it is an ELLIPSOID and ``ok``."""
+    verdict, rotation, translation, semiaxes = check_ellipsoids(q)
+    return verdict, [EllipsoidModel._paired(q[j], EllipsoidGeometry._checked(
+        rotation[j], translation[j], semiaxes[j])) if built else None
+        for j, built in enumerate(((verdict == ELLIPSOID) & ok).tolist())]
 
-    Raises DegenerateQuadric when the quadratic block is rank deficient and
-    NotAnEllipsoid when the coefficients describe any other quadric type
-    (hyperboloid, cone, imaginary surface, ...).
-    """
+
+def decompose(q) -> EllipsoidGeometry:
+    """Rotation, translation and semiaxes of quadric coefficients; raises as from_coeffs does."""
     return EllipsoidModel.from_coeffs(q).geometry
 
 
@@ -261,31 +264,34 @@ def validate_ellipsoid(q) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EllipsoidModel:
-    """Normalized quadric coefficients bundled with their decomposition.
+    """Normalized quadric coefficients bundled with their decomposition, read-only.
 
-    Construct through from_coeffs or from_geometry; both canonicalize, so
-    ``geometry`` always has descending semiaxes and a proper rotation.
+    Built only through from_coeffs, from_geometry and from_json_dict, which check and
+    canonicalize, so ``geometry`` always has descending semiaxes and a proper rotation.
     """
 
     coeffs: np.ndarray
     geometry: EllipsoidGeometry
 
-    def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=float).reshape(10)
+    @classmethod
+    def _paired(cls, coeffs: np.ndarray, geometry: EllipsoidGeometry) -> "EllipsoidModel":
+        """``coeffs``, made read-only, and ``geometry``, not checked against each other."""
         coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
+        model = object.__new__(cls)
+        model.__dict__.update(coeffs=coeffs, geometry=geometry)
+        return model
 
     @classmethod
     def from_coeffs(cls, q) -> "EllipsoidModel":
-        """Normalize ``q`` and decompose it; raises as ``decompose`` does."""
-        q = normalize_coeffs(q)
-        verdict, *fields = (v[0] for v in check_ellipsoids(q[None]))
-        if verdict != ELLIPSOID:
+        """Normalize ``q`` and decompose it.  Raises DegenerateQuadric when the quadratic block
+        is rank deficient, NotAnEllipsoid for any other quadric (hyperboloid, cone, empty, ...)."""
+        (verdict,), (model,) = _ellipsoids(normalize_coeffs(q)[None])
+        if model is None:
             error, message = _REJECTIONS[verdict]
             raise error(message)
-        return cls(coeffs=q, geometry=EllipsoidGeometry._checked(*fields))
+        return model
 
     @classmethod
     def from_geometry(cls, geom: EllipsoidGeometry) -> "EllipsoidModel":

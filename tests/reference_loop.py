@@ -5,7 +5,7 @@ chunks and screened them, kept as the reference the chunked loop is tested
 against.  It runs in ``fit``'s frame and with its kernel: it conditions the
 cloud once with ``condition``, divides epsilon by the same scale, solves
 each sample on its own with a one-row ``solve_rows`` and
-``check_ellipsoids``, and maps only the returned model back with
+``quadric._ellipsoids``, and maps only the returned model back with
 ``_to_scene``.  It draws each sample with its own ``sample_minimal`` call,
 scores each candidate with ``model_score`` and classifies the returned
 model once more at the end.  Its refit cascade is the one
@@ -22,13 +22,13 @@ from typing import Optional
 
 import numpy as np
 
-from casfit import (DegenerateQuadric, EllipsoidGeometry, EllipsoidModel, FitConfig,
+from casfit import (DegenerateQuadric, EllipsoidModel, FitConfig,
                     FitReport, InsufficientSupport, NoModelFound, NotAnEllipsoid,
                     RankDeficient, TooFewPoints, classify, gaussian_weights,
                     model_score, required_iterations, sample_minimal, wls_fit)
 from casfit.consensus import MU, _lo_schedule, _to_scene
 from casfit.leastsq import MIN_POINTS, condition, solve_rows
-from casfit.quadric import ELLIPSOID, as_points, check_ellipsoids, design_matrix
+from casfit.quadric import _ellipsoids, as_points, design_matrix
 
 
 def reference_local_optimize(model, points, cfg: FitConfig) -> Optional[EllipsoidModel]:
@@ -53,12 +53,7 @@ def reference_local_optimize(model, points, cfg: FitConfig) -> Optional[Ellipsoi
 
 def solve_sample(sample) -> Optional[EllipsoidModel]:
     """The ellipsoid through one conditioned minimal sample, or None."""
-    coeffs, ok = solve_rows(design_matrix(sample)[None])
-    verdict, rotation, translation, semiaxes = check_ellipsoids(coeffs)
-    if not ok[0] or verdict[0] != ELLIPSOID:
-        return None
-    return EllipsoidModel(coeffs[0], EllipsoidGeometry(rotation[0], translation[0],
-                                                       semiaxes[0]))
+    return _ellipsoids(*solve_rows(design_matrix(sample)[None]))[1][0]
 
 
 def reference_fit(points, cfg: FitConfig, progress=None) -> FitReport:

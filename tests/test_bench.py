@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from casfit import (CSV_COLUMNS, DatasetSpec, EllipsoidGeometry,
-                    EllipsoidModel, ExperimentGrid, GridVariant, ParseError,
-                    fitting_errors, grid_from_json, load_grid, read_report,
+                    EllipsoidModel, ExperimentGrid, GridVariant, NoModelFound, ParseError,
+                    bench, fitting_errors, grid_from_json, load_grid, read_report,
                     residuals, run_grid, sample_surface)
 
 from conftest import axis_aligned, make_model
@@ -273,6 +273,38 @@ class TestRunGrid:
         seen = []
         data_rows, _ = run_grid(tiny_grid(runs=2), progress=seen.append)
         assert seen == data_rows
+
+    def test_failed_cell_leaves_the_report_alone(self, tmp_path, monkeypatch):
+        # the report is written once every cell has run: a cell that raises
+        # leaves an earlier report's bytes as they were and creates no file
+        calls = []
+
+        def third_fails(points, cfg):
+            calls.append(cfg)
+            if len(calls) == 3:
+                raise NoModelFound("planted")
+            return fit(points, cfg)
+
+        fit = bench.fit
+        monkeypatch.setattr(bench, "fit", third_fails)
+        old, new = tmp_path / "old.csv", tmp_path / "new.csv"
+        old.write_bytes(b"an earlier report\n")
+        for out in (old, new):
+            calls.clear()
+            with pytest.raises(NoModelFound, match="planted"):
+                run_grid(tiny_grid(runs=2), out_path=out)
+            assert len(calls) == 3
+        assert old.read_bytes() == b"an earlier report\n"
+        assert not new.exists()
+
+    def test_unwritable_report_fails_before_any_fit(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bench, "fit", lambda *args: calls.append(args))
+        with pytest.raises(FileNotFoundError):
+            run_grid(tiny_grid(), out_path=tmp_path / "missing" / "r.csv")
+        with pytest.raises(IsADirectoryError):
+            run_grid(tiny_grid(), out_path=tmp_path)
+        assert calls == [] and not (tmp_path / "missing").exists()
 
     def test_read_report_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "other.csv"

@@ -261,6 +261,22 @@ class TestBenchCommand:
             assert run_cli(["bench", str(grid_path), "--out", str(out)]) == 2
             assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("out", ["missing/report.csv", "."])
+    def test_unwritable_out_fails_before_any_fit(self, tmp_path, monkeypatch, capsys, out):
+        # a missing directory, or a directory: no cell is fitted
+        calls = []
+        monkeypatch.setattr(bench, "fit", lambda *args: calls.append(args))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"variants": [{"name": "x"}],
+                                         "datasets": [{"kind": "gaussian", "instance_count": 3}],
+                                         "runs_per_instance": 5}))
+        out_path = tmp_path / out
+        assert run_cli(["bench", str(grid_path), "--out", str(out_path), "--progress"]) == 2
+        assert calls == []
+        err = capsys.readouterr().err  # no progress line: no cell ran
+        assert err.startswith("casfit: error: [Errno ") and repr(str(out_path)) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json"]
+
     def test_string_local_opt_fails_before_any_fit(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(bench, "fit", lambda *args: calls.append(args))

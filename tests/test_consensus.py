@@ -232,13 +232,13 @@ class TestLocalOptimize:
             return evaluate_metric(kind, points, model)
 
         def models(coeffs, ok):
-            found = models_original(coeffs, ok)
+            verdict, found = models_original(coeffs, ok)
             valid.extend(model for model in found if model is not None)
-            return found
+            return verdict, found
 
-        models_original = consensus._models
+        models_original = consensus._ellipsoids
         monkeypatch.setattr(consensus, "evaluate_metric", counted)
-        monkeypatch.setattr(consensus, "_models", models)
+        monkeypatch.setattr(consensus, "_ellipsoids", models)
         for name in ("gaussian_weights", "model_score", "classify"):
             monkeypatch.setattr(consensus, name, None)
         model, _, _ = consensus._refine(local, rows, cfg, start_d)
@@ -298,7 +298,7 @@ class TestLocalOptimize:
         moved = EllipsoidGeometry(geom.rotation, geom.translation - geom.rotation @ shift,
                                   geom.semiaxes)
         want, want_score, _ = local_optimize(inst.truth, inst.points, cfg)
-        result = local_optimize(EllipsoidModel(geometry_to_coeffs(moved), moved),
+        result = local_optimize(EllipsoidModel._paired(geometry_to_coeffs(moved), moved),
                                 inst.points + shift, cfg)
         assert result is not None
         got, score, d = result

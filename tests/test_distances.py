@@ -240,7 +240,7 @@ class TestOrthogonal:
         m = rigidly_moved(axis_aligned((3.0, 1.5, 1.0)), random_rotation(rng),
                           rng.uniform(-5.0, 5.0, 3))
         geom = m.geometry
-        scaled = EllipsoidModel(m.coeffs, EllipsoidGeometry(
+        scaled = EllipsoidModel._paired(m.coeffs, EllipsoidGeometry(
             geom.rotation, np.ldexp(geom.translation, exponent),
             np.ldexp(geom.semiaxes, exponent)))
         pts = from_aligned(m, mixed_aligned(m, rng)[:36])

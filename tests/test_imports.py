@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses, and only quadric builds models."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "casfit"
 ALLOWED = {
     "consensus": {"gaussian_weights", "lls_fit", "wls_fit"},
 }
+
+# The check and the field builder behind quadric._ellipsoids, the one builder of checked models.
+BUILDERS = {"check_ellipsoids", "_checked"}
 
 
 def unused_imports(source: str) -> set:
@@ -36,3 +39,27 @@ def test_the_check_sees_unused_names():
 def test_no_unused_imports(module):
     unused = unused_imports((SRC / f"{module}.py").read_text(encoding="utf-8"))
     assert unused == ALLOWED.get(module, set())
+
+
+def builder_uses(source: str) -> list:
+    """The lines of ``source`` that import, call or otherwise name one of BUILDERS."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        for field in ("id", "attr", "name"):  # Name, Attribute, import alias
+            if getattr(node, field, None) in BUILDERS:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_every_builder_use():
+    source = ("from .quadric import EllipsoidGeometry, check_ellipsoids as verdicts\n"
+              "geom = EllipsoidGeometry._checked(r, t, s)\n"
+              "v = quadric.check_ellipsoids(q)\n"
+              "model = EllipsoidModel._paired(q, geom)\n"
+              "def _checked_rows(q):\n    return verdicts(q)\n")
+    assert builder_uses(source) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "quadric"))
+def test_only_quadric_builds_models(module):
+    assert builder_uses((SRC / f"{module}.py").read_text(encoding="utf-8")) == []

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casfit import (DegenerateQuadric, EllipsoidGeometry, EllipsoidModel,
-                    NotAnEllipsoid, ParseError, coeffs_to_matrix, decompose, design_matrix,
-                    geometry_to_coeffs, matrix_to_coeffs, normalize_coeffs,
-                    validate_ellipsoid)
+from casfit import (CasfitError, DegenerateQuadric, EllipsoidGeometry, EllipsoidModel,
+                    FitConfig, NotAnEllipsoid, ParseError, coeffs_to_matrix, decompose,
+                    design_matrix, fit, geometry_to_coeffs, local_optimize, matrix_to_coeffs,
+                    normalize_coeffs, validate_ellipsoid)
 from casfit.leastsq import condition, solve_rows
 from casfit.quadric import (DEGENERATE, ELLIPSOID, INDEFINITE, UNBOUNDED,
                             check_ellipsoids)
-from casfit.synth import random_rotation, sample_surface
+from casfit.synth import random_ellipsoid, random_rotation, sample_surface
 
 from conftest import axis_aligned, make_model
 
@@ -195,6 +196,50 @@ class TestFromGeometry:
         assert np.allclose(model.semiaxes, semiaxes, rtol=1e-9, atol=0.0)
         assert np.allclose(model.center, center, rtol=0.0, atol=1e-9 * semiaxes[0])
 
+    def test_any_geometry_reads_back_or_raises_typed(self):
+        # Semiaxes from 1e-300 to 1e300 with ratios up to 1e30, any rotation
+        # and centre: from_geometry returns a model or raises a CasfitError,
+        # never warns, and a model reads back within 64 eps (L / r_min)^2,
+        # L = max(r_max, |centre|): semiaxes relative to each, the centre
+        # relative to L, and the shape R^T diag(r / r_max)^2 R, which the
+        # rotation of (near) equal semiaxes leaves well defined.  Ratios past
+        # ~1e6 and lengths past ~1e+-150 raise, so the draws favour the range
+        # inside, and at least a third of them must read back (worst margin
+        # seen: 0.21 of the bound).
+        outcomes = []
+
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        @given(log_shortest=st.one_of(st.floats(-150, 120), st.floats(-300, 270)),
+               log_ratio=st.one_of(st.floats(0, 6), st.floats(0, 30)), middle=st.floats(0, 1),
+               log_offset=st.one_of(st.none(), st.floats(-3, 3)), seed=st.integers(0, 2**32 - 1))
+        def reads_back(log_shortest, log_ratio, middle, log_offset, seed):
+            rng = np.random.default_rng(seed)
+            rot = random_rotation(rng)
+            semiaxes = 10.0 ** (log_shortest + log_ratio * np.array([1.0, middle, 0.0]))
+            direction = rng.normal(size=3)
+            offset = 0.0 if log_offset is None else 10.0 ** log_offset
+            center = semiaxes[0] * offset * direction / np.linalg.norm(direction)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    got = EllipsoidModel.from_geometry(
+                        EllipsoidGeometry(rot, -rot @ center, semiaxes)).geometry
+                except CasfitError:
+                    outcomes.append(None)
+                    return
+            longest = max(semiaxes[0], float(np.linalg.norm(center)))
+            bound = 64 * np.finfo(float).eps * (longest / semiaxes[2]) ** 2
+            shape, got_shape = (r.T @ (np.square(axes / semiaxes[0])[:, None] * r)
+                                for r, axes in ((rot, semiaxes), (got.rotation, got.semiaxes)))
+            margin = max(np.abs(got.semiaxes / semiaxes - 1.0).max(),
+                         np.abs(got.center - center).max() / longest,
+                         np.abs(got_shape - shape).max()) / bound
+            outcomes.append(margin)
+            assert margin <= 1.0
+
+        reads_back()
+        assert sum(m is not None for m in outcomes) >= len(outcomes) / 3
+
 
 class TestValidate:
     def test_true_for_random_ellipsoids(self, rng):
@@ -339,6 +384,31 @@ class TestSurfaceMembership:
             pts = sample_surface(model, 500, rng)
             residual = np.abs(design_matrix(pts) @ model.coeffs)
             assert residual.max() < 1e-10
+
+
+class TestModelRoutes:
+    def test_no_unchecked_public_constructor(self, rng):
+        # a model pairs q with its own decomposition, so neither part can be
+        # set alone, nor both together
+        model = make_model(rng)
+        with pytest.raises(TypeError):
+            EllipsoidModel(model.coeffs, model.geometry)
+        with pytest.raises(TypeError):
+            dataclasses.replace(model, coeffs=-model.coeffs)
+
+    def test_every_route_returns_read_only_fields(self, rng):
+        geom = make_model(rng).geometry
+        truth = EllipsoidModel.from_geometry(geom)
+        points = sample_surface(truth, 200, rng) + 0.01 * rng.normal(size=(200, 3))
+        cfg = FitConfig(epsilon=0.03, seed=1)
+        for model in (EllipsoidModel.from_coeffs(truth.coeffs.copy()), truth,
+                      EllipsoidModel.from_json_dict(truth.to_json_dict()), random_ellipsoid(rng),
+                      fit(points, cfg).model, local_optimize(truth, points, cfg)[0]):
+            g = model.geometry
+            for field in (model.coeffs, g.rotation, g.translation, g.semiaxes):
+                assert not field.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    field[0] = 1.0
 
 
 class TestModelJson:
