@@ -178,6 +178,15 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _check_writable(path) -> None:
+    """Raise the OSError that writing ``path`` would, before any work is done.  It is opened as
+    a writer will, but appending, so an existing file keeps its bytes, and no new file stays."""
+    existed = os.path.exists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(os.path.realpath(path))  # a symlink stays, its new target goes
+
+
 def run_grid(grid: ExperimentGrid, out_path=None, progress=None):
     """Run every cell of the grid; returns (data_rows, aggregate_rows).
 
@@ -187,11 +196,8 @@ def run_grid(grid: ExperimentGrid, out_path=None, progress=None):
     aggregate row (instance 'all', run 'aggregate', cells 'mean±std').
     It is written after the last cell, but one that cannot be written raises before the first.
     """
-    if out_path is not None:  # open it as the writer will, and leave no new file behind
-        existed = os.path.exists(out_path)
-        open(out_path, "a", encoding="utf-8").close()
-        if not existed:
-            os.remove(os.path.realpath(out_path))  # a symlink stays, its new target goes
+    if out_path is not None:
+        _check_writable(out_path)
     instances = [[make_instance(dataset, _instance_rng(dataset, i))
                   for i in range(dataset.instance_count)] for dataset in grid.datasets]
     blocks = []

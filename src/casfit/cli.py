@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import _instance_rng, load_grid, run_grid
+from .bench import _check_writable, _instance_rng, load_grid, run_grid
 from .consensus import FitConfig, fit
 from .distances import _PAIR_KINDS, METRIC_KINDS, MetricKind, _blend, evaluate_metric
 from .errors import CasfitError
@@ -95,6 +95,8 @@ def _json_text(doc: dict, key: str) -> str:
 
 
 def _cmd_fit(args) -> int:
+    if args.out:
+        _check_writable(args.out)
     points = load_points(args.points)
     score = MetricKind.parse(args.metric)
     cfg = FitConfig(

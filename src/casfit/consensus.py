@@ -206,12 +206,13 @@ def _refine(pts: np.ndarray, rows: np.ndarray, cfg: FitConfig, d: np.ndarray) ->
     best, best_score = None, -math.inf
     for eps_lo in _lo_schedule(cfg.epsilon):
         w = point_energy(d, eps_lo)
-        q, ok = solve_rows(rows, w[None])
-        (refit,) = _ellipsoids(q, ok & (np.count_nonzero(w > SUPPORT_TOL) >= MIN_POINTS))[1]
+        if np.count_nonzero(w > SUPPORT_TOL) < MIN_POINTS:
+            continue
+        (refit,) = _ellipsoids(*solve_rows(rows, w[None]))[1]
         if refit is None:
             continue
         d = evaluate_metric(cfg.score_metric, pts, refit)
-        score = float(np.sum(point_energy(d, cfg.epsilon)))
+        score = float(point_energy(d, cfg.epsilon).sum())
         if score > best_score:
             best, best_score = (refit, score, d), score
     return best
@@ -383,7 +384,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
             improved = False
             if candidate is not None:
                 d = evaluate_metric(cfg.score_metric, local, candidate)
-                score = float(np.sum(point_energy(d, local_cfg.epsilon)))
+                score = float(point_energy(d, local_cfg.epsilon).sum())
                 if score > best_sample_score:
                     best_sample_score = score
                     if score > best_score:

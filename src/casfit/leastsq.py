@@ -133,8 +133,8 @@ def point_energy(distance, epsilon: float):
         raise ValueError("epsilon must be positive")
     eps, unit = math.frexp(epsilon)  # d and eps in units of 2^unit: exact, and eps^2 is normal
     with np.errstate(over="ignore"):  # one temporary at a time: a live (n,) array costs page faults
-        out = np.exp(-np.square(np.ldexp(np.asarray(distance, dtype=float), -unit))
-                     / (2.0 * eps * eps))
+        out = np.exp(np.square(np.ldexp(np.asarray(distance, dtype=float), -unit))
+                     / (-2.0 * eps * eps))  # d^2 / -c is -d^2 / c bitwise, one pass fewer
     return float(out) if out.ndim == 0 else out
 
 

@@ -93,7 +93,7 @@ def normalize_rows(q: np.ndarray) -> np.ndarray:
     """
     # Stacked dot products round like np.linalg.norm of a single 1-D row.
     q = q / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
-    return np.where(q[:, :3].sum(axis=1, keepdims=True) < 0.0, -q, q)
+    return np.negative(q, out=q, where=q[:, :3].sum(axis=1, keepdims=True) < 0.0)
 
 
 def require_carried(low: float, high: float) -> None:
@@ -169,6 +169,9 @@ class EllipsoidGeometry:
         geom.__dict__.update(rotation=rotation, translation=translation, semiaxes=semiaxes)
         return geom
 
+    def __reduce__(self):  # copies and pickles are checked and read-only too
+        return EllipsoidGeometry, (self.rotation, self.translation, self.semiaxes)
+
     @property
     def center(self) -> np.ndarray:
         """Ellipsoid center in scene coordinates."""
@@ -212,9 +215,6 @@ def check_ellipsoids(q: np.ndarray):
     block a translation entry that overflows makes ``scale``, then a semiaxis, infinite.
     """
     evals, evecs = np.linalg.eigh(quadratic_block(q))  # ascending eigenvalues
-    abs_evals = np.abs(evals)
-    max_abs = abs_evals.max(axis=1)
-    degenerate = (max_abs == 0.0) | (abs_evals.min(axis=1) < DEGENERACY_TOL * max_abs)
     evecs[:, :, -1] *= np.copysign(1.0, np.linalg.det(evecs))[:, None]  # proper rotations
     rotation = np.swapaxes(evecs, 1, 2)  # column-major: BLAS rounds a row-major copy otherwise
     proj = (q[:, None, 6:9] @ evecs)[:, 0]
@@ -222,15 +222,23 @@ def check_ellipsoids(q: np.ndarray):
         translation = proj / evals
         scale = np.einsum("ki,ki->k", proj, translation) + q[:, 9]
         semiaxes = np.sqrt(scale[:, None] / evals)
-        fits = ((semiaxes > 0.0) & (semiaxes < np.inf)).all(axis=1)
     for field in (rotation, translation, semiaxes):
         field.setflags(write=False)
-    verdict = np.full(len(q), ELLIPSOID)
-    # later tests take precedence
-    verdict[~fits | (scale <= 0.0)] = UNBOUNDED
-    verdict[evals[:, 0] <= 0.0] = INDEFINITE
-    verdict[degenerate] = DEGENERATE
+    verdict = np.fromiter(map(_verdict, evals.tolist(), semiaxes.tolist()), int, len(q))
     return verdict, rotation, translation, semiaxes
+
+
+def _verdict(evals: list, semiaxes: list) -> int:
+    """``check_ellipsoids``' verdict on one row, from its eigenvalues and semiaxes as floats: on
+    its short stacks a test on floats costs less than a numpy pass.  On a definite block a scale
+    at most 0 leaves a semiaxis NaN or 0, so UNBOUNDED needs no test of the scale."""
+    magnitudes = [abs(e) for e in evals]
+    top = max(magnitudes)
+    if top == 0.0 or min(magnitudes) < DEGENERACY_TOL * top:
+        return DEGENERATE
+    if min(evals) <= 0.0:
+        return INDEFINITE
+    return ELLIPSOID if all(0.0 < r < math.inf for r in semiaxes) else UNBOUNDED
 
 
 # The exception and message that from_coeffs raises for each verdict but ELLIPSOID.
@@ -282,6 +290,9 @@ class EllipsoidModel:
         model = object.__new__(cls)
         model.__dict__.update(coeffs=coeffs, geometry=geometry)
         return model
+
+    def __reduce__(self):  # copies and pickles keep ``coeffs`` read-only too
+        return EllipsoidModel._paired, (self.coeffs, self.geometry)
 
     @classmethod
     def from_coeffs(cls, q) -> "EllipsoidModel":

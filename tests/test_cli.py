@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from casfit import (METRIC_KINDS, SAMPSON, DatasetSpec, EllipsoidModel, ExperimentGrid,
-                    FitConfig, GridVariant, MetricKind, ParseError, cas, evaluate_metric, fit,
-                    grid_from_json, load_points, make_instance, orthogonal_distance,
-                    read_report, required_iterations, run_grid, sample_surface, save_points)
+                    FitConfig, GridVariant, MetricKind, NoModelFound, ParseError, cas,
+                    evaluate_metric, fit, grid_from_json, load_points, make_instance,
+                    orthogonal_distance, read_report, required_iterations, run_grid,
+                    sample_surface, save_points)
 from casfit import bench, cli, distances
 from casfit.cli import main
 from casfit.synth import DATASET_KINDS, LOAD_BLOCK_ROWS
@@ -59,6 +60,28 @@ class TestFitCommand:
         assert np.abs(np.sort(doc["semiaxes"]) - np.sort(truth.semiaxes)).max() < 0.05
         # deliberately no timing field: the document is run-to-run stable
         assert "wall_ms" not in doc and "wall_time" not in doc
+
+    def test_unwritable_out_fails_before_the_fit(self, points_file, tmp_path, monkeypatch, capsys):
+        path, _ = points_file
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise NoModelFound("not fitted")
+        monkeypatch.setattr(cli, "fit", spy)
+        out = tmp_path / "missing" / "model.json"
+        assert run_cli(["fit", str(path), "--epsilon", "0.05", "--out", str(out)]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("casfit: error: [Errno ") and repr(str(out)) in err
+
+    def test_failed_fit_leaves_an_existing_out_alone(self, tmp_path):
+        path = tmp_path / "flat.csv"
+        save_points(np.c_[np.random.default_rng(3).uniform(-1, 1, (50, 2)), np.zeros(50)], path)
+        out = tmp_path / "model.json"
+        out.write_bytes(b"an earlier model")
+        assert run_cli(["fit", str(path), "--epsilon", "0.05", "--out", str(out)]) == 2
+        assert out.read_bytes() == b"an earlier model"
 
     def test_output_is_deterministic(self, points_file, tmp_path):
         path, _ = points_file

@@ -353,6 +353,8 @@ def bisected_distance(w, semiaxes):
          direction=(0.0, 0.0, 0.0), zeros=set(), level=0.0)  # the center
 @example(log_ratios=(0.2, 0.5), ties="none", order=[0, 1, 2], r_max=1.0,
          direction=(1.0, 1.0, 0.0), zeros=set(), level=0.1)  # pinned inside
+@example(log_ratios=(1.0, 0.0), ties="short", order=[0, 1, 2], r_max=397.453125,
+         direction=(0.0, 0.0, 0.375), zeros=set(), level=1e-12)  # snapped by the model's r_max
 def test_orthogonal_distance_property(log_ratios, ties, order, r_max, direction, zeros, level):
     # points 1e-6 to 1e3 semiaxes off the surface, on axis planes and near the
     # center, of ellipsoids with semiaxis ratios up to 1e4, spheroids and
@@ -367,8 +369,9 @@ def test_orthogonal_distance_property(log_ratios, ties, order, r_max, direction,
     p = level * u / scale if scale > 0.0 else np.zeros(3)
     d = orthogonal_distance(p, m)
 
-    # the distance is that of the point ZERO_SNAP moves (by at most 1e-13 r_max)
-    w = np.where(np.abs(p) <= ZERO_SNAP * semiaxes.max(), 0.0, np.abs(p))
+    # the distance is that of the point ZERO_SNAP moves (by at most 1e-13 r_max), with the
+    # model's r_max: its round trip through q can move the last digit
+    w = np.where(np.abs(p) <= ZERO_SNAP * m.semiaxes.max(), 0.0, np.abs(p))
     atol = 1e-15 * np.linalg.norm(w)
     want = bisected_distance(w, semiaxes)
     assert abs(d - want) <= 1e-12 * want + atol

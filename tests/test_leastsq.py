@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casfit import (AXIAL, SAMPSON, CasfitError, EllipsoidGeometry, EllipsoidModel,
                     InsufficientSupport, RankDeficient, TooFewPoints, algebraic_distance,
@@ -127,6 +129,28 @@ class TestSolveRows:
         for bad in (coplanar, repeated):
             with pytest.raises(RankDeficient):
                 lls_fit(bad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8), size=st.integers(9, 60),
+           weighted=st.booleans())
+    def test_a_row_alone_is_its_row_in_the_stack(self, seed, count, size, weighted):
+        # bitwise: a refit solves one row, a chunk of minimal samples many
+        rng = np.random.default_rng(seed)
+        m = make_model(rng)
+        pts = np.vstack([sample_surface(m, size * count, rng),
+                         rng.uniform(-8, 8, (size * count, 3))])
+        rows = np.stack([design_matrix(condition(pts[rng.choice(len(pts), size, replace=False)])[0])
+                         for _ in range(count)])
+        weights = None
+        if weighted:
+            weights = rng.uniform(0.0, 1.0, (count, size))
+            weights *= 10.0 ** rng.integers(-150, 1, (count, 1))
+            weights[rng.random((count, size)) < 0.2] = 0.0
+        coeffs, ok = solve_rows(rows, weights)
+        for j in range(count):
+            alone, ok_alone = solve_rows(rows[j:j + 1],
+                                         None if weights is None else weights[j:j + 1])
+            assert coeffs[j:j + 1].tobytes() == alone.tobytes() and ok[j] == ok_alone[0]
 
 
 class TestWls:

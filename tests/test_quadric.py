@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -11,7 +13,7 @@ from casfit import (CasfitError, DegenerateQuadric, EllipsoidGeometry, Ellipsoid
                     design_matrix, fit, geometry_to_coeffs, local_optimize, matrix_to_coeffs,
                     normalize_coeffs, validate_ellipsoid)
 from casfit.leastsq import condition, solve_rows
-from casfit.quadric import (DEGENERATE, ELLIPSOID, INDEFINITE, UNBOUNDED,
+from casfit.quadric import (DEGENERATE, ELLIPSOID, INDEFINITE, UNBOUNDED, _ellipsoids,
                             check_ellipsoids)
 from casfit.synth import random_ellipsoid, random_rotation, sample_surface
 
@@ -331,6 +333,35 @@ class TestCheckEllipsoids:
             for j in np.flatnonzero(verdict == ELLIPSOID):
                 EllipsoidGeometry(rotation[j], translation[j], semiaxes[j])
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8), span=st.integers(0, 300))
+    def test_a_row_alone_is_its_row_in_the_stack(self, seed, count, span):
+        # bitwise, whatever the stack around it: a refit's one-row check is a stack's check
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(-1.0, 1.0, (count, 10))
+        raw *= 10.0 ** rng.integers(-span, span + 1, (count, 10))
+        rot = np.linalg.qr(rng.normal(size=(count, 3, 3)))[0]
+        block = (rot * 10.0 ** rng.uniform(-13.0, 0.0, (count, 1, 3))) @ np.swapaxes(rot, 1, 2)
+        definite = rng.random(count) < 0.5  # so that many rows are ellipsoids
+        raw[definite, :6] = block[definite][:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
+        raw[rng.random((count, 10)) < 0.1] = 0.0
+        raw[~raw.any(axis=1), 9] = 1.0
+        q = np.stack([normalize_coeffs(row) for row in raw])
+        ok = rng.random(count) < 0.8
+        stacked = check_ellipsoids(q)
+        verdicts, models = _ellipsoids(q, ok)
+        assert np.array_equal(verdicts, stacked[0])
+        for j in range(count):
+            alone = check_ellipsoids(q[j:j + 1])
+            for field, field_alone in zip(stacked, alone):
+                assert field[j:j + 1].tobytes() == field_alone.tobytes()
+            (verdict,), (model,) = _ellipsoids(q[j:j + 1], ok[j])
+            assert verdict == verdicts[j] and (model is None) == (models[j] is None)
+            if model is not None:
+                stacked_fields = (models[j].coeffs, *vars(models[j].geometry).values())
+                alone_fields = (model.coeffs, *vars(model.geometry).values())
+                assert [f.tobytes() for f in stacked_fields] == [f.tobytes() for f in alone_fields]
+
     def test_hyperboloid_samples_fail_exactly_when_from_coeffs_raises(self, rng):
         samples = [hyperboloid_sample(rng) if k % 2 else sample_surface(make_model(rng), 9, rng)
                    for k in range(40)]
@@ -409,6 +440,16 @@ class TestModelRoutes:
                 assert not field.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     field[0] = 1.0
+
+    def test_copies_are_read_only_and_bitwise_equal(self, rng):
+        model = make_model(rng)
+        fields = (model.coeffs, *vars(model.geometry).values())
+        for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model), copy.copy(model)):
+            assert type(copied) is EllipsoidModel
+            copied_fields = (copied.coeffs, *vars(copied.geometry).values())
+            for field, original in zip(copied_fields, fields):
+                assert field.tobytes() == original.tobytes()
+                assert not field.flags.writeable
 
 
 class TestModelJson:
