@@ -9,9 +9,8 @@ least-squares refit cascade whenever the best candidate improves.
 
 __version__ = "0.1.0"
 
-from .bench import (CSV_COLUMNS, ErrorTriple, ExperimentGrid, GridVariant,
-                    ResidualTriple, fitting_errors, grid_from_json, load_grid,
-                    read_report, residuals, run_grid)
+from .bench import (ExperimentGrid, GridVariant, fitting_errors, load_grid, read_report,
+                    residuals, run_grid)
 from .consensus import (FitConfig, FitReport, classify, fit, local_optimize,
                         model_score, point_energy, required_iterations,
                         sample_minimal)
@@ -23,19 +22,14 @@ from .errors import (CasfitError, ConvergenceFailure, DegenerateQuadric,
                      InsufficientSupport, NoModelFound, NotAnEllipsoid,
                      ParseError, RankDeficient, TooFewPoints)
 from .leastsq import gaussian_weights, lls_fit, wls_fit
-from .quadric import (EllipsoidGeometry, EllipsoidModel, coeffs_to_matrix,
-                      decompose, design_matrix, geometry_to_coeffs,
-                      matrix_to_coeffs, normalize_coeffs, validate_ellipsoid)
-from .synth import (DatasetSpec, Instance, load_points, make_instance,
-                    random_ellipsoid, random_rotation, sample_surface,
-                    save_points)
+from .quadric import EllipsoidGeometry, EllipsoidModel, design_matrix, validate_ellipsoid
+from .synth import (DatasetSpec, Instance, load_points, make_instance, random_ellipsoid,
+                    sample_surface, save_points)
 
 __all__ = [
     "__version__",
     # quadric representations
-    "EllipsoidGeometry", "EllipsoidModel", "normalize_coeffs",
-    "coeffs_to_matrix", "matrix_to_coeffs", "design_matrix",
-    "decompose", "geometry_to_coeffs", "validate_ellipsoid",
+    "EllipsoidGeometry", "EllipsoidModel", "design_matrix", "validate_ellipsoid",
     # distances
     "MetricKind", "METRIC_KINDS", "ALGEBRAIC", "SAMPSON", "ORTHOGONAL",
     "AXIAL", "cas", "algebraic_distance", "scaling_factor", "axial_distance",
@@ -46,12 +40,11 @@ __all__ = [
     "FitConfig", "FitReport", "fit", "local_optimize", "model_score",
     "point_energy", "required_iterations", "classify", "sample_minimal",
     # synthetic data
-    "DatasetSpec", "Instance", "random_ellipsoid", "random_rotation",
-    "sample_surface", "make_instance", "load_points", "save_points",
+    "DatasetSpec", "Instance", "random_ellipsoid", "sample_surface",
+    "make_instance", "load_points", "save_points",
     # benchmarks
-    "ErrorTriple", "ResidualTriple", "fitting_errors", "residuals",
-    "GridVariant", "ExperimentGrid", "grid_from_json", "load_grid",
-    "run_grid", "read_report", "CSV_COLUMNS",
+    "fitting_errors", "residuals", "GridVariant", "ExperimentGrid",
+    "load_grid", "run_grid", "read_report",
     # errors
     "CasfitError", "NotAnEllipsoid", "DegenerateQuadric", "RankDeficient",
     "InsufficientSupport", "ConvergenceFailure", "TooFewPoints",

@@ -98,6 +98,8 @@ class GridVariant:
     max_iterations: int = FitConfig.max_iterations
 
     def __post_init__(self):
+        if not (isinstance(self.name, str) and self.name):
+            raise ValueError(f"variant name must be a non-empty string, got {self.name!r}")
         if self.epsilon_rel_sigma is _UNSET:
             object.__setattr__(self, "epsilon_rel_sigma", 2.0 if self.epsilon is None else None)
         if (self.epsilon is None) == (self.epsilon_rel_sigma is None):

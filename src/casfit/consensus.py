@@ -103,8 +103,13 @@ class FitConfig:
             raise ValueError(f"score_metric must be a MetricKind, got {self.score_metric!r}")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be positive and finite")
-        if self.min_iterations < 1 or self.max_iterations < self.min_iterations:
-            raise ValueError("iteration bounds must satisfy 1 <= min <= max")
+        require_bounds(self.min_iterations, self.max_iterations)
+
+
+def require_bounds(min_iterations: int, max_iterations: int) -> None:
+    """Raise ValueError unless 1 <= min_iterations <= max_iterations."""
+    if not 1 <= min_iterations <= max_iterations:
+        raise ValueError("iteration bounds must satisfy 1 <= min <= max")
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,9 @@ def required_iterations(v: float, mu: float, n: int,
 
     ``v`` is the inlier ratio of the best model so far.  v == 0 (or an
     underflowing v^n) yields the upper clamp, v == 1 the lower clamp.
+    Raises ValueError unless 1 <= min_iterations <= max_iterations.
     """
+    require_bounds(min_iterations, max_iterations)
     if not 0.0 <= v <= 1.0:
         raise ValueError("inlier ratio must lie in [0, 1]")
     if not 0.0 < mu < 1.0:

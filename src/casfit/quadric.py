@@ -29,10 +29,6 @@ from .errors import DegenerateQuadric, NotAnEllipsoid, ParseError
 # as rank deficient.
 DEGENERACY_TOL = 1e-12
 
-# Absolute floor (relative to the matrix magnitude) for the symmetry check
-# in matrix_to_coeffs.
-SYMMETRY_TOL = 1e-12
-
 # Largest magnitudes whose squares neither underflow nor overflow, even summed 2^23 at a time.
 SQUARE_RANGE = (2.0**-500, 2.0**500)
 
@@ -110,22 +106,6 @@ _Q_ENTRIES = (np.array([0, 1, 2, 0, 0, 1, 0, 1, 2, 3]), np.array([0, 1, 2, 1, 2,
 _Q_SIGNS = np.array([1.0] * 9 + [-1.0])
 _Q_INDEX = np.empty((4, 4), dtype=int)  # Q[i, j] == (q * _Q_SIGNS)[_Q_INDEX[i, j]]
 _Q_INDEX[_Q_ENTRIES] = _Q_INDEX[_Q_ENTRIES[::-1]] = np.arange(10)
-
-
-def coeffs_to_matrix(q) -> np.ndarray:
-    """Symmetric 4x4 matrix Q with xh @ Q @ xh == d(x) @ q."""
-    return (np.asarray(q, dtype=float).reshape(10) * _Q_SIGNS)[_Q_INDEX]
-
-
-def matrix_to_coeffs(mat) -> np.ndarray:
-    """Inverse of coeffs_to_matrix.  Requires a (numerically) symmetric input."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {mat.shape}")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if float(np.abs(mat - mat.T).max()) > SYMMETRY_TOL * scale:
-        raise ValueError("matrix is not symmetric")
-    return (0.5 * (mat + mat.T))[_Q_ENTRIES] * _Q_SIGNS
 
 
 def quadratic_block(q) -> np.ndarray:

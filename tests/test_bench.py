@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from casfit import (CSV_COLUMNS, DatasetSpec, EllipsoidGeometry,
-                    EllipsoidModel, ExperimentGrid, GridVariant, NoModelFound, ParseError,
-                    bench, fitting_errors, grid_from_json, load_grid, read_report,
-                    residuals, run_grid, sample_surface)
+from casfit import (DatasetSpec, EllipsoidGeometry, EllipsoidModel, ExperimentGrid,
+                    GridVariant, NoModelFound, ParseError, bench, fitting_errors, load_grid,
+                    read_report, residuals, run_grid, sample_surface)
+from casfit.bench import CSV_COLUMNS, grid_from_json
 
 from conftest import axis_aligned, make_model
 
@@ -185,7 +185,12 @@ class TestGridConstruction:
                 ({}, {"outlier_fraction": False}, {}),
                 ({"epsilon": True}, {}, {}),
                 ({"epsilon_rel_sigma": True}, {}, {}),
-                ({"epsilon_rel_sigma": "2"}, {}, {})):
+                ({"epsilon_rel_sigma": "2"}, {}, {}),
+                # a name is the report's variant cell: a non-empty string
+                ({"name": None}, {}, {}),
+                ({"name": 5}, {}, {}),
+                ({"name": True}, {}, {}),
+                ({"name": ""}, {}, {})):
             # a bad later variant fails on load, before any cell runs
             doc = {"variants": [{"name": "ok"}, {"name": "x", **variant}],
                    "datasets": [{"kind": "gaussian", **dataset}], **top}

@@ -15,10 +15,10 @@ import pytest
 
 from casfit import (METRIC_KINDS, SAMPSON, DatasetSpec, EllipsoidModel, ExperimentGrid,
                     FitConfig, GridVariant, MetricKind, NoModelFound, ParseError, cas,
-                    evaluate_metric, fit, grid_from_json, load_points, make_instance,
-                    orthogonal_distance, read_report, required_iterations, run_grid,
-                    sample_surface, save_points)
+                    evaluate_metric, fit, load_points, make_instance, orthogonal_distance,
+                    read_report, required_iterations, run_grid, sample_surface, save_points)
 from casfit import bench, cli, distances
+from casfit.bench import grid_from_json
 from casfit.cli import main
 from casfit.synth import DATASET_KINDS, LOAD_BLOCK_ROWS
 
@@ -416,6 +416,20 @@ class TestConfigSurfaces:
         assert report.lo_invocations >= 1
         assert np.array(doc["q"]).tobytes() == report.model.coeffs.tobytes()
         assert doc["labels"] == report.inlier_mask.astype(int).tolist()
+
+    def test_no_lo_is_the_python_fit_without_refits(self, tmp_path):
+        inst = make_instance(DatasetSpec("outlier", 300, 0.05, 0.3), np.random.default_rng(5))
+        path = tmp_path / "points.csv"
+        save_points(inst.points, path)
+        eps = 1.5 * inst.sigma
+        out = tmp_path / "model.json"
+        assert run_cli(["fit", str(path), "--epsilon", repr(eps), "--seed", "2", "--no-lo",
+                        "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        report = fit(inst.points, FitConfig(epsilon=eps, local_opt=False, seed=2))
+        assert doc["lo_invocations"] == report.lo_invocations == 0
+        assert doc["iterations"] == report.iterations
+        assert np.array(doc["q"]).tobytes() == report.model.coeffs.tobytes()
 
 
 class TestDistancesCommand:

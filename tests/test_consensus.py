@@ -9,13 +9,14 @@ from casfit import (ALGEBRAIC, AXIAL, SAMPSON, CasfitError, DatasetSpec, Ellipso
                     EllipsoidModel, FitConfig, NoModelFound, NotAnEllipsoid,
                     TooFewPoints, axial_distance, cas, classify,
                     evaluate_metric, fit, lls_fit, local_optimize, make_instance,
-                    model_score, point_energy, random_rotation,
-                    required_iterations, sample_minimal, sample_surface, wls_fit)
+                    model_score, point_energy, required_iterations,
+                    sample_minimal, sample_surface, wls_fit)
 from casfit import consensus, distances
 from casfit.consensus import CHUNK, FLAT_TOL, MAX_CHUNK
 from casfit.leastsq import condition, solve_rows
 from casfit.quadric import (ELLIPSOID, UNBOUNDED, check_ellipsoids, design_matrix,
                             geometry_to_coeffs, normalize_coeffs, normalize_rows)
+from casfit.synth import random_rotation
 
 from conftest import make_model, unit_sphere
 from reference_loop import reference_fit
@@ -101,10 +102,17 @@ class TestRequiredIterations:
         assert required_iterations(0.5, 0.999, 9) > required_iterations(0.5, 0.9, 9)
 
     def test_bad_arguments_rejected(self):
-        for v, mu, n, message in ((1.5, 0.95, 9, "inlier ratio"), (0.5, 1.0, 9, "mu"),
-                                  (0.5, 0.95, 0, "sample size")):
+        # bounds outside 1 <= min <= max raise FitConfig's error
+        bounds = "1 <= min <= max"
+        for v, mu, n, clamps, message in ((1.5, 0.95, 9, (), "inlier ratio"),
+                                          (0.5, 1.0, 9, (), "mu"),
+                                          (0.5, 0.95, 0, (), "sample size"),
+                                          (1.0, 0.95, 9, (10, 5), bounds),
+                                          (1.0, 0.95, 9, (-3, 100), bounds),
+                                          (0.0, 0.95, 9, (1, 0), bounds)):
             with pytest.raises(ValueError, match=message):
-                required_iterations(v, mu, n)
+                required_iterations(v, mu, n, *clamps)
+        assert required_iterations(0.5, 0.95, 9, 5, 5) == 5
 
 
 class TestClassify:

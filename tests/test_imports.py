@@ -1,11 +1,21 @@
-"""No module of the package imports a name it never uses, and only quadric builds models."""
+"""No module of the package imports a name it never uses, only quadric builds models, and
+every name the package exports has a user outside it."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "casfit"
+import casfit
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "casfit"
+
+# The users a name must have to stay in casfit.__all__: the README, a demo, an acceptance
+# criterion or the benchmark.
+USERS = [ROOT / "README.md", *sorted((ROOT / "demos").glob("*")),
+         ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
 
 # Imported and never called: perfbench's tracer patches these names on consensus.
 ALLOWED = {
@@ -63,3 +73,20 @@ def test_the_check_sees_every_builder_use():
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "quadric"))
 def test_only_quadric_builds_models(module):
     assert builder_uses((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+def unused_exports(exported, texts) -> list:
+    """The names in ``exported``, bar ``__version__``, that no text in ``texts`` holds as a word."""
+    return [name for name in exported if name != "__version__"
+            and not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)]
+
+
+def test_the_check_sees_unused_exports():
+    texts = ["`fit(points, FitConfig(epsilon=0.05))`", "from casfit import cas_distance\n"]
+    exported = ["__version__", "fit", "FitConfig", "cas", "cas_distance", "made_up_name"]
+    assert unused_exports(exported, texts) == ["cas", "made_up_name"]
+
+
+def test_every_export_has_a_user():
+    texts = [path.read_text(encoding="utf-8") for path in USERS]
+    assert unused_exports(casfit.__all__, texts) == []
