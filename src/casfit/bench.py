@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .consensus import FitConfig, fit
-from .distances import MetricKind, axial_distance, orthogonal_distance, sampson_distance
+from .distances import MetricKind, _terms, orthogonal_distance
 from .errors import ParseError, require_integers, require_reals
-from .quadric import EllipsoidModel, validate_ellipsoid
+from .quadric import EllipsoidModel, as_points, validate_ellipsoid
 from .synth import DatasetSpec, Instance, make_instance
 
 CSV_COLUMNS = (
@@ -69,10 +69,11 @@ def fitting_errors(estimated: EllipsoidModel, truth: EllipsoidModel) -> ErrorTri
 
 def residuals(model: EllipsoidModel, points) -> ResidualTriple:
     """Mean Sampson / orthogonal / axial distance of ``points`` to ``model``."""
+    unit = _terms(("sampson", "axial"), as_points(points), model)  # one unit-frame pass
     return ResidualTriple(
-        sampson_residual=float(np.mean(sampson_distance(points, model))),
+        sampson_residual=float(np.mean(unit["sampson"])),
         orthogonal_residual=float(np.mean(orthogonal_distance(points, model))),
-        axial_residual=float(np.mean(axial_distance(points, model))),
+        axial_residual=float(np.mean(unit["axial"])),
     )
 
 

@@ -16,9 +16,9 @@ import numpy as np
 from . import __version__
 from .bench import _check_writable, _instance_rng, load_grid, run_grid
 from .consensus import FitConfig, fit
-from .distances import _PAIR_KINDS, METRIC_KINDS, MetricKind, _blend, evaluate_metric
+from .distances import METRIC_KINDS, ORTHOGONAL, MetricKind, _blend, _terms, evaluate_metric
 from .errors import CasfitError
-from .quadric import EllipsoidModel
+from .quadric import EllipsoidModel, as_points
 from .synth import DATASET_KINDS, DatasetSpec, _write_rows, load_points, make_instance, save_points
 
 USAGE_EXIT = 1
@@ -169,9 +169,9 @@ def _cmd_distances(args) -> int:
         doc = json.load(fh)
     model = EllipsoidModel.from_json_dict(doc)
     kinds = [MetricKind(k) for k in METRIC_KINDS]
-    # each single kind once: the blends are made from these values
-    singles = {k.kind: np.atleast_1d(evaluate_metric(k, points, model))
-               for k in kinds if k.kind not in _PAIR_KINDS}
+    # each single kind once, the unit-frame ones from one pass: the blends are made from these
+    singles = {"orthogonal": np.atleast_1d(evaluate_metric(ORTHOGONAL, points, model))}
+    singles.update(_terms(("algebraic", "sampson", "axial"), as_points(points), model))
 
     # the rows csv.writer would write: no field needs quoting, lines end in \r\n
     def write(fh):

@@ -10,8 +10,9 @@ Scoring uses soft per-point energies exp(-d^2 / (2 eps^2)) rather than a
 hard inlier count, so models are rewarded for being close to many points,
 not just for clearing the threshold.  One metric, the score metric, gives
 both the scores and the refit weights.  Each model's distances under it are
-evaluated once; its score, its inlier labels and the weights of the refit
-that follows it all come from that one array.
+evaluated once, a chunk's candidates in stacks (``_scored``) with the bits of
+one-model evaluations; its score, its inlier labels and the weights of the
+refit that follows it all come from that one array.
 
 ``fit`` and ``local_optimize`` each condition their points once
 (``leastsq.condition``) and run in that frame with the threshold divided by
@@ -24,10 +25,10 @@ solve-and-build path: the stacked ``solve_rows`` and ``quadric._ellipsoids``,
 with failures as None, not raised.
 
 Design rows depend only on the points, and only the solves read them.
-``fit`` builds the rows of the conditioned cloud once for all of its refit
-cascades when local optimization is on, ``local_optimize`` once per call,
-and ``_candidates`` each chunk's (k, 9, 10) sample rows once for the screen
-and the exact solve.  Nothing built here outlives the call that built it.
+``fit`` builds the rows of the conditioned cloud once, and ``_candidates``
+gathers each chunk's (k, 9, 10) sample rows from them, bit for bit, for the
+screen and the exact solve; ``local_optimize`` builds its rows once per
+call.  Nothing built here outlives the call that built it.
 
 Everything is deterministic for a fixed seed: the generator is PCG64 and
 samples are drawn in a fixed order, single threaded.  Samples are drawn,
@@ -49,7 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distances import MetricKind, cas, evaluate_metric
+from .distances import MetricKind, _evaluate, cas, evaluate_metric
 from .errors import NoModelFound, TooFewPoints, require_integers, require_reals
 # gaussian_weights, lls_fit and wls_fit are not called here but stay module
 # attributes: perfbench/tracer.py wraps them by these names.
@@ -255,6 +256,17 @@ def local_optimize(model: EllipsoidModel, points, cfg: FitConfig) -> Optional[tu
 
 ProgressHook = Callable[[int, float, int], None]
 
+
+def _scored(kind: MetricKind, pts: np.ndarray, models: list, epsilon: float):
+    """Yield (distances, score) of each of ``models`` but None, with its own bits, scored in
+    stacked blocks of at most 2^14 distances: a larger block costs memory and saves no time."""
+    models = [model for model in models if model is not None]
+    size = max(2**14 // len(pts), 1)  # models per block
+    for block in (models[start:start + size] for start in range(0, len(models), size)):
+        d = _evaluate(kind, pts, block[0] if len(block) == 1 else block).reshape(len(block), -1)
+        yield from zip(d, point_energy(d, epsilon).sum(axis=1).tolist())
+
+
 # Minimal samples drawn, solved and validated together: CHUNK at first, then as
 # many as the loop has run, up to MAX_CHUNK and never past the budget.
 CHUNK = 64
@@ -315,14 +327,14 @@ def _may_be_ellipsoids(a: np.ndarray) -> np.ndarray:
     return ~finite | (value >= -(SCREEN_ROUNDING * bound + np.finfo(float).tiny)).all(axis=0)
 
 
-def _candidates(pts: np.ndarray, k: int, rng: np.random.Generator) -> list:
+def _candidates(design: np.ndarray, k: int, rng: np.random.Generator) -> list:
     """Draw ``k`` minimal samples of conditioned points in order, screen them
     (``_screen``) and solve the rows it keeps as one stack; returns each
     sample's ``_ellipsoids`` model, None for a row the screen drops.  The
-    samples' design rows are built once for the screen and the solve.
+    samples' (k, 9, 10) design rows are gathered from ``design``, the cloud's
+    (n, 10) ``design_matrix`` rows, bit for bit the rows of the sampled points.
     """
-    idx = sample_minimal(len(pts), MIN_POINTS, rng, count=k)
-    rows = design_matrix(pts[idx.reshape(-1)]).reshape(k, MIN_POINTS, 10)
+    rows = design[sample_minimal(len(design), MIN_POINTS, rng, count=k)]
     keep = _screen(rows)
     models = iter(_ellipsoids(*solve_rows(rows[keep]))[1])
     return [next(models) if kept else None for kept in keep]
@@ -372,7 +384,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     spread = np.linalg.eigvalsh(local.T @ local)
     if spread[0] <= FLAT_TOL * spread[-1]:
         raise NoModelFound("points are coplanar, collinear or identical")
-    rows = design_matrix(local)[None] if cfg.local_opt else None
+    rows = design_matrix(local)[None]
     local_cfg = replace(cfg, epsilon=cfg.epsilon / scale)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
 
@@ -386,12 +398,13 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
 
     while iteration < required:
         chunk = min(max(iteration, CHUNK), MAX_CHUNK, required - iteration)
-        for candidate in _candidates(local, chunk, rng):
+        candidates = _candidates(rows[0], chunk, rng)
+        scored = _scored(cfg.score_metric, local, candidates, local_cfg.epsilon)
+        for candidate in candidates:
             iteration += 1
             improved = False
             if candidate is not None:
-                d = evaluate_metric(cfg.score_metric, local, candidate)
-                score = float(point_energy(d, local_cfg.epsilon).sum())
+                d, score = next(scored)
                 if score > best_sample_score:
                     best_sample_score = score
                     if score > best_score:

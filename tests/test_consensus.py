@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from casfit import (ALGEBRAIC, AXIAL, SAMPSON, CasfitError, DatasetSpec, EllipsoidGeometry,
-                    EllipsoidModel, FitConfig, NoModelFound, NotAnEllipsoid,
+                    EllipsoidModel, FitConfig, MetricKind, NoModelFound, NotAnEllipsoid,
                     TooFewPoints, axial_distance, cas, classify,
                     evaluate_metric, fit, lls_fit, local_optimize, make_instance,
                     model_score, point_energy, required_iterations,
@@ -435,35 +435,39 @@ class TestFit:
 
     def test_refits_start_from_the_candidate_distances(self, monkeypatch):
         # each cascade is handed the very array fit evaluated for the
-        # candidate it starts from, and that array is the candidate's distances
+        # candidate it starts from, a row of the stacked pass that scored it,
+        # and that array is the candidate's distances, bit for bit
         inst = cloud(0.3, seed=8)
         cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=1)
         metric = cfg.score_metric
-        last = {}
-        passed = []
-        refine = consensus._refine
+        blocks, passed = [], []
+        refine, evaluate = consensus._refine, consensus._evaluate
 
-        def evaluated(kind, points, model):
-            d = evaluate_metric(kind, points, model)
-            last.update(model=model, d=d)
+        def stacked(kind, points, models):
+            d = evaluate(kind, points, models)
+            blocks.append((d, models if isinstance(models, list) else [models]))
             return d
 
         def spy(points, rows, local_cfg, d):
-            passed.append(d is last["d"]
-                          and np.array_equal(d, evaluate_metric(metric, points, last["model"])))
+            owners = [model for block, models in blocks
+                      for row, model in zip(block.reshape(len(models), -1), models)
+                      if row.ctypes.data == d.ctypes.data and np.shares_memory(row, d)]
+            passed.append(len(owners) == 1 and d.tobytes()
+                          == np.asarray(evaluate_metric(metric, points, owners[0])).tobytes())
             return refine(points, rows, local_cfg, d)
 
-        monkeypatch.setattr(consensus, "evaluate_metric", evaluated)
+        monkeypatch.setattr(consensus, "_evaluate", stacked)
         monkeypatch.setattr(consensus, "_refine", spy)
         report = fit(inst.points, cfg)
         assert len(passed) == report.lo_invocations >= 1
         assert all(passed)
+        assert max(len(models) for _, models in blocks) > 1  # candidates were scored in stacks
 
     def test_builds_the_cloud_design_once_per_fit_and_per_refit_cascade(self, monkeypatch):
-        # no metric reads design rows, only the refit solves do: fit builds
-        # the conditioned cloud's rows once for all of its refit cascades
-        # when local optimization is on, whatever the metrics, and not at
-        # all when it is off; a lone local_optimize builds them once
+        # no metric reads design rows, only the solves do: fit builds the
+        # conditioned cloud's rows once, whatever the metrics and with local
+        # optimization on or off, and gathers every minimal sample's rows
+        # from them; a lone local_optimize builds them once
         assert not hasattr(distances, "design_matrix")
         inst = cloud(0.3, seed=8)
         n = len(inst.points)
@@ -482,7 +486,7 @@ class TestFit:
                 built.clear()
                 report = fit(inst.points, cfg)
                 assert (report.lo_invocations >= 1) == local_opt
-                assert built.count(n) == local_opt
+                assert built == [n]
             built.clear()
             assert local_optimize(inst.truth, inst.points, cfg) is not None
             assert built.count(n) == 1
@@ -534,6 +538,16 @@ class TestChunkedEquivalence:
         for seed in (0, 1):
             fit_both(inst.points, FitConfig(epsilon=1.5 * inst.sigma, seed=seed,
                                             local_opt=local_opt))
+
+    @pytest.mark.parametrize("metric", ["sampson", "algebraic", "axial", "cas:0.25",
+                                        "sampson+orthogonal"])
+    @pytest.mark.parametrize("local_opt", [True, False])
+    def test_every_score_metric(self, metric, local_opt):
+        # fit scores a chunk's candidates in stacks; the reference scores one
+        # model at a time with model_score
+        inst = cloud(0.5, seed=73)
+        fit_both(inst.points, FitConfig(epsilon=1.5 * inst.sigma, seed=5, local_opt=local_opt,
+                                        score_metric=MetricKind.parse(metric)))
 
     def test_cap_not_a_multiple_of_chunk(self):
         inst = cloud(0.5, seed=7)
@@ -705,7 +719,7 @@ class TestScreen:
         want_rng = np.random.Generator(np.random.PCG64(5))
         found = 0
         for _ in range(chunks):
-            got = list(consensus._candidates(local, CHUNK, got_rng))
+            got = list(consensus._candidates(design_matrix(local), CHUNK, got_rng))
             want = exact_candidates(local, 9, CHUNK, want_rng)
             assert [g is None for g in got] == [w is None for w in want]
             for model, fields in zip(got, want):

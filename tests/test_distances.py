@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from casfit import (ALGEBRAIC, AXIAL, METRIC_KINDS, ORTHOGONAL, SAMPSON, ConvergenceFailure,
                     EllipsoidGeometry, EllipsoidModel, MetricKind, algebraic_distance,
                     axial_distance, cas, cas_distance, evaluate_metric, orthogonal_distance,
-                    sampson_distance, scaling_factor)
-from casfit import distances
+                    point_energy, sampson_distance, scaling_factor)
+from casfit import consensus, distances
 from casfit.distances import GRADIENT_TOL, ZERO_SNAP
 from casfit.quadric import design_matrix, quadratic_block
 from casfit.synth import random_rotation, sample_surface
@@ -403,6 +403,83 @@ def test_output_shape_follows_the_points(seed, count, lam, at_center):
             assert isinstance(got, float)
         else:
             assert isinstance(got, np.ndarray) and got.shape == (count,)
+
+
+def scaled_model(model, exponent):
+    """``model`` with its geometry scaled by 2^exponent, which q cannot carry at +-600."""
+    geom = model.geometry
+    return EllipsoidModel._paired(model.coeffs, EllipsoidGeometry(
+        geom.rotation, np.ldexp(geom.translation, exponent), np.ldexp(geom.semiaxes, exponent)))
+
+
+def kinds_of(lam):
+    return [MetricKind(name, lam) if name in distances._PAIR_KINDS else MetricKind(name)
+            for name in METRIC_KINDS]
+
+
+def assert_own_bits(kind, pts, models, stacked):
+    """Each row of ``stacked`` has the bits of its model's one-model evaluate_metric."""
+    assert stacked.shape == (len(models), len(pts))
+    for row, model in zip(stacked, models):
+        assert row.tobytes() == np.asarray(evaluate_metric(kind, pts, model)).tobytes(), kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 40),
+       picks=st.lists(st.sampled_from(["random", "up", "down", "aligned"]), min_size=1, max_size=6),
+       extra=st.sets(st.sampled_from(["far", "center"])),
+       lam=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
+@example(seed=1, count=0, picks=["aligned"], extra={"far", "center"}, lam=0.5)  # k = 1
+@example(seed=2, count=1, picks=["random", "random"], extra=set(), lam=0.5)  # one point
+def test_a_stack_gives_each_model_its_own_bits(seed, count, picks, extra, lam):
+    # a stack of k models, scaled by 2^+-600 or not, against points that may
+    # include a far row of the (3, 2, 1) ellipsoid and a model center: every
+    # row of the stacked pass, and every score fit takes from it, is what
+    # the model gets alone
+    rng = np.random.default_rng(seed)
+    base = make_model(rng)
+    pool = {"random": lambda: make_model(rng), "up": lambda: scaled_model(make_model(rng), 600),
+            "down": lambda: scaled_model(make_model(rng), -600),
+            "aligned": lambda: axis_aligned((3.0, 2.0, 1.0))}
+    models = [pool[pick]() for pick in picks]
+    specials = {"far": [1e160, 1.0, 1.0], "center": models[0].center}
+    pts = np.vstack([base.center + rng.uniform(-8.0, 8.0, size=(count or int(not extra), 3)),
+                     *[[specials[name]] for name in sorted(extra)]])
+    eps = float(rng.uniform(0.1, 2.0))
+    for kind in kinds_of(lam):
+        assert_own_bits(kind, pts, models, distances._evaluate(kind, pts, models))
+        scored = list(consensus._scored(kind, pts, models, eps))
+        assert_own_bits(kind, pts, models, np.array([d for d, _ in scored]))
+        assert [score for _, score in scored] == [
+            float(point_energy(np.asarray(evaluate_metric(kind, pts, model)), eps).sum())
+            for model in models]
+
+
+@pytest.mark.parametrize("count, models", [(3000, 7), (8193, 2)])
+def test_fit_scores_blocks_that_straddle_the_cap(monkeypatch, count, models):
+    # 3000 points take blocks of five models (5 x 3000 <= 2^14 < 6 x 3000),
+    # so seven models make blocks of five and two; past 8192 points a block
+    # holds one model, run alone
+    rng = np.random.default_rng(count)
+    stack = [make_model(rng) for _ in range(models)]
+    pts = stack[0].center + rng.uniform(-6.0, 6.0, size=(count, 3))
+    pts[0] = stack[1].center
+    sizes = []
+    evaluate = consensus._evaluate
+
+    def counted(kind, points, block):
+        sizes.append(len(block) if isinstance(block, list) else 1)
+        return evaluate(kind, points, block)
+
+    monkeypatch.setattr(consensus, "_evaluate", counted)
+    for kind in (cas(0.25), MetricKind("sampson+orthogonal", 0.5)):
+        scored = list(consensus._scored(kind, pts, stack, 0.7))
+        assert len(scored) == models
+        for (d, score), model in zip(scored, stack):
+            want = np.asarray(evaluate_metric(kind, pts, model))
+            assert d.tobytes() == want.tobytes()
+            assert score == float(point_energy(want, 0.7).sum())
+    assert sizes == ([5, 2] if count == 3000 else [1, 1]) * 2
 
 
 def sampson_by_coefficients(points, model):
