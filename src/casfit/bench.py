@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .consensus import FitConfig, fit
-from .distances import MetricKind, _terms, orthogonal_distance
+from .distances import MetricKind, _unit_terms, orthogonal_distance
 from .errors import ParseError, require_integers, require_reals
 from .quadric import EllipsoidModel, as_points, validate_ellipsoid
 from .synth import DatasetSpec, Instance, make_instance
@@ -69,11 +69,11 @@ def fitting_errors(estimated: EllipsoidModel, truth: EllipsoidModel) -> ErrorTri
 
 def residuals(model: EllipsoidModel, points) -> ResidualTriple:
     """Mean Sampson / orthogonal / axial distance of ``points`` to ``model``."""
-    unit = _terms(("sampson", "axial"), as_points(points), model)  # one unit-frame pass
+    unit = _unit_terms(("sampson", "axial"), as_points(points), [model])  # one pass
     return ResidualTriple(
-        sampson_residual=float(np.mean(unit["sampson"])),
+        sampson_residual=float(np.mean(unit["sampson"][0])),
         orthogonal_residual=float(np.mean(orthogonal_distance(points, model))),
-        axial_residual=float(np.mean(unit["axial"])),
+        axial_residual=float(np.mean(unit["axial"][0])),
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .bench import _check_writable, _instance_rng, load_grid, run_grid
 from .consensus import FitConfig, fit
-from .distances import METRIC_KINDS, ORTHOGONAL, MetricKind, _blend, _terms, evaluate_metric
+from .distances import METRIC_KINDS, ORTHOGONAL, MetricKind, _blend, _unit_terms, evaluate_metric
 from .errors import CasfitError
 from .quadric import EllipsoidModel, as_points
 from .synth import DATASET_KINDS, DatasetSpec, _write_rows, load_points, make_instance, save_points
@@ -171,7 +171,8 @@ def _cmd_distances(args) -> int:
     kinds = [MetricKind(k) for k in METRIC_KINDS]
     # each single kind once, the unit-frame ones from one pass: the blends are made from these
     singles = {"orthogonal": np.atleast_1d(evaluate_metric(ORTHOGONAL, points, model))}
-    singles.update(_terms(("algebraic", "sampson", "axial"), as_points(points), model))
+    unit = _unit_terms(("algebraic", "sampson", "axial"), as_points(points), [model])
+    singles.update((name, vals[0]) for name, vals in unit.items())
 
     # the rows csv.writer would write: no field needs quoting, lines end in \r\n
     def write(fh):

@@ -10,9 +10,8 @@ Scoring uses soft per-point energies exp(-d^2 / (2 eps^2)) rather than a
 hard inlier count, so models are rewarded for being close to many points,
 not just for clearing the threshold.  One metric, the score metric, gives
 both the scores and the refit weights.  Each model's distances under it are
-evaluated once, a chunk's candidates in stacks (``_scored``) with the bits of
-one-model evaluations; its score, its inlier labels and the weights of the
-refit that follows it all come from that one array.
+evaluated once, stacked for a chunk's candidates (``_scored``) with the bits
+of each alone; score, inlier labels and refit weights come from that array.
 
 ``fit`` and ``local_optimize`` each condition their points once
 (``leastsq.condition``) and run in that frame with the threshold divided by
@@ -50,7 +49,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distances import MetricKind, _evaluate, cas, evaluate_metric
+from .distances import MetricKind, _components, _evaluate, cas, evaluate_metric
 from .errors import NoModelFound, TooFewPoints, require_integers, require_reals
 # gaussian_weights, lls_fit and wls_fit are not called here but stay module
 # attributes: perfbench/tracer.py wraps them by these names.
@@ -258,12 +257,14 @@ ProgressHook = Callable[[int, float, int], None]
 
 
 def _scored(kind: MetricKind, pts: np.ndarray, models: list, epsilon: float):
-    """Yield (distances, score) of each of ``models`` but None, with its own bits, scored in
-    stacked blocks of at most 2^14 distances: a larger block costs memory and saves no time."""
+    """Yield (distances, score) for each of ``models`` but None, with the bits of its one-model
+    evaluation, from blocks of at most 2^14 distances (larger ones cost memory, save no time).
+    A kind with an orthogonal term takes one model per block: that term runs model by model,
+    and a block would also solve for models past the iteration where the loop stops."""
     models = [model for model in models if model is not None]
-    size = max(2**14 // len(pts), 1)  # models per block
-    for block in (models[start:start + size] for start in range(0, len(models), size)):
-        d = _evaluate(kind, pts, block[0] if len(block) == 1 else block).reshape(len(block), -1)
+    size = 1 if "orthogonal" in _components(kind) else max(2**14 // len(pts), 1)
+    for start in range(0, len(models), size):
+        d = _evaluate(kind, pts, models[start:start + size])
         yield from zip(d, point_energy(d, epsilon).sum(axis=1).tolist())
 
 
@@ -331,9 +332,8 @@ def _candidates(design: np.ndarray, k: int, rng: np.random.Generator) -> list:
     """Draw ``k`` minimal samples of conditioned points in order, screen them
     (``_screen``) and solve the rows it keeps as one stack; returns each
     sample's ``_ellipsoids`` model, None for a row the screen drops.  The
-    samples' (k, 9, 10) design rows are gathered from ``design``, the cloud's
-    (n, 10) ``design_matrix`` rows, bit for bit the rows of the sampled points.
-    """
+    samples' (k, 9, 10) rows are gathered from ``design``, the cloud's (n, 10)
+    ``design_matrix`` rows: bit for bit the rows of the sampled points."""
     rows = design[sample_minimal(len(design), MIN_POINTS, rng, count=k)]
     keep = _screen(rows)
     models = iter(_ellipsoids(*solve_rows(rows[keep]))[1])

@@ -27,13 +27,12 @@ are q = kappa * (R^T diag(r^-2) R, R^T diag(r^-2) t, ...) with
 kappa = (q1 + q2 + q3) / sum(r^-2), so the quadric is F = kappa (s^2 - 1),
 its gradient is 2 kappa R^T (v / r), and the Sampson distance |F| / ||grad F||
 is |s^2 - 1| / (2 ||v / r||).  The algebraic distance |d(x) @ q| = |F| is
-kappa |s^2 - 1|.  The algebraic, axial, Sampson and ``cas`` metrics compute
-from one (3, n) product v, or one (k, 3, n) product for a stack of k models
-whose rows each keep the bits of their model alone; s^2 adds the three
-squared rows, and no metric builds the design rows d(x) of the points.  The
-exact orthogonal distance runs one Newton iteration.  Every metric takes
-lengths in units of a power of two, so it stays finite wherever the true
-distance does.
+kappa |s^2 - 1|.  The algebraic, axial, Sampson and ``cas`` metrics of k models
+compute from one (k, 3, n) product v, each row with its model's own bits, and
+s^2 adds its three squared rows; no metric builds the design rows d(x) of the
+points.  The exact orthogonal distance runs one Newton iteration.  Every
+metric takes lengths in units of a power of two, so it stays finite wherever
+the true distance does.
 
 The Sampson distance of the model center is returned as +inf: the algebraic
 gradient vanishes there, and downstream consumers (energies, weights,
@@ -133,72 +132,58 @@ def _shaped(values: np.ndarray, points):
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # half the cost of a with block
-def _terms(names, pts: np.ndarray, models) -> dict:
-    """The single kinds in ``names``, and s as "scale", at the (n, 3) ``pts``: (n,) arrays for
-    one model, (k, n) for a list of k, each row with its model's own bits.  The orthogonal
-    distance is looked up at call time, so a wrapper put in its place is called once per model,
-    and runs first, so its temporaries and the unit frame's are not alive at once.  The others
-    come from one pass into the unit frames, each model's lengths in units of 2^e that take its
-    shortest semiaxis into [1, 2); a (model, point) whose squares overflow takes v in units that
-    bring s near 2^60, where s - 1 still reads s.  Both scalings are exact."""
-    one, terms = isinstance(models, EllipsoidModel), {}
-    if "orthogonal" in names:
-        terms["orthogonal"] = orthogonal_distance(pts, models) if one else \
-            np.array([orthogonal_distance(pts, model) for model in models])
-    if names == ("orthogonal",):
-        return terms
-    if one:  # its own arrays, and its scalars as floats
-        geom, coeffs = models.geometry, models.coeffs
-        rotation, translation, semiaxes = geom.rotation, geom.translation, geom.semiaxes
-        e = math.frexp(min(semiaxes.tolist()))[1] - 1
+def _unit_terms(names, pts: np.ndarray, models: list) -> dict:
+    """The algebraic, Sampson and axial kinds in ``names``, and s as "scale", at the (n, 3)
+    ``pts`` for a list of k models, each (k, n) from one pass, in units of 2^e that take each
+    shortest semiaxis into [1, 2); a (model, point) whose squares overflow takes v in units
+    that bring s near 2^60, where s - 1 still reads s.  Both scalings are exact."""
+    geoms = [model.geometry for model in models]
+    if len(geoms) == 1:  # views and floats: (1, 1) columns cost a refit step 10 % (BENCH_28.json)
+        g = geoms[0]
+        rotation, translation, semiaxes = g.rotation[None], g.translation[None], g.semiaxes[None]
+        e = math.frexp(min(g.semiaxes.tolist()))[1] - 1
         r = np.ldexp(semiaxes, -e)  # at least 1
-        length, half = math.ldexp(math.sqrt(r.dot(r)) / 3.0, e), math.ldexp(0.5, e)
-    else:  # stacked, rotations column-major as models hold them (BLAS may round a copy
-        geoms = [model.geometry for model in models]  # otherwise), scalars as (k, 1) columns
+        length, half = math.ldexp(math.sqrt(r[0].dot(r[0])) / 3.0, e), math.ldexp(0.5, e)
+    else:  # rotations column-major as models hold them, and r @ r: BLAS rounds others apart
         rotation = np.array([g.rotation.T for g in geoms]).transpose(0, 2, 1)
-        translation, semiaxes = np.array([g.translation for g in geoms]), np.array(
-            [g.semiaxes for g in geoms])
-        coeffs = np.array([model.coeffs for model in models])
-        e = np.frexp(semiaxes.min(axis=1, keepdims=True))[1] - 1
+        translation = np.array([g.translation for g in geoms])
+        semiaxes = np.array([g.semiaxes for g in geoms])
+        e = np.frexp(semiaxes.min(axis=1, keepdims=True))[1] - 1  # (k, 1) columns
         r = np.ldexp(semiaxes, -e)
-        length = np.ldexp(np.sqrt(r[:, None] @ r[:, :, None])[:, 0] / 3.0, e)  # as r.dot(r)
-        half = np.ldexp(0.5, e)
-    far = ()
-    squares = (rotation / semiaxes[..., None]) @ pts.T  # v = (R x + t) / r, (..., 3, n)
-    squares += (translation / semiaxes)[..., None]  # in place: fewer page faults
+        length, half = np.ldexp(np.sqrt(r[:, None] @ r[:, :, None])[:, 0] / 3, e), np.ldexp(0.5, e)
+    squares = (rotation / semiaxes[:, :, None]) @ pts.T  # v = (R x + t) / r, (k, 3, n)
+    squares += (translation / semiaxes)[:, :, None]  # in place: fewer page faults
     np.square(squares, out=squares)
-    level = squares.sum(axis=-2)  # the three rows in order; bounds (1 / r^2) @ squares
-    if not level.max(initial=0.0) < np.inf:  # redone on (k, ...) views, model by model
-        n, rot = len(pts), rotation.reshape(-1, 3, 3)
-        trans, scale = translation.reshape(-1, 3), r.reshape(-1, 3)
-        far = model, point = np.nonzero(~(level.reshape(-1, n) < np.inf))
-        v = np.concatenate([(pts[point[model == i]] @ rot[i].T + trans[i]) / scale[i]
+    level = squares[:, 0] + squares[:, 1] + squares[:, 2]  # bounds (1 / r^2) @ squares
+    far = ()
+    if not level.max(initial=0.0) < np.inf:  # redone model by model
+        model, point = far = np.nonzero(~(level < np.inf))
+        v = np.concatenate([(pts[point[model == i]] @ rotation[i].T + translation[i]) / r[i]
                             for i in np.unique(model)])
         unit = np.frexp(np.abs(v).max(axis=1))[1] - 60  # v 2^e is finite as r >= 1
-        squares.reshape(-1, 3, n)[model, :, point] = sq = np.square(np.ldexp(v, -unit[:, None]))
-        level.reshape(-1, n)[far] = sq.sum(axis=1)
-    unit_terms = {}
+        squares[model, :, point] = sq = np.square(np.ldexp(v, -unit[:, None]))
+        level[far] = sq.sum(axis=1)
+    terms = {}
     if "scale" in names:
-        unit_terms["scale"] = np.sqrt(level)
+        terms["scale"] = np.sqrt(level)
     if "algebraic" in names:
-        trace = coeffs[..., :3].sum(axis=-1, keepdims=True)  # q1 + q2 + q3
-        kappa = np.ldexp(trace / (1.0 / np.square(r)).sum(axis=-1, keepdims=True), 2 * e)
-        unit_terms["algebraic"] = kappa * np.abs(level - 1.0)
+        trace = np.array([model.coeffs[:3].sum() for model in models])[:, None]  # q1 + q2 + q3
+        kappa = np.ldexp(trace / (1.0 / np.square(r)).sum(axis=1, keepdims=True), 2 * e)
+        terms["algebraic"] = kappa * np.abs(level - 1.0)
     if "axial" in names:  # |s - 1| ||semiaxes|| / 3, in place as Sampson
-        vals = unit_terms["axial"] = np.sqrt(level)
+        vals = terms["axial"] = np.sqrt(level)
         np.abs(np.subtract(vals, 1.0, out=vals), out=vals)
         vals *= length
-    if "sampson" in names:  # +inf at the center; in place: a live (n,) array costs page faults
-        # 2^e ||grad F|| / (2 kappa)
-        vals = np.sqrt((1.0 / np.square(r))[..., None, :] @ squares)[..., 0, :]
+    if "sampson" in names:  # +inf at the center; in place: a live (k, n) array costs page faults
+        vals = np.sqrt((1.0 / np.square(r))[:, None] @ squares)[:, 0]  # 2^e ||grad F|| / (2 kappa)
         offset = level - 1.0
-        unit_terms["sampson"] = np.divide(np.abs(offset, out=offset), vals, out=vals)
+        terms["sampson"] = np.divide(np.abs(offset, out=offset), vals, out=vals)
         vals *= half  # 2^(e - 1), exact
         vals[level <= GRADIENT_TOL ** 2] = np.inf
-    for name, vals in unit_terms.items() if len(far) else ():
-        shift, rows = unit - np.reshape(e, -1)[model], vals.reshape(-1, len(pts))
-        rows[far] = np.ldexp(rows[far], 2 * shift if name == "algebraic" else shift)
-    return {**terms, **unit_terms}
+    for name, vals in terms.items() if len(far) else ():
+        shift = unit - np.reshape(e, -1)[model]
+        vals[far] = np.ldexp(vals[far], 2 * shift if name == "algebraic" else shift)
+    return terms
 
 
 def algebraic_distance(points, model: EllipsoidModel):
@@ -211,7 +196,7 @@ def scaling_factor(points, model: EllipsoidModel):
 
     s == 0 at the center, s == 1 exactly on the surface.
     """
-    return _shaped(_terms(("scale",), as_points(points), model)["scale"], points)
+    return _shaped(_unit_terms(("scale",), as_points(points), [model])["scale"][0], points)
 
 
 def axial_distance(points, model: EllipsoidModel):
@@ -298,11 +283,18 @@ def _blend(kind: MetricKind, terms: dict) -> np.ndarray:
     return np.add(blend, (1.0 - kind.lam) * terms[names[1]], out=blend)
 
 
-def _evaluate(kind: MetricKind, pts: np.ndarray, models) -> np.ndarray:
-    """``kind`` at the (n, 3) ``pts``, as ``_terms`` gives its components."""
-    return _blend(kind, _terms(_components(kind), pts, models))
+def _evaluate(kind: MetricKind, pts: np.ndarray, models: list) -> np.ndarray:
+    """``kind`` at the (n, 3) ``pts`` for a list of k models, (k, n).  The orthogonal distance
+    runs first, model by model and outside ``_unit_terms``' errstate, and is looked up at call
+    time, so that a wrapper put in its place is called."""
+    names, terms = _components(kind), {}
+    if "orthogonal" in names:
+        terms["orthogonal"] = np.array([orthogonal_distance(pts, model) for model in models])
+    if names != ("orthogonal",):
+        terms.update(_unit_terms(names, pts, models))
+    return _blend(kind, terms)
 
 
 def evaluate_metric(kind: MetricKind, points, model: EllipsoidModel):
     """Evaluate any metric kind: a float for a (3,) point, an (n,) array for a stack."""
-    return _shaped(_evaluate(kind, as_points(points), model), points)
+    return _shaped(_evaluate(kind, as_points(points), [model])[0], points)

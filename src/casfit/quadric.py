@@ -181,7 +181,6 @@ def geometry_to_coeffs(geom: EllipsoidGeometry) -> np.ndarray:
 ELLIPSOID, DEGENERATE, INDEFINITE, UNBOUNDED = range(4)
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # half the cost of a with block
 def check_ellipsoids(q: np.ndarray):
     """Classify each row of a unit-norm (k, 10) coefficient stack.
 
@@ -199,9 +198,10 @@ def check_ellipsoids(q: np.ndarray):
     evecs[:, :, -1] *= np.copysign(1.0, np.linalg.det(evecs))[:, None]  # proper rotations
     rotation = np.swapaxes(evecs, 1, 2)  # column-major: BLAS rounds a row-major copy otherwise
     proj = (q[:, None, 6:9] @ evecs)[:, 0]
-    translation = proj / evals
-    scale = np.einsum("ki,ki->k", proj, translation) + q[:, 9]
-    semiaxes = np.sqrt(scale[:, None] / evals)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        translation = proj / evals
+        scale = np.einsum("ki,ki->k", proj, translation) + q[:, 9]
+        semiaxes = np.sqrt(scale[:, None] / evals)
     for field in (rotation, translation, semiaxes):
         field.setflags(write=False)
     verdict = np.fromiter(map(_verdict, evals.tolist(), semiaxes.tolist()), int, len(q))

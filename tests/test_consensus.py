@@ -445,12 +445,12 @@ class TestFit:
 
         def stacked(kind, points, models):
             d = evaluate(kind, points, models)
-            blocks.append((d, models if isinstance(models, list) else [models]))
+            blocks.append((d, models))
             return d
 
         def spy(points, rows, local_cfg, d):
             owners = [model for block, models in blocks
-                      for row, model in zip(block.reshape(len(models), -1), models)
+                      for row, model in zip(block, models)
                       if row.ctypes.data == d.ctypes.data and np.shares_memory(row, d)]
             passed.append(len(owners) == 1 and d.tobytes()
                           == np.asarray(evaluate_metric(metric, points, owners[0])).tobytes())

@@ -458,8 +458,8 @@ def test_a_stack_gives_each_model_its_own_bits(seed, count, picks, extra, lam):
 @pytest.mark.parametrize("count, models", [(3000, 7), (8193, 2)])
 def test_fit_scores_blocks_that_straddle_the_cap(monkeypatch, count, models):
     # 3000 points take blocks of five models (5 x 3000 <= 2^14 < 6 x 3000),
-    # so seven models make blocks of five and two; past 8192 points a block
-    # holds one model, run alone
+    # so seven models make blocks of five and two; past 8192 points, and for
+    # a kind with an orthogonal term, a block holds one model
     rng = np.random.default_rng(count)
     stack = [make_model(rng) for _ in range(models)]
     pts = stack[0].center + rng.uniform(-6.0, 6.0, size=(count, 3))
@@ -468,7 +468,7 @@ def test_fit_scores_blocks_that_straddle_the_cap(monkeypatch, count, models):
     evaluate = consensus._evaluate
 
     def counted(kind, points, block):
-        sizes.append(len(block) if isinstance(block, list) else 1)
+        sizes.append(len(block))
         return evaluate(kind, points, block)
 
     monkeypatch.setattr(consensus, "_evaluate", counted)
@@ -479,7 +479,7 @@ def test_fit_scores_blocks_that_straddle_the_cap(monkeypatch, count, models):
             want = np.asarray(evaluate_metric(kind, pts, model))
             assert d.tobytes() == want.tobytes()
             assert score == float(point_energy(want, 0.7).sum())
-    assert sizes == ([5, 2] if count == 3000 else [1, 1]) * 2
+    assert sizes == ([5, 2] if count == 3000 else [1, 1]) + [1] * models
 
 
 def sampson_by_coefficients(points, model):
