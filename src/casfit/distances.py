@@ -144,7 +144,7 @@ def _unit_terms(names, pts: np.ndarray, models: list) -> dict:
         e = math.frexp(min(g.semiaxes.tolist()))[1] - 1
         r = np.ldexp(semiaxes, -e)  # at least 1
         length, half = math.ldexp(math.sqrt(r[0].dot(r[0])) / 3.0, e), math.ldexp(0.5, e)
-    else:  # rotations column-major as models hold them, and r @ r: BLAS rounds others apart
+    else:  # rotations column-major as models hold them, r.r by matmul: other forms round apart
         rotation = np.array([g.rotation.T for g in geoms]).transpose(0, 2, 1)
         translation = np.array([g.translation for g in geoms])
         semiaxes = np.array([g.semiaxes for g in geoms])
@@ -285,8 +285,8 @@ def _blend(kind: MetricKind, terms: dict) -> np.ndarray:
 
 def _evaluate(kind: MetricKind, pts: np.ndarray, models: list) -> np.ndarray:
     """``kind`` at the (n, 3) ``pts`` for a list of k models, (k, n).  The orthogonal distance
-    runs first, model by model and outside ``_unit_terms``' errstate, and is looked up at call
-    time, so that a wrapper put in its place is called."""
+    runs first (its temporaries and the unit frame's are never alive at once), model by model,
+    outside ``_unit_terms``' errstate and looked up at call time, so its wrappers are called."""
     names, terms = _components(kind), {}
     if "orthogonal" in names:
         terms["orthogonal"] = np.array([orthogonal_distance(pts, model) for model in models])
