@@ -50,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distances import MetricKind, _components, _evaluate, cas, evaluate_metric
-from .errors import NoModelFound, TooFewPoints, require_integers, require_reals
+from .errors import NoModelFound, NotAnEllipsoid, TooFewPoints, require_integers, require_reals
 # gaussian_weights, lls_fit and wls_fit are not called here but stay module
 # attributes: perfbench/tracer.py wraps them by these names.
 from .leastsq import (MIN_POINTS, SUPPORT_TOL, condition, decondition,  # noqa: F401
@@ -180,24 +180,33 @@ def sample_minimal(point_count: int, sample_size: int, rng: np.random.Generator,
     Every sample takes ``sample_size`` doubles from one ``rng.random`` call,
     row by row, so one call with ``count=k`` returns the rows of k calls
     without it.  Sequential selection maps each row to distinct indices: the
-    j-th is the floor(u_j * (point_count - j))-th index not chosen before it
-    (floor(u * m) < m for every double u < 1), which makes each subset
-    equally likely.
+    j-th is the r_j = floor(u_j * (point_count - j))-th index not chosen
+    before it (floor(u * m) < m for every double u < 1), which makes each
+    subset equally likely.  Ranks decode last to first, with no sort: where
+    those after j index the points the first j + 1 leave free, adding 1 to
+    those at or above r_j makes them index the points the first j leave free.
     """
     if point_count < sample_size:
         raise TooFewPoints(f"need at least {sample_size} points, got {point_count}")
     u = rng.random((1 if count is None else count, sample_size))
     idx = (u * (point_count - np.arange(sample_size))).astype(np.intp)
-    for j in range(1, sample_size):
-        # With the chosen indices sorted, t_i - i of them are free below t_i,
-        # so the r-th free index is r plus the count of t_i - i <= r.
-        free_below = np.sort(idx[:, :j], axis=1) - np.arange(j)
-        idx[:, j] += (free_below <= idx[:, j, None]).sum(axis=1)
+    for j in range(sample_size - 2, -1, -1):
+        tail = idx[:, j + 1:]
+        tail += tail >= idx[:, j, None]
     return idx[0] if count is None else idx
 
 
 def _lo_schedule(epsilon: float) -> np.ndarray:
     return np.linspace(LO_EPS_START * epsilon, LO_EPS_END * epsilon, LO_STEPS)
+
+
+def _local_config(cfg: FitConfig, scale: float) -> FitConfig:
+    """``cfg`` in the frame of points conditioned with ``scale``; raises NotAnEllipsoid where
+    its threshold, or a kernel width of the cascade, is not a positive finite double there."""
+    epsilon = cfg.epsilon / scale
+    if not (LO_EPS_END * epsilon > 0.0 and LO_EPS_START * epsilon < math.inf):
+        raise NotAnEllipsoid(f"epsilon {cfg.epsilon:.3g} at scale {scale:.3g} leaves the doubles")
+    return replace(cfg, epsilon=epsilon)
 
 
 def _refine(pts: np.ndarray, rows: np.ndarray, cfg: FitConfig, d: np.ndarray) -> Optional[tuple]:
@@ -243,8 +252,7 @@ def local_optimize(model: EllipsoidModel, points, cfg: FitConfig) -> Optional[tu
         return None
     require_carried(max(scale, SQUARE_RANGE[0]), max(scale, *np.abs(center)))  # upper end
     start = _to_scene(model, -center / scale, 1.0 / scale)
-    best = _refine(local, design_matrix(local)[None],
-                   replace(cfg, epsilon=cfg.epsilon / scale),
+    best = _refine(local, design_matrix(local)[None], _local_config(cfg, scale),
                    evaluate_metric(cfg.score_metric, local, start))
     if best is None:
         return None
@@ -365,8 +373,9 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     points are coplanar, collinear or identical, and when no candidate
     validates within the iteration budget; TooFewPoints when fewer than
     ``MIN_POINTS`` (9) points are supplied; NotAnEllipsoid up front when the
-    points' spread or mean lies above ``quadric.SQUARE_RANGE``, and when the
-    fitted ellipsoid's magnitudes leave it (``_to_scene``).
+    points' spread or mean lies above ``quadric.SQUARE_RANGE`` or epsilon over
+    their scale leaves the doubles (``_local_config``), and when the fitted
+    ellipsoid's magnitudes leave it (``_to_scene``).
 
     The loop runs on the conditioned cloud.  It draws and solves chunks of
     minimal samples (see MAX_CHUNK), then replays them one iteration at a
@@ -385,7 +394,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     if spread[0] <= FLAT_TOL * spread[-1]:
         raise NoModelFound("points are coplanar, collinear or identical")
     rows = design_matrix(local)[None]
-    local_cfg = replace(cfg, epsilon=cfg.epsilon / scale)
+    local_cfg = _local_config(cfg, scale)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
 
     best_model: Optional[EllipsoidModel] = None

@@ -27,7 +27,7 @@ import numpy as np
 
 from .distances import MetricKind, cas, evaluate_metric
 from .errors import InsufficientSupport, RankDeficient, TooFewPoints
-from .quadric import (EllipsoidModel, as_points, design_matrix, normalize_coeffs,
+from .quadric import (EllipsoidModel, _eigh, as_points, design_matrix, normalize_coeffs,
                       normalize_rows, quadratic_block, require_carried)
 
 # Minimum number of points (and of usably weighted points) for a quadric.
@@ -85,7 +85,7 @@ def solve_rows(rows: np.ndarray, weights: np.ndarray | None = None):
     cols = np.swapaxes(rows, 1, 2)
     if weights is not None:
         cols = cols * weights[:, None, :]
-    evals, evecs = np.linalg.eigh(cols @ np.swapaxes(cols, 1, 2))
+    evals, evecs = _eigh(cols @ np.swapaxes(cols, 1, 2))
     ok = evals[:, 1] - evals[:, 0] > EIGENGAP_TOL * np.maximum(evals[:, -1], 1e-300)
     return normalize_rows(evecs[:, :, 0]), ok
 
@@ -130,8 +130,8 @@ def lls_fit(points) -> np.ndarray:
 @np.errstate(over="ignore")  # half the cost of a with block
 def point_energy(distance, epsilon: float):
     """Gaussian kernel exp(-d^2 / (2 eps^2)); 1 on the surface, 0 at +inf."""
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     eps, unit = math.frexp(epsilon)  # d and eps in units of 2^unit: exact, and eps^2 is normal
     # one temporary at a time: a live (n,) array costs page faults
     out = np.exp(np.square(np.ldexp(np.asarray(distance, dtype=float), -unit))

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the gufuncs behind np.linalg.eigh and det
 
 from .errors import DegenerateQuadric, NotAnEllipsoid, ParseError
 
@@ -177,6 +178,16 @@ def geometry_to_coeffs(geom: EllipsoidGeometry) -> np.ndarray:
     return normalize_coeffs(mat[_Q_ENTRIES] * _Q_SIGNS)
 
 
+def _nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _eigh(a: np.ndarray) -> tuple:
+    """np.linalg.eigh with its bits and error, without checks that cost more than a 3x3 solve."""
+    return _umath_linalg.eigh_lo(a, signature="d->dd")
+
+
 # Verdicts of check_ellipsoids, one per coefficient row.
 ELLIPSOID, DEGENERATE, INDEFINITE, UNBOUNDED = range(4)
 
@@ -194,8 +205,8 @@ def check_ellipsoids(q: np.ndarray):
     Only the semiaxes are tested: ``eigh``'s vectors are orthonormal, and on a definite
     block a translation entry that overflows makes ``scale``, then a semiaxis, infinite.
     """
-    evals, evecs = np.linalg.eigh(quadratic_block(q))  # ascending eigenvalues
-    evecs[:, :, -1] *= np.copysign(1.0, np.linalg.det(evecs))[:, None]  # proper rotations
+    evals, evecs = _eigh(quadratic_block(q))  # ascending eigenvalues
+    evecs[:, :, -1] *= np.copysign(1.0, _umath_linalg.det(evecs))[:, None]  # proper rotations
     rotation = np.swapaxes(evecs, 1, 2)  # column-major: BLAS rounds a row-major copy otherwise
     proj = (q[:, None, 6:9] @ evecs)[:, 0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

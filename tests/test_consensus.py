@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from casfit import (ALGEBRAIC, AXIAL, SAMPSON, CasfitError, DatasetSpec, EllipsoidGeometry,
                     EllipsoidModel, FitConfig, MetricKind, NoModelFound, NotAnEllipsoid,
                     TooFewPoints, axial_distance, cas, classify,
-                    evaluate_metric, fit, lls_fit, local_optimize, make_instance,
-                    model_score, point_energy, required_iterations,
+                    evaluate_metric, fit, gaussian_weights, lls_fit, local_optimize,
+                    make_instance, model_score, point_energy, required_iterations,
                     sample_minimal, sample_surface, wls_fit)
 from casfit import consensus, distances
 from casfit.consensus import CHUNK, FLAT_TOL, MAX_CHUNK
@@ -18,7 +20,7 @@ from casfit.quadric import (ELLIPSOID, UNBOUNDED, check_ellipsoids, design_matri
                             geometry_to_coeffs, normalize_coeffs, normalize_rows)
 from casfit.synth import random_rotation
 
-from conftest import make_model, unit_sphere
+from conftest import axis_aligned, make_model, unit_sphere
 from reference_loop import reference_fit
 
 
@@ -44,6 +46,18 @@ class TestEnergy:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValueError):
             point_energy(1.0, 0.0)
+
+    def test_epsilon_must_be_finite(self):
+        # at eps = +inf the kernel of a point at +inf read nan, with a warning
+        m, pts = unit_sphere(), np.array([[3.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        for bad in (math.inf, math.nan, -1.0):
+            for call in (lambda: point_energy(np.inf, bad),
+                         lambda: point_energy(np.array([0.0, 1.0, np.inf]), bad),
+                         lambda: gaussian_weights(pts, m, bad),
+                         lambda: model_score(m, pts, bad)):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    call()
+        assert point_energy(np.inf, np.finfo(float).max) == 0.0
 
     @pytest.mark.parametrize("exponent", [-700, 700])
     def test_power_of_two_scaling_is_exact(self, rng, exponent):
@@ -172,6 +186,22 @@ class TestSampleMinimal:
         u = np.random.default_rng(3).random((300, 9))
         got = sample_minimal(40, 9, np.random.default_rng(3), count=300)
         assert np.array_equal(got, sequential_selection(u, 40))
+
+    @settings(max_examples=300, deadline=None)
+    @given(sample_size=st.integers(1, 12), extra=st.integers(0, 5000),
+           seed=st.integers(0, 2**32 - 1), count=st.one_of(st.none(), st.integers(0, 70)))
+    @example(sample_size=9, extra=0, seed=0, count=0)  # no rows: shape (0, 9)
+    @example(sample_size=12, extra=0, seed=1, count=70)  # the whole population
+    @example(sample_size=1, extra=4999, seed=2, count=None)
+    @example(sample_size=12, extra=4988, seed=3, count=70)
+    def test_any_draw_is_the_list_pop_oracle(self, sample_size, extra, seed, count):
+        point_count = min(sample_size + extra, 5000)
+        u = np.random.default_rng(seed).random((1 if count is None else count, sample_size))
+        want = sequential_selection(u, point_count).reshape(u.shape).astype(np.intp)
+        got = sample_minimal(point_count, sample_size, np.random.default_rng(seed), count)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, want[0] if count is None else want)
+        assert got.shape == ((sample_size,) if count is None else (count, sample_size))
 
     def test_whole_population(self, rng):
         rows = sample_minimal(9, 9, rng, count=200)
@@ -952,6 +982,22 @@ class TestMagnitudes:
                      lambda: lls_fit(points),
                      lambda: wls_fit(points, np.ones(len(points)))):
             with pytest.raises(NotAnEllipsoid, match="e\\+306"):
+                call()
+
+    @pytest.mark.parametrize("size, epsilon", [(17.0, 5e-324), (1e-3, 1e308)])
+    def test_threshold_past_the_double_range_in_the_conditioned_frame(self, monkeypatch,
+                                                                       size, epsilon):
+        # FitConfig takes both thresholds, but epsilon / scale under- or
+        # overflows; the fit names them before it draws a sample
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(consensus, "sample_minimal", no_draws)
+        points = sample_surface(unit_sphere(), 60, np.random.default_rng(0)) * size
+        cfg = FitConfig(epsilon=epsilon, seed=0)
+        for call in (lambda: fit(points, cfg),
+                     lambda: local_optimize(axis_aligned((size, size, size)), points, cfg)):
+            with pytest.raises(NotAnEllipsoid, match=r"epsilon .*scale"):
                 call()
 
 

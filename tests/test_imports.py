@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses, only quadric builds models, and
-every name the package exports has a user outside it."""
+"""No module of the package imports a name it never uses, only quadric builds models and calls
+numpy's private linalg gufuncs, and every name the package exports has a user outside it."""
 
 import ast
 import re
@@ -24,6 +24,10 @@ ALLOWED = {
 
 # The check and the field builder behind quadric._ellipsoids, the one builder of checked models.
 BUILDERS = {"check_ellipsoids", "_checked"}
+
+# numpy's private module behind np.linalg.eigh and det, which quadric._eigh and check_ellipsoids
+# call: one module to follow if numpy moves or changes it.
+PRIVATE_LINALG = {"_umath_linalg"}
 
 
 def unused_imports(source: str) -> set:
@@ -51,12 +55,13 @@ def test_no_unused_imports(module):
     assert unused == ALLOWED.get(module, set())
 
 
-def builder_uses(source: str) -> list:
-    """The lines of ``source`` that import, call or otherwise name one of BUILDERS."""
+def name_uses(source: str, names: set) -> list:
+    """The lines of ``source`` that import, call or otherwise name one of ``names``, also as a
+    part of a dotted module path."""
     lines = set()
     for node in ast.walk(ast.parse(source)):
-        for field in ("id", "attr", "name"):  # Name, Attribute, import alias
-            if getattr(node, field, None) in BUILDERS:
+        for field in ("id", "attr", "name", "module"):  # Name, Attribute, import alias, from
+            if names.intersection((getattr(node, field, None) or "").split(".")):
                 lines.add(node.lineno)
     return sorted(lines)
 
@@ -67,12 +72,27 @@ def test_the_check_sees_every_builder_use():
               "v = quadric.check_ellipsoids(q)\n"
               "model = EllipsoidModel._paired(q, geom)\n"
               "def _checked_rows(q):\n    return verdicts(q)\n")
-    assert builder_uses(source) == [1, 2, 3]
+    assert name_uses(source, BUILDERS) == [1, 2, 3]
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "quadric"))
 def test_only_quadric_builds_models(module):
-    assert builder_uses((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+    assert name_uses((SRC / f"{module}.py").read_text(encoding="utf-8"), BUILDERS) == []
+
+
+def test_the_check_sees_every_private_linalg_use():
+    source = ("from numpy.linalg import _umath_linalg\n"
+              "import numpy.linalg._umath_linalg as gufuncs\n"
+              "w, v = np.linalg._umath_linalg.eigh_lo(a)\n"
+              "from numpy.linalg._umath_linalg import det\n"
+              "umath_linalg = np.linalg.eigh\n"
+              "def _umath_linalg_free():\n    return np.linalg.det(a)\n")
+    assert name_uses(source, PRIVATE_LINALG) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "quadric"))
+def test_only_quadric_calls_private_linalg(module):
+    assert name_uses((SRC / f"{module}.py").read_text(encoding="utf-8"), PRIVATE_LINALG) == []
 
 
 def unused_exports(exported, texts) -> list:

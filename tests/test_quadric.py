@@ -371,6 +371,56 @@ class TestCheckEllipsoids:
         assert passed[0::2].all() and not passed[1::2].any()
 
 
+class TestEigenSolves:
+    """``quadric._eigh`` and the determinant in ``check_ellipsoids`` call numpy's gufuncs
+    without their wrappers: bits, shapes and errors are those of np.linalg.eigh and det."""
+
+    @staticmethod
+    def assert_bitwise(got, want):
+        for g, w in zip(got, want, strict=True):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+    def check_rotations(self, q):
+        # the public calls check_ellipsoids stood for: eigh, then det's sign on the last vector
+        evals, evecs = np.linalg.eigh(quadric.quadratic_block(q))
+        self.assert_bitwise(quadric._eigh(quadric.quadratic_block(q)), (evals, evecs))
+        evecs[:, :, -1] *= np.copysign(1.0, np.linalg.det(evecs))[:, None]
+        self.assert_bitwise(check_ellipsoids(q)[1:2], (np.swapaxes(evecs, 1, 2),))
+
+    @pytest.mark.parametrize("count", [0, 1, 6, 512])
+    def test_normal_matrices_and_blocks(self, count):
+        # the 10x10 normal matrices of minimal samples and of weighted refits
+        rng = np.random.default_rng(count)
+        rows = design_matrix(rng.normal(size=(9 * count, 3))).reshape(count, 9, 10)
+        cols = np.swapaxes(rows, 1, 2)
+        for weighted in (cols, cols * rng.random((count, 1, 9))):
+            normal = weighted @ np.swapaxes(weighted, 1, 2)
+            self.assert_bitwise(quadric._eigh(normal), np.linalg.eigh(normal))
+        self.check_rotations(rng.normal(size=(count, 10)) / np.sqrt(10.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(count=st.sampled_from([0, 1, 6, 512]), seed=st.integers(0, 2**32 - 1),
+           span=st.integers(0, 300))
+    def test_wide_blocks(self, count, seed, span):
+        # 3x3 blocks with entries from 1e-300 to 1e300, and those of the unit-norm q they scale to
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(-1.0, 1.0, (count, 10))
+        raw *= 10.0 ** rng.integers(-span, span + 1, (count, 10))
+        blocks = quadric.quadratic_block(raw)
+        self.assert_bitwise(quadric._eigh(blocks), np.linalg.eigh(blocks))
+        self.check_rotations(np.array([normalize_coeffs(row) for row in raw]).reshape(count, 10))
+
+    def test_no_convergence_raises_as_numpy_does(self):
+        blocks = np.full((2, 3, 3), np.nan)
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.eigh(blocks)
+        with np.errstate(all="raise"), pytest.raises(np.linalg.LinAlgError) as got:
+            quadric._eigh(blocks)
+        assert str(got.value) == str(want.value) == "Eigenvalues did not converge"
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            solve_rows(np.full((1, 9, 10), np.nan))
+
+
 class TestGeometry:
     def test_center_formula(self, rng):
         rot = random_rotation(rng)
