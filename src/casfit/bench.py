@@ -11,7 +11,7 @@ fixed grid seed.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -20,7 +20,7 @@ import numpy as np
 
 from .consensus import FitConfig, fit
 from .distances import MetricKind, _unit_terms, orthogonal_distance
-from .errors import ParseError, require_integers, require_reals
+from .errors import ParseError, read_json, read_text, require_integers, require_reals, require_seed
 from .quadric import EllipsoidModel, as_points, validate_ellipsoid
 from .synth import DatasetSpec, Instance, make_instance
 
@@ -132,7 +132,8 @@ class ExperimentGrid:
         object.__setattr__(self, "datasets", tuple(self.datasets))
         if not self.variants or not self.datasets:
             raise ValueError("grid needs at least one variant and one dataset")
-        require_integers(self, "runs_per_instance", "seed")
+        require_integers(self, "runs_per_instance")
+        require_seed(self)
         names = [v.name for v in self.variants]
         if len(set(names)) != len(names):
             raise ValueError("variant names must be unique")
@@ -159,12 +160,7 @@ def grid_from_json(doc) -> ExperimentGrid:
 
 
 def load_grid(path) -> ExperimentGrid:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    return grid_from_json(doc)
+    return grid_from_json(read_json(path))
 
 
 def _instance_rng(dataset: DatasetSpec, instance_index: int) -> np.random.Generator:
@@ -262,11 +258,10 @@ def _write_csv(out_path, blocks) -> None:
 
 def read_report(path):
     """Read a report CSV back into (data_rows, aggregate_rows)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
-            raise ParseError(f"{path}: unexpected columns {reader.fieldnames}")
-        data_rows, aggregate_rows = [], []
-        for row in reader:
-            (aggregate_rows if row["run"] == "aggregate" else data_rows).append(row)
+    reader = csv.DictReader(io.StringIO(read_text(path, newline=""), newline=""))
+    if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
+        raise ParseError(f"{path}: unexpected columns {reader.fieldnames}")
+    data_rows, aggregate_rows = [], []
+    for row in reader:
+        (aggregate_rows if row["run"] == "aggregate" else data_rows).append(row)
     return data_rows, aggregate_rows

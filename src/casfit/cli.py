@@ -17,7 +17,7 @@ from . import __version__
 from .bench import _check_writable, _instance_rng, load_grid, run_grid
 from .consensus import FitConfig, fit
 from .distances import METRIC_KINDS, ORTHOGONAL, MetricKind, _blend, _unit_terms, evaluate_metric
-from .errors import CasfitError
+from .errors import CasfitError, read_json
 from .quadric import EllipsoidModel, as_points
 from .synth import DATASET_KINDS, DatasetSpec, _write_rows, load_points, make_instance, save_points
 
@@ -97,12 +97,12 @@ def _json_text(doc: dict, key: str) -> str:
 def _cmd_fit(args) -> int:
     if args.out:
         _check_writable(args.out)
-    points = load_points(args.points)
     score = MetricKind.parse(args.metric)
     cfg = FitConfig(
         epsilon=args.epsilon, score_metric=score, local_opt=not args.no_lo,
         min_iterations=args.min_iterations, max_iterations=args.max_iterations,
         seed=args.seed)
+    points = load_points(args.points)  # after the options are checked: a file can be large
     hook = None
     if args.progress:
         def hook(iteration, best_score, required):
@@ -165,9 +165,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_distances(args) -> int:
     points = load_points(args.points)
-    with open(args.model, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    model = EllipsoidModel.from_json_dict(doc)
+    model = EllipsoidModel.from_json_dict(read_json(args.model))
     kinds = [MetricKind(k) for k in METRIC_KINDS]
     # each single kind once, the unit-frame ones from one pass: the blends are made from these
     singles = {"orthogonal": np.atleast_1d(evaluate_metric(ORTHOGONAL, points, model))}

@@ -50,13 +50,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .distances import MetricKind, _components, _evaluate, cas, evaluate_metric
-from .errors import NoModelFound, NotAnEllipsoid, TooFewPoints, require_integers, require_reals
+from .errors import (NoModelFound, NotAnEllipsoid, TooFewPoints, require_integers, require_reals,
+                     require_seed)
 # gaussian_weights, lls_fit and wls_fit are not called here but stay module
 # attributes: perfbench/tracer.py wraps them by these names.
 from .leastsq import (MIN_POINTS, SUPPORT_TOL, condition, decondition,  # noqa: F401
                       gaussian_weights, lls_fit, point_energy, solve_rows, wls_fit)
-from .quadric import (SQUARE_RANGE, EllipsoidGeometry, EllipsoidModel, _ellipsoids, as_points,
-                      design_matrix, require_carried)
+from .quadric import (SQUARE_RANGE, EllipsoidGeometry, EllipsoidModel, _ellipsoids, _solve,
+                      as_points, design_matrix, require_carried)
 
 RNG_ALGORITHM = "PCG64"
 
@@ -95,7 +96,8 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, "max_iterations", "min_iterations", "seed")
+        require_integers(self, "max_iterations", "min_iterations")
+        require_seed(self)
         require_reals(self, "epsilon")
         if not isinstance(self.local_opt, bool):
             raise ValueError(f"local_opt must be a bool, got {self.local_opt!r}")
@@ -293,16 +295,10 @@ def _screen(rows: np.ndarray) -> np.ndarray:
     The design's last column is -1, so where the 9x9 block D[:, :9] is
     regular, q = (x, 1) with D[:, :9] x = 1 spans the row's null space.  One
     batched LU solve and ``_may_be_ellipsoids`` on the quadratic blocks of
-    those q stand in for the 10x10 eigen-solve.  Every row is kept when some
-    block is exactly singular.  Raises ValueError for rows of any other
-    shape, which would otherwise fail the solve and so keep every row.
+    those q stand in for the 10x10 eigen-solve.  Each row is decided on its
+    own: an exactly singular block solves to NaN, and its row is kept.
     """
-    if rows.shape[1:] != (MIN_POINTS, 10):
-        raise ValueError(f"expected (k, {MIN_POINTS}, 10) design rows, got shape {rows.shape}")
-    try:
-        x = np.linalg.solve(rows[:, :, :9], np.ones((len(rows), 9, 1)))[:, :, 0]
-    except np.linalg.LinAlgError:
-        return np.ones(len(rows), dtype=bool)
+    x = _solve(rows[:, :, :9], np.ones((len(rows), 9)))
     return _may_be_ellipsoids(x[:, :6].T.copy())  # contiguous rows: faster than the view
 
 

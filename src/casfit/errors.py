@@ -1,5 +1,6 @@
-"""Exception types and the number-field checks shared across the library."""
+"""Exception types, and the field checks and text readers shared across the library."""
 
+import json
 import numbers
 
 
@@ -13,11 +14,35 @@ def require_reals(record, *names) -> None:
     _require(record, names, numbers.Real, "a real number")
 
 
+def require_seed(record) -> None:
+    """Raise ValueError unless ``record.seed`` is a non-negative integer, as numpy seeds are."""
+    require_integers(record, "seed")
+    if record.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {record.seed}")
+
+
 def _require(record, names, kind, what: str) -> None:
     for name in names:  # a bool is an Integral, but JSON's true is no number
         value = getattr(record, name)
         if isinstance(value, bool) or not isinstance(value, kind):
             raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def read_text(path, newline=None) -> str:
+    """``path``'s UTF-8 text, read whole as ``open`` does; ParseError names it and its bad byte."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start}: not UTF-8") from exc
+
+
+def read_json(path):
+    """The JSON document in the UTF-8 file ``path``; raises ParseError naming it."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 class CasfitError(Exception):

@@ -14,9 +14,9 @@ quadric back with ``decondition``.  ``fit`` and ``local_optimize`` condition
 once per call.
 
 Callers build the design rows (``quadric.design_matrix``) once and hand them
-to ``solve_rows``: ``consensus`` builds each chunk's sample rows once for its
-screen and its exact solve, and the rows of the conditioned cloud once per
-``fit`` or ``local_optimize`` call for all of that call's weighted refits.
+to ``solve_rows``: ``fit`` and ``local_optimize`` build the rows of the
+conditioned cloud once per call for all of that call's weighted refits, and
+``fit`` gathers each chunk's sample rows from them for its screen and solve.
 """
 
 from __future__ import annotations

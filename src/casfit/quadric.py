@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg  # the gufuncs behind np.linalg.eigh and det
+from numpy.linalg import _umath_linalg  # the gufuncs behind np.linalg.eigh, det and solve
 
 from .errors import DegenerateQuadric, NotAnEllipsoid, ParseError
 
@@ -186,6 +186,12 @@ def _nonconvergence(err, flag):
 def _eigh(a: np.ndarray) -> tuple:
     """np.linalg.eigh with its bits and error, without checks that cost more than a 3x3 solve."""
     return _umath_linalg.eigh_lo(a, signature="d->dd")
+
+
+@np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve's bits on (k, m, m), (k, m) stacks, but a singular block's row is NaN."""
+    return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
 # Verdicts of check_ellipsoids, one per coefficient row.

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParseError, require_integers, require_reals
+from .errors import ParseError, read_text, require_integers, require_reals, require_seed
 from .leastsq import MIN_POINTS
 from .quadric import EllipsoidGeometry, EllipsoidModel, as_points
 
@@ -85,7 +85,8 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        require_integers(self, "point_count", "instance_count", "seed")
+        require_integers(self, "point_count", "instance_count")
+        require_seed(self)
         require_reals(self, "sigma_rel", "outlier_fraction")
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"kind must be one of {DATASET_KINDS}, got {self.kind!r}")
@@ -180,8 +181,7 @@ def load_points(path) -> np.ndarray:
     any other file, and any file it does not read as exactly 3 values per
     line, goes through the line reader, which alone builds error messages.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        text = fh.read()
+    text = read_text(path).removeprefix("\ufeff")
     arr = _read_plain(path, text)
     if arr is None:
         arr = _read_lines(path, text)

@@ -180,6 +180,9 @@ class TestGridConstruction:
                 ({}, {}, {"runs_per_instance": 2.5}),
                 ({}, {}, {"runs_per_instance": 0}),
                 ({}, {}, {"seed": 1.0}),
+                # numpy's seeding refused a negative seed only once its cells ran
+                ({}, {"seed": -4}, {}),
+                ({}, {}, {"seed": -1}),
                 # a JSON boolean is no real number: true would run, and be reported, as 1
                 ({}, {"sigma_rel": True}, {}),
                 ({}, {"outlier_fraction": False}, {}),
@@ -196,6 +199,16 @@ class TestGridConstruction:
                    "datasets": [{"kind": "gaussian", **dataset}], **top}
             with pytest.raises(ParseError):
                 grid_from_json(doc)
+
+    def test_files_that_are_not_utf8_name_the_path_and_byte(self, tmp_path):
+        good = {"variants": [{"name": "caf\u00e9"}], "datasets": [{"kind": "gaussian"}]}
+        path = tmp_path / "grid.json"
+        path.write_bytes(json.dumps(good, ensure_ascii=False).encode("latin-1"))
+        offset = path.read_bytes().index(b"\xe9")
+        with pytest.raises(ParseError, match=f"grid.json: byte {offset}: not UTF-8"):
+            load_grid(path)
+        path.write_bytes(json.dumps(good, ensure_ascii=False).encode("utf-8"))
+        assert load_grid(path).variants[0].name == "caf\u00e9"
 
     def test_load_grid_errors(self, tmp_path):
         path = tmp_path / "grid.json"
@@ -310,6 +323,16 @@ class TestRunGrid:
         with pytest.raises(IsADirectoryError):
             run_grid(tiny_grid(), out_path=tmp_path)
         assert calls == [] and not (tmp_path / "missing").exists()
+
+    def test_read_report_names_a_byte_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "report.csv"
+        variants = (GridVariant(name="caf\u00e9", min_iterations=25, max_iterations=150),)
+        run_grid(tiny_grid(variants, runs=1), out_path=path)
+        text = path.read_bytes()
+        assert read_report(path)[0][0]["variant"] == "caf\u00e9"
+        path.write_bytes(text.decode("utf-8").encode("latin-1"))
+        with pytest.raises(ParseError, match=f"report.csv: byte {text.index(b'caf') + 3}: "):
+            read_report(path)
 
     def test_read_report_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "other.csv"

@@ -61,6 +61,13 @@ class TestFitCommand:
         # deliberately no timing field: the document is run-to-run stable
         assert "wall_ms" not in doc and "wall_time" not in doc
 
+    def test_negative_seed_fails_before_the_file_is_read(self, points_file, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "load_points", lambda path: calls.append(path))
+        assert run_cli(["fit", str(points_file[0]), "--epsilon", "0.1", "--seed", "-2"]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert calls == []
+
     def test_unwritable_out_fails_before_the_fit(self, points_file, tmp_path, monkeypatch, capsys):
         path, _ = points_file
         calls = []
@@ -221,6 +228,12 @@ class TestSynthCommand:
             assert sidecar["spec"] == {"kind": "outlier", "point_count": 40, "sigma_rel": 0.1,
                                        "outlier_fraction": 0.25, "instance_count": 2,
                                        "seed": 11, "instance": i}
+
+    def test_negative_seed_fails_and_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run_cli(["synth", "--kind", "gaussian", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("sigma_rel", ["nan", "inf"])
     def test_non_finite_noise_fails(self, tmp_path, sigma_rel):
@@ -608,6 +621,20 @@ class TestExitCodes:
             model.write_text(text)
             assert run_cli(["distances", str(ok), str(model)]) == 2
         assert "casfit: error: model" in capsys.readouterr().err
+
+    def test_unreadable_documents_are_named(self, points_file, tmp_path, capsys):
+        # each error names the file, and for bytes that are not UTF-8 the first one's offset
+        model = tmp_path / "model.json"
+        for data, message in ((b"", "Expecting value"), (b"{oops", "Expecting property name"),
+                              (b'{"q": "caf\xe9"}', "byte 10: not UTF-8")):
+            model.write_bytes(data)
+            assert run_cli(["distances", str(points_file[0]), str(model)]) == 2
+            assert f"casfit: error: {model}: {message}" in capsys.readouterr().err
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes(b"x,y,z\n\xe9,1,1\n")
+        for argv in (["fit", str(latin), "--epsilon", "0.1"], ["distances", str(latin), str(model)]):
+            assert run_cli(argv) == 2
+            assert f"casfit: error: {latin}: byte 6: not UTF-8" in capsys.readouterr().err
 
 
 class TestEntryPoints:

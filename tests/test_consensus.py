@@ -539,6 +539,13 @@ def cloud(fraction, seed, count=500, sigma_rel=0.25):
     return make_instance(spec, rng)
 
 
+def with_repeats(points, share, seed):
+    """``points`` followed by a second copy of ``share`` of them, drawn without replacement."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([points, points[rng.choice(len(points), int(share * len(points)),
+                                                     replace=False)]])
+
+
 def fit_both(points, cfg):
     """Run the chunked fit and the sequential reference; assert they agree."""
     calls, ref_calls = [], []
@@ -578,6 +585,42 @@ class TestChunkedEquivalence:
         inst = cloud(0.5, seed=73)
         fit_both(inst.points, FitConfig(epsilon=1.5 * inst.sigma, seed=5, local_opt=local_opt,
                                         score_metric=MetricKind.parse(metric)))
+
+    @pytest.mark.parametrize("local_opt", [True, False])
+    def test_repeated_points(self, local_opt):
+        # a sample that holds a point twice has an exactly singular 9x9 block
+        inst = cloud(0.5, seed=57)
+        points = with_repeats(inst.points, 0.05, seed=57)
+        for seed in (0, 1):
+            fit_both(points, FitConfig(epsilon=1.5 * inst.sigma, seed=seed,
+                                       local_opt=local_opt))
+
+    def test_repeated_points_solve_only_the_rows_screened_one_by_one(self, monkeypatch):
+        # a chunk with a singular block sends the exact solve only the rows that
+        # the screen keeps when it sees each row alone
+        inst = cloud(0.5, seed=58)
+        points = with_repeats(inst.points, 0.05, seed=58)
+        screen, solve = consensus._screen, consensus.solve_rows
+        alone, solved, singular = [], [], 0
+
+        def screen_spy(rows):
+            nonlocal singular
+            alone.append(sum(screen(rows[i:i + 1])[0] for i in range(len(rows))))
+            try:
+                np.linalg.solve(rows[:, :, :9], np.ones((len(rows), 9, 1)))
+            except np.linalg.LinAlgError:
+                singular += 1
+            return screen(rows)
+
+        def solve_spy(rows, *weights):
+            if not weights:  # a chunk's minimal samples, not a refit
+                solved.append(len(rows))
+            return solve(rows, *weights)
+
+        monkeypatch.setattr(consensus, "_screen", screen_spy)
+        monkeypatch.setattr(consensus, "solve_rows", solve_spy)
+        fit(points, FitConfig(epsilon=1.5 * inst.sigma, seed=3))
+        assert solved == alone and singular >= 2
 
     def test_cap_not_a_multiple_of_chunk(self):
         inst = cloud(0.5, seed=7)
@@ -769,23 +812,33 @@ class TestScreen:
         assert consensus._screen(sample_rows(condition(inst.points)[0], 512)).mean() < 0.5
 
     def test_singular_blocks_take_the_exact_path(self):
+        # nine lattice points often make an exactly singular 9x9 block: np.linalg.solve
+        # fails the whole chunk, and the screen keeps those rows and screens the others
         points = lattice()
         rows = sample_rows(condition(points)[0], CHUNK)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(rows[:, :, :9], np.ones((CHUNK, 9, 1)))
-        assert consensus._screen(rows).all()
+        singular = np.zeros(CHUNK, dtype=bool)
+        for i, block in enumerate(rows[:, :, :9]):
+            try:
+                np.linalg.solve(block, np.ones(9))
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        keep = consensus._screen(rows)
+        assert keep[singular].all() and (keep & ~singular).any() and singular.sum() < 15
+        assert keep.sum() == 15
         self.same_candidates(points)
 
     def test_rows_that_overflow_are_kept(self, monkeypatch):
         rows = sample_rows(condition(cloud(0.5, seed=61).points)[0], CHUNK)
-        solve = np.linalg.solve
+        solve = consensus._solve
 
         def overflowing(a, b):
             x = solve(a, b)
             x[::2, 0] = np.inf
             return x
 
-        monkeypatch.setattr(np.linalg, "solve", overflowing)
+        monkeypatch.setattr(consensus, "_solve", overflowing)
         keep = consensus._screen(rows)
         assert keep[::2].all() and not keep[1::2].all()
 
@@ -853,12 +906,6 @@ class TestScreen:
                 assert not (check_ellipsoids(coeffs[kept])[0] == UNBOUNDED).any()
                 total, definite = total + len(rows), definite + kept.sum()
         assert total >= 100_000 and 0 < definite < total
-
-    @pytest.mark.parametrize("shape", [(CHUNK, 9, 3), (CHUNK, 10, 10), (9, 10)])
-    def test_rows_of_another_shape_are_refused(self, shape):
-        # a stack of points instead of design rows must not switch the screen off
-        with pytest.raises(ValueError, match="design rows"):
-            consensus._screen(np.random.default_rng(3).normal(size=shape))
 
 
 class TestDegenerateInput:
@@ -1019,6 +1066,10 @@ class TestFitConfig:
             with pytest.raises(ValueError, match=field):
                 FitConfig(epsilon=1.0, **{field: True})
         assert FitConfig(epsilon=1.0, seed=np.uint32(7)).seed == 7
+        # numpy's seeding refused a negative seed with an untyped error once the fit began
+        for bad in (-1, np.int64(-2**40)):
+            with pytest.raises(ValueError, match="seed must be non-negative"):
+                FitConfig(epsilon=1.0, seed=bad)
         with pytest.raises(ValueError):
             FitConfig(epsilon=1.0, min_iterations=0)
         with pytest.raises(ValueError):

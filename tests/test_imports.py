@@ -1,5 +1,6 @@
 """No module of the package imports a name it never uses, only quadric builds models and calls
-numpy's private linalg gufuncs, and every name the package exports has a user outside it."""
+numpy's private linalg gufuncs, no module catches LinAlgError, and every name the package
+exports has a user outside it."""
 
 import ast
 import re
@@ -25,8 +26,8 @@ ALLOWED = {
 # The check and the field builder behind quadric._ellipsoids, the one builder of checked models.
 BUILDERS = {"check_ellipsoids", "_checked"}
 
-# numpy's private module behind np.linalg.eigh and det, which quadric._eigh and check_ellipsoids
-# call: one module to follow if numpy moves or changes it.
+# numpy's private module behind np.linalg.eigh, det and solve, which quadric._eigh, _solve and
+# check_ellipsoids call: one module to follow if numpy moves or changes it.
 PRIVATE_LINALG = {"_umath_linalg"}
 
 
@@ -93,6 +94,29 @@ def test_the_check_sees_every_private_linalg_use():
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "quadric"))
 def test_only_quadric_calls_private_linalg(module):
     assert name_uses((SRC / f"{module}.py").read_text(encoding="utf-8"), PRIVATE_LINALG) == []
+
+
+def linalg_catches(source: str) -> list:
+    """The lines of ``source`` with an ``except`` clause that names LinAlgError."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ExceptHandler) and node.type is not None
+                  and any("LinAlgError" in (getattr(name, "id", None), getattr(name, "attr", None))
+                          for name in ast.walk(node.type)))
+
+
+def test_the_check_sees_every_linalg_catch():
+    source = ("try:\n    x = np.linalg.solve(a, b)\nexcept np.linalg.LinAlgError:\n    x = None\n"
+              "try:\n    pass\nexcept (ValueError, LinAlgError) as exc:\n    pass\n"
+              "try:\n    pass\nexcept ValueError:\n    raise np.linalg.LinAlgError('singular')\n"
+              "def _nonconvergence(err, flag):\n    raise np.linalg.LinAlgError('no')\n")
+    assert linalg_catches(source) == [3, 7]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_module_catches_linalg_errors(module):
+    # one error for a whole stack of LAPACK solves would decide every row of it alike:
+    # stacked calls decide row by row (quadric._solve), and raising the error stays allowed
+    assert linalg_catches((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
 
 
 def unused_exports(exported, texts) -> list:

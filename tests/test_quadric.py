@@ -421,6 +421,36 @@ class TestEigenSolves:
             solve_rows(np.full((1, 9, 10), np.nan))
 
 
+class TestBlockSolves:
+    """``quadric._solve`` calls numpy's solve gufunc without its wrapper: the bits of
+    np.linalg.solve on regular blocks, and a NaN row for each exactly singular one."""
+
+    @pytest.mark.parametrize("count", [0, 1, 64, 512])
+    def test_bits_of_np_linalg_solve(self, count):
+        # the screen's blocks: the first nine design columns of minimal samples
+        rng = np.random.default_rng(count)
+        blocks = design_matrix(rng.normal(size=(9 * count, 3))).reshape(count, 9, 10)[:, :, :9]
+        ones = np.ones((count, 9))
+        want = np.linalg.solve(blocks, ones[:, :, None])[:, :, 0]
+        got = quadric._solve(blocks, ones)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        # a point sampled twice: two equal rows, which LU often finds exactly singular
+        blocks[::4, 1] = blocks[::4, 0]
+        singular = np.zeros(count, dtype=bool)
+        for i, block in enumerate(blocks):
+            try:
+                np.linalg.solve(block, np.ones(9))
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        assert singular.sum() >= count // 16
+        with np.errstate(all="raise"):  # the caller's error state does not matter
+            got = quadric._solve(blocks, ones)
+        assert np.array_equal(np.isnan(got).any(axis=1), singular)
+        assert np.isnan(got[singular]).all()
+        want = np.linalg.solve(blocks[~singular], ones[~singular, :, None])[:, :, 0]
+        assert got[~singular].tobytes() == want.tobytes()
+
+
 class TestGeometry:
     def test_center_formula(self, rng):
         rot = random_rotation(rng)

@@ -143,6 +143,9 @@ class TestMakeInstance:
                 DatasetSpec(kind="gaussian", sigma_rel=bad)
         with pytest.raises(ValueError):
             DatasetSpec(kind="gaussian", instance_count=0)
+        # numpy's seeding would refuse it only when an instance is drawn
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            DatasetSpec(kind="gaussian", seed=-1)
 
     @pytest.mark.parametrize("field", ["sigma_rel", "outlier_fraction"])
     @pytest.mark.parametrize("bad", [True, False, "0.25", None, [0.25]])
@@ -204,6 +207,13 @@ class TestPointFiles:
             path.write_text(body)
             with pytest.raises(ParseError):
                 load_points(path)
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_bytes_that_are_not_utf8_name_the_offset(self, tmp_path, bom):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(bom + b"x,y,z\n1,2,3\n# caf\xe9\n4,5,6\n")  # byte 17 past the mark
+        with pytest.raises(ParseError, match=f"latin.csv: byte {len(bom) + 17}: not UTF-8"):
+            load_points(path)
 
     def test_error_names_offending_line(self, tmp_path):
         path = tmp_path / "bad.csv"
