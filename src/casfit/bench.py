@@ -55,14 +55,12 @@ class ResidualTriple:
 def fitting_errors(estimated: EllipsoidModel, truth: EllipsoidModel) -> ErrorTriple:
     """Coefficient, semiaxis and center discrepancies (all L1 norms).
 
-    Coefficients are compared in their normalized form, semiaxes as
-    descending-sorted triples, so the values do not depend on axis order
-    or on the q / -q ambiguity.
+    Coefficients are compared in their normalized form, semiaxes as the
+    descending triples every ``EllipsoidModel`` holds, so the values do not
+    depend on axis order or on the q / -q ambiguity.
     """
     param = float(np.abs(estimated.coeffs - truth.coeffs).sum())
-    axes_est = np.sort(estimated.semiaxes)[::-1]
-    axes_true = np.sort(truth.semiaxes)[::-1]
-    semiaxis = float(np.abs(axes_est - axes_true).sum())
+    semiaxis = float(np.abs(estimated.semiaxes - truth.semiaxes).sum())
     center = float(np.abs(estimated.center - truth.center).sum())
     return ErrorTriple(param, semiaxis, center)
 

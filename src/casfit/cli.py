@@ -164,11 +164,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_distances(args) -> int:
-    points = load_points(args.points)
     model = EllipsoidModel.from_json_dict(read_json(args.model))
+    points = load_points(args.points)  # after the model is checked: a file can be large
     kinds = [MetricKind(k) for k in METRIC_KINDS]
     # each single kind once, the unit-frame ones from one pass: the blends are made from these
-    singles = {"orthogonal": np.atleast_1d(evaluate_metric(ORTHOGONAL, points, model))}
+    singles = {"orthogonal": evaluate_metric(ORTHOGONAL, points, model)}
     unit = _unit_terms(("algebraic", "sampson", "axial"), as_points(points), [model])
     singles.update((name, vals[0]) for name, vals in unit.items())
 
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CasfitError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (CasfitError, OSError, ValueError) as exc:
         print(f"casfit: error: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
 

@@ -13,15 +13,15 @@ both the scores and the refit weights.  Each model's distances under it are
 evaluated once, stacked for a chunk's candidates (``_scored``) with the bits
 of each alone; score, inlier labels and refit weights come from that array.
 
-``fit`` and ``local_optimize`` each condition their points once
-(``leastsq.condition``) and run in that frame with the threshold divided by
-the same scale; only the returned model is mapped back, its geometry
-exactly.  The refit cascade (``_refine``) runs in the frame it is handed and
-neither conditions nor maps.  Every metric but the algebraic one is
-similarity invariant, so no decision changes beyond rounding, and the solves
-stay well conditioned at any offset.  Minimal samples and refits share one
-solve-and-build path: the stacked ``solve_rows`` and ``quadric._ellipsoids``,
-with failures as None, not raised.
+``fit`` and ``local_optimize`` enter one frame by one path (``_frame``):
+it checks and conditions their points once (``leastsq.condition``), turns
+flat clouds away and divides the threshold by the same scale.  Only the
+returned model is mapped back, its geometry exactly.  The refit cascade
+(``_refine``) runs in the frame it is handed and neither conditions nor
+maps.  Every metric but the algebraic one is similarity invariant, so no
+decision changes beyond rounding, and the solves stay well conditioned at
+any offset.  Minimal samples and refits share one solve-and-build path: the
+stacked ``solve_rows`` and ``quadric._ellipsoids``, with failures as None.
 
 Design rows depend only on the points, and only the solves read them.
 ``fit`` builds the rows of the conditioned cloud once, and ``_candidates``
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -202,35 +202,45 @@ def _lo_schedule(epsilon: float) -> np.ndarray:
     return np.linspace(LO_EPS_START * epsilon, LO_EPS_END * epsilon, LO_STEPS)
 
 
-def _local_config(cfg: FitConfig, scale: float) -> FitConfig:
-    """``cfg`` in the frame of points conditioned with ``scale``; raises NotAnEllipsoid where
-    its threshold, or a kernel width of the cascade, is not a positive finite double there."""
-    epsilon = cfg.epsilon / scale
-    if not (LO_EPS_END * epsilon > 0.0 and LO_EPS_START * epsilon < math.inf):
-        raise NotAnEllipsoid(f"epsilon {cfg.epsilon:.3g} at scale {scale:.3g} leaves the doubles")
-    return replace(cfg, epsilon=epsilon)
+def _frame(points, epsilon: float) -> tuple:
+    """(pts, local, center, scale, epsilon): ``points`` as an (n, 3) array, ``condition``-ed,
+    with ``epsilon`` in their frame.  Raises TooFewPoints below MIN_POINTS points, NoModelFound
+    on flat ones (``FLAT_TOL``) and NotAnEllipsoid where their spread or mean lies above
+    ``SQUARE_RANGE`` or the cascade's kernel widths are not positive finite doubles there."""
+    pts = as_points(points)
+    if len(pts) < MIN_POINTS:
+        raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
+    local, center, scale = condition(pts)
+    require_carried(max(scale, SQUARE_RANGE[0]), max(scale, *np.abs(center)))  # upper end
+    spread = np.linalg.eigvalsh(local.T @ local)
+    if spread[0] <= FLAT_TOL * spread[-1]:
+        raise NoModelFound("points are coplanar, collinear or identical")
+    local_epsilon = epsilon / scale
+    if not (LO_EPS_END * local_epsilon > 0.0 and LO_EPS_START * local_epsilon < math.inf):
+        raise NotAnEllipsoid(f"epsilon {epsilon:.3g} at scale {scale:.3g} leaves the doubles")
+    return pts, local, center, scale, local_epsilon
 
 
-def _refine(pts: np.ndarray, rows: np.ndarray, cfg: FitConfig, d: np.ndarray) -> Optional[tuple]:
+def _refine(kind: MetricKind, pts: np.ndarray, rows: np.ndarray, epsilon: float, d):
     """Refit cascade from the distances ``d`` in the frame of ``pts``; None when nothing validates.
 
-    ``rows`` is ``design_matrix(pts)[None]``.  Each step weights the points by
-    the current model's score-metric distances, ``d`` at the start, with a
-    shrinking kernel width and refits them through ``solve_rows``; the refit
-    becomes the current model when it is an ellipsoid, and the step is
-    skipped when it is not or fewer than MIN_POINTS weights exceed
-    SUPPORT_TOL.  Returns (model, score, distances) of the best step.
+    ``rows`` is ``design_matrix(pts)[None]``, ``epsilon`` the threshold there.
+    Each step weights the points by the current model's ``kind`` distances,
+    ``d`` at the start, with a shrinking kernel width and refits them through
+    ``solve_rows``; the refit becomes the current model when it is an
+    ellipsoid, and the step is skipped when it is not or fewer than MIN_POINTS
+    weights exceed SUPPORT_TOL.  Returns (model, score, distances) of the best.
     """
     best, best_score = None, -math.inf
-    for eps_lo in _lo_schedule(cfg.epsilon):
+    for eps_lo in _lo_schedule(epsilon):
         w = point_energy(d, eps_lo)
         if np.count_nonzero(w > SUPPORT_TOL) < MIN_POINTS:
             continue
         (refit,) = _ellipsoids(*solve_rows(rows, w[None]))[1]
         if refit is None:
             continue
-        d = evaluate_metric(cfg.score_metric, pts, refit)
-        score = float(point_energy(d, cfg.epsilon).sum())
+        d = evaluate_metric(kind, pts, refit)
+        score = float(point_energy(d, epsilon).sum())
         if score > best_score:
             best, best_score = (refit, score, d), score
     return best
@@ -239,22 +249,19 @@ def _refine(pts: np.ndarray, rows: np.ndarray, cfg: FitConfig, d: np.ndarray) ->
 def local_optimize(model: EllipsoidModel, points, cfg: FitConfig) -> Optional[tuple]:
     """Weighted-refit cascade around ``model``; None when nothing validates.
 
-    The points are conditioned once, ``model`` is mapped into their frame
-    and the cascade (``_refine``) runs there on design rows built once.
-    Returns (model, score, distances under the score metric) of its
-    best-scoring step, with the model mapped back exactly and its distances
-    and score evaluated on ``points``.  Identical points give None; it raises
-    NotAnEllipsoid up front as ``fit`` does.
+    The points enter ``fit``'s frame with its checks (``_frame``), ``model``
+    is mapped into it and the cascade (``_refine``) runs there on design rows
+    built once.  Returns (model, score, distances under the score metric) of
+    its best-scoring step, with the model mapped back exactly and its
+    distances and score evaluated on ``points``.  Flat points, which ``fit``
+    turns away with NoModelFound, give None before any refit.
     """
-    pts = as_points(points)
-    if len(pts) < MIN_POINTS:
-        raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
-    local, center, scale = condition(pts)
-    if scale == 0.0:
+    try:
+        pts, local, center, scale, epsilon = _frame(points, cfg.epsilon)
+    except NoModelFound:
         return None
-    require_carried(max(scale, SQUARE_RANGE[0]), max(scale, *np.abs(center)))  # upper end
     start = _to_scene(model, -center / scale, 1.0 / scale)
-    best = _refine(local, design_matrix(local)[None], _local_config(cfg, scale),
+    best = _refine(cfg.score_metric, local, design_matrix(local)[None], epsilon,
                    evaluate_metric(cfg.score_metric, local, start))
     if best is None:
         return None
@@ -365,13 +372,13 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
 
     Runs adaptive sample consensus with the configured score metric and,
     when ``cfg.local_opt`` is set, a weighted-refit cascade each time the
-    sample-consensus best improves.  Raises NoModelFound at once when the
-    points are coplanar, collinear or identical, and when no candidate
-    validates within the iteration budget; TooFewPoints when fewer than
-    ``MIN_POINTS`` (9) points are supplied; NotAnEllipsoid up front when the
-    points' spread or mean lies above ``quadric.SQUARE_RANGE`` or epsilon over
-    their scale leaves the doubles (``_local_config``), and when the fitted
-    ellipsoid's magnitudes leave it (``_to_scene``).
+    sample-consensus best improves.  Raises up front what ``_frame`` raises:
+    TooFewPoints below ``MIN_POINTS`` (9) points, NotAnEllipsoid when their
+    spread or mean lies above ``quadric.SQUARE_RANGE`` or epsilon over their
+    scale leaves the doubles, NoModelFound when they are coplanar, collinear
+    or identical.  Raises NoModelFound when no candidate validates within the
+    budget, and NotAnEllipsoid when the fitted ellipsoid's magnitudes leave
+    the range (``_to_scene``).
 
     The loop runs on the conditioned cloud.  It draws and solves chunks of
     minimal samples (see MAX_CHUNK), then replays them one iteration at a
@@ -380,17 +387,9 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     The optional ``progress`` hook receives (iteration, best_score,
     required_iterations) after every iteration.
     """
-    pts = as_points(points)
-    if len(pts) < MIN_POINTS:
-        raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
     start = time.perf_counter()
-    local, center, scale = condition(pts)
-    require_carried(max(scale, SQUARE_RANGE[0]), max(scale, *np.abs(center)))  # upper end
-    spread = np.linalg.eigvalsh(local.T @ local)
-    if spread[0] <= FLAT_TOL * spread[-1]:
-        raise NoModelFound("points are coplanar, collinear or identical")
+    _, local, center, scale, epsilon = _frame(points, cfg.epsilon)
     rows = design_matrix(local)[None]
-    local_cfg = _local_config(cfg, scale)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
 
     best_model: Optional[EllipsoidModel] = None
@@ -404,7 +403,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     while iteration < required:
         chunk = min(max(iteration, CHUNK), MAX_CHUNK, required - iteration)
         candidates = _candidates(rows[0], chunk, rng)
-        scored = _scored(cfg.score_metric, local, candidates, local_cfg.epsilon)
+        scored = _scored(cfg.score_metric, local, candidates, epsilon)
         for candidate in candidates:
             iteration += 1
             improved = False
@@ -417,12 +416,12 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
                         improved = True
                     if cfg.local_opt:
                         lo_invocations += 1
-                        refined = _refine(local, rows, local_cfg, d)
+                        refined = _refine(cfg.score_metric, local, rows, epsilon, d)
                         if refined is not None and refined[1] > best_score:
                             best_model, best_score, best_d = refined
                             improved = True
             if improved:
-                best_labels = best_d < local_cfg.epsilon
+                best_labels = best_d < epsilon
                 required = required_iterations(float(best_labels.mean()), MU, MIN_POINTS,
                                                cfg.min_iterations, cfg.max_iterations)
             if progress is not None:

@@ -7,11 +7,18 @@ cloud once with ``condition``, divides epsilon by the same scale, solves
 each sample on its own with a one-row ``solve_rows`` and
 ``quadric._ellipsoids``, and maps only the returned model back with
 ``_to_scene``.  It draws each sample with its own ``sample_minimal`` call,
-scores each candidate with ``model_score`` and classifies the returned
-model once more at the end.  Its refit cascade is the one
-``casfit.local_optimize`` ran before each model's distances were evaluated
-only once: every step recomputes its weights with ``gaussian_weights``, and
-every model is scored again by ``model_score``.
+scores each candidate with ``score_of`` and classifies the returned model
+once more at the end.  Its refit cascade is the one ``casfit.local_optimize``
+ran before each model's distances were evaluated only once: every step
+recomputes its weights with ``weights_of``, and every model is scored again
+by ``score_of``.
+
+``score_of``, ``inliers_of`` and ``weights_of`` are one-line forms of the bodies of
+``casfit.model_score``, ``classify`` and ``gaussian_weights``: the metric's
+distances (``evaluate_metric``), then the sum of their ``point_energy``, a
+test against epsilon, or ``point_energy`` itself.  They give those helpers'
+bits, so the oracle stays bitwise equal to ``fit``, and it keeps its own
+definition of scores, labels and weights if the package drops the helpers.
 """
 
 from __future__ import annotations
@@ -22,13 +29,25 @@ from typing import Optional
 
 import numpy as np
 
-from casfit import (DegenerateQuadric, EllipsoidModel, FitConfig,
-                    FitReport, InsufficientSupport, NoModelFound, NotAnEllipsoid,
-                    RankDeficient, TooFewPoints, classify, gaussian_weights,
-                    model_score, required_iterations, sample_minimal, wls_fit)
+from casfit import (DegenerateQuadric, EllipsoidModel, FitConfig, FitReport,
+                    InsufficientSupport, NoModelFound, NotAnEllipsoid, RankDeficient,
+                    TooFewPoints, evaluate_metric, point_energy, required_iterations,
+                    sample_minimal, wls_fit)
 from casfit.consensus import MU, _lo_schedule, _to_scene
 from casfit.leastsq import MIN_POINTS, condition, solve_rows
 from casfit.quadric import _ellipsoids, as_points, design_matrix
+
+
+def score_of(model, pts, eps, metric) -> float:
+    return float(np.sum(point_energy(evaluate_metric(metric, pts, model), eps)))
+
+
+def inliers_of(pts, model, eps, metric) -> np.ndarray:
+    return evaluate_metric(metric, pts, model) < eps
+
+
+def weights_of(pts, model, eps_lo, metric) -> np.ndarray:
+    return point_energy(evaluate_metric(metric, pts, model), eps_lo)
 
 
 def reference_local_optimize(model, points, cfg: FitConfig) -> Optional[EllipsoidModel]:
@@ -38,13 +57,13 @@ def reference_local_optimize(model, points, cfg: FitConfig) -> Optional[Ellipsoi
     best: Optional[EllipsoidModel] = None
     best_score = -math.inf
     for eps_lo in _lo_schedule(cfg.epsilon):
-        w = gaussian_weights(pts, current, eps_lo, score_metric)
+        w = weights_of(pts, current, eps_lo, score_metric)
         try:
             q = wls_fit(pts, w)
             candidate = EllipsoidModel.from_coeffs(q)
         except (RankDeficient, InsufficientSupport, NotAnEllipsoid, DegenerateQuadric):
             continue
-        score = model_score(candidate, pts, cfg.epsilon, score_metric)
+        score = score_of(candidate, pts, cfg.epsilon, score_metric)
         if score > best_score:
             best, best_score = candidate, score
         current = candidate
@@ -81,7 +100,7 @@ def reference_fit(points, cfg: FitConfig, progress=None) -> FitReport:
             if progress is not None:
                 progress(iteration, best_score, required)
             continue
-        score = model_score(candidate, local, eps, score_metric)
+        score = score_of(candidate, local, eps, score_metric)
 
         improved = False
         if score > best_sample_score:
@@ -93,12 +112,12 @@ def reference_fit(points, cfg: FitConfig, progress=None) -> FitReport:
                 lo_invocations += 1
                 refined = reference_local_optimize(candidate, local, local_cfg)
                 if refined is not None:
-                    refined_score = model_score(refined, local, eps, score_metric)
+                    refined_score = score_of(refined, local, eps, score_metric)
                     if refined_score > best_score:
                         best_model, best_score = refined, refined_score
                         improved = True
         if improved:
-            ratio = float(classify(local, best_model, eps, score_metric).mean())
+            ratio = float(inliers_of(local, best_model, eps, score_metric).mean())
             required = required_iterations(ratio, MU, n,
                                            cfg.min_iterations, cfg.max_iterations)
         if progress is not None:
@@ -106,7 +125,7 @@ def reference_fit(points, cfg: FitConfig, progress=None) -> FitReport:
 
     if best_model is None:
         raise NoModelFound(f"no valid ellipsoid in {iteration} iterations")
-    labels = classify(local, best_model, eps, score_metric)
+    labels = inliers_of(local, best_model, eps, score_metric)
     return FitReport(
         model=_to_scene(best_model, center, scale),
         score=best_score,

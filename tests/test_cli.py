@@ -540,6 +540,18 @@ class TestDistancesCommand:
         assert run_cli(["distances", str(path), str(model_path)]) == 0
         assert capsys.readouterr().out == want
 
+    def test_bad_model_fails_before_the_file_is_read(self, points_file, tmp_path, monkeypatch,
+                                                     capsys):
+        # the model document is read and built first: a points file can be large
+        calls = []
+        monkeypatch.setattr(cli, "load_points", lambda path: calls.append(path))
+        missing, malformed = tmp_path / "missing.json", tmp_path / "model.json"
+        malformed.write_text('{"q": [1, 2]}')
+        for model, message in ((missing, "No such file"), (malformed, "bad model field 'q'")):
+            assert run_cli(["distances", str(points_file[0]), str(model)]) == 2
+            assert message in capsys.readouterr().err
+        assert calls == []
+
 
 class TestExitCodes:
     def test_usage_errors_exit_1(self, capsys):
@@ -632,6 +644,7 @@ class TestExitCodes:
             assert f"casfit: error: {model}: {message}" in capsys.readouterr().err
         latin = tmp_path / "latin.csv"
         latin.write_bytes(b"x,y,z\n\xe9,1,1\n")
+        model.write_text('{"q": [1, 1, 1, 0, 0, 0, 0, 0, 0, 1]}')  # read before the points
         for argv in (["fit", str(latin), "--epsilon", "0.1"], ["distances", str(latin), str(model)]):
             assert run_cli(argv) == 2
             assert f"casfit: error: {latin}: byte 6: not UTF-8" in capsys.readouterr().err

@@ -258,9 +258,9 @@ class TestLocalOptimize:
         local, center, scale = condition(inst.points)
         rows = design_matrix(local)[None]
         scene_cfg = FitConfig(epsilon=1.5 * inst.sigma)
-        cfg = dataclasses.replace(scene_cfg, epsilon=scene_cfg.epsilon / scale)
+        epsilon = scene_cfg.epsilon / scale
         start = consensus._to_scene(inst.truth, -center / scale, 1.0 / scale)
-        score_metric = cfg.score_metric
+        score_metric = scene_cfg.score_metric
         start_d = evaluate_metric(score_metric, local, start)
         kinds = []
         valid = []
@@ -279,7 +279,7 @@ class TestLocalOptimize:
         monkeypatch.setattr(consensus, "_ellipsoids", models)
         for name in ("gaussian_weights", "model_score", "classify"):
             monkeypatch.setattr(consensus, name, None)
-        model, _, _ = consensus._refine(local, rows, cfg, start_d)
+        model, _, _ = consensus._refine(score_metric, local, rows, epsilon, start_d)
         assert len(valid) == consensus.LO_STEPS
         assert kinds == [score_metric] * len(valid)
         kinds.clear()
@@ -478,13 +478,13 @@ class TestFit:
             blocks.append((d, models))
             return d
 
-        def spy(points, rows, local_cfg, d):
+        def spy(kind, points, rows, epsilon, d):
             owners = [model for block, models in blocks
                       for row, model in zip(block, models)
                       if row.ctypes.data == d.ctypes.data and np.shares_memory(row, d)]
             passed.append(len(owners) == 1 and d.tobytes()
                           == np.asarray(evaluate_metric(metric, points, owners[0])).tobytes())
-            return refine(points, rows, local_cfg, d)
+            return refine(kind, points, rows, epsilon, d)
 
         monkeypatch.setattr(consensus, "_evaluate", stacked)
         monkeypatch.setattr(consensus, "_refine", spy)
@@ -908,23 +908,26 @@ class TestScreen:
         assert total >= 100_000 and 0 < definite < total
 
 
+def flat(shape, rng, count=500):
+    """A planar, collinear or identical cloud of ``count`` points around the origin."""
+    if shape == "collinear":
+        return np.outer(rng.uniform(-5, 5, count), [1.0, 2.0, 3.0])
+    pts = np.zeros((count, 3))
+    if shape == "planar":
+        pts[:, :2] = rng.uniform(-5, 5, size=(count, 2))
+        pts = pts @ random_rotation(rng).T
+    return pts
+
+
 class TestDegenerateInput:
     """Clouds that cannot carry an ellipsoid fail before any sample is drawn."""
 
     @pytest.mark.parametrize("shape", ["planar", "collinear", "identical"])
     def test_fails_fast_at_the_default_budget(self, rng, shape):
         offset = np.array([3.0, -2.0, 1e4])
-        if shape == "planar":
-            pts = np.zeros((500, 3))
-            pts[:, :2] = rng.uniform(-5, 5, size=(500, 2))
-            pts = pts @ random_rotation(rng).T
-        elif shape == "collinear":
-            pts = np.outer(rng.uniform(-5, 5, 500), [1.0, 2.0, 3.0])
-        else:
-            pts = np.zeros((500, 3))
         # the message comes from the up-front check, not the exhausted budget
         with pytest.raises(NoModelFound, match="coplanar, collinear or identical"):
-            fit(pts + offset, FitConfig(epsilon=0.1))
+            fit(flat(shape, rng) + offset, FitConfig(epsilon=0.1))
 
     def test_just_thicker_than_the_threshold_runs_the_loop(self, rng):
         pts = np.zeros((500, 3))
@@ -935,6 +938,49 @@ class TestDegenerateInput:
         assert FLAT_TOL < spread[0] / spread[-1] < 10 * FLAT_TOL
         with pytest.raises(NoModelFound, match="no valid ellipsoid in 64 iterations"):
             fit(pts, FitConfig(epsilon=0.1, max_iterations=64))
+
+
+class TestOneFrame:
+    """``fit`` and ``local_optimize`` enter the conditioned frame by one checked path
+    (``consensus._frame``): the same points and threshold give the same typed outcome, and
+    the flat clouds ``fit`` turns away give ``local_optimize`` None before any refit."""
+
+    @pytest.mark.parametrize("case, error", [
+        ("eight points", TooFewPoints), ("mean past 2^500", NotAnEllipsoid),
+        ("threshold past the doubles", NotAnEllipsoid), ("planar", NoModelFound),
+        ("collinear", NoModelFound), ("identical", NoModelFound)])
+    def test_fit_and_local_optimize_agree(self, rng, case, error):
+        points, epsilon = sample_surface(unit_sphere(), 60, rng), 0.1
+        if case == "eight points":
+            points = points[:8]
+        elif case == "mean past 2^500":
+            points = 2.0**480 * points + 2.0**501
+        elif case == "threshold past the doubles":
+            points, epsilon = 17.0 * points, 5e-324
+        elif error is NoModelFound:
+            points = flat(case, rng) + np.array([3.0, -2.0, 1e4])
+        cfg = FitConfig(epsilon=epsilon)
+        with pytest.raises(error):
+            fit(points, cfg)
+        if error is NoModelFound:
+            assert local_optimize(unit_sphere(), points, cfg) is None
+        else:
+            with pytest.raises(error):
+                local_optimize(unit_sphere(), points, cfg)
+
+    @pytest.mark.parametrize("shape", ["planar", "collinear"])
+    def test_flat_clouds_are_not_refitted(self, rng, monkeypatch, shape):
+        # the start sphere meets the cloud, so enough points carry weight for every step
+        offset = np.array([3.0, -2.0, 1e4])
+        points, cfg = flat(shape, rng) + offset, FitConfig(epsilon=0.1)
+        with pytest.raises(NoModelFound, match="coplanar, collinear or identical"):
+            fit(points, cfg)
+        calls = []
+        solve_rows = consensus.solve_rows
+        monkeypatch.setattr(consensus, "solve_rows",
+                            lambda *args: calls.append(args) or solve_rows(*args))
+        assert local_optimize(axis_aligned((1.0, 1.0, 1.0), offset), points, cfg) is None
+        assert calls == []
 
 
 class TestInvariance:

@@ -1,6 +1,6 @@
 """No module of the package imports a name it never uses, only quadric builds models and calls
-numpy's private linalg gufuncs, no module catches LinAlgError, and every name the package
-exports has a user outside it."""
+numpy's private linalg gufuncs, no module catches LinAlgError, only two functions condition a
+cloud, and every name the package exports has a user outside it."""
 
 import ast
 import re
@@ -117,6 +117,48 @@ def test_no_module_catches_linalg_errors(module):
     # one error for a whole stack of LAPACK solves would decide every row of it alike:
     # stacked calls decide row by row (quadric._solve), and raising the error stays allowed
     assert linalg_catches((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+# The functions that call leastsq.condition: consensus._frame, the one checked way into the
+# conditioned frame for fit and local_optimize, and wls_fit, which raises RankDeficient, not
+# NoModelFound, on a flat cloud and checks the lower end of the range after its solve.
+CONDITIONERS = {("consensus", "_frame"), ("leastsq", "wls_fit")}
+
+
+def callers(source: str, name: str) -> set:
+    """The names of the functions of ``source`` that call ``name``, plainly or as an attribute;
+    the innermost function holding the call counts, and ``<module>`` for a call outside any."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_check_sees_every_condition_call():
+    source = ("from .leastsq import condition\n"
+              "def _frame(points):\n    return condition(points)\n"
+              "def fit(points):\n    def inner(p):\n        return max(leastsq.condition(p))\n"
+              "    return inner\n"
+              "class Fitter:\n    async def run(self, pts):\n        return condition(pts)[0]\n"
+              "def conditioned(points, condition=None):\n    return points.conditioned()\n"
+              "top = condition(cloud)\n")
+    assert callers(source, "condition") == {"_frame", "inner", "run", "<module>"}
+
+
+def test_only_the_frame_and_wls_fit_condition():
+    # a third prologue would check the cloud its own way again
+    assert {(path.stem, owner) for path in SRC.glob("*.py")
+            for owner in callers(path.read_text(encoding="utf-8"), "condition")} == CONDITIONERS
 
 
 def unused_exports(exported, texts) -> list:
