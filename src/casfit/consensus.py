@@ -2,9 +2,9 @@
 
 The engine repeatedly fits a quadric to a minimal point sample, keeps the
 candidate whose Gaussian-kernel score over all points is highest, and runs
-a short weighted-refit cascade whenever the sample-consensus best improves.
-The number of iterations adapts to the inlier ratio of the best model so
-far, with the confidence target ``MU``.
+a weighted-refit cascade, up to its first refit that scores no higher,
+whenever the sample-consensus best improves.  The number of iterations
+adapts to the best model's inlier ratio, with the confidence target ``MU``.
 
 Scoring uses soft per-point energies exp(-d^2 / (2 eps^2)) rather than a
 hard inlier count, so models are rewarded for being close to many points,
@@ -85,7 +85,7 @@ class FitConfig:
     candidates and weights the refits.  Another kind with ``local_opt=False``
     reproduces plain sample consensus under a single distance.  Minimal
     samples always have ``leastsq.MIN_POINTS`` (9) points, the adaptive stop
-    targets ``MU`` and the refit cascade has ``LO_STEPS`` steps.
+    targets ``MU`` and the refit cascade has up to ``LO_STEPS`` steps.
     """
 
     epsilon: float
@@ -212,8 +212,8 @@ def _frame(points, epsilon: float) -> tuple:
         raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
     local, center, scale = condition(pts)
     require_carried(max(scale, SQUARE_RANGE[0]), max(scale, *np.abs(center)))  # upper end
-    spread = np.linalg.eigvalsh(local.T @ local)
-    if spread[0] <= FLAT_TOL * spread[-1]:
+    spread, axes = np.linalg.eigh(local.T @ local)
+    if np.sum((local @ axes[:, 0]) ** 2) <= FLAT_TOL * spread[-1]:
         raise NoModelFound("points are coplanar, collinear or identical")
     local_epsilon = epsilon / scale
     if not (LO_EPS_END * local_epsilon > 0.0 and LO_EPS_START * local_epsilon < math.inf):
@@ -224,12 +224,11 @@ def _frame(points, epsilon: float) -> tuple:
 def _refine(kind: MetricKind, pts: np.ndarray, rows: np.ndarray, epsilon: float, d):
     """Refit cascade from the distances ``d`` in the frame of ``pts``; None when nothing validates.
 
-    ``rows`` is ``design_matrix(pts)[None]``, ``epsilon`` the threshold there.
-    Each step weights the points by the current model's ``kind`` distances,
-    ``d`` at the start, with a shrinking kernel width and refits them through
-    ``solve_rows``; the refit becomes the current model when it is an
-    ellipsoid, and the step is skipped when it is not or fewer than MIN_POINTS
-    weights exceed SUPPORT_TOL.  Returns (model, score, distances) of the best.
+    ``rows`` is ``design_matrix(pts)[None]``, ``epsilon`` the threshold there.  Each step weights
+    the points by the current model's ``kind`` distances (``d`` at first) with a shrinking kernel
+    and refits them (``solve_rows``).  A step is skipped when under MIN_POINTS weights exceed
+    SUPPORT_TOL or its refit is no ellipsoid.  The first refit to score no higher than the best
+    so far ends the cascade.  Returns (model, score, distances) of the best.
     """
     best, best_score = None, -math.inf
     for eps_lo in _lo_schedule(epsilon):
@@ -241,8 +240,9 @@ def _refine(kind: MetricKind, pts: np.ndarray, rows: np.ndarray, epsilon: float,
             continue
         d = evaluate_metric(kind, pts, refit)
         score = float(point_energy(d, epsilon).sum())
-        if score > best_score:
-            best, best_score = (refit, score, d), score
+        if score <= best_score:
+            break
+        best, best_score = (refit, score, d), score
     return best
 
 
@@ -250,11 +250,11 @@ def local_optimize(model: EllipsoidModel, points, cfg: FitConfig) -> Optional[tu
     """Weighted-refit cascade around ``model``; None when nothing validates.
 
     The points enter ``fit``'s frame with its checks (``_frame``), ``model``
-    is mapped into it and the cascade (``_refine``) runs there on design rows
-    built once.  Returns (model, score, distances under the score metric) of
-    its best-scoring step, with the model mapped back exactly and its
-    distances and score evaluated on ``points``.  Flat points, which ``fit``
-    turns away with NoModelFound, give None before any refit.
+    is mapped into it and the cascade (``_refine``, up to its first refit that
+    scores no higher) runs there on design rows built once.  Returns (model,
+    score, distances under the score metric) of its best step, with the model
+    mapped back exactly and its distances and score evaluated on ``points``.
+    Flat points, which ``fit`` turns away with NoModelFound, give None before any refit.
     """
     try:
         pts, local, center, scale, epsilon = _frame(points, cfg.epsilon)

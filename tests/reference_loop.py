@@ -11,7 +11,8 @@ scores each candidate with ``score_of`` and classifies the returned model
 once more at the end.  Its refit cascade is the one ``casfit.local_optimize``
 ran before each model's distances were evaluated only once: every step
 recomputes its weights with ``weights_of``, and every model is scored again
-by ``score_of``.
+by ``score_of``.  A step whose weighted fit fails is skipped, and the first
+refit that scores no higher than the best before it ends the cascade.
 
 ``score_of``, ``inliers_of`` and ``weights_of`` are one-line forms of the bodies of
 ``casfit.model_score``, ``classify`` and ``gaussian_weights``: the metric's
@@ -64,8 +65,9 @@ def reference_local_optimize(model, points, cfg: FitConfig) -> Optional[Ellipsoi
         except (RankDeficient, InsufficientSupport, NotAnEllipsoid, DegenerateQuadric):
             continue
         score = score_of(candidate, pts, cfg.epsilon, score_metric)
-        if score > best_score:
-            best, best_score = candidate, score
+        if score <= best_score:
+            break
+        best, best_score = candidate, score
         current = candidate
     return best
 

@@ -279,13 +279,19 @@ class TestLocalOptimize:
         monkeypatch.setattr(consensus, "_ellipsoids", models)
         for name in ("gaussian_weights", "model_score", "classify"):
             monkeypatch.setattr(consensus, name, None)
+        solved = []
+        solve_rows = consensus.solve_rows
+        monkeypatch.setattr(consensus, "solve_rows",
+                            lambda *args: solved.append(args) or solve_rows(*args))
         model, _, _ = consensus._refine(score_metric, local, rows, epsilon, start_d)
-        assert len(valid) == consensus.LO_STEPS
+        # every step that ran refitted an ellipsoid here, and each was evaluated once
+        assert 1 <= len(valid) == len(solved) <= consensus.LO_STEPS
         assert kinds == [score_metric] * len(valid)
         kinds.clear()
         valid.clear()
+        solved.clear()
         refined, _, _ = local_optimize(inst.truth, inst.points, scene_cfg)
-        assert len(valid) == consensus.LO_STEPS
+        assert 1 <= len(valid) == len(solved) <= consensus.LO_STEPS
         assert kinds == [score_metric] * (len(valid) + 2)
         # it hands the cascade the start model's own distances
         scene = consensus._to_scene(model, center, scale)
@@ -357,6 +363,99 @@ class TestLocalOptimize:
             [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, -500.0, -500.0, -500.0, 250_000.0 * 3 - 1.0])))
         cfg = FitConfig(epsilon=0.05 * inst.sigma, seed=0)
         assert local_optimize(far, inst.points, cfg) is None
+
+
+def conditioned_start(inst, start, multiple=1.5):
+    """(kind, local, rows, epsilon, d): ``_refine``'s arguments for ``start`` on ``inst``, in the
+    frame ``fit`` conditions the cloud into, as ``fit`` hands them to a cascade."""
+    local, center, scale = condition(inst.points)
+    cfg = FitConfig(epsilon=multiple * inst.sigma)
+    start = consensus._to_scene(start, -center / scale, 1.0 / scale)
+    return (cfg.score_metric, local, design_matrix(local)[None], cfg.epsilon / scale,
+            evaluate_metric(cfg.score_metric, local, start))
+
+
+def scaled(model, factor):
+    geom = model.geometry
+    return EllipsoidModel.from_geometry(EllipsoidGeometry(geom.rotation, geom.translation,
+                                                          factor * geom.semiaxes))
+
+
+class TestCascadeStop:
+    """The refit cascade stops at its first refit that scores no higher than the best before
+    it, and a skipped step (too little support, or a refit that is no ellipsoid) does not stop
+    it.  Spies count the refits (``solve_rows``) and the refits that validate."""
+
+    def spy(self, monkeypatch):
+        solved, valid = [], []
+        solve_rows, ellipsoids = consensus.solve_rows, consensus._ellipsoids
+
+        def models(coeffs, ok):
+            verdict, found = ellipsoids(coeffs, ok)
+            valid.extend(model for model in found if model is not None)
+            return verdict, found
+
+        monkeypatch.setattr(consensus, "solve_rows",
+                            lambda *args: solved.append(args) or solve_rows(*args))
+        monkeypatch.setattr(consensus, "_ellipsoids", models)
+        return solved, valid
+
+    def test_a_lower_second_step_ends_the_cascade(self, monkeypatch):
+        # from the truth of this 500-point cloud, step 2 scores 236.4 against step 1's 275.6
+        inst = cloud(0.3, seed=1)
+        args = conditioned_start(inst, inst.truth)
+        solved, valid = self.spy(monkeypatch)
+        best = consensus._refine(*args)
+        assert len(solved) == len(valid) == 2  # 5 without the stop
+        assert best[0] is valid[0]
+        kind, local, _, epsilon, _ = args
+        second = float(point_energy(evaluate_metric(kind, local, valid[1]), epsilon).sum())
+        assert second <= best[1] == float(point_energy(best[2], epsilon).sum())
+        solved.clear()
+        cfg = FitConfig(epsilon=1.5 * inst.sigma)
+        assert local_optimize(inst.truth, inst.points, cfg) is not None
+        assert len(solved) == 2
+
+    def test_rising_scores_run_every_step(self, monkeypatch):
+        # a dense cloud from its truth with semiaxes 1.2x too long: each step scores higher
+        inst = cloud(0.05, seed=85, count=10_000, sigma_rel=0.05)
+        kind, local, rows, epsilon, d = conditioned_start(inst, scaled(inst.truth, 1.2))
+        solved, valid = self.spy(monkeypatch)
+        best = consensus._refine(kind, local, rows, epsilon, d)
+        assert len(solved) == len(valid) == consensus.LO_STEPS
+        scores = [float(point_energy(evaluate_metric(kind, local, model), epsilon).sum())
+                  for model in valid]
+        assert scores == sorted(set(scores))
+        assert best[0] is valid[-1] and best[1] == scores[-1]
+
+    @pytest.mark.parametrize("skip", ["no support", "no ellipsoid"])
+    def test_a_skipped_step_does_not_end_the_cascade(self, monkeypatch, skip):
+        # step 1 is skipped, so the cascade is the one of the narrower four widths from the
+        # same start distances
+        inst = cloud(0.05, seed=85, count=10_000, sigma_rel=0.05)
+        kind, local, rows, epsilon, d = conditioned_start(inst, scaled(inst.truth, 1.2))
+        widths = consensus._lo_schedule(epsilon)
+        monkeypatch.setattr(consensus, "_lo_schedule", lambda eps: widths[1:])
+        want = consensus._refine(kind, local, rows, epsilon, d)
+        monkeypatch.setattr(consensus, "_lo_schedule", lambda eps: widths)
+        if skip == "no support":
+            energy = consensus.point_energy
+            monkeypatch.setattr(consensus, "point_energy", lambda d, eps: (
+                np.zeros_like(d) if eps == widths[0] else energy(d, eps)))
+        else:
+            ellipsoids, skipped = consensus._ellipsoids, []
+
+            def first_is_none(*args):
+                if skipped:
+                    return ellipsoids(*args)
+                skipped.append(args)
+                return None, [None]
+            monkeypatch.setattr(consensus, "_ellipsoids", first_is_none)
+        solved, valid = self.spy(monkeypatch)
+        got = consensus._refine(kind, local, rows, epsilon, d)
+        ran = consensus.LO_STEPS - (skip == "no support")
+        assert len(solved) == ran and len(valid) == consensus.LO_STEPS - 1
+        assert got[0].coeffs.tobytes() == want[0].coeffs.tobytes() and got[1] == want[1]
 
 
 class TestFit:
@@ -928,6 +1027,16 @@ class TestDegenerateInput:
         # the message comes from the up-front check, not the exhausted budget
         with pytest.raises(NoModelFound, match="coplanar, collinear or identical"):
             fit(flat(shape, rng) + offset, FitConfig(epsilon=0.1))
+
+    @pytest.mark.parametrize("shape", ["planar", "collinear"])
+    def test_rotated_flat_clouds_are_caught(self, shape):
+        # an eigenvalue solver resolves the smallest eigenvalue of the scatter matrix only to
+        # ~1e-16 of the largest; the thickness along its axis is resolved to ~1e-31
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            points = flat(shape, rng) @ random_rotation(rng).T
+            with pytest.raises(NoModelFound, match="coplanar, collinear or identical"):
+                fit(points, FitConfig(epsilon=0.1, max_iterations=64))
 
     def test_just_thicker_than_the_threshold_runs_the_loop(self, rng):
         pts = np.zeros((500, 3))
