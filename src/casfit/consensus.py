@@ -20,13 +20,14 @@ returned model is mapped back, its geometry exactly.  The refit cascade
 (``_refine``) runs in the frame it is handed and neither conditions nor
 maps.  Every metric but the algebraic one is similarity invariant, so no
 decision changes beyond rounding, and the solves stay well conditioned at
-any offset.  Minimal samples and refits share one solve-and-build path: the
-stacked ``solve_rows`` and ``quadric._ellipsoids``, with failures as None.
+any offset.  Minimal samples and refits share one builder of checked models,
+``quadric._ellipsoids``, with failures as None; a refit is solved by
+``solve_rows``, and a minimal sample once, by LU (``_candidates``).
 
 Design rows depend only on the points, and only the solves read them.
 ``fit`` builds the rows of the conditioned cloud once, and ``_candidates``
-gathers each chunk's (k, 9, 10) sample rows from them, bit for bit, for the
-screen and the exact solve; ``local_optimize`` builds its rows once per
+gathers each chunk's (k, 9, 10) sample rows from them, bit for bit, for
+its one solve; ``local_optimize`` builds its rows once per
 call.  Nothing built here outlives the call that built it.
 
 Everything is deterministic for a fixed seed: the generator is PCG64 and
@@ -34,10 +35,10 @@ samples are drawn in a fixed order, single threaded.  Samples are drawn,
 solved and validated in chunks, which changes neither the draw order nor
 the iteration at which the loop stops.  One ``sample_minimal`` call draws a
 whole chunk and yields the rows of one call per sample, so the samples do
-not depend on where chunks begin, and chunks grow as the loop runs.  A
-batched 9x9 LU solve and closed-form minors screen each chunk ahead of the
-exact 10x10 eigen-solve; they skip only rows that are no ellipsoid beyond
-rounding, so every candidate still comes from the exact solve.
+not depend on where chunks begin, and chunks grow as the loop runs.  One
+batched 9x9 LU solve with q1 = 1 solves a chunk, each row on its own, and
+closed-form minors drop, ahead of the ellipsoid check, only rows that are
+no ellipsoid beyond rounding.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .errors import (NoModelFound, NotAnEllipsoid, TooFewPoints, require_integer
 from .leastsq import (MIN_POINTS, SUPPORT_TOL, condition, decondition,  # noqa: F401
                       gaussian_weights, lls_fit, point_energy, solve_rows, wls_fit)
 from .quadric import (SQUARE_RANGE, EllipsoidGeometry, EllipsoidModel, _ellipsoids, _solve,
-                      as_points, design_matrix, require_carried)
+                      as_points, design_matrix, normalize_rows, require_carried)
 
 RNG_ALGORITHM = "PCG64"
 
@@ -70,9 +71,12 @@ LO_EPS_START = 1.5
 LO_EPS_END = 0.5
 
 # A cloud whose scatter matrix has a smallest eigenvalue at or below this
-# fraction of its largest (a relative thickness of 1e-10) is coplanar,
-# collinear or a single point.  Every minimal sample drawn from it fails the
-# leastsq.EIGENGAP_TOL test, so no fittable cloud is turned away.
+# fraction of its largest (a relative thickness t of 1e-10) is coplanar,
+# collinear or a single point.  No minimal sample drawn from it gives a
+# candidate, so no fittable cloud is turned away: the out-of-plane terms of a
+# sample's quadric meet its design rows only through offsets of size t and
+# their squares, so where the LU finds that quadric, its block has eigenvalues
+# ~t^2 <= 1e-20 apart, and check_ellipsoids finds it DEGENERATE (1e-12).
 FLAT_TOL = 1e-20
 
 
@@ -296,58 +300,44 @@ _ADJ = np.array([[1, 0, 4, 3], [2, 1, 5, 5], [5, 3, 3, 4], [5, 3, 2, 1]])
 SCREEN_ROUNDING = 16 * 2.0**-53  # above gamma_5, with room for rounding the bound
 
 
-def _screen(rows: np.ndarray) -> np.ndarray:
-    """Mask of the samples whose quadric may be an ellipsoid, from their (k, 9, 10) design rows.
+def _may_be_ellipsoids(q: np.ndarray) -> np.ndarray:
+    """False for the rows of a (k, 10) stack with q1 > 0 that are not finite, or whose
+    quadratic block is not definite beyond rounding.  Definiteness alone decides: a quadric
+    with a definite block is an ellipsoid, a single point or empty, so a minimal sample's
+    quadric, through nine distinct real points, is a real ellipsoid once its block is definite.
 
-    The design's last column is -1, so where the 9x9 block D[:, :9] is
-    regular, q = (x, 1) with D[:, :9] x = 1 spans the row's null space.  One
-    batched LU solve and ``_may_be_ellipsoids`` on the quadratic blocks of
-    those q stand in for the 10x10 eigen-solve.  Each row is decided on its
-    own: an exactly singular block solves to NaN, and its row is kept.
+    Finite blocks are scaled by an exact 2^-e to largest entry in [1/2, 1).  With a11 > 0, a
+    definite block then has a11 a22 - a12^2 and det A positive.  Each is a sum of products
+    with at most 5 roundings on any path, so its error is below SCREEN_ROUNDING times the
+    computed sum over absolute values (gamma_5, Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1), plus the smallest normal double.  A finite row is False only when one
+    of the two is negative beyond that, so no row that is an ellipsoid in exact arithmetic
+    is turned away.
     """
-    x = _solve(rows[:, :, :9], np.ones((len(rows), 9)))
-    return _may_be_ellipsoids(x[:, :6].T.copy())  # contiguous rows: faster than the view
-
-
-def _may_be_ellipsoids(a: np.ndarray) -> np.ndarray:
-    """False for the columns of a (6, k) block stack that are not definite beyond rounding.
-
-    The blocks are in q's (a11, a22, a33, a12, a13, a23) layout.  Definiteness
-    alone decides: a quadric with a definite block is an ellipsoid, a single
-    point or empty, so a minimal sample's quadric, through nine distinct real
-    points, is a real ellipsoid once its block is definite.
-
-    Finite columns are scaled in place by an exact +-2^-e to trace(A) >= 0
-    (a definite diagonal shares one sign, which its rounded sum keeps) and
-    largest entry in [1/2, 1).  A definite block then has a11, a11 a22 -
-    a12^2 and det A positive.  Each is a sum of products with at most 5
-    roundings on any path, so its error is below SCREEN_ROUNDING times the
-    computed sum over absolute values (gamma_5, Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.1), plus the smallest normal double.
-    A column is False only when one of the three is negative beyond that, so
-    no row that is an ellipsoid in exact arithmetic is turned away.
-    """
-    finite = np.isfinite(a).all(axis=0)
-    a[:, ~finite] = 1.0  # and kept
-    a *= np.ldexp(np.copysign(1.0, a[0] + a[1] + a[2]), -np.frexp(np.abs(a).max(axis=0))[1])
+    finite = np.isfinite(q).all(axis=1)
+    a = q[:, :6].T.copy()  # contiguous rows: faster than the view
+    a[:, ~finite] = 1.0  # dropped below; ones keep inf out of the products
+    a = np.ldexp(a, -np.frexp(np.abs(a).max(axis=0))[1])
     left, right = a[_ADJ[0]] * a[_ADJ[1]], a[_ADJ[2]] * a[_ADJ[3]]
     adj, adj_abs = left - right, np.abs(left) + np.abs(right)
     det = np.einsum("ik,ik->k", a[[0, 3, 4]], adj[[0, 2, 3]])  # sum of a_1j adj(A)_1j
     det_abs = np.einsum("ik,ik->k", np.abs(a[[0, 3, 4]]), adj_abs[[0, 2, 3]])
-    value = np.stack([a[0], adj[1], det])
-    bound = np.stack([np.zeros_like(det), adj_abs[1], det_abs])
-    return ~finite | (value >= -(SCREEN_ROUNDING * bound + np.finfo(float).tiny)).all(axis=0)
+    value, bound = np.stack([adj[1], det]), np.stack([adj_abs[1], det_abs])
+    return finite & (value >= -(SCREEN_ROUNDING * bound + np.finfo(float).tiny)).all(axis=0)
 
 
 def _candidates(design: np.ndarray, k: int, rng: np.random.Generator) -> list:
-    """Draw ``k`` minimal samples of conditioned points in order, screen them
-    (``_screen``) and solve the rows it keeps as one stack; returns each
-    sample's ``_ellipsoids`` model, None for a row the screen drops.  The
-    samples' (k, 9, 10) rows are gathered from ``design``, the cloud's (n, 10)
-    ``design_matrix`` rows: bit for bit the rows of the sampled points."""
+    """Draw ``k`` minimal samples of conditioned points in order and solve each once; returns
+    each sample's ``_ellipsoids`` model, None for a row that is no ellipsoid.  Their (k, 9, 10)
+    rows are gathered from ``design``, the cloud's ``design_matrix`` rows, bit for bit.  One
+    batched LU solve of D[:, 1:] y = -D[:, 0] gives each row's quadric q = (1, y): every
+    ellipsoid has q1 = a11 > 0, so a sample whose one quadric is an ellipsoid has a regular
+    block.  Rows left NaN (a singular block) or inf, or not definite, are dropped."""
     rows = design[sample_minimal(len(design), MIN_POINTS, rng, count=k)]
-    keep = _screen(rows)
-    models = iter(_ellipsoids(*solve_rows(rows[keep]))[1])
+    q = np.ones((k, 10))
+    q[:, 1:] = _solve(rows[:, :, 1:], -rows[:, :, 0])
+    keep = _may_be_ellipsoids(q)
+    models = iter(_ellipsoids(normalize_rows(q[keep]))[1])
     return [next(models) if kept else None for kept in keep]
 
 

@@ -15,8 +15,10 @@ once per call.
 
 Callers build the design rows (``quadric.design_matrix``) once and hand them
 to ``solve_rows``: ``fit`` and ``local_optimize`` build the rows of the
-conditioned cloud once per call for all of that call's weighted refits, and
-``fit`` gathers each chunk's sample rows from them for its screen and solve.
+conditioned cloud once per call for all of that call's weighted refits.
+Only the refits and ``wls_fit`` use this eigen-solve: ``fit`` solves each
+minimal sample once, by LU on rows gathered from the same design rows
+(``consensus._candidates``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ MIN_POINTS = 9
 # Weights at or below this are treated as no support at all.
 SUPPORT_TOL = 1e-6
 
-# Relative eigengap below which the smallest eigenvector is not isolated.
+# Relative eigengap below which the smallest eigenvector is not isolated: the rank test of
+# solve_rows, so of refits and wls_fit.  Minimal samples are solved by LU and never meet it.
 EIGENGAP_TOL = 1e-10
 
 

@@ -74,20 +74,19 @@ def normalize_coeffs(q) -> np.ndarray:
     two that takes its largest entry into [1/2, 1), so its squared norm
     neither overflows nor underflows.
     """
-    q = np.asarray(q, dtype=float).reshape(10)
+    q = np.array(q, dtype=float).reshape(10)  # a copy: normalize_rows scales it in place
     if not np.isfinite(q).all():
         raise ValueError("coefficients must be finite")
     if not q.any():
         raise ValueError("coefficient vector is zero")
-    return normalize_rows(np.ldexp(q, -math.frexp(float(np.abs(q).max()))[1])[None])[0]
+    return normalize_rows(q[None])[0]
 
 
 def normalize_rows(q: np.ndarray) -> np.ndarray:
-    """normalize_coeffs for each row of a finite (k, 10) stack.
-
-    Each row's largest entry must lie in SQUARE_RANGE, as in the unit
-    eigenvectors that ``leastsq.solve_rows`` passes.
-    """
+    """normalize_coeffs for each row of a finite (k, 10) stack with no zero row.  Each row of
+    ``q`` is first scaled in place by the power of two that takes its largest entry into
+    [1/2, 1), which keeps its layout and so the rounding of its squared norm."""
+    np.ldexp(q, -np.frexp(np.abs(q).max(axis=1, keepdims=True))[1], out=q)
     # Stacked dot products round like np.linalg.norm of a single 1-D row.
     q = q / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
     return np.negative(q, out=q, where=q[:, :3].sum(axis=1, keepdims=True) < 0.0)

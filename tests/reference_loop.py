@@ -4,8 +4,9 @@ This is the loop ``casfit.fit`` ran before it solved minimal samples in
 chunks and screened them, kept as the reference the chunked loop is tested
 against.  It runs in ``fit``'s frame and with its kernel: it conditions the
 cloud once with ``condition``, divides epsilon by the same scale, solves
-each sample on its own with a one-row ``solve_rows`` and
-``quadric._ellipsoids``, and maps only the returned model back with
+each sample on its own (``solve_sample``: ``np.linalg.solve`` for the
+quadric with q1 = 1, then ``EllipsoidModel.from_coeffs``), sharing no solve
+code with ``fit``, and maps only the returned model back with
 ``_to_scene``.  It draws each sample with its own ``sample_minimal`` call,
 scores each candidate with ``score_of`` and classifies the returned model
 once more at the end.  Its refit cascade is the one ``casfit.local_optimize``
@@ -35,8 +36,8 @@ from casfit import (DegenerateQuadric, EllipsoidModel, FitConfig, FitReport,
                     TooFewPoints, evaluate_metric, point_energy, required_iterations,
                     sample_minimal, wls_fit)
 from casfit.consensus import MU, _lo_schedule, _to_scene
-from casfit.leastsq import MIN_POINTS, condition, solve_rows
-from casfit.quadric import _ellipsoids, as_points, design_matrix
+from casfit.leastsq import MIN_POINTS, condition
+from casfit.quadric import as_points, design_matrix
 
 
 def score_of(model, pts, eps, metric) -> float:
@@ -73,8 +74,15 @@ def reference_local_optimize(model, points, cfg: FitConfig) -> Optional[Ellipsoi
 
 
 def solve_sample(sample) -> Optional[EllipsoidModel]:
-    """The ellipsoid through one conditioned minimal sample, or None."""
-    return _ellipsoids(*solve_rows(design_matrix(sample)[None]))[1][0]
+    """The ellipsoid through one conditioned minimal sample, or None: the quadric with
+    q1 = 1 from ``np.linalg.solve`` on its design rows, when that solve succeeds."""
+    rows = design_matrix(sample)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.linalg.solve(rows[:, 1:], -rows[:, 0])
+        return EllipsoidModel.from_coeffs(np.concatenate([[1.0], y]))
+    except (np.linalg.LinAlgError, ValueError, NotAnEllipsoid, DegenerateQuadric):
+        return None
 
 
 def reference_fit(points, cfg: FitConfig, progress=None) -> FitReport:

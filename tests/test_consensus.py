@@ -17,11 +17,12 @@ from casfit import consensus, distances
 from casfit.consensus import CHUNK, FLAT_TOL, MAX_CHUNK
 from casfit.leastsq import condition, solve_rows
 from casfit.quadric import (ELLIPSOID, UNBOUNDED, check_ellipsoids, design_matrix,
-                            geometry_to_coeffs, normalize_coeffs, normalize_rows)
+                            geometry_to_coeffs, normalize_coeffs, normalize_rows,
+                            quadratic_block)
 from casfit.synth import random_rotation
 
 from conftest import axis_aligned, make_model, unit_sphere
-from reference_loop import reference_fit
+from reference_loop import reference_fit, solve_sample
 
 
 def contaminated(rng, fraction=0.4, count=400):
@@ -694,32 +695,39 @@ class TestChunkedEquivalence:
             fit_both(points, FitConfig(epsilon=1.5 * inst.sigma, seed=seed,
                                        local_opt=local_opt))
 
-    def test_repeated_points_solve_only_the_rows_screened_one_by_one(self, monkeypatch):
-        # a chunk with a singular block sends the exact solve only the rows that
-        # the screen keeps when it sees each row alone
+    def test_repeated_points_solve_each_sample_once_and_alone(self, monkeypatch):
+        # one LU solve per chunk, and no minimal sample reaches the eigen-solve; a sample that
+        # holds a point twice solves to a NaN row, and every row gets the bits of its own solve
         inst = cloud(0.5, seed=58)
         points = with_repeats(inst.points, 0.05, seed=58)
-        screen, solve = consensus._screen, consensus.solve_rows
-        alone, solved, singular = [], [], 0
+        draw, solve, solve_rows = consensus.sample_minimal, consensus._solve, consensus.solve_rows
+        drawn, solved, singular, unweighted = [], [], 0, 0
 
-        def screen_spy(rows):
+        def solve_spy(a, b):
             nonlocal singular
-            alone.append(sum(screen(rows[i:i + 1])[0] for i in range(len(rows))))
-            try:
-                np.linalg.solve(rows[:, :, :9], np.ones((len(rows), 9, 1)))
-            except np.linalg.LinAlgError:
-                singular += 1
-            return screen(rows)
+            x = solve(a, b)
+            for i in range(len(a)):
+                try:
+                    alone = np.linalg.solve(a[i], b[i])
+                except np.linalg.LinAlgError:
+                    singular += 1
+                    assert np.isnan(x[i]).all()
+                else:
+                    assert x[i].tobytes() == alone.tobytes()
+            solved.append(len(a))
+            return x
 
-        def solve_spy(rows, *weights):
-            if not weights:  # a chunk's minimal samples, not a refit
-                solved.append(len(rows))
-            return solve(rows, *weights)
+        def solve_rows_spy(rows, weights=None):
+            nonlocal unweighted
+            unweighted += weights is None
+            return solve_rows(rows, weights)
 
-        monkeypatch.setattr(consensus, "_screen", screen_spy)
-        monkeypatch.setattr(consensus, "solve_rows", solve_spy)
-        fit(points, FitConfig(epsilon=1.5 * inst.sigma, seed=3))
-        assert solved == alone and singular >= 2
+        monkeypatch.setattr(consensus, "sample_minimal",
+                            lambda *args, count=None: drawn.append(count) or draw(*args, count))
+        monkeypatch.setattr(consensus, "_solve", solve_spy)
+        monkeypatch.setattr(consensus, "solve_rows", solve_rows_spy)
+        report = fit(points, FitConfig(epsilon=1.5 * inst.sigma, seed=3))
+        assert solved == drawn and singular >= 2 and unweighted == 0 < report.lo_invocations
 
     def test_cap_not_a_multiple_of_chunk(self):
         inst = cloud(0.5, seed=7)
@@ -796,13 +804,21 @@ def assert_bitwise_equal(got_run, want_run):
     assert got_calls == want_calls
 
 
-def exact_candidates(local, n, k, rng):
-    """Every row of one draw through solve_rows and check_ellipsoids, unscreened."""
-    idx = sample_minimal(len(local), n, rng, count=k)
-    coeffs, ok = solve_rows(design_matrix(local[idx.reshape(-1)]).reshape(k, n, 10))
-    verdict, rotation, translation, semiaxes = check_ellipsoids(coeffs)
-    return [(coeffs[i], rotation[i], translation[i], semiaxes[i])
-            if ok[i] and verdict[i] == ELLIPSOID else None for i in range(k)]
+def lu_quadrics(rows):
+    """q = (1, y) with D[:, 1:] y = -D[:, 0] for each of (k, 9, 10) design rows, as
+    ``_candidates`` solves them; a row whose block is exactly singular is NaN."""
+    q = np.ones((len(rows), 10))
+    q[:, 1:] = consensus._solve(rows[:, :, 1:], -rows[:, :, 0])
+    return q
+
+
+def lattice_draws(m, chunks=20, count=512):
+    """The design rows of the conditioned ``lattice(m)``, and the (count, 9, 10) rows of each
+    of ``chunks`` draws of PCG64(5): the chunks ``_candidates`` draws with that seed."""
+    design = design_matrix(condition(lattice(m))[0])
+    rng = np.random.Generator(np.random.PCG64(5))
+    return design, [design[sample_minimal(len(design), 9, rng, count=count)]
+                    for _ in range(chunks)]
 
 
 def sample_rows(local, count):
@@ -881,25 +897,30 @@ def near_boundary_rows(rng):
 
 
 class TestScreen:
-    """The 9x9 screen in ``_candidates`` drops rows and changes no candidate."""
+    """``_candidates`` solves each minimal sample once, by LU with q1 = 1, and screens the
+    rows before it checks them; the screen drops only rows that are no ellipsoid."""
 
     @staticmethod
     def same_candidates(points, chunks=8):
-        """Assert ``_candidates`` yields the exact path's candidates; count them."""
+        """Assert ``_candidates`` yields the candidates of the reference's one-sample solve
+        (``reference_loop.solve_sample``) bit for bit, near the SVD null vector; count them."""
         local = condition(points)[0]
         got_rng = np.random.Generator(np.random.PCG64(5))
         want_rng = np.random.Generator(np.random.PCG64(5))
         found = 0
         for _ in range(chunks):
-            got = list(consensus._candidates(design_matrix(local), CHUNK, got_rng))
-            want = exact_candidates(local, 9, CHUNK, want_rng)
-            assert [g is None for g in got] == [w is None for w in want]
-            for model, fields in zip(got, want):
+            got = consensus._candidates(design_matrix(local), CHUNK, got_rng)
+            for model, sample in zip(got, local[sample_minimal(len(local), 9, want_rng,
+                                                               count=CHUNK)]):
+                want = solve_sample(sample)
+                assert (model is None) == (want is None)
                 if model is not None:
-                    geom = model.geometry
-                    for value, field in zip((model.coeffs, geom.rotation, geom.translation,
-                                             geom.semiaxes), fields):
+                    for value, field in zip(
+                            (model.coeffs, *dataclasses.astuple(model.geometry)),
+                            (want.coeffs, *dataclasses.astuple(want.geometry))):
                         assert value.tobytes() == field.tobytes()
+                    null = normalize_coeffs(np.linalg.svd(design_matrix(sample))[2][-1])
+                    assert np.abs(model.coeffs - null).max() <= 1e-10
                     found += 1
         return found
 
@@ -908,28 +929,53 @@ class TestScreen:
         inst = cloud(fraction, seed=int(10 * fraction) + 61)
         assert self.same_candidates(inst.points) > 0
         # the screen does drop rows: most samples of a noisy cloud are no ellipsoid
-        assert consensus._screen(sample_rows(condition(inst.points)[0], 512)).mean() < 0.5
+        rows = sample_rows(condition(inst.points)[0], 512)
+        assert consensus._may_be_ellipsoids(lu_quadrics(rows)).mean() < 0.5
 
-    def test_singular_blocks_take_the_exact_path(self):
-        # nine lattice points often make an exactly singular 9x9 block: np.linalg.solve
-        # fails the whole chunk, and the screen keeps those rows and screens the others
-        points = lattice()
-        rows = sample_rows(condition(points)[0], CHUNK)
+    def test_singular_blocks_are_dropped(self):
+        # nine lattice points often make an exactly singular block D[:, 1:]: np.linalg.solve
+        # fails the whole chunk, and the LU gives NaN for those rows and solves the others
+        rows = sample_rows(condition(lattice())[0], CHUNK)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(rows[:, :, :9], np.ones((CHUNK, 9, 1)))
+            np.linalg.solve(rows[:, :, 1:], -rows[:, :, :1])
         singular = np.zeros(CHUNK, dtype=bool)
-        for i, block in enumerate(rows[:, :, :9]):
+        for i, row in enumerate(rows):
             try:
-                np.linalg.solve(block, np.ones(9))
+                np.linalg.solve(row[:, 1:], -row[:, 0])
             except np.linalg.LinAlgError:
                 singular[i] = True
-        keep = consensus._screen(rows)
-        assert keep[singular].all() and (keep & ~singular).any() and singular.sum() < 15
-        assert keep.sum() == 15
-        self.same_candidates(points)
+        q = lu_quadrics(rows)
+        assert np.isnan(q[singular, 1:]).all() and np.isfinite(q[~singular]).all()
+        keep = consensus._may_be_ellipsoids(q)
+        assert singular.sum() == 2 and not keep[singular].any() and keep.sum() == 6
+        self.same_candidates(lattice())
+        # no row the LU leaves NaN is an ellipsoid on the eigen-solve path either
+        dropped = 0
+        for m in (2, 3, 4):
+            design, chunks = lattice_draws(m)
+            rng = np.random.Generator(np.random.PCG64(5))
+            for rows in chunks:
+                nan = np.isnan(lu_quadrics(rows)).any(axis=1)
+                coeffs, ok = solve_rows(rows)
+                assert not (nan & ok & (check_ellipsoids(coeffs)[0] == ELLIPSOID)).any()
+                models = consensus._candidates(design, len(rows), rng)
+                assert all(models[i] is None for i in np.flatnonzero(nan))
+                dropped += nan.sum()
+        assert dropped > 500
 
-    def test_rows_that_overflow_are_kept(self, monkeypatch):
-        rows = sample_rows(condition(cloud(0.5, seed=61).points)[0], CHUNK)
+    def test_rows_that_overflow_are_dropped(self, monkeypatch):
+        # nine points within 2^-520 of a line: the LU overflows, and the eigen-solve finds
+        # no ellipsoid either
+        points = np.random.default_rng(3).uniform(-1.0, 1.0, (9, 3)) * [1.0, 2.0**-520, 2.0**-520]
+        rows = design_matrix(points)[None]
+        assert np.isinf(lu_quadrics(rows)).any()
+        coeffs, ok = solve_rows(rows)
+        assert not (ok & (check_ellipsoids(coeffs)[0] == ELLIPSOID)).any()
+        rng = np.random.Generator(np.random.PCG64(5))
+        assert consensus._candidates(design_matrix(points), CHUNK, rng) == [None] * CHUNK
+        # each row is decided on its own: rows made infinite give None, the others their model
+        design = design_matrix(condition(cloud(0.0, seed=61, sigma_rel=0.0).points)[0])
+        want = consensus._candidates(design, CHUNK, np.random.Generator(np.random.PCG64(5)))
         solve = consensus._solve
 
         def overflowing(a, b):
@@ -938,19 +984,24 @@ class TestScreen:
             return x
 
         monkeypatch.setattr(consensus, "_solve", overflowing)
-        keep = consensus._screen(rows)
-        assert keep[::2].all() and not keep[1::2].all()
+        got = consensus._candidates(design, CHUNK, np.random.Generator(np.random.PCG64(5)))
+        assert got[::2] == [None] * (CHUNK // 2)
+        assert [model and model.coeffs.tobytes() for model in got[1::2]] == [
+            model and model.coeffs.tobytes() for model in want[1::2]]
+        assert any(want[1::2])
 
     def test_rows_near_the_boundary_are_kept(self, rng):
         rows, clear = near_boundary_rows(rng)
-        rows = np.concatenate([rows, -rows])  # negative trace
-        clear = np.concatenate([clear, clear])
+        # the LU's rows have q1 = 1: a row with q1 <= 0 is no ellipsoid, and the others are
+        # divided by it, then read exactly
+        positive = rows[:, 0] > 0.0
+        rows, clear = rows[positive] / rows[positive, :1], clear[positive]
         exact = np.array([exact_ellipsoid(q) for q in rows])
-        accepted = check_ellipsoids(normalize_rows(rows))[0] == ELLIPSOID
-        assert 0 < accepted.sum() < exact.sum() and not exact[clear].any()
+        accepted = check_ellipsoids(normalize_rows(rows.copy()))[0] == ELLIPSOID
+        assert 0 < accepted.sum() < exact.sum() and not exact[clear].any() and clear.any()
         # powers of two change no sign, but unscaled they would overflow or underflow
         for scale in (1.0, 2.0**600, 2.0**-600):
-            kept = consensus._may_be_ellipsoids(scale * rows[:, :6].T)
+            kept = consensus._may_be_ellipsoids(scale * rows)
             assert kept[exact].all() and kept[accepted].all()
             assert exact.sum() < kept.sum()
             # the slack is small: rows 1e-6 past a definiteness boundary are dropped
@@ -965,9 +1016,11 @@ class TestScreen:
             "-0x1.7f19198ac45a3p-176", "0x1.c15c47d1e4591p-177", "-0x1.d2089527718d1p-178",
             "0x1.0000000000000p+0")])
         assert exact_ellipsoid(q)
-        assert consensus._may_be_ellipsoids(q[:6, None].copy()).all()
+        assert consensus._may_be_ellipsoids(q[None]).all()
 
     def test_seeded_rows_keep_every_accepted_row(self):
+        # no row that check_ellipsoids accepts, on the LU's quadric or on the SVD null vector,
+        # is dropped, and the dropped rows nearest to definite are no exact ellipsoid
         clouds = [cloud(f, seed=71 + i).points for i, f in enumerate((0.0, 0.3, 0.5))]
         clouds.append(cloud(0.05, seed=74, count=10_000, sigma_rel=0.05).points)
         total = kept = accepted = 0
@@ -977,10 +1030,17 @@ class TestScreen:
             for _ in range(7):
                 idx = sample_minimal(len(local), 9, rng, count=4096)
                 rows = design_matrix(local[idx.reshape(-1)]).reshape(-1, 9, 10)
-                keep = consensus._screen(rows)
-                coeffs, ok = solve_rows(rows)
-                valid = ok & (check_ellipsoids(coeffs)[0] == ELLIPSOID)
-                assert not (valid & ~keep).any()
+                q = lu_quadrics(rows)
+                keep = consensus._may_be_ellipsoids(q)
+                assert np.isfinite(q).all()
+                q = normalize_rows(q)
+                valid = check_ellipsoids(q)[0] == ELLIPSOID
+                null = normalize_rows(np.linalg.svd(rows)[2][:, -1])
+                assert not ((valid | (check_ellipsoids(null)[0] == ELLIPSOID)) & ~keep).any()
+                dropped = q[~keep]
+                evals = np.linalg.eigvalsh(quadratic_block(dropped))
+                nearest = np.argsort(-evals[:, 0] / np.abs(evals).max(axis=1))[:20]
+                assert not any(exact_ellipsoid(row) for row in dropped[nearest])
                 total += len(rows)
                 kept, accepted = kept + keep.sum(), accepted + valid.sum()
         assert total >= 100_000
@@ -989,7 +1049,7 @@ class TestScreen:
     def test_definite_minimal_samples_have_real_surfaces(self):
         # the screen tests definiteness only: a quadric through nine real
         # points whose block is definite is a real ellipsoid, so no row it
-        # keeps and the exact solve marks ok comes back UNBOUNDED
+        # keeps comes back UNBOUNDED
         clouds = [cloud(0.0, seed=81, sigma_rel=0.0), cloud(0.0, seed=82),
                   cloud(0.3, seed=83), cloud(0.5, seed=84),
                   cloud(0.05, seed=85, count=10_000, sigma_rel=0.05)]
@@ -999,12 +1059,31 @@ class TestScreen:
             rng = np.random.default_rng(c)
             for _ in range(6):
                 idx = sample_minimal(len(local), 9, rng, count=4096)
-                rows = design_matrix(local[idx.reshape(-1)]).reshape(-1, 9, 10)
-                coeffs, ok = solve_rows(rows)
-                kept = consensus._screen(rows) & ok
-                assert not (check_ellipsoids(coeffs[kept])[0] == UNBOUNDED).any()
-                total, definite = total + len(rows), definite + kept.sum()
+                q = lu_quadrics(design_matrix(local[idx.reshape(-1)]).reshape(-1, 9, 10))
+                kept = consensus._may_be_ellipsoids(q)
+                assert not (check_ellipsoids(normalize_rows(q[kept]))[0] == UNBOUNDED).any()
+                total, definite = total + len(q), definite + kept.sum()
         assert total >= 100_000 and 0 < definite < total
+
+    def test_samples_on_an_elliptic_cylinder_give_no_candidate(self):
+        # sample 507 of the fourth 512-row chunk of PCG64(5) on lattice(2): nine points on
+        # the cylinder x^2 - 2xy + 2y^2 + x - 2y = 2, the only quadric through them.  The
+        # eigen-solve of D^T D reads its q3 as ~5e-12 and makes an "ellipsoid" with a
+        # semiaxis near 3e5 of it; the LU reads ~5e-16, which check_ellipsoids finds degenerate
+        _, chunks = lattice_draws(2, chunks=4)
+        sample = np.array([[-2, -1, 2], [-2, -1, -1], [2, 1, 0], [2, 2, 0], [-1, 1, 2],
+                           [1, 0, 1], [-1, -1, -2], [-1, -1, 2], [-1, 1, -1]])
+        x, y = sample[:, 0], sample[:, 1]
+        assert (x * x - 2 * x * y + 2 * y * y + x - 2 * y == 2).all()
+        rows = chunks[3][507]
+        assert rows.tobytes() == design_matrix(sample / np.sqrt(2.0)).tobytes()
+        coeffs, ok = solve_rows(rows[None])
+        verdict, _, _, semiaxes = check_ellipsoids(coeffs)
+        assert ok[0] and verdict[0] == ELLIPSOID and semiaxes[0, 0] > 1e5
+        # every order of its points, as sample_minimal draws them from these nine alone
+        rng = np.random.Generator(np.random.PCG64(5))
+        for _ in range(4):
+            assert consensus._candidates(rows, 512, rng) == [None] * 512
 
 
 def flat(shape, rng, count=500):
@@ -1037,6 +1116,19 @@ class TestDegenerateInput:
             points = flat(shape, rng) @ random_rotation(rng).T
             with pytest.raises(NoModelFound, match="coplanar, collinear or identical"):
                 fit(points, FitConfig(epsilon=0.1, max_iterations=64))
+
+    @pytest.mark.parametrize("thickness", [4e-10, 1e-11, 1e-12, 1e-13, 1e-14])
+    def test_thin_clouds_give_no_candidate(self, thickness):
+        # what FLAT_TOL turns away would give no candidate: through nine points this close
+        # to a plane, the quadric's block has eigenvalues ~thickness^2 apart, degenerate
+        rng = np.random.default_rng(1)
+        pts = np.zeros((500, 3))
+        pts[:, :2] = rng.uniform(-5, 5, size=(500, 2))
+        pts[:, 2] = thickness * rng.choice([-1.0, 1.0], 500)
+        design = design_matrix(condition(pts @ random_rotation(rng).T)[0])
+        draws = np.random.Generator(np.random.PCG64(5))
+        for _ in range(20):
+            assert consensus._candidates(design, 512, draws) == [None] * 512
 
     def test_just_thicker_than_the_threshold_runs_the_loop(self, rng):
         pts = np.zeros((500, 3))

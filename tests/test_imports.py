@@ -1,6 +1,6 @@
 """No module of the package imports a name it never uses, only quadric builds models and calls
 numpy's private linalg gufuncs, no module catches LinAlgError, only two functions condition a
-cloud, and every name the package exports has a user outside it."""
+cloud and two call the eigen-solve, and every name the package exports has a user outside it."""
 
 import ast
 import re
@@ -159,6 +159,25 @@ def test_only_the_frame_and_wls_fit_condition():
     # a third prologue would check the cloud its own way again
     assert {(path.stem, owner) for path in SRC.glob("*.py")
             for owner in callers(path.read_text(encoding="utf-8"), "condition")} == CONDITIONERS
+
+
+# The functions that call leastsq.solve_rows, the eigen-solve of the 10x10 normal matrix: the
+# refit cascade and wls_fit.  consensus._candidates solves each minimal sample once, by LU.
+EIGEN_SOLVERS = {("consensus", "_refine"), ("leastsq", "wls_fit")}
+
+
+def test_the_check_sees_every_solve_rows_call():
+    source = ("from .leastsq import solve_rows\n"
+              "def _refine(rows, w):\n    return solve_rows(rows, w[None])\n"
+              "def _candidates(rows, keep):\n    return leastsq.solve_rows(rows[keep])[0]\n"
+              "def _screen(rows):\n    solve = solve_rows\n    return rows\n")
+    assert callers(source, "solve_rows") == {"_refine", "_candidates"}
+
+
+def test_only_refits_and_wls_fit_call_solve_rows():
+    # a minimal sample that reached the eigen-solve would be solved twice
+    assert {(path.stem, owner) for path in SRC.glob("*.py")
+            for owner in callers(path.read_text(encoding="utf-8"), "solve_rows")} == EIGEN_SOLVERS
 
 
 def unused_exports(exported, texts) -> list:

@@ -13,7 +13,8 @@ from casfit import (CasfitError, DegenerateQuadric, EllipsoidGeometry, Ellipsoid
                     quadric, validate_ellipsoid)
 from casfit.leastsq import condition, solve_rows
 from casfit.quadric import (DEGENERATE, ELLIPSOID, INDEFINITE, UNBOUNDED, _ellipsoids,
-                            check_ellipsoids, decompose, geometry_to_coeffs, normalize_coeffs)
+                            check_ellipsoids, decompose, geometry_to_coeffs, normalize_coeffs,
+                            normalize_rows)
 from casfit.synth import random_ellipsoid, random_rotation, sample_surface
 
 from conftest import axis_aligned, make_model
@@ -54,6 +55,20 @@ class TestNormalize:
         # entries whose squares under- or overflow
         q = rng.normal(size=10)
         assert np.array_equal(normalize_coeffs(np.ldexp(q, exponent)), normalize_coeffs(q))
+
+    def test_rows_at_any_magnitude(self, rng):
+        # consensus._candidates' rows: q1 = 1 and the other entries of any finite size
+        q = rng.normal(size=(5, 10))
+        q[:, 0] = 1.0
+        scaled = np.ldexp(q, np.array([[-1000], [-600], [0], [600], [1020]]))
+        assert normalize_rows(scaled).tobytes() == normalize_rows(q).tobytes()
+
+    def test_unit_rows_keep_their_bits(self, rng):
+        # refits pass unit eigenvectors, which are only divided by their norm
+        v = np.linalg.eigh(rng.normal(size=(64, 10, 10)) @ rng.normal(size=(64, 10, 10)))[1][:, :, 0]
+        want = v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+        want *= np.where(want[:, :3].sum(axis=1, keepdims=True) < 0.0, -1.0, 1.0)
+        assert normalize_rows(v).tobytes() == want.tobytes()
 
     def test_nonfinite_rejected(self):
         q = np.ones(10)
@@ -427,27 +442,28 @@ class TestBlockSolves:
 
     @pytest.mark.parametrize("count", [0, 1, 64, 512])
     def test_bits_of_np_linalg_solve(self, count):
-        # the screen's blocks: the first nine design columns of minimal samples
+        # consensus._candidates' systems: D[:, 1:] y = -D[:, 0] on the design rows of minimal
+        # samples
         rng = np.random.default_rng(count)
-        blocks = design_matrix(rng.normal(size=(9 * count, 3))).reshape(count, 9, 10)[:, :, :9]
-        ones = np.ones((count, 9))
-        want = np.linalg.solve(blocks, ones[:, :, None])[:, :, 0]
-        got = quadric._solve(blocks, ones)
+        rows = design_matrix(rng.normal(size=(9 * count, 3))).reshape(count, 9, 10)
+        blocks, rhs = rows[:, :, 1:], -rows[:, :, 0]
+        want = np.linalg.solve(blocks, rhs[:, :, None])[:, :, 0]
+        got = quadric._solve(blocks, rhs)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
         # a point sampled twice: two equal rows, which LU often finds exactly singular
-        blocks[::4, 1] = blocks[::4, 0]
+        rows[::4, 1] = rows[::4, 0]
         singular = np.zeros(count, dtype=bool)
-        for i, block in enumerate(blocks):
+        for i, (block, b) in enumerate(zip(blocks, rhs)):
             try:
-                np.linalg.solve(block, np.ones(9))
+                np.linalg.solve(block, b)
             except np.linalg.LinAlgError:
                 singular[i] = True
         assert singular.sum() >= count // 16
         with np.errstate(all="raise"):  # the caller's error state does not matter
-            got = quadric._solve(blocks, ones)
+            got = quadric._solve(blocks, rhs)
         assert np.array_equal(np.isnan(got).any(axis=1), singular)
         assert np.isnan(got[singular]).all()
-        want = np.linalg.solve(blocks[~singular], ones[~singular, :, None])[:, :, 0]
+        want = np.linalg.solve(blocks[~singular], rhs[~singular, :, None])[:, :, 0]
         assert got[~singular].tobytes() == want.tobytes()
 
 
