@@ -164,8 +164,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_distances(args) -> int:
+    if args.out:
+        _check_writable(args.out)
     model = EllipsoidModel.from_json_dict(read_json(args.model))
-    points = load_points(args.points)  # after the model is checked: a file can be large
+    points = load_points(args.points)  # after the output and model are checked: a file can be large
     kinds = [MetricKind(k) for k in METRIC_KINDS]
     # each single kind once, the unit-frame ones from one pass: the blends are made from these
     singles = {"orthogonal": evaluate_metric(ORTHOGONAL, points, model)}

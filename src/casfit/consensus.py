@@ -37,8 +37,8 @@ the iteration at which the loop stops.  One ``sample_minimal`` call draws a
 whole chunk and yields the rows of one call per sample, so the samples do
 not depend on where chunks begin, and chunks grow as the loop runs.  One
 batched 9x9 LU solve with q1 = 1 solves a chunk, each row on its own, and
-closed-form minors drop, ahead of the ellipsoid check, only rows that are
-no ellipsoid beyond rounding.
+one batched Cholesky of the quadratic blocks drops, ahead of the ellipsoid
+check, rows that are not definite (``quadric._definite``).
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ from .errors import (NoModelFound, NotAnEllipsoid, TooFewPoints, require_integer
 # attributes: perfbench/tracer.py wraps them by these names.
 from .leastsq import (MIN_POINTS, SUPPORT_TOL, condition, decondition,  # noqa: F401
                       gaussian_weights, lls_fit, point_energy, solve_rows, wls_fit)
-from .quadric import (SQUARE_RANGE, EllipsoidGeometry, EllipsoidModel, _ellipsoids, _solve,
-                      as_points, design_matrix, normalize_rows, require_carried)
+from .quadric import (SQUARE_RANGE, EllipsoidGeometry, EllipsoidModel, _definite, _ellipsoids,
+                      _solve, as_points, design_matrix, normalize_rows, require_carried)
 
 RNG_ALGORITHM = "PCG64"
 
@@ -70,13 +70,12 @@ LO_STEPS = 5
 LO_EPS_START = 1.5
 LO_EPS_END = 0.5
 
-# A cloud whose scatter matrix has a smallest eigenvalue at or below this
-# fraction of its largest (a relative thickness t of 1e-10) is coplanar,
-# collinear or a single point.  No minimal sample drawn from it gives a
-# candidate, so no fittable cloud is turned away: the out-of-plane terms of a
-# sample's quadric meet its design rows only through offsets of size t and
-# their squares, so where the LU finds that quadric, its block has eigenvalues
-# ~t^2 <= 1e-20 apart, and check_ellipsoids finds it DEGENERATE (1e-12).
+# A cloud whose scatter matrix has a smallest eigenvalue at or below this fraction of its
+# largest (a relative thickness t of 1e-10) is coplanar, collinear or a single point.  No minimal
+# sample drawn from it gives a candidate, so no fittable cloud is turned away: the out-of-plane
+# terms of a sample's quadric meet its design rows only through offsets of size t and their
+# squares, so where the LU finds that quadric, its block has eigenvalues ~t^2 <= 1e-20 apart:
+# the screen (_definite) may drop it first, and check_ellipsoids finds it DEGENERATE (1e-12).
 FLAT_TOL = 1e-20
 
 
@@ -294,49 +293,19 @@ def _scored(kind: MetricKind, pts: np.ndarray, models: list, epsilon: float):
 CHUNK = 64
 MAX_CHUNK = 512
 
-# adj(A)_11, adj(A)_33, adj(A)_12 and adj(A)_13 = q[_ADJ[0]] q[_ADJ[1]] - q[_ADJ[2]] q[_ADJ[3]]
-# in q's (a11, a22, a33, a12, a13, a23) layout.
-_ADJ = np.array([[1, 0, 4, 3], [2, 1, 5, 5], [5, 3, 3, 4], [5, 3, 2, 1]])
-SCREEN_ROUNDING = 16 * 2.0**-53  # above gamma_5, with room for rounding the bound
-
-
-def _may_be_ellipsoids(q: np.ndarray) -> np.ndarray:
-    """False for the rows of a (k, 10) stack with q1 > 0 that are not finite, or whose
-    quadratic block is not definite beyond rounding.  Definiteness alone decides: a quadric
-    with a definite block is an ellipsoid, a single point or empty, so a minimal sample's
-    quadric, through nine distinct real points, is a real ellipsoid once its block is definite.
-
-    Finite blocks are scaled by an exact 2^-e to largest entry in [1/2, 1).  With a11 > 0, a
-    definite block then has a11 a22 - a12^2 and det A positive.  Each is a sum of products
-    with at most 5 roundings on any path, so its error is below SCREEN_ROUNDING times the
-    computed sum over absolute values (gamma_5, Higham, Accuracy and Stability of Numerical
-    Algorithms, 3.1), plus the smallest normal double.  A finite row is False only when one
-    of the two is negative beyond that, so no row that is an ellipsoid in exact arithmetic
-    is turned away.
-    """
-    finite = np.isfinite(q).all(axis=1)
-    a = q[:, :6].T.copy()  # contiguous rows: faster than the view
-    a[:, ~finite] = 1.0  # dropped below; ones keep inf out of the products
-    a = np.ldexp(a, -np.frexp(np.abs(a).max(axis=0))[1])
-    left, right = a[_ADJ[0]] * a[_ADJ[1]], a[_ADJ[2]] * a[_ADJ[3]]
-    adj, adj_abs = left - right, np.abs(left) + np.abs(right)
-    det = np.einsum("ik,ik->k", a[[0, 3, 4]], adj[[0, 2, 3]])  # sum of a_1j adj(A)_1j
-    det_abs = np.einsum("ik,ik->k", np.abs(a[[0, 3, 4]]), adj_abs[[0, 2, 3]])
-    value, bound = np.stack([adj[1], det]), np.stack([adj_abs[1], det_abs])
-    return finite & (value >= -(SCREEN_ROUNDING * bound + np.finfo(float).tiny)).all(axis=0)
-
-
 def _candidates(design: np.ndarray, k: int, rng: np.random.Generator) -> list:
     """Draw ``k`` minimal samples of conditioned points in order and solve each once; returns
     each sample's ``_ellipsoids`` model, None for a row that is no ellipsoid.  Their (k, 9, 10)
     rows are gathered from ``design``, the cloud's ``design_matrix`` rows, bit for bit.  One
     batched LU solve of D[:, 1:] y = -D[:, 0] gives each row's quadric q = (1, y): every
     ellipsoid has q1 = a11 > 0, so a sample whose one quadric is an ellipsoid has a regular
-    block.  Rows left NaN (a singular block) or inf, or not definite, are dropped."""
+    block.  Rows left NaN (a singular block) or inf are dropped, and those whose block is not
+    definite (``_definite``, which drops none that ``check_ellipsoids`` accepts).  That alone
+    decides: a quadric through nine real points with a definite block is a real ellipsoid."""
     rows = design[sample_minimal(len(design), MIN_POINTS, rng, count=k)]
     q = np.ones((k, 10))
     q[:, 1:] = _solve(rows[:, :, 1:], -rows[:, :, 0])
-    keep = _may_be_ellipsoids(q)
+    keep = np.isfinite(q).all(axis=1) & _definite(q)
     models = iter(_ellipsoids(normalize_rows(q[keep]))[1])
     return [next(models) if kept else None for kept in keep]
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg  # the gufuncs behind np.linalg.eigh, det and solve
+from numpy.linalg import _umath_linalg  # the gufuncs behind np.linalg.eigh, det, solve, cholesky
 
 from .errors import DegenerateQuadric, NotAnEllipsoid, ParseError
 
@@ -87,7 +87,9 @@ def normalize_rows(q: np.ndarray) -> np.ndarray:
     ``q`` is first scaled in place by the power of two that takes its largest entry into
     [1/2, 1), which keeps its layout and so the rounding of its squared norm."""
     np.ldexp(q, -np.frexp(np.abs(q).max(axis=1, keepdims=True))[1], out=q)
-    # Stacked dot products round like np.linalg.norm of a single 1-D row.
+    # The stacked dot products round like np.linalg.norm of one row on contiguous rows only:
+    # strided ones, as the eigenvector view solve_rows passes, take numpy's own loop, and refit
+    # bits depend on that.
     q = q / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
     return np.negative(q, out=q, where=q[:, :3].sum(axis=1, keepdims=True) < 0.0)
 
@@ -191,6 +193,18 @@ def _eigh(a: np.ndarray) -> tuple:
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve's bits on (k, m, m), (k, m) stacks, but a singular block's row is NaN."""
     return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
+@np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
+def _definite(q: np.ndarray) -> np.ndarray:
+    """False for each row of a (k, 10) stack whose quadratic block A LAPACK's Cholesky does not
+    factor.  Where q1 = a11 = 1 it keeps every row check_ellipsoids accepts: lmin >= 1e-12 lmax
+    there and lmin <= 1 <= lmax, so no square overflows (|a_ij| <= 1e12), an underflow's error is
+    far below lmin, and A factors as lmin(D^-1 A D^-1) >= lmin / lmax (D^2 = diag A) is above
+    3 gamma_4 / (1 - gamma_4) ~ 1.3e-15 (Demmel's condition: Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.7)."""
+    factor = _umath_linalg.cholesky_lo(quadratic_block(q), signature="d->d")
+    return np.isfinite(factor).all(axis=(1, 2))
 
 
 # Verdicts of check_ellipsoids, one per coefficient row.

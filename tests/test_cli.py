@@ -552,6 +552,23 @@ class TestDistancesCommand:
             assert message in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("out", ["missing/dist.csv", "."])
+    def test_unwritable_out_fails_before_the_file_is_read(self, points_file, tmp_path,
+                                                          monkeypatch, capsys, out):
+        # a missing directory, or a directory: no file is read and no metric evaluated
+        path, truth = points_file
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(truth.to_json_dict()))
+        calls = []
+        monkeypatch.setattr(cli, "load_points", lambda path: calls.append(path))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        out_path = tmp_path / out
+        assert run_cli(["distances", str(path), str(model_path), "--out", str(out_path)]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err.startswith("casfit: error: [Errno ") and repr(str(out_path)) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
 
 class TestExitCodes:
     def test_usage_errors_exit_1(self, capsys):

@@ -16,9 +16,9 @@ from casfit import (ALGEBRAIC, AXIAL, SAMPSON, CasfitError, DatasetSpec, Ellipso
 from casfit import consensus, distances
 from casfit.consensus import CHUNK, FLAT_TOL, MAX_CHUNK
 from casfit.leastsq import condition, solve_rows
-from casfit.quadric import (ELLIPSOID, UNBOUNDED, check_ellipsoids, design_matrix,
-                            geometry_to_coeffs, normalize_coeffs, normalize_rows,
-                            quadratic_block)
+from casfit.quadric import (DEGENERACY_TOL, DEGENERATE, ELLIPSOID, UNBOUNDED, _definite,
+                            check_ellipsoids, design_matrix, geometry_to_coeffs,
+                            normalize_coeffs, normalize_rows, quadratic_block)
 from casfit.synth import random_rotation
 
 from conftest import axis_aligned, make_model, unit_sphere
@@ -896,9 +896,26 @@ def near_boundary_rows(rng):
     return np.array(rows), np.array(clear)
 
 
+def signed_powers(low, high):
+    """Doubles +-10^e with e drawn from [low, high]."""
+    return st.tuples(st.booleans(), st.floats(low, high)).map(
+        lambda drawn: (-1.0 if drawn[0] else 1.0) * 10.0 ** drawn[1])
+
+
+def rotation_zxz(a, b, c):
+    """The rotation Rz(a) Rx(b) Rz(c)."""
+    def about(axis, angle):
+        i, j = [k for k in range(3) if k != axis]
+        r = np.eye(3)
+        r[i, i] = r[j, j] = math.cos(angle)
+        r[i, j], r[j, i] = -math.sin(angle), math.sin(angle)
+        return r
+    return about(2, a) @ about(0, b) @ about(2, c)
+
+
 class TestScreen:
     """``_candidates`` solves each minimal sample once, by LU with q1 = 1, and screens the
-    rows before it checks them; the screen drops only rows that are no ellipsoid."""
+    rows before it checks them; the screen drops no row that ``check_ellipsoids`` accepts."""
 
     @staticmethod
     def same_candidates(points, chunks=8):
@@ -930,7 +947,7 @@ class TestScreen:
         assert self.same_candidates(inst.points) > 0
         # the screen does drop rows: most samples of a noisy cloud are no ellipsoid
         rows = sample_rows(condition(inst.points)[0], 512)
-        assert consensus._may_be_ellipsoids(lu_quadrics(rows)).mean() < 0.5
+        assert _definite(lu_quadrics(rows)).mean() < 0.5
 
     def test_singular_blocks_are_dropped(self):
         # nine lattice points often make an exactly singular block D[:, 1:]: np.linalg.solve
@@ -946,7 +963,7 @@ class TestScreen:
                 singular[i] = True
         q = lu_quadrics(rows)
         assert np.isnan(q[singular, 1:]).all() and np.isfinite(q[~singular]).all()
-        keep = consensus._may_be_ellipsoids(q)
+        keep = _definite(q)
         assert singular.sum() == 2 and not keep[singular].any() and keep.sum() == 6
         self.same_candidates(lattice())
         # no row the LU leaves NaN is an ellipsoid on the eigen-solve path either
@@ -997,15 +1014,44 @@ class TestScreen:
         positive = rows[:, 0] > 0.0
         rows, clear = rows[positive] / rows[positive, :1], clear[positive]
         exact = np.array([exact_ellipsoid(q) for q in rows])
-        accepted = check_ellipsoids(normalize_rows(rows.copy()))[0] == ELLIPSOID
+        verdict = check_ellipsoids(normalize_rows(rows.copy()))[0]
+        accepted = verdict == ELLIPSOID
         assert 0 < accepted.sum() < exact.sum() and not exact[clear].any() and clear.any()
-        # powers of two change no sign, but unscaled they would overflow or underflow
-        for scale in (1.0, 2.0**600, 2.0**-600):
-            kept = consensus._may_be_ellipsoids(scale * rows)
-            assert kept[exact].all() and kept[accepted].all()
-            assert exact.sum() < kept.sum()
-            # the slack is small: rows 1e-6 past a definiteness boundary are dropped
-            assert not kept[clear].any()
+        kept = _definite(rows)
+        assert kept[accepted].all()
+        # the screen may drop an exact ellipsoid only where check_ellipsoids would: its block's
+        # eigenvalues are too far apart (entries of far-apart sizes: the property test below)
+        evals = np.abs(np.linalg.eigvalsh(quadratic_block(rows)))
+        ratio = evals.min(axis=1) / evals.max(axis=1)
+        assert kept[exact & (ratio >= DEGENERACY_TOL)].all()
+        assert (verdict[exact & ~kept] == DEGENERATE).all()
+        # the slack is small: rows 1e-6 past a definiteness boundary are dropped
+        assert not kept[clear].any()
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(log_evals=st.tuples(st.floats(-17.0, 0.0), st.floats(-17.0, 0.0)),
+           angles=st.tuples(*[signed_powers(-300.0, 0.5)] * 3),
+           scales=st.tuples(*[st.one_of(signed_powers(-2.0, 2.0),
+                                        signed_powers(-150.0, 150.0))] * 2),
+           center=st.tuples(*[st.one_of(signed_powers(-2.0, 2.0),
+                                        signed_powers(-300.0, 300.0))] * 3),
+           log_rho=st.one_of(st.floats(-2.0, 2.0), st.floats(-300.0, 300.0)))
+    @example(log_evals=(-11.5, -0.5), angles=(0.3, 0.7, 1.1), scales=(1.0, 1.0),
+             center=(0.1, 0.2, 0.3), log_rho=0.0)  # accepted, with lmin / lmax 3e-12
+    def test_no_accepted_row_is_dropped(self, log_evals, angles, scales, center, log_rho):
+        # q1 = 1 rows whose other entries span 1e-300 to 1e300 and whose blocks' eigenvalue
+        # ratios reach 1e-17: the ellipsoid (x - c)^T A (x - c) = rho, A = D R L R^T D
+        rot = rotation_zxz(*angles)
+        block = np.diag([1.0, *scales]) @ rot @ np.diag([1.0, *10.0 ** np.array(log_evals)]) \
+            @ rot.T @ np.diag([1.0, *scales])
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            b = -block @ np.array(center)
+            row = np.array(coefficients(block, b, 10.0**log_rho + b @ center)) / block[0, 0]
+        if not np.isfinite(row).all():
+            return  # the LU's rows that are not finite never reach the screen
+        assert row[0] == 1.0
+        if check_ellipsoids(normalize_rows(row[None].copy()))[0][0] == ELLIPSOID:
+            assert _definite(row[None])[0]
 
     def test_underflow_drops_no_ellipsoid(self):
         # found by search: an ellipsoid whose minors underflow once it is
@@ -1016,7 +1062,7 @@ class TestScreen:
             "-0x1.7f19198ac45a3p-176", "0x1.c15c47d1e4591p-177", "-0x1.d2089527718d1p-178",
             "0x1.0000000000000p+0")])
         assert exact_ellipsoid(q)
-        assert consensus._may_be_ellipsoids(q[None]).all()
+        assert _definite(q[None]).all()
 
     def test_seeded_rows_keep_every_accepted_row(self):
         # no row that check_ellipsoids accepts, on the LU's quadric or on the SVD null vector,
@@ -1031,7 +1077,7 @@ class TestScreen:
                 idx = sample_minimal(len(local), 9, rng, count=4096)
                 rows = design_matrix(local[idx.reshape(-1)]).reshape(-1, 9, 10)
                 q = lu_quadrics(rows)
-                keep = consensus._may_be_ellipsoids(q)
+                keep = _definite(q)
                 assert np.isfinite(q).all()
                 q = normalize_rows(q)
                 valid = check_ellipsoids(q)[0] == ELLIPSOID
@@ -1060,7 +1106,7 @@ class TestScreen:
             for _ in range(6):
                 idx = sample_minimal(len(local), 9, rng, count=4096)
                 q = lu_quadrics(design_matrix(local[idx.reshape(-1)]).reshape(-1, 9, 10))
-                kept = consensus._may_be_ellipsoids(q)
+                kept = _definite(q)
                 assert not (check_ellipsoids(normalize_rows(q[kept]))[0] == UNBOUNDED).any()
                 total, definite = total + len(q), definite + kept.sum()
         assert total >= 100_000 and 0 < definite < total

@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, only quadric builds models and calls
 numpy's private linalg gufuncs, no module catches LinAlgError, only two functions condition a
-cloud and two call the eigen-solve, and every name the package exports has a user outside it."""
+cloud, two call the eigen-solve and one the Cholesky screen, and every name the package exports
+has a user outside it."""
 
 import ast
 import re
@@ -26,8 +27,8 @@ ALLOWED = {
 # The check and the field builder behind quadric._ellipsoids, the one builder of checked models.
 BUILDERS = {"check_ellipsoids", "_checked"}
 
-# numpy's private module behind np.linalg.eigh, det and solve, which quadric._eigh, _solve and
-# check_ellipsoids call: one module to follow if numpy moves or changes it.
+# numpy's private module behind np.linalg.eigh, det, solve and cholesky, which quadric._eigh,
+# _solve, _definite and check_ellipsoids call: one module to follow if numpy moves or changes it.
 PRIVATE_LINALG = {"_umath_linalg"}
 
 
@@ -178,6 +179,25 @@ def test_only_refits_and_wls_fit_call_solve_rows():
     # a minimal sample that reached the eigen-solve would be solved twice
     assert {(path.stem, owner) for path in SRC.glob("*.py")
             for owner in callers(path.read_text(encoding="utf-8"), "solve_rows")} == EIGEN_SOLVERS
+
+
+# The function that calls quadric._definite, the Cholesky screen: it drops no row that
+# check_ellipsoids accepts only where q1 = a11 = 1, as on the LU rows of consensus._candidates.
+SCREENERS = {("consensus", "_candidates")}
+
+
+def test_the_check_sees_every_screen_call():
+    source = ("from .quadric import _definite\n"
+              "def _candidates(q):\n    return q[_definite(q)]\n"
+              "def _refine(q):\n    return quadric._definite(normalize_rows(q))\n"
+              "def _checked(q):\n    screen = _definite\n    return screen\n")
+    assert callers(source, "_definite") == {"_candidates", "_refine"}
+
+
+def test_only_minimal_samples_are_screened():
+    # on rows scaled otherwise the screen's argument that it drops no ellipsoid does not hold
+    assert {(path.stem, owner) for path in SRC.glob("*.py")
+            for owner in callers(path.read_text(encoding="utf-8"), "_definite")} == SCREENERS
 
 
 def unused_exports(exported, texts) -> list:
