@@ -233,7 +233,7 @@ def _refine(kind: MetricKind, pts: np.ndarray, rows: np.ndarray, epsilon: float,
     SUPPORT_TOL or its refit is no ellipsoid.  The first refit to score no higher than the best
     so far ends the cascade.  Returns (model, score, distances) of the best.
     """
-    best, best_score = None, -math.inf
+    best = None
     for eps_lo in _lo_schedule(epsilon):
         w = point_energy(d, eps_lo)
         if np.count_nonzero(w > SUPPORT_TOL) < MIN_POINTS:
@@ -243,9 +243,9 @@ def _refine(kind: MetricKind, pts: np.ndarray, rows: np.ndarray, epsilon: float,
             continue
         d = evaluate_metric(kind, pts, refit)
         score = float(point_energy(d, epsilon).sum())
-        if score <= best_score:
+        if best is not None and score <= best[1]:
             break
-        best, best_score = (refit, score, d), score
+        best = (refit, score, d)
     return best
 
 
@@ -343,17 +343,15 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     minimal samples (see MAX_CHUNK), then replays them one iteration at a
     time, so the result is that of one sample drawn and solved per iteration.
 
-    The optional ``progress`` hook receives (iteration, best_score,
-    required_iterations) after every iteration.
+    The optional ``progress`` hook receives (iteration, best score so far,
+    required iterations) after every iteration.
     """
     start = time.perf_counter()
     _, local, center, scale, epsilon = _frame(points, cfg.epsilon)
     rows = design_matrix(local)[None]
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
 
-    best_model: Optional[EllipsoidModel] = None
-    best_score = -math.inf
-    best_labels: Optional[np.ndarray] = None
+    best = (None, -math.inf, None)  # (model, score, distances) in the conditioned frame
     best_sample_score = -math.inf  # best among raw minimal-sample models
     required = cfg.max_iterations
     lo_invocations = 0
@@ -365,36 +363,33 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
         scored = _scored(cfg.score_metric, local, candidates, epsilon)
         for candidate in candidates:
             iteration += 1
-            improved = False
             if candidate is not None:
                 d, score = next(scored)
                 if score > best_sample_score:
                     best_sample_score = score
-                    if score > best_score:
-                        best_model, best_score, best_d = candidate, score, d
-                        improved = True
+                    found = (candidate, score, d)
                     if cfg.local_opt:
                         lo_invocations += 1
                         refined = _refine(cfg.score_metric, local, rows, epsilon, d)
-                        if refined is not None and refined[1] > best_score:
-                            best_model, best_score, best_d = refined
-                            improved = True
-            if improved:
-                best_labels = best_d < epsilon
-                required = required_iterations(float(best_labels.mean()), MU, MIN_POINTS,
-                                               cfg.min_iterations, cfg.max_iterations)
+                        if refined is not None and refined[1] > score:
+                            found = refined
+                    if found[1] > best[1]:
+                        best = found
+                        required = required_iterations((best[2] < epsilon).mean(), MU, MIN_POINTS,
+                                                       cfg.min_iterations, cfg.max_iterations)
             if progress is not None:
-                progress(iteration, best_score, required)
+                progress(iteration, best[1], required)
             if iteration >= required:
                 break
 
-    if best_model is None:
+    if best[0] is None:
         raise NoModelFound(f"no valid ellipsoid in {iteration} iterations")
+    labels = best[2] < epsilon
     return FitReport(
-        model=_to_scene(best_model, center, scale),
-        score=best_score,
-        inlier_mask=best_labels,
-        inlier_ratio=float(best_labels.mean()),
+        model=_to_scene(best[0], center, scale),
+        score=best[1],
+        inlier_mask=labels,
+        inlier_ratio=float(labels.mean()),
         iterations=iteration,
         lo_invocations=lo_invocations,
         wall_time=time.perf_counter() - start,

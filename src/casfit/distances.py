@@ -152,7 +152,7 @@ def _unit_terms(names, pts: np.ndarray, models: list) -> dict:
         r = np.ldexp(semiaxes, -e)
         length, half = np.ldexp(np.sqrt(r[:, None] @ r[:, :, None])[:, 0] / 3, e), np.ldexp(0.5, e)
     squares = (rotation / semiaxes[:, :, None]) @ pts.T  # v = (R x + t) / r, (k, 3, n)
-    squares += (translation / semiaxes)[:, :, None]  # in place: fewer page faults
+    squares += (translation / semiaxes)[:, :, None]  # in place: unstaged, dense fits ran slower
     np.square(squares, out=squares)
     level = squares[:, 0] + squares[:, 1] + squares[:, 2]  # bounds (1 / r^2) @ squares
     far = ()
@@ -170,16 +170,12 @@ def _unit_terms(names, pts: np.ndarray, models: list) -> dict:
         trace = np.array([model.coeffs[:3].sum() for model in models])[:, None]  # q1 + q2 + q3
         kappa = np.ldexp(trace / (1.0 / np.square(r)).sum(axis=1, keepdims=True), 2 * e)
         terms["algebraic"] = kappa * np.abs(level - 1.0)
-    if "axial" in names:  # |s - 1| ||semiaxes|| / 3, in place as Sampson
-        vals = terms["axial"] = np.sqrt(level)
-        np.abs(np.subtract(vals, 1.0, out=vals), out=vals)
-        vals *= length
-    if "sampson" in names:  # +inf at the center; in place: a live (k, n) array costs page faults
-        vals = np.sqrt((1.0 / np.square(r))[:, None] @ squares)[:, 0]  # 2^e ||grad F|| / (2 kappa)
-        offset = level - 1.0
-        terms["sampson"] = np.divide(np.abs(offset, out=offset), vals, out=vals)
-        vals *= half  # 2^(e - 1), exact
+    if "sampson" in names:  # |s^2 - 1| / (2 ||v / r||), +inf at the center; half is 2^(e - 1)
+        vals = terms["sampson"] = (np.abs(level - 1.0)  # over 2^e ||grad F|| / (2 kappa)
+                                   / np.sqrt((1.0 / np.square(r))[:, None] @ squares)[:, 0] * half)
         vals[level <= GRADIENT_TOL ** 2] = np.inf
+    if "axial" in names:  # |s - 1| ||semiaxes|| / 3; last: fewer live arrays, fewer faults
+        terms["axial"] = np.abs(np.sqrt(level) - 1.0) * length
     for name, vals in terms.items() if len(far) else ():
         shift = unit - np.reshape(e, -1)[model]
         vals[far] = np.ldexp(vals[far], 2 * shift if name == "algebraic" else shift)
@@ -241,19 +237,19 @@ def orthogonal_distance(points, model: EllipsoidModel):
     r_sq = np.square(r)
     excess = np.where(rw > 0.0, r_sq - np.square(r_min), 1.0)
     s = np.maximum((rw - excess).max(axis=0), 0.0)
-    for _ in range(ROOT_MAX_ITERATIONS):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # once, not per step
+        for _ in range(ROOT_MAX_ITERATIONS):
             d = excess + s
             terms = np.square(rw / d)
             residual = terms.sum(axis=0) - 1.0
             raised = s + residual / (2.0 * (terms / d).sum(axis=0))
-        rising = raised > s
-        if not rising.any():
-            break
-        s = np.where(rising, raised, s)
-    else:
-        raise ConvergenceFailure(
-            f"foot-point root solve still rising after {ROOT_MAX_ITERATIONS} iterations")
+            rising = raised > s
+            if not rising.any():
+                break
+            s = np.where(rising, raised, s)
+        else:
+            raise ConvergenceFailure(
+                f"foot-point root solve still rising after {ROOT_MAX_ITERATIONS} iterations")
     gap = w - r_sq * w / d
     pinned = r_min * np.sqrt(np.where(s > 0.0, 0.0, np.maximum(-residual, 0.0)))
     dist = np.hypot(np.hypot(gap[0], gap[1]), np.hypot(gap[2], pinned))

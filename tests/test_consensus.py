@@ -593,6 +593,28 @@ class TestFit:
         assert all(passed)
         assert max(len(models) for _, models in blocks) > 1  # candidates were scored in stacks
 
+    @pytest.mark.parametrize("gain", [0.0, 1.0])
+    def test_a_refit_replaces_its_candidate_only_when_it_scores_higher(self, monkeypatch, gain):
+        # every cascade returns a decoy scored at its candidate's score plus ``gain``: on a tie
+        # the candidate, the earlier record, stays the best, so the fit is the fit without
+        # local optimization; one higher, the decoy is the best and is mapped back
+        inst = cloud(0.3, seed=8)
+        cfg = FitConfig(epsilon=1.5 * inst.sigma, seed=1)
+        _, _, center, scale, _ = consensus._frame(inst.points, cfg.epsilon)
+        decoy = axis_aligned((1.5, 1.2, 0.9), center=(0.1, -0.2, 0.3))  # in the conditioned frame
+        monkeypatch.setattr(consensus, "_refine", lambda kind, pts, rows, epsilon, d: (
+            decoy, float(point_energy(d, epsilon).sum()) + gain, d))
+        report = fit(inst.points, cfg)
+        assert report.lo_invocations >= 1
+        if gain:
+            want = consensus._to_scene(decoy, center, scale)
+        else:
+            want = fit(inst.points, dataclasses.replace(cfg, local_opt=False))
+            assert (report.score, report.iterations) == (want.score, want.iterations)
+            want = want.model
+        assert report.model.coeffs.tobytes() == want.coeffs.tobytes()
+        assert report.model.geometry.semiaxes.tobytes() == want.geometry.semiaxes.tobytes()
+
     def test_builds_the_cloud_design_once_per_fit_and_per_refit_cascade(self, monkeypatch):
         # no metric reads design rows, only the solves do: fit builds the
         # conditioned cloud's rows once, whatever the metrics and with local
