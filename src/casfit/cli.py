@@ -33,13 +33,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="casfit",
-                     description="Robust ellipsoid fitting and benchmarking.")
-    parser.add_argument("--version", action="version", version=f"casfit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_fit = sub.add_parser("fit", help="fit an ellipsoid to a point file")
+def _fit_options(p_fit) -> None:
     p_fit.add_argument("points", help="3-column text file of points")
     p_fit.add_argument("--epsilon", type=float, required=True,
                        help="inlier distance threshold")
@@ -56,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="report progress on stderr")
     p_fit.set_defaults(func=_cmd_fit)
 
-    p_synth = sub.add_parser("synth", help="generate synthetic instances")
+
+def _synth_options(p_synth) -> None:
     p_synth.add_argument("--kind", choices=DATASET_KINDS, required=True)
     p_synth.add_argument("--count", type=int, default=DatasetSpec.point_count,
                          help="points per instance")
@@ -69,18 +64,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.set_defaults(func=_cmd_synth)
 
-    p_bench = sub.add_parser("bench", help="run an experiment grid")
+
+def _bench_options(p_bench) -> None:
     p_bench.add_argument("grid", help="grid description JSON")
     p_bench.add_argument("--out", required=True, help="report CSV path")
     p_bench.add_argument("--progress", action="store_true",
                          help="report finished cells on stderr")
     p_bench.set_defaults(func=_cmd_bench)
 
-    p_dist = sub.add_parser("distances", help="evaluate all metrics for a point file")
+
+def _distances_options(p_dist) -> None:
     p_dist.add_argument("points", help="3-column text file of points")
     p_dist.add_argument("model", help="model JSON (a document with a 'q' field)")
     p_dist.add_argument("--out", default=None, help="write the CSV here (default stdout)")
     p_dist.set_defaults(func=_cmd_distances)
+
+
+_COMMANDS = {
+    "fit": ("fit an ellipsoid to a point file", _fit_options),
+    "synth": ("generate synthetic instances", _synth_options),
+    "bench": ("run an experiment grid", _bench_options),
+    "distances": ("evaluate all metrics for a point file", _distances_options),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="casfit",
+                     description="Robust ellipsoid fitting and benchmarking.")
+    parser.add_argument("--version", action="version", version=f"casfit {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (text, add_options) in _COMMANDS.items():
+        add_options(sub.add_parser(name, help=text))
     return parser
 
 
@@ -195,8 +209,15 @@ def _cmd_distances(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = rest = None
+    if argv and argv[0] in _COMMANDS:
+        # the parser the tree hands the rest to; leftovers take the tree, for its message
+        parser = _Parser(prog=f"casfit {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or rest:
+        args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CasfitError, OSError, ValueError) as exc:

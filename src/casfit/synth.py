@@ -162,10 +162,9 @@ def save_points(points, path) -> None:
 
 def _write_rows(fh, row: str, count: int, fields) -> None:
     """Write ``count`` rows of the template ``row``: ``row * (b - a) % fields(a, b)`` per block."""
-    block = row * LOAD_BLOCK_ROWS
     for a in range(0, count, LOAD_BLOCK_ROWS):
         b = min(a + LOAD_BLOCK_ROWS, count)
-        fh.write((block if b - a == LOAD_BLOCK_ROWS else row * (b - a)) % fields(a, b))
+        fh.write(row * (b - a) % fields(a, b))
 
 
 def load_points(path) -> np.ndarray:

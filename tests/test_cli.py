@@ -667,16 +667,127 @@ class TestExitCodes:
             assert f"casfit: error: {latin}: byte 6: not UTF-8" in capsys.readouterr().err
 
 
+# Command lines on which main() must parse as the whole parser tree does: to
+# the same namespace, or to the same exit code, stdout and stderr.
+PARSE_CORPUS = [
+    ["fit", "p.csv", "--epsilon", "0.1"],
+    ["fit", "p.csv", "--epsilon=0.1", "--metric", "sampson", "--no-lo", "--min-iterations", "3",
+     "--max-iterations=9", "--seed", "4", "--out", "m.json", "--progress"],
+    ["fit", "--eps", "0.1", "p.csv"],
+    ["fit", "--epsilon", "0.1", "--", "-p.csv"],
+    ["synth", "--kind", "outlier", "--out", "d"],
+    ["synth", "--kind=gaussian", "--count", "50", "--sigma-rel", "0.1", "--fraction", "0",
+     "--instances", "2", "--seed", "3", "--out=d"],
+    ["bench", "grid.json", "--out", "r.csv", "--progress"],
+    ["bench", "--out", "r.csv", "--", "grid.json"],
+    ["distances", "p.csv", "m.json"],
+    ["distances", "--out=d.csv", "--", "p.csv", "m.json"],
+    # help and version
+    ["fit", "-h"], ["synth", "--help"], ["bench", "-h"], ["distances", "p.csv", "-h"],
+    [], ["--help"], ["-h"], ["--version"], ["--version", "fit"], ["fit", "--version"],
+    ["fit", "p.csv", "--epsilon", "1", "--version"],
+    # usage errors
+    ["not-a-command"], ["--", "fit", "p.csv", "--epsilon", "1"],
+    ["fit", "p.csv"], ["fit", "--epsilon", "1"], ["synth", "--kind", "outlier"],
+    ["bench", "grid.json"], ["distances", "p.csv"],
+    ["fit", "p.csv", "--epsilon", "abc"], ["synth", "--kind", "cube", "--out", "d"],
+    ["fit", "p.csv", "--epsilon", "1", "--m", "3"],
+    # leftovers
+    ["distances", "p.csv", "m.json", "--lambda", "0.3"], ["distances", "p.csv", "m.json", "extra"],
+    ["fit", "p.csv", "--epsilon", "1", "--mu", "0.9"],
+]
+
+
+@pytest.fixture()
+def parsed(monkeypatch):
+    """The namespaces main() hands the commands, each command stubbed out."""
+    seen = []
+    for name in ("_cmd_fit", "_cmd_synth", "_cmd_bench", "_cmd_distances"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+    return seen
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return (result, *capsys.readouterr())
+
+
+class TestParsing:
+    """main() builds only the named command's parser and parses as the whole tree."""
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+    def test_main_parses_as_the_tree(self, argv, parsed, capsys):
+        def via_main(argv):
+            assert main(argv) == 0
+            return parsed.pop()
+
+        tree = _parse_outcome(lambda argv: cli._build_parser().parse_args(argv), argv, capsys)
+        assert _parse_outcome(via_main, argv, capsys) == tree
+        assert parsed == []
+
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_each_command_parser_is_the_trees_subparser(self, name):
+        tree = cli._build_parser()._subparsers._group_actions[0].choices[name]
+        alone = cli._Parser(prog=f"casfit {name}")  # as main() builds it
+        cli._COMMANDS[name][1](alone)
+
+        def actions(parser):
+            return [(type(a), a.dest, a.option_strings, a.default, a.required, a.type,
+                     a.choices, a.nargs, a.help) for a in parser._actions]
+        assert actions(alone) == actions(tree)
+        assert alone._defaults == tree._defaults
+        assert alone.format_help() == tree.format_help()
+
+    def test_only_lines_without_a_command_or_with_leftovers_build_the_tree(self, parsed,
+                                                                             monkeypatch, capsys):
+        builds = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+        for argv in (["fit", "p.csv", "--epsilon", "0.1"],
+                     ["synth", "--kind", "outlier", "--out", "d"],
+                     ["bench", "grid.json", "--out", "r.csv"], ["distances", "p.csv", "m.json"]):
+            assert run_cli(argv) == 0
+        assert len(parsed) == 4 and builds == []
+        for argv, code in ((["--help"], 0), (["--version"], 0), ([], 1), (["not-a-command"], 1),
+                           (["distances", "p.csv", "m.json", "--lambda", "0.3"], 1)):
+            builds.clear()
+            assert run_cli(argv) == code
+            assert builds == [1], argv
+        assert len(parsed) == 4
+        capsys.readouterr()
+
+
+def _src_env():
+    # pytest's pythonpath setting does not reach a subprocess
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
-        # pytest's pythonpath setting does not reach the subprocess
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
         proc = subprocess.run([sys.executable, "-m", "casfit.cli", "--version"],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=_src_env())
         assert proc.returncode == 0
         assert "casfit" in proc.stdout
+
+    def test_a_command_line_writes_what_main_writes(self, points_file, tmp_path, capsys):
+        # the command line reaches main() through sys.argv, not as an argument
+        path, truth = points_file
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(truth.to_json_dict()))
+        argv = ["distances", str(path), str(model_path)]
+        proc = subprocess.run([sys.executable, "-m", "casfit.cli", *argv],
+                              capture_output=True, env=_src_env())
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert run_cli(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert proc.stdout.startswith(b"point_index,metric,value\r\n0,algebraic,")
+        assert proc.stdout == out.encode()
 
     def test_console_script_mapping(self, monkeypatch, capsys):
         tomllib = pytest.importorskip("tomllib")
