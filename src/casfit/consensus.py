@@ -22,7 +22,8 @@ maps.  Every metric but the algebraic one is similarity invariant, so no
 decision changes beyond rounding, and the solves stay well conditioned at
 any offset.  Minimal samples and refits share one builder of checked models,
 ``quadric._ellipsoids``, with failures as None; a refit is solved by
-``solve_rows``, and a minimal sample once, by LU (``_candidates``).
+``solve_rows`` on the cloud's rows alone, skipped where that is not well posed
+(None), and a minimal sample once, by LU (``_candidates``).
 
 Design rows depend only on the points, and only the solves read them.
 ``fit`` builds the rows of the conditioned cloud once, and ``_candidates``
@@ -227,18 +228,19 @@ def _frame(points, epsilon: float) -> tuple:
 def _refine(kind: MetricKind, pts: np.ndarray, rows: np.ndarray, epsilon: float, d):
     """Refit cascade from the distances ``d`` in the frame of ``pts``; None when nothing validates.
 
-    ``rows`` is ``design_matrix(pts)[None]``, ``epsilon`` the threshold there.  Each step weights
-    the points by the current model's ``kind`` distances (``d`` at first) with a shrinking kernel
-    and refits them (``solve_rows``).  A step is skipped when under MIN_POINTS weights exceed
-    SUPPORT_TOL or its refit is no ellipsoid.  The first refit to score no higher than the best
-    so far ends the cascade.  Returns (model, score, distances) of the best.
+    ``rows`` is ``design_matrix(pts)``, ``epsilon`` the threshold there.  Each step weights the
+    points by the current model's ``kind`` distances (``d`` at first) with a shrinking kernel and
+    refits them (``solve_rows``).  A step is skipped when under MIN_POINTS weights exceed
+    SUPPORT_TOL or its solve is None (not well posed) or no ellipsoid.  The first refit to score
+    no higher than the best so far ends the cascade.  Returns (model, score, distances) of the best.
     """
     best = None
     for eps_lo in _lo_schedule(epsilon):
         w = point_energy(d, eps_lo)
         if np.count_nonzero(w > SUPPORT_TOL) < MIN_POINTS:
             continue
-        (refit,) = _ellipsoids(*solve_rows(rows, w[None]))[1]
+        q = solve_rows(rows, w)
+        refit = None if q is None else _ellipsoids(q[None])[1][0]
         if refit is None:
             continue
         d = evaluate_metric(kind, pts, refit)
@@ -264,7 +266,7 @@ def local_optimize(model: EllipsoidModel, points, cfg: FitConfig) -> Optional[tu
     except NoModelFound:
         return None
     start = _to_scene(model, -center / scale, 1.0 / scale)
-    best = _refine(cfg.score_metric, local, design_matrix(local)[None], epsilon,
+    best = _refine(cfg.score_metric, local, design_matrix(local), epsilon,
                    evaluate_metric(cfg.score_metric, local, start))
     if best is None:
         return None
@@ -348,7 +350,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     """
     start = time.perf_counter()
     _, local, center, scale, epsilon = _frame(points, cfg.epsilon)
-    rows = design_matrix(local)[None]
+    rows = design_matrix(local)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
 
     best = (None, -math.inf, None)  # (model, score, distances) in the conditioned frame
@@ -359,7 +361,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
 
     while iteration < required:
         chunk = min(max(iteration, CHUNK), MAX_CHUNK, required - iteration)
-        candidates = _candidates(rows[0], chunk, rng)
+        candidates = _candidates(rows, chunk, rng)
         scored = _scored(cfg.score_metric, local, candidates, epsilon)
         for candidate in candidates:
             iteration += 1

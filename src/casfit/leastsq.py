@@ -9,16 +9,16 @@ The solve runs on conditioned points (Hartley's normalization):
 ``condition`` centers them on their mean and scales them isotropically so
 the root-mean-square radius is sqrt(3), which keeps the normal matrix well
 conditioned far from the origin.  ``solve_rows`` takes the design rows of
-conditioned stacks; ``wls_fit`` conditions its own points and maps the
+one conditioned cloud; ``wls_fit`` conditions its own points and maps the
 quadric back with ``decondition``.  ``fit`` and ``local_optimize`` condition
 once per call.
 
 Callers build the design rows (``quadric.design_matrix``) once and hand them
 to ``solve_rows``: ``fit`` and ``local_optimize`` build the rows of the
 conditioned cloud once per call for all of that call's weighted refits.
-Only the refits and ``wls_fit`` use this eigen-solve: ``fit`` solves each
-minimal sample once, by LU on rows gathered from the same design rows
-(``consensus._candidates``).
+Only the refits and ``wls_fit`` use this eigen-solve, one cloud per call:
+``fit`` solves each minimal sample once, by LU on rows gathered from the
+same design rows (``consensus._candidates``).
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ MIN_POINTS = 9
 # Weights at or below this are treated as no support at all.
 SUPPORT_TOL = 1e-6
 
-# Relative eigengap below which the smallest eigenvector is not isolated: the rank test of
-# solve_rows, so of refits and wls_fit.  Minimal samples are solved by LU and never meet it.
+# Relative eigengap below which the smallest eigenvector is not isolated (solve_rows gives None):
+# the rank test of refits and wls_fit.  Minimal samples are solved by LU and never meet it.
 EIGENGAP_TOL = 1e-10
 
 
@@ -75,22 +75,20 @@ def decondition(q_local: np.ndarray, center: np.ndarray, scale: float) -> np.nda
 
 
 def solve_rows(rows: np.ndarray, weights: np.ndarray | None = None):
-    """Weighted algebraic quadric fit of k conditioned samples of m points each.
+    """Weighted algebraic quadric fit of one conditioned cloud of m points.
 
-    ``rows`` holds their (k, m, 10) ``design_matrix`` rows and ``weights`` is
-    None (uniform) or a (k, m) array.  Returns the normalized coefficients,
-    in the frame of the samples, shape (k, 10), and a boolean mask of the
-    well-posed rows: a row is not well posed when the smallest eigenvector
-    of its normal matrix is not isolated (points with no spatial extent
-    included), and its coefficients are then meaningless.  The weights scale
-    the columns, so ``design_matrix``'s column-major rows are read contiguously.
+    ``rows`` holds its (m, 10) ``design_matrix`` rows and ``weights`` is None
+    (uniform) or an (m,) array.  Returns the normalized coefficients, in the
+    frame of the cloud, or None where the fit is not well posed: the smallest
+    eigenvector of the normal matrix is not isolated (points with no spatial
+    extent included).  The weights scale the columns, so ``design_matrix``'s
+    column-major rows are read contiguously.
     """
-    cols = np.swapaxes(rows, 1, 2)
-    if weights is not None:
-        cols = cols * weights[:, None, :]
-    evals, evecs = _eigh(cols @ np.swapaxes(cols, 1, 2))
-    ok = evals[:, 1] - evals[:, 0] > EIGENGAP_TOL * np.maximum(evals[:, -1], 1e-300)
-    return normalize_rows(evecs[:, :, 0]), ok
+    cols = rows.T if weights is None else rows.T * weights
+    evals, evecs = _eigh(cols @ cols.T)
+    if not evals[1] - evals[0] > EIGENGAP_TOL * max(evals[-1], 1e-300):
+        return None
+    return normalize_rows(evecs[None, :, 0])[0]
 
 
 def wls_fit(points, weights=None) -> np.ndarray:
@@ -107,22 +105,21 @@ def wls_fit(points, weights=None) -> np.ndarray:
     if len(pts) < MIN_POINTS:
         raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
     if weights is not None:
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if w.shape != (len(pts),):
+        weights = np.asarray(weights, dtype=float).reshape(-1)
+        if weights.shape != (len(pts),):
             raise ValueError("weights must match the number of points")
-        if not np.isfinite(w).all() or (w < 0.0).any():
+        if not np.isfinite(weights).all() or (weights < 0.0).any():
             raise ValueError("weights must be finite and non-negative")
-        if int((w > SUPPORT_TOL).sum()) < MIN_POINTS:
+        if int((weights > SUPPORT_TOL).sum()) < MIN_POINTS:
             raise InsufficientSupport(
                 f"fewer than {MIN_POINTS} points carry weight above {SUPPORT_TOL}")
-        weights = w[None]
     local, center, scale = condition(pts)
-    q, ok = solve_rows(design_matrix(local)[None], weights)
-    if not ok[0]:
+    q = solve_rows(design_matrix(local), weights)
+    if q is None:
         raise RankDeficient("points have no spatial extent or the smallest eigenvector "
                             "of the normal matrix is not isolated")
     require_carried(scale, max(scale, *np.abs(center)))
-    return decondition(q[0], center, scale)
+    return decondition(q, center, scale)
 
 
 def lls_fit(points) -> np.ndarray:

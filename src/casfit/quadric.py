@@ -259,13 +259,13 @@ _REJECTIONS = {
 }
 
 
-def _ellipsoids(q: np.ndarray, ok=True) -> tuple:
+def _ellipsoids(q: np.ndarray) -> tuple:
     """The one builder of checked models: ``check_ellipsoids``' verdicts on a unit-norm (k, 10)
-    stack ``q``, and each row's EllipsoidModel, None unless it is an ELLIPSOID and ``ok``."""
+    stack ``q``, and each row's EllipsoidModel, None unless it is an ELLIPSOID."""
     verdict, rotation, translation, semiaxes = check_ellipsoids(q)
     return verdict, [EllipsoidModel._paired(q[j], EllipsoidGeometry._checked(
         rotation[j], translation[j], semiaxes[j])) if built else None
-        for j, built in enumerate(((verdict == ELLIPSOID) & ok).tolist())]
+        for j, built in enumerate((verdict == ELLIPSOID).tolist())]
 
 
 def decompose(q) -> EllipsoidGeometry:

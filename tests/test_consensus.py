@@ -257,7 +257,7 @@ class TestLocalOptimize:
         # the mapped-back winner.
         inst = cloud(0.3, seed=5)
         local, center, scale = condition(inst.points)
-        rows = design_matrix(local)[None]
+        rows = design_matrix(local)
         scene_cfg = FitConfig(epsilon=1.5 * inst.sigma)
         epsilon = scene_cfg.epsilon / scale
         start = consensus._to_scene(inst.truth, -center / scale, 1.0 / scale)
@@ -270,8 +270,8 @@ class TestLocalOptimize:
             kinds.append(kind)
             return evaluate_metric(kind, points, model)
 
-        def models(coeffs, ok):
-            verdict, found = models_original(coeffs, ok)
+        def models(coeffs):
+            verdict, found = models_original(coeffs)
             valid.extend(model for model in found if model is not None)
             return verdict, found
 
@@ -372,7 +372,7 @@ def conditioned_start(inst, start, multiple=1.5):
     local, center, scale = condition(inst.points)
     cfg = FitConfig(epsilon=multiple * inst.sigma)
     start = consensus._to_scene(start, -center / scale, 1.0 / scale)
-    return (cfg.score_metric, local, design_matrix(local)[None], cfg.epsilon / scale,
+    return (cfg.score_metric, local, design_matrix(local), cfg.epsilon / scale,
             evaluate_metric(cfg.score_metric, local, start))
 
 
@@ -391,8 +391,8 @@ class TestCascadeStop:
         solved, valid = [], []
         solve_rows, ellipsoids = consensus.solve_rows, consensus._ellipsoids
 
-        def models(coeffs, ok):
-            verdict, found = ellipsoids(coeffs, ok)
+        def models(coeffs):
+            verdict, found = ellipsoids(coeffs)
             valid.extend(model for model in found if model is not None)
             return verdict, found
 
@@ -457,6 +457,38 @@ class TestCascadeStop:
         ran = consensus.LO_STEPS - (skip == "no support")
         assert len(solved) == ran and len(valid) == consensus.LO_STEPS - 1
         assert got[0].coeffs.tobytes() == want[0].coeffs.tobytes() and got[1] == want[1]
+
+
+class TestRankGuard:
+    """A refit whose support is coplanar has no isolated smallest eigenvector: ``solve_rows``
+    returns None and the cascade skips the step before it builds a model.  Minimal samples
+    never meet this test (the LU solves them), so refits and ``wls_fit`` are what it guards."""
+
+    def weighted_cloud(self, rng, on_slice):
+        # 200 surface points of an ellipsoid and 20 in one plane through it, all weight on the
+        # 20; in its unit-sphere frame the plane is u . n = 0.3, so a slice of the surface is
+        # a planar ellipse, and points inside that slice are coplanar and on no conic
+        model = make_model(rng)
+        n, e1, e2 = random_rotation(rng)
+        t = rng.uniform(0.0, 2.0 * np.pi, 20)
+        radius = math.sqrt(1.0 - 0.3**2) * (1.0 if on_slice else np.sqrt(rng.random(20)))
+        dirs = 0.3 * n + (radius * np.cos(t))[:, None] * e1 + (radius * np.sin(t))[:, None] * e2
+        geom = model.geometry
+        planar = (dirs * geom.semiaxes - geom.translation) @ geom.rotation
+        local = condition(np.vstack([sample_surface(model, 200, rng), planar]))[0]
+        d = np.full(len(local), np.inf)  # weight exactly 0 off the plane, 1 on it
+        d[200:] = 0.0
+        return local, d
+
+    @pytest.mark.parametrize("on_slice", [False, True], ids=["coplanar", "slice"])
+    def test_planar_support_is_not_refitted(self, rng, monkeypatch, on_slice):
+        local, d = self.weighted_cloud(rng, on_slice)
+        rows = design_matrix(local)
+        assert solve_rows(rows, point_energy(d, 1.0)) is None
+        built = []
+        monkeypatch.setattr(consensus, "_ellipsoids", lambda *args: built.append(args))
+        assert consensus._refine(cas(), local, rows, 1.0, d) is None
+        assert built == []
 
 
 class TestFit:
@@ -995,8 +1027,9 @@ class TestScreen:
             rng = np.random.Generator(np.random.PCG64(5))
             for rows in chunks:
                 nan = np.isnan(lu_quadrics(rows)).any(axis=1)
-                coeffs, ok = solve_rows(rows)
-                assert not (nan & ok & (check_ellipsoids(coeffs)[0] == ELLIPSOID)).any()
+                for row in rows[nan]:
+                    q = solve_rows(row)
+                    assert q is None or check_ellipsoids(q[None])[0][0] != ELLIPSOID
                 models = consensus._candidates(design, len(rows), rng)
                 assert all(models[i] is None for i in np.flatnonzero(nan))
                 dropped += nan.sum()
@@ -1008,8 +1041,8 @@ class TestScreen:
         points = np.random.default_rng(3).uniform(-1.0, 1.0, (9, 3)) * [1.0, 2.0**-520, 2.0**-520]
         rows = design_matrix(points)[None]
         assert np.isinf(lu_quadrics(rows)).any()
-        coeffs, ok = solve_rows(rows)
-        assert not (ok & (check_ellipsoids(coeffs)[0] == ELLIPSOID)).any()
+        q = solve_rows(rows[0])
+        assert q is None or check_ellipsoids(q[None])[0][0] != ELLIPSOID
         rng = np.random.Generator(np.random.PCG64(5))
         assert consensus._candidates(design_matrix(points), CHUNK, rng) == [None] * CHUNK
         # each row is decided on its own: rows made infinite give None, the others their model
@@ -1145,9 +1178,9 @@ class TestScreen:
         assert (x * x - 2 * x * y + 2 * y * y + x - 2 * y == 2).all()
         rows = chunks[3][507]
         assert rows.tobytes() == design_matrix(sample / np.sqrt(2.0)).tobytes()
-        coeffs, ok = solve_rows(rows[None])
-        verdict, _, _, semiaxes = check_ellipsoids(coeffs)
-        assert ok[0] and verdict[0] == ELLIPSOID and semiaxes[0, 0] > 1e5
+        coeffs = solve_rows(rows)
+        verdict, _, _, semiaxes = check_ellipsoids(coeffs[None])
+        assert verdict[0] == ELLIPSOID and semiaxes[0, 0] > 1e5
         # every order of its points, as sample_minimal draws them from these nine alone
         rng = np.random.Generator(np.random.PCG64(5))
         for _ in range(4):

@@ -169,8 +169,8 @@ EIGEN_SOLVERS = {("consensus", "_refine"), ("leastsq", "wls_fit")}
 
 def test_the_check_sees_every_solve_rows_call():
     source = ("from .leastsq import solve_rows\n"
-              "def _refine(rows, w):\n    return solve_rows(rows, w[None])\n"
-              "def _candidates(rows, keep):\n    return leastsq.solve_rows(rows[keep])[0]\n"
+              "def _refine(rows, w):\n    return solve_rows(rows, w)\n"
+              "def _candidates(rows, keep):\n    return leastsq.solve_rows(rows[keep])\n"
               "def _screen(rows):\n    solve = solve_rows\n    return rows\n")
     assert callers(source, "solve_rows") == {"_refine", "_candidates"}
 

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from casfit import (AXIAL, SAMPSON, CasfitError, EllipsoidGeometry, EllipsoidModel,
                     InsufficientSupport, RankDeficient, TooFewPoints, algebraic_distance,
@@ -110,10 +108,10 @@ class TestSolveRows:
         m = make_model(rng)
         pts = np.vstack([sample_surface(m, 60, rng), rng.uniform(-8, 8, size=(40, 3))])
         samples = [pts[rng.choice(len(pts), 9, replace=False)] for _ in range(50)]
-        frames = [condition(sample) for sample in samples]
-        coeffs, ok = solve_rows(np.stack([design_matrix(local) for local, _, _ in frames]))
-        assert coeffs.shape == (50, 10) and ok.all()
-        for sample, (_, center, scale), q in zip(samples, frames, coeffs):
+        for sample in samples:
+            local, center, scale = condition(sample)
+            q = solve_rows(design_matrix(local))
+            assert q.shape == (10,)
             assert np.abs(decondition(q, center, scale) - lls_fit(sample)).max() <= 1e-15
 
     def test_rank_deficient_rows_rejected(self, rng):
@@ -123,34 +121,12 @@ class TestSolveRows:
         coplanar[:, :2] = rng.uniform(-5, 5, size=(9, 2))
         repeated = np.tile([1.0, 2.0, 3.0], (9, 1))
         samples = (good, coplanar, repeated, good)
-        coeffs, ok = solve_rows(np.stack([design_matrix(sample) for sample in samples]))
-        assert ok.tolist() == [True, False, False, True]
+        coeffs = [solve_rows(design_matrix(sample)) for sample in samples]
+        assert [q is not None for q in coeffs] == [True, False, False, True]
         assert np.array_equal(coeffs[0], coeffs[3])
         for bad in (coplanar, repeated):
             with pytest.raises(RankDeficient):
                 lls_fit(bad)
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 8), size=st.integers(9, 60),
-           weighted=st.booleans())
-    def test_a_row_alone_is_its_row_in_the_stack(self, seed, count, size, weighted):
-        # bitwise: a refit solves one row, a chunk of minimal samples many
-        rng = np.random.default_rng(seed)
-        m = make_model(rng)
-        pts = np.vstack([sample_surface(m, size * count, rng),
-                         rng.uniform(-8, 8, (size * count, 3))])
-        rows = np.stack([design_matrix(condition(pts[rng.choice(len(pts), size, replace=False)])[0])
-                         for _ in range(count)])
-        weights = None
-        if weighted:
-            weights = rng.uniform(0.0, 1.0, (count, size))
-            weights *= 10.0 ** rng.integers(-150, 1, (count, 1))
-            weights[rng.random((count, size)) < 0.2] = 0.0
-        coeffs, ok = solve_rows(rows, weights)
-        for j in range(count):
-            alone, ok_alone = solve_rows(rows[j:j + 1],
-                                         None if weights is None else weights[j:j + 1])
-            assert coeffs[j:j + 1].tobytes() == alone.tobytes() and ok[j] == ok_alone[0]
 
 
 class TestWls:

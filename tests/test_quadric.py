@@ -353,15 +353,14 @@ class TestCheckEllipsoids:
         raw[rng.random((count, 10)) < 0.1] = 0.0
         raw[~raw.any(axis=1), 9] = 1.0
         q = np.stack([normalize_coeffs(row) for row in raw])
-        ok = rng.random(count) < 0.8
         stacked = check_ellipsoids(q)
-        verdicts, models = _ellipsoids(q, ok)
+        verdicts, models = _ellipsoids(q)
         assert np.array_equal(verdicts, stacked[0])
         for j in range(count):
             alone = check_ellipsoids(q[j:j + 1])
             for field, field_alone in zip(stacked, alone):
                 assert field[j:j + 1].tobytes() == field_alone.tobytes()
-            (verdict,), (model,) = _ellipsoids(q[j:j + 1], ok[j])
+            (verdict,), (model,) = _ellipsoids(q[j:j + 1])
             assert verdict == verdicts[j] and (model is None) == (models[j] is None)
             if model is not None:
                 stacked_fields = (models[j].coeffs, *vars(models[j].geometry).values())
@@ -373,9 +372,9 @@ class TestCheckEllipsoids:
                    for k in range(40)]
         # solve_rows takes the rows of conditioned samples; raw ones off the
         # origin can fail its eigengap test
-        coeffs, ok = solve_rows(np.stack([design_matrix(condition(sample)[0])
-                                          for sample in samples]))
-        assert ok.all()
+        coeffs = [solve_rows(design_matrix(condition(sample)[0])) for sample in samples]
+        assert not any(q is None for q in coeffs)
+        coeffs = np.stack(coeffs)
         passed = check_ellipsoids(coeffs)[0] == ELLIPSOID
         for q, accepted in zip(coeffs, passed):
             if accepted:
@@ -433,7 +432,7 @@ class TestEigenSolves:
             quadric._eigh(blocks)
         assert str(got.value) == str(want.value) == "Eigenvalues did not converge"
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            solve_rows(np.full((1, 9, 10), np.nan))
+            solve_rows(np.full((9, 10), np.nan))
 
 
 class TestBlockSolves:
