@@ -16,30 +16,30 @@ of each alone; score, inlier labels and refit weights come from that array.
 ``fit`` and ``local_optimize`` enter one frame by one path (``_frame``):
 it checks and conditions their points once (``leastsq.condition``), turns
 flat clouds away and divides the threshold by the same scale.  Only the
-returned model is mapped back, its geometry exactly.  The refit cascade
-(``_refine``) runs in the frame it is handed and neither conditions nor
-maps.  Every metric but the algebraic one is similarity invariant, so no
-decision changes beyond rounding, and the solves stay well conditioned at
-any offset.  Minimal samples and refits share one builder of checked models,
-``quadric._ellipsoids``, with failures as None; a refit is solved by
-``solve_rows`` on the cloud's rows alone, skipped where that is not well posed
-(None), and a minimal sample once, by LU (``_candidates``).
+returned model is mapped back, its geometry exactly (``quadric.to_scene``).
+The refit cascade (``_refine``) runs in the frame it is handed and neither
+conditions nor maps.  Every metric but the algebraic one is similarity
+invariant, so no decision changes beyond rounding, and the solves stay well
+conditioned at any offset.
+
+This module draws, scores and runs the loop; ``quadric`` turns coefficient
+rows into models.  A minimal sample is solved once, by LU
+(``quadric.solve_samples``), and a refit by ``quadric.solve_rows`` on the
+cloud's rows alone, skipped where that is not well posed (None).  Both build
+their models with ``quadric._ellipsoids``, failures as None.
 
 Design rows depend only on the points, and only the solves read them.
-``fit`` builds the rows of the conditioned cloud once, and ``_candidates``
-gathers each chunk's (k, 9, 10) sample rows from them, bit for bit, for
-its one solve; ``local_optimize`` builds its rows once per
-call.  Nothing built here outlives the call that built it.
+``fit`` builds the rows of the conditioned cloud once and gathers each
+chunk's (k, 9, 10) sample rows from them, bit for bit, for its one solve;
+``local_optimize`` builds its rows once per call.  Nothing built here
+outlives the call that built it.
 
 Everything is deterministic for a fixed seed: the generator is PCG64 and
 samples are drawn in a fixed order, single threaded.  Samples are drawn,
 solved and validated in chunks, which changes neither the draw order nor
 the iteration at which the loop stops.  One ``sample_minimal`` call draws a
 whole chunk and yields the rows of one call per sample, so the samples do
-not depend on where chunks begin, and chunks grow as the loop runs.  One
-batched 9x9 LU solve with q1 = 1 solves a chunk, each row on its own, and
-one batched Cholesky of the quadratic blocks drops, ahead of the ellipsoid
-check, rows that are not definite (``quadric._definite``).
+not depend on where chunks begin, and chunks grow as the loop runs.
 """
 
 from __future__ import annotations
@@ -56,10 +56,10 @@ from .errors import (NoModelFound, NotAnEllipsoid, TooFewPoints, require_integer
                      require_seed)
 # gaussian_weights, lls_fit and wls_fit are not called here but stay module
 # attributes: perfbench/tracer.py wraps them by these names.
-from .leastsq import (MIN_POINTS, SUPPORT_TOL, condition, decondition,  # noqa: F401
-                      gaussian_weights, lls_fit, point_energy, solve_rows, wls_fit)
-from .quadric import (SQUARE_RANGE, EllipsoidGeometry, EllipsoidModel, _definite, _ellipsoids,
-                      _solve, as_points, design_matrix, normalize_rows, require_carried)
+from .leastsq import (MIN_POINTS, SUPPORT_TOL, condition, gaussian_weights,  # noqa: F401
+                      lls_fit, point_energy, wls_fit)
+from .quadric import (SQUARE_RANGE, EllipsoidModel, _ellipsoids, as_points, design_matrix,
+                      require_carried, solve_rows, solve_samples, to_scene)
 
 RNG_ALGORITHM = "PCG64"
 
@@ -76,7 +76,7 @@ LO_EPS_END = 0.5
 # sample drawn from it gives a candidate, so no fittable cloud is turned away: the out-of-plane
 # terms of a sample's quadric meet its design rows only through offsets of size t and their
 # squares, so where the LU finds that quadric, its block has eigenvalues ~t^2 <= 1e-20 apart:
-# the screen (_definite) may drop it first, and check_ellipsoids finds it DEGENERATE (1e-12).
+# solve_samples' screen may drop it first, and check_ellipsoids finds it DEGENERATE (1e-12).
 FLAT_TOL = 1e-20
 
 
@@ -265,12 +265,12 @@ def local_optimize(model: EllipsoidModel, points, cfg: FitConfig) -> Optional[tu
         pts, local, center, scale, epsilon = _frame(points, cfg.epsilon)
     except NoModelFound:
         return None
-    start = _to_scene(model, -center / scale, 1.0 / scale)
+    start = to_scene(model, -center / scale, 1.0 / scale)
     best = _refine(cfg.score_metric, local, design_matrix(local), epsilon,
                    evaluate_metric(cfg.score_metric, local, start))
     if best is None:
         return None
-    refined = _to_scene(best[0], center, scale)
+    refined = to_scene(best[0], center, scale)
     d = evaluate_metric(cfg.score_metric, pts, refined)
     return refined, float(np.sum(point_energy(d, cfg.epsilon))), d
 
@@ -295,38 +295,6 @@ def _scored(kind: MetricKind, pts: np.ndarray, models: list, epsilon: float):
 CHUNK = 64
 MAX_CHUNK = 512
 
-def _candidates(design: np.ndarray, k: int, rng: np.random.Generator) -> list:
-    """Draw ``k`` minimal samples of conditioned points in order and solve each once; returns
-    each sample's ``_ellipsoids`` model, None for a row that is no ellipsoid.  Their (k, 9, 10)
-    rows are gathered from ``design``, the cloud's ``design_matrix`` rows, bit for bit.  One
-    batched LU solve of D[:, 1:] y = -D[:, 0] gives each row's quadric q = (1, y): every
-    ellipsoid has q1 = a11 > 0, so a sample whose one quadric is an ellipsoid has a regular
-    block.  Rows left NaN (a singular block) or inf are dropped, and those whose block is not
-    definite (``_definite``, which drops none that ``check_ellipsoids`` accepts).  That alone
-    decides: a quadric through nine real points with a definite block is a real ellipsoid."""
-    rows = design[sample_minimal(len(design), MIN_POINTS, rng, count=k)]
-    q = np.ones((k, 10))
-    q[:, 1:] = _solve(rows[:, :, 1:], -rows[:, :, 0])
-    keep = np.isfinite(q).all(axis=1) & _definite(q)
-    models = iter(_ellipsoids(normalize_rows(q[keep]))[1])
-    return [next(models) if kept else None for kept in keep]
-
-
-def _to_scene(model: EllipsoidModel, center: np.ndarray, scale: float) -> EllipsoidModel:
-    """``model``, fitted to points conditioned with ``center`` and ``scale``, in their frame.
-
-    The geometry maps exactly: with x_l = (x - c) / s, s (R x_l + t) is
-    R x + (s t - R c), and the semiaxes scale by s.  Raises NotAnEllipsoid
-    when a semiaxis lies below ``quadric.SQUARE_RANGE``, or a semiaxis, the
-    translation, ``center`` or ``scale`` above it (``require_carried``).
-    """
-    geom = model.geometry
-    translation = scale * geom.translation - geom.rotation @ center
-    semiaxes = scale * geom.semiaxes
-    require_carried(semiaxes.min(), max(scale, *np.abs(center), *np.abs(translation), *semiaxes))
-    return EllipsoidModel._paired(decondition(model.coeffs, center, scale),
-                                  EllipsoidGeometry(geom.rotation, translation, semiaxes))
-
 
 def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitReport:
     """Robustly fit an ellipsoid to ``points``.
@@ -339,7 +307,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
     scale leaves the doubles, NoModelFound when they are coplanar, collinear
     or identical.  Raises NoModelFound when no candidate validates within the
     budget, and NotAnEllipsoid when the fitted ellipsoid's magnitudes leave
-    the range (``_to_scene``).
+    the range (``quadric.to_scene``).
 
     The loop runs on the conditioned cloud.  It draws and solves chunks of
     minimal samples (see MAX_CHUNK), then replays them one iteration at a
@@ -361,7 +329,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
 
     while iteration < required:
         chunk = min(max(iteration, CHUNK), MAX_CHUNK, required - iteration)
-        candidates = _candidates(rows, chunk, rng)
+        candidates = solve_samples(rows[sample_minimal(len(rows), MIN_POINTS, rng, count=chunk)])
         scored = _scored(cfg.score_metric, local, candidates, epsilon)
         for candidate in candidates:
             iteration += 1
@@ -388,7 +356,7 @@ def fit(points, cfg: FitConfig, progress: Optional[ProgressHook] = None) -> FitR
         raise NoModelFound(f"no valid ellipsoid in {iteration} iterations")
     labels = best[2] < epsilon
     return FitReport(
-        model=_to_scene(best[0], center, scale),
+        model=to_scene(best[0], center, scale),
         score=best[1],
         inlier_mask=labels,
         inlier_ratio=float(labels.mean()),

@@ -29,10 +29,10 @@ def _require(record, names, kind, what: str) -> None:
 
 
 def read_text(path, newline=None) -> str:
-    """``path``'s UTF-8 text, read whole as ``open`` does; ParseError names it and its bad byte."""
+    """``path``'s UTF-8 text without one leading BOM; ParseError names the file and its bad byte."""
     try:
         with open(path, encoding="utf-8", newline=newline) as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start}: not UTF-8") from exc
 

@@ -8,17 +8,11 @@ of the 10x10 normal matrix.
 The solve runs on conditioned points (Hartley's normalization):
 ``condition`` centers them on their mean and scales them isotropically so
 the root-mean-square radius is sqrt(3), which keeps the normal matrix well
-conditioned far from the origin.  ``solve_rows`` takes the design rows of
-one conditioned cloud; ``wls_fit`` conditions its own points and maps the
-quadric back with ``decondition``.  ``fit`` and ``local_optimize`` condition
-once per call.
-
-Callers build the design rows (``quadric.design_matrix``) once and hand them
-to ``solve_rows``: ``fit`` and ``local_optimize`` build the rows of the
-conditioned cloud once per call for all of that call's weighted refits.
-Only the refits and ``wls_fit`` use this eigen-solve, one cloud per call:
-``fit`` solves each minimal sample once, by LU on rows gathered from the
-same design rows (``consensus._candidates``).
+conditioned far from the origin.  ``wls_fit`` conditions its own points,
+solves their design rows (``quadric.solve_rows``) and maps the quadric back
+(``quadric.decondition``).  ``fit`` and ``local_optimize`` condition once
+per call, through ``consensus._frame``.  Only ``quadric`` turns coefficient
+rows into models.
 """
 
 from __future__ import annotations
@@ -29,18 +23,14 @@ import numpy as np
 
 from .distances import MetricKind, cas, evaluate_metric
 from .errors import InsufficientSupport, RankDeficient, TooFewPoints
-from .quadric import (EllipsoidModel, _eigh, as_points, design_matrix, normalize_coeffs,
-                      normalize_rows, quadratic_block, require_carried)
+from .quadric import (EllipsoidModel, as_points, decondition, design_matrix, require_carried,
+                      solve_rows)
 
 # Minimum number of points (and of usably weighted points) for a quadric.
 MIN_POINTS = 9
 
 # Weights at or below this are treated as no support at all.
 SUPPORT_TOL = 1e-6
-
-# Relative eigengap below which the smallest eigenvector is not isolated (solve_rows gives None):
-# the rank test of refits and wls_fit.  Minimal samples are solved by LU and never meet it.
-EIGENGAP_TOL = 1e-10
 
 
 def condition(points: np.ndarray):
@@ -58,37 +48,6 @@ def condition(points: np.ndarray):
     scale = float(np.sqrt(np.square(shifted).sum(axis=1).mean() / 3.0))
     local = np.divide(shifted, scale, out=shifted) if scale > 0.0 else shifted
     return local, np.ldexp(center, unit), math.ldexp(scale, unit)
-
-
-def decondition(q_local: np.ndarray, center: np.ndarray, scale: float) -> np.ndarray:
-    """Normalized coefficients, in the original frame, of a quadric fitted to
-    ``condition``-ed points with that ``center`` and ``scale``."""
-    # With x_local = (x - c) / s, the conditioned quadric x_l^T A x_l +
-    # 2 b.x_l - q10, times s^2, is x^T A x + 2 (s b - A c).x
-    # - (s^2 q10 + 2 s b.c - c^T A c) in the original frame.
-    linear = q_local[6:9]
-    block_c = quadratic_block(q_local) @ center
-    q = q_local.copy()
-    q[6:9] = scale * linear - block_c
-    q[9] = scale * scale * q_local[9] + 2.0 * scale * (linear @ center) - block_c @ center
-    return normalize_coeffs(q)
-
-
-def solve_rows(rows: np.ndarray, weights: np.ndarray | None = None):
-    """Weighted algebraic quadric fit of one conditioned cloud of m points.
-
-    ``rows`` holds its (m, 10) ``design_matrix`` rows and ``weights`` is None
-    (uniform) or an (m,) array.  Returns the normalized coefficients, in the
-    frame of the cloud, or None where the fit is not well posed: the smallest
-    eigenvector of the normal matrix is not isolated (points with no spatial
-    extent included).  The weights scale the columns, so ``design_matrix``'s
-    column-major rows are read contiguously.
-    """
-    cols = rows.T if weights is None else rows.T * weights
-    evals, evecs = _eigh(cols @ cols.T)
-    if not evals[1] - evals[0] > EIGENGAP_TOL * max(evals[-1], 1e-300):
-        return None
-    return normalize_rows(evecs[None, :, 0])[0]
 
 
 def wls_fit(points, weights=None) -> np.ndarray:

@@ -14,6 +14,11 @@ block positive, which removes the overall scale and the q / -q ambiguity.
 An ellipsoid can equivalently be described by a rigid map into its own
 axis-aligned frame, ``u = R @ x + t``, plus the three semiaxis lengths:
 points on the surface satisfy sum((u_i / r_i)^2) == 1.
+
+Only this module turns coefficient rows into checked models: minimal samples
+by one batched LU (``solve_samples``), weighted clouds by an eigen-solve
+(``solve_rows``), each through ``_ellipsoids``, and ``to_scene`` maps a model
+fitted in a conditioned frame back exactly.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ from .errors import DegenerateQuadric, NotAnEllipsoid, ParseError
 # Relative eigenvalue threshold below which the quadratic block is treated
 # as rank deficient.
 DEGENERACY_TOL = 1e-12
+
+# Relative eigengap below which the smallest eigenvector is not isolated (solve_rows gives None):
+# the rank test of refits and wls_fit.  Minimal samples are solved by LU and never meet it.
+EIGENGAP_TOL = 1e-10
 
 # Largest magnitudes whose squares neither underflow nor overflow, even summed 2^23 at a time.
 SQUARE_RANGE = (2.0**-500, 2.0**500)
@@ -189,6 +198,23 @@ def _eigh(a: np.ndarray) -> tuple:
     return _umath_linalg.eigh_lo(a, signature="d->dd")
 
 
+def solve_rows(rows: np.ndarray, weights: np.ndarray | None = None):
+    """Weighted algebraic quadric fit of one conditioned cloud of m points.
+
+    ``rows`` holds its (m, 10) ``design_matrix`` rows and ``weights`` is None
+    (uniform) or an (m,) array.  Returns the normalized coefficients, in the
+    frame of the cloud, or None where the fit is not well posed: the smallest
+    eigenvector of the normal matrix is not isolated (points with no spatial
+    extent included).  The weights scale the columns, so ``design_matrix``'s
+    column-major rows are read contiguously.
+    """
+    cols = rows.T if weights is None else rows.T * weights
+    evals, evecs = _eigh(cols @ cols.T)
+    if not evals[1] - evals[0] > EIGENGAP_TOL * max(evals[-1], 1e-300):
+        return None
+    return normalize_rows(evecs[None, :, 0])[0]
+
+
 @np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.solve's bits on (k, m, m), (k, m) stacks, but a singular block's row is NaN."""
@@ -198,11 +224,11 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
 def _definite(q: np.ndarray) -> np.ndarray:
     """False for each row of a (k, 10) stack whose quadratic block A LAPACK's Cholesky does not
-    factor.  Where q1 = a11 = 1 it keeps every row check_ellipsoids accepts: lmin >= 1e-12 lmax
-    there and lmin <= 1 <= lmax, so no square overflows (|a_ij| <= 1e12), an underflow's error is
-    far below lmin, and A factors as lmin(D^-1 A D^-1) >= lmin / lmax (D^2 = diag A) is above
-    3 gamma_4 / (1 - gamma_4) ~ 1.3e-15 (Demmel's condition: Higham, Accuracy and Stability of
-    Numerical Algorithms, Thm 10.7)."""
+    factor.  Where q1 = a11 = 1, as on solve_samples' LU rows, it keeps every row check_ellipsoids
+    accepts: lmin >= 1e-12 lmax there and lmin <= 1 <= lmax, so no square overflows (|a_ij| <=
+    1e12), an underflow's error is far below lmin, and A factors as lmin(D^-1 A D^-1) >= lmin /
+    lmax (D^2 = diag A) is above 3 gamma_4 / (1 - gamma_4) ~ 1.3e-15 (Demmel's condition: Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.7)."""
     factor = _umath_linalg.cholesky_lo(quadratic_block(q), signature="d->d")
     return np.isfinite(factor).all(axis=(1, 2))
 
@@ -266,6 +292,21 @@ def _ellipsoids(q: np.ndarray) -> tuple:
     return verdict, [EllipsoidModel._paired(q[j], EllipsoidGeometry._checked(
         rotation[j], translation[j], semiaxes[j])) if built else None
         for j, built in enumerate((verdict == ELLIPSOID).tolist())]
+
+
+def solve_samples(rows: np.ndarray) -> list:
+    """Each minimal sample's ``_ellipsoids`` model, None for one that is no ellipsoid, from the
+    (k, 9, 10) design rows of k samples, each solved once.  One batched LU solve of
+    D[:, 1:] y = -D[:, 0] gives each row's quadric q = (1, y): every ellipsoid has q1 = a11 > 0,
+    so a sample whose one quadric is an ellipsoid has a regular block.  Rows left NaN (a
+    singular block) or inf are dropped, and those whose block is not definite (``_definite``,
+    which drops none that ``check_ellipsoids`` accepts).  That alone decides: a quadric through
+    nine real points with a definite block is a real ellipsoid."""
+    q = np.ones((len(rows), 10))
+    q[:, 1:] = _solve(rows[:, :, 1:], -rows[:, :, 0])
+    keep = np.isfinite(q).all(axis=1) & _definite(q)
+    models = iter(_ellipsoids(normalize_rows(q[keep]))[1])
+    return [next(models) if kept else None for kept in keep]
 
 
 def decompose(q) -> EllipsoidGeometry:
@@ -347,3 +388,33 @@ class EllipsoidModel:
             return cls.from_coeffs(np.array(q, dtype=float))
         except (OverflowError, ValueError) as exc:
             raise ParseError(f"bad model field 'q': {exc}") from None
+
+
+def decondition(q_local: np.ndarray, center: np.ndarray, scale: float) -> np.ndarray:
+    """Normalized coefficients, in the original frame, of a quadric fitted to points
+    conditioned (``leastsq.condition``) with that ``center`` and ``scale``."""
+    # With x_local = (x - c) / s, the conditioned quadric x_l^T A x_l +
+    # 2 b.x_l - q10, times s^2, is x^T A x + 2 (s b - A c).x
+    # - (s^2 q10 + 2 s b.c - c^T A c) in the original frame.
+    linear = q_local[6:9]
+    block_c = quadratic_block(q_local) @ center
+    q = q_local.copy()
+    q[6:9] = scale * linear - block_c
+    q[9] = scale * scale * q_local[9] + 2.0 * scale * (linear @ center) - block_c @ center
+    return normalize_coeffs(q)
+
+
+def to_scene(model: EllipsoidModel, center: np.ndarray, scale: float) -> EllipsoidModel:
+    """``model``, fitted to points conditioned with ``center`` and ``scale``, in their frame.
+
+    The geometry maps exactly: with x_l = (x - c) / s, s (R x_l + t) is
+    R x + (s t - R c), and the semiaxes scale by s.  Raises NotAnEllipsoid
+    when a semiaxis lies below ``SQUARE_RANGE``, or a semiaxis, the
+    translation, ``center`` or ``scale`` above it (``require_carried``).
+    """
+    geom = model.geometry
+    translation = scale * geom.translation - geom.rotation @ center
+    semiaxes = scale * geom.semiaxes
+    require_carried(semiaxes.min(), max(scale, *np.abs(center), *np.abs(translation), *semiaxes))
+    return EllipsoidModel._paired(decondition(model.coeffs, center, scale),
+                                  EllipsoidGeometry(geom.rotation, translation, semiaxes))

@@ -180,7 +180,7 @@ def load_points(path) -> np.ndarray:
     any other file, and any file it does not read as exactly 3 values per
     line, goes through the line reader, which alone builds error messages.
     """
-    text = read_text(path).removeprefix("\ufeff")
+    text = read_text(path)
     arr = _read_plain(path, text)
     if arr is None:
         arr = _read_lines(path, text)

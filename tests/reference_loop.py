@@ -7,7 +7,7 @@ cloud once with ``condition``, divides epsilon by the same scale, solves
 each sample on its own (``solve_sample``: ``np.linalg.solve`` for the
 quadric with q1 = 1, then ``EllipsoidModel.from_coeffs``), sharing no solve
 code with ``fit``, and maps only the returned model back with
-``_to_scene``.  It draws each sample with its own ``sample_minimal`` call,
+``to_scene``.  It draws each sample with its own ``sample_minimal`` call,
 scores each candidate with ``score_of`` and classifies the returned model
 once more at the end.  Its refit cascade is the one ``casfit.local_optimize``
 ran before each model's distances were evaluated only once: every step
@@ -35,9 +35,9 @@ from casfit import (DegenerateQuadric, EllipsoidModel, FitConfig, FitReport,
                     InsufficientSupport, NoModelFound, NotAnEllipsoid, RankDeficient,
                     TooFewPoints, evaluate_metric, point_energy, required_iterations,
                     sample_minimal, wls_fit)
-from casfit.consensus import MU, _lo_schedule, _to_scene
+from casfit.consensus import MU, _lo_schedule
 from casfit.leastsq import MIN_POINTS, condition
-from casfit.quadric import as_points, design_matrix
+from casfit.quadric import as_points, design_matrix, to_scene
 
 
 def score_of(model, pts, eps, metric) -> float:
@@ -137,7 +137,7 @@ def reference_fit(points, cfg: FitConfig, progress=None) -> FitReport:
         raise NoModelFound(f"no valid ellipsoid in {iteration} iterations")
     labels = inliers_of(local, best_model, eps, score_metric)
     return FitReport(
-        model=_to_scene(best_model, center, scale),
+        model=to_scene(best_model, center, scale),
         score=best_score,
         inlier_mask=labels,
         inlier_ratio=float(labels.mean()),

@@ -210,6 +210,15 @@ class TestGridConstruction:
         path.write_bytes(json.dumps(good, ensure_ascii=False).encode("utf-8"))
         assert load_grid(path).variants[0].name == "caf\u00e9"
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        # every reader drops one leading UTF-8 BOM, as load_points does
+        doc = {"variants": [{"name": "v", "local_opt": False}],
+               "datasets": [{"kind": "gaussian", "seed": 2}], "seed": 5}
+        plain, marked = tmp_path / "grid.json", tmp_path / "bom.json"
+        plain.write_text(json.dumps(doc), encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_grid(marked) == load_grid(plain)
+
     def test_load_grid_errors(self, tmp_path):
         path = tmp_path / "grid.json"
         path.write_text("{not json")
@@ -333,6 +342,12 @@ class TestRunGrid:
         path.write_bytes(text.decode("utf-8").encode("latin-1"))
         with pytest.raises(ParseError, match=f"report.csv: byte {text.index(b'caf') + 3}: "):
             read_report(path)
+
+    def test_read_report_skips_a_byte_order_mark(self, tmp_path):
+        path, marked = tmp_path / "report.csv", tmp_path / "bom.csv"
+        run_grid(tiny_grid(runs=1), out_path=path)
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_report(marked) == read_report(path)
 
     def test_read_report_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "other.csv"

@@ -540,6 +540,19 @@ class TestDistancesCommand:
         assert run_cli(["distances", str(path), str(model_path)]) == 0
         assert capsys.readouterr().out == want
 
+    def test_a_byte_order_mark_on_the_model_is_skipped(self, points_file, tmp_path):
+        # every reader drops one leading UTF-8 BOM, as load_points does
+        path, truth = points_file
+        plain, marked = tmp_path / "model.json", tmp_path / "bom.json"
+        plain.write_text(json.dumps(truth.to_json_dict()), encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        written = []
+        for model_path in (plain, marked):
+            out = tmp_path / f"{model_path.stem}.csv"
+            assert run_cli(["distances", str(path), str(model_path), "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_bad_model_fails_before_the_file_is_read(self, points_file, tmp_path, monkeypatch,
                                                      capsys):
         # the model document is read and built first: a points file can be large

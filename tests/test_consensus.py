@@ -13,12 +13,13 @@ from casfit import (ALGEBRAIC, AXIAL, SAMPSON, CasfitError, DatasetSpec, Ellipso
                     evaluate_metric, fit, gaussian_weights, lls_fit, local_optimize,
                     make_instance, model_score, point_energy, required_iterations,
                     sample_minimal, sample_surface, wls_fit)
-from casfit import consensus, distances
+from casfit import consensus, distances, quadric
 from casfit.consensus import CHUNK, FLAT_TOL, MAX_CHUNK
-from casfit.leastsq import condition, solve_rows
+from casfit.leastsq import condition
 from casfit.quadric import (DEGENERACY_TOL, DEGENERATE, ELLIPSOID, UNBOUNDED, _definite,
                             check_ellipsoids, design_matrix, geometry_to_coeffs,
-                            normalize_coeffs, normalize_rows, quadratic_block)
+                            normalize_coeffs, normalize_rows, quadratic_block, solve_rows,
+                            solve_samples, to_scene)
 from casfit.synth import random_rotation
 
 from conftest import axis_aligned, make_model, unit_sphere
@@ -260,7 +261,7 @@ class TestLocalOptimize:
         rows = design_matrix(local)
         scene_cfg = FitConfig(epsilon=1.5 * inst.sigma)
         epsilon = scene_cfg.epsilon / scale
-        start = consensus._to_scene(inst.truth, -center / scale, 1.0 / scale)
+        start = to_scene(inst.truth, -center / scale, 1.0 / scale)
         score_metric = scene_cfg.score_metric
         start_d = evaluate_metric(score_metric, local, start)
         kinds = []
@@ -295,7 +296,7 @@ class TestLocalOptimize:
         assert 1 <= len(valid) == len(solved) <= consensus.LO_STEPS
         assert kinds == [score_metric] * (len(valid) + 2)
         # it hands the cascade the start model's own distances
-        scene = consensus._to_scene(model, center, scale)
+        scene = to_scene(model, center, scale)
         assert np.array_equal(refined.coeffs, scene.coeffs)
 
     def test_too_few_points(self, rng):
@@ -371,7 +372,7 @@ def conditioned_start(inst, start, multiple=1.5):
     frame ``fit`` conditions the cloud into, as ``fit`` hands them to a cascade."""
     local, center, scale = condition(inst.points)
     cfg = FitConfig(epsilon=multiple * inst.sigma)
-    start = consensus._to_scene(start, -center / scale, 1.0 / scale)
+    start = to_scene(start, -center / scale, 1.0 / scale)
     return (cfg.score_metric, local, design_matrix(local), cfg.epsilon / scale,
             evaluate_metric(cfg.score_metric, local, start))
 
@@ -639,7 +640,7 @@ class TestFit:
         report = fit(inst.points, cfg)
         assert report.lo_invocations >= 1
         if gain:
-            want = consensus._to_scene(decoy, center, scale)
+            want = to_scene(decoy, center, scale)
         else:
             want = fit(inst.points, dataclasses.replace(cfg, local_opt=False))
             assert (report.score, report.iterations) == (want.score, want.iterations)
@@ -754,7 +755,7 @@ class TestChunkedEquivalence:
         # holds a point twice solves to a NaN row, and every row gets the bits of its own solve
         inst = cloud(0.5, seed=58)
         points = with_repeats(inst.points, 0.05, seed=58)
-        draw, solve, solve_rows = consensus.sample_minimal, consensus._solve, consensus.solve_rows
+        draw, solve, solve_rows = consensus.sample_minimal, quadric._solve, consensus.solve_rows
         drawn, solved, singular, unweighted = [], [], 0, 0
 
         def solve_spy(a, b):
@@ -778,7 +779,7 @@ class TestChunkedEquivalence:
 
         monkeypatch.setattr(consensus, "sample_minimal",
                             lambda *args, count=None: drawn.append(count) or draw(*args, count))
-        monkeypatch.setattr(consensus, "_solve", solve_spy)
+        monkeypatch.setattr(quadric, "_solve", solve_spy)
         monkeypatch.setattr(consensus, "solve_rows", solve_rows_spy)
         report = fit(points, FitConfig(epsilon=1.5 * inst.sigma, seed=3))
         assert solved == drawn and singular >= 2 and unweighted == 0 < report.lo_invocations
@@ -858,17 +859,23 @@ def assert_bitwise_equal(got_run, want_run):
     assert got_calls == want_calls
 
 
+def candidates(design, k, rng):
+    """Draw ``k`` minimal samples in order from the cloud whose ``design_matrix`` rows are
+    ``design``, as ``fit`` draws a chunk, and solve them: each one's model, or None."""
+    return solve_samples(design[sample_minimal(len(design), 9, rng, count=k)])
+
+
 def lu_quadrics(rows):
     """q = (1, y) with D[:, 1:] y = -D[:, 0] for each of (k, 9, 10) design rows, as
-    ``_candidates`` solves them; a row whose block is exactly singular is NaN."""
+    ``solve_samples`` solves them; a row whose block is exactly singular is NaN."""
     q = np.ones((len(rows), 10))
-    q[:, 1:] = consensus._solve(rows[:, :, 1:], -rows[:, :, 0])
+    q[:, 1:] = quadric._solve(rows[:, :, 1:], -rows[:, :, 0])
     return q
 
 
 def lattice_draws(m, chunks=20, count=512):
     """The design rows of the conditioned ``lattice(m)``, and the (count, 9, 10) rows of each
-    of ``chunks`` draws of PCG64(5): the chunks ``_candidates`` draws with that seed."""
+    of ``chunks`` draws of PCG64(5): the chunks ``candidates`` draws with that seed."""
     design = design_matrix(condition(lattice(m))[0])
     rng = np.random.Generator(np.random.PCG64(5))
     return design, [design[sample_minimal(len(design), 9, rng, count=count)]
@@ -968,19 +975,19 @@ def rotation_zxz(a, b, c):
 
 
 class TestScreen:
-    """``_candidates`` solves each minimal sample once, by LU with q1 = 1, and screens the
+    """``solve_samples`` solves each minimal sample once, by LU with q1 = 1, and screens the
     rows before it checks them; the screen drops no row that ``check_ellipsoids`` accepts."""
 
     @staticmethod
     def same_candidates(points, chunks=8):
-        """Assert ``_candidates`` yields the candidates of the reference's one-sample solve
+        """Assert ``candidates`` yields the candidates of the reference's one-sample solve
         (``reference_loop.solve_sample``) bit for bit, near the SVD null vector; count them."""
         local = condition(points)[0]
         got_rng = np.random.Generator(np.random.PCG64(5))
         want_rng = np.random.Generator(np.random.PCG64(5))
         found = 0
         for _ in range(chunks):
-            got = consensus._candidates(design_matrix(local), CHUNK, got_rng)
+            got = candidates(design_matrix(local), CHUNK, got_rng)
             for model, sample in zip(got, local[sample_minimal(len(local), 9, want_rng,
                                                                count=CHUNK)]):
                 want = solve_sample(sample)
@@ -1030,7 +1037,7 @@ class TestScreen:
                 for row in rows[nan]:
                     q = solve_rows(row)
                     assert q is None or check_ellipsoids(q[None])[0][0] != ELLIPSOID
-                models = consensus._candidates(design, len(rows), rng)
+                models = candidates(design, len(rows), rng)
                 assert all(models[i] is None for i in np.flatnonzero(nan))
                 dropped += nan.sum()
         assert dropped > 500
@@ -1044,19 +1051,19 @@ class TestScreen:
         q = solve_rows(rows[0])
         assert q is None or check_ellipsoids(q[None])[0][0] != ELLIPSOID
         rng = np.random.Generator(np.random.PCG64(5))
-        assert consensus._candidates(design_matrix(points), CHUNK, rng) == [None] * CHUNK
+        assert candidates(design_matrix(points), CHUNK, rng) == [None] * CHUNK
         # each row is decided on its own: rows made infinite give None, the others their model
         design = design_matrix(condition(cloud(0.0, seed=61, sigma_rel=0.0).points)[0])
-        want = consensus._candidates(design, CHUNK, np.random.Generator(np.random.PCG64(5)))
-        solve = consensus._solve
+        want = candidates(design, CHUNK, np.random.Generator(np.random.PCG64(5)))
+        solve = quadric._solve
 
         def overflowing(a, b):
             x = solve(a, b)
             x[::2, 0] = np.inf
             return x
 
-        monkeypatch.setattr(consensus, "_solve", overflowing)
-        got = consensus._candidates(design, CHUNK, np.random.Generator(np.random.PCG64(5)))
+        monkeypatch.setattr(quadric, "_solve", overflowing)
+        got = candidates(design, CHUNK, np.random.Generator(np.random.PCG64(5)))
         assert got[::2] == [None] * (CHUNK // 2)
         assert [model and model.coeffs.tobytes() for model in got[1::2]] == [
             model and model.coeffs.tobytes() for model in want[1::2]]
@@ -1184,7 +1191,7 @@ class TestScreen:
         # every order of its points, as sample_minimal draws them from these nine alone
         rng = np.random.Generator(np.random.PCG64(5))
         for _ in range(4):
-            assert consensus._candidates(rows, 512, rng) == [None] * 512
+            assert candidates(rows, 512, rng) == [None] * 512
 
 
 def flat(shape, rng, count=500):
@@ -1229,7 +1236,7 @@ class TestDegenerateInput:
         design = design_matrix(condition(pts @ random_rotation(rng).T)[0])
         draws = np.random.Generator(np.random.PCG64(5))
         for _ in range(20):
-            assert consensus._candidates(design, 512, draws) == [None] * 512
+            assert candidates(design, 512, draws) == [None] * 512
 
     def test_just_thicker_than_the_threshold_runs_the_loop(self, rng):
         pts = np.zeros((500, 3))

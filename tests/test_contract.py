@@ -8,6 +8,10 @@ to nearly the largest double.  ``fit`` and ``local_optimize`` must return or rai
 cloud (a rotated plane or line, or one point repeated) is turned away with NoModelFound before
 any sample is drawn.
 
+``fit``'s labels are recounted as d < epsilon in the conditioned frame it fits in, with its model
+mapped back into that frame, wherever the threshold there is at least LABEL_FLOOR.  Below it,
+points on the surface read 0 in ``fit`` and ~1e-16 after the back-map, so labels may flip.
+
 Not checked: ``fit``'s score against a recount in the scene frame.  The score is taken in the
 conditioned frame, and far from the origin the scene's coordinates have lost the digits that
 recount would need.
@@ -17,19 +21,22 @@ import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from casfit import (METRIC_KINDS, CasfitError, EllipsoidGeometry, EllipsoidModel, FitConfig,
-                    MetricKind, NoModelFound, fit, local_optimize, point_energy,
-                    random_ellipsoid, sample_surface)
+from casfit import (METRIC_KINDS, CasfitError, DatasetSpec, EllipsoidGeometry, EllipsoidModel,
+                    FitConfig, MetricKind, NoModelFound, evaluate_metric, fit, local_optimize,
+                    make_instance, point_energy, random_ellipsoid, sample_surface)
 from casfit import consensus
+from casfit.quadric import to_scene
 from casfit.synth import random_rotation
 
 MAX_ITERATIONS = 300
 SHAPES = ("lattice", "near-plane", "near-line", "repeated", "anisotropic")
 FLAT_SHAPES = ("plane", "line", "identical")
 TINY, HUGE = 5e-324, 1e308  # the threshold's range, endpoints included
+LABEL_FLOOR = 1e-6  # the least threshold, in the conditioned frame, at which labels are recounted
+LABEL_SLACK = 1e-9  # points within this share of the threshold of it may take either label
 
 
 def base_cloud(shape, rng, draw):
@@ -94,13 +101,35 @@ def cases(draw):
     return points, flat, start, cfg
 
 
+def refitted_case():
+    """A case whose fit ends on a refit: 200 points 5 % off the surface, 30 % box outliers,
+    epsilon 2 sigma.  The refit's labels differ from its sample's on 13 points."""
+    inst = make_instance(DatasetSpec(kind="outlier", point_count=200, sigma_rel=0.05,
+                                     outlier_fraction=0.3), np.random.default_rng(2))
+    cfg = FitConfig(epsilon=2.0 * inst.sigma, max_iterations=MAX_ITERATIONS, seed=2)
+    return inst.points, False, inst.truth, cfg
+
+
 def assert_geometry_accepted(model):
     geom = model.geometry
     EllipsoidGeometry(geom.rotation, geom.translation, geom.semiaxes)
 
 
+def assert_labels_recount(report, points, cfg):
+    """``report.inlier_mask`` is d < epsilon in the conditioned frame, for the fitted model
+    mapped back into it, but for points within LABEL_SLACK epsilon of the threshold."""
+    _, local, center, scale, epsilon = consensus._frame(points, cfg.epsilon)
+    if epsilon < LABEL_FLOOR:
+        return
+    model = to_scene(report.model, -center / scale, 1.0 / scale)
+    d = evaluate_metric(cfg.score_metric, local, model)
+    clear = np.abs(d - epsilon) > LABEL_SLACK * epsilon
+    assert np.array_equal(report.inlier_mask[clear], (d < epsilon)[clear])
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=cases())
+@example(case=refitted_case())
 def test_typed_errors_and_self_consistent_results(case):
     points, flat, start, cfg = case
     n = len(points)
@@ -127,6 +156,7 @@ def test_typed_errors_and_self_consistent_results(case):
         assert report.lo_invocations <= report.iterations
         assert math.isfinite(report.score) and 0.0 <= report.score <= n
         assert_geometry_accepted(report.model)
+        assert_labels_recount(report, points, cfg)
     if start is None:
         return
     try:

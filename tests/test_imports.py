@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses, only quadric builds models and calls
 numpy's private linalg gufuncs, no module catches LinAlgError, only two functions condition a
-cloud, two call the eigen-solve and one the Cholesky screen, a module takes only the listed
-private names from another, and every name the package exports has a user outside it."""
+cloud, two call the eigen-solve (``quadric.solve_rows``) and one the Cholesky screen, a module
+takes only the listed private names from another, and every name the package exports has a user
+outside it."""
 
 import ast
 import re
@@ -24,8 +25,9 @@ ALLOWED = {
     "consensus": {"gaussian_weights", "lls_fit", "wls_fit"},
 }
 
-# The check and the field builder behind quadric._ellipsoids, the one builder of checked models.
-BUILDERS = {"check_ellipsoids", "_checked"}
+# The check and the field builders behind quadric._ellipsoids, the one builder of checked models,
+# and quadric.to_scene, which maps one exactly: _checked and _paired check nothing.
+BUILDERS = {"check_ellipsoids", "_checked", "_paired"}
 
 # numpy's private module behind np.linalg.eigh, det, solve and cholesky, which quadric._eigh,
 # _solve, _definite and check_ellipsoids call: one module to follow if numpy moves or changes it.
@@ -74,7 +76,7 @@ def test_the_check_sees_every_builder_use():
               "v = quadric.check_ellipsoids(q)\n"
               "model = EllipsoidModel._paired(q, geom)\n"
               "def _checked_rows(q):\n    return verdicts(q)\n")
-    assert name_uses(source, BUILDERS) == [1, 2, 3]
+    assert name_uses(source, BUILDERS) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py") if p.stem != "quadric"))
@@ -162,17 +164,17 @@ def test_only_the_frame_and_wls_fit_condition():
             for owner in callers(path.read_text(encoding="utf-8"), "condition")} == CONDITIONERS
 
 
-# The functions that call leastsq.solve_rows, the eigen-solve of the 10x10 normal matrix: the
-# refit cascade and wls_fit.  consensus._candidates solves each minimal sample once, by LU.
+# The functions that call quadric.solve_rows, the eigen-solve of the 10x10 normal matrix: the
+# refit cascade and wls_fit.  quadric.solve_samples solves each minimal sample once, by LU.
 EIGEN_SOLVERS = {("consensus", "_refine"), ("leastsq", "wls_fit")}
 
 
 def test_the_check_sees_every_solve_rows_call():
     source = ("from .leastsq import solve_rows\n"
               "def _refine(rows, w):\n    return solve_rows(rows, w)\n"
-              "def _candidates(rows, keep):\n    return leastsq.solve_rows(rows[keep])\n"
+              "def solve_samples(rows, keep):\n    return quadric.solve_rows(rows[keep])\n"
               "def _screen(rows):\n    solve = solve_rows\n    return rows\n")
-    assert callers(source, "solve_rows") == {"_refine", "_candidates"}
+    assert callers(source, "solve_rows") == {"_refine", "solve_samples"}
 
 
 def test_only_refits_and_wls_fit_call_solve_rows():
@@ -182,16 +184,16 @@ def test_only_refits_and_wls_fit_call_solve_rows():
 
 
 # The function that calls quadric._definite, the Cholesky screen: it drops no row that
-# check_ellipsoids accepts only where q1 = a11 = 1, as on the LU rows of consensus._candidates.
-SCREENERS = {("consensus", "_candidates")}
+# check_ellipsoids accepts only where q1 = a11 = 1, as on the LU rows of solve_samples.
+SCREENERS = {("quadric", "solve_samples")}
 
 
 def test_the_check_sees_every_screen_call():
     source = ("from .quadric import _definite\n"
-              "def _candidates(q):\n    return q[_definite(q)]\n"
+              "def solve_samples(q):\n    return q[_definite(q)]\n"
               "def _refine(q):\n    return quadric._definite(normalize_rows(q))\n"
               "def _checked(q):\n    screen = _definite\n    return screen\n")
-    assert callers(source, "_definite") == {"_candidates", "_refine"}
+    assert callers(source, "_definite") == {"solve_samples", "_refine"}
 
 
 def test_only_minimal_samples_are_screened():
@@ -211,11 +213,7 @@ PRIVATE_CROSSINGS = {
     ("cli", "synth", "_write_rows"),
     ("consensus", "distances", "_components"),
     ("consensus", "distances", "_evaluate"),
-    ("consensus", "quadric", "_definite"),
     ("consensus", "quadric", "_ellipsoids"),
-    ("consensus", "quadric", "_solve"),
-    ("consensus", "quadric", "EllipsoidModel._paired"),
-    ("leastsq", "quadric", "_eigh"),
 }
 
 

@@ -6,8 +6,8 @@ import pytest
 from casfit import (AXIAL, SAMPSON, CasfitError, EllipsoidGeometry, EllipsoidModel,
                     InsufficientSupport, RankDeficient, TooFewPoints, algebraic_distance,
                     gaussian_weights, lls_fit, wls_fit)
-from casfit.leastsq import condition, decondition, solve_rows
-from casfit.quadric import design_matrix, normalize_coeffs
+from casfit.leastsq import condition
+from casfit.quadric import decondition, design_matrix, normalize_coeffs, solve_rows
 from casfit.synth import random_rotation, sample_surface
 
 from conftest import make_model, unit_sphere

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from casfit import (CasfitError, DegenerateQuadric, EllipsoidGeometry, EllipsoidModel,
                     FitConfig, NotAnEllipsoid, ParseError, design_matrix, fit, local_optimize,
                     quadric, validate_ellipsoid)
-from casfit.leastsq import condition, solve_rows
+from casfit.leastsq import condition
 from casfit.quadric import (DEGENERATE, ELLIPSOID, INDEFINITE, UNBOUNDED, _ellipsoids,
                             check_ellipsoids, decompose, geometry_to_coeffs, normalize_coeffs,
-                            normalize_rows)
+                            normalize_rows, solve_rows)
 from casfit.synth import random_ellipsoid, random_rotation, sample_surface
 
 from conftest import axis_aligned, make_model
@@ -57,7 +57,7 @@ class TestNormalize:
         assert np.array_equal(normalize_coeffs(np.ldexp(q, exponent)), normalize_coeffs(q))
 
     def test_rows_at_any_magnitude(self, rng):
-        # consensus._candidates' rows: q1 = 1 and the other entries of any finite size
+        # solve_samples' rows: q1 = 1 and the other entries of any finite size
         q = rng.normal(size=(5, 10))
         q[:, 0] = 1.0
         scaled = np.ldexp(q, np.array([[-1000], [-600], [0], [600], [1020]]))
@@ -441,7 +441,7 @@ class TestBlockSolves:
 
     @pytest.mark.parametrize("count", [0, 1, 64, 512])
     def test_bits_of_np_linalg_solve(self, count):
-        # consensus._candidates' systems: D[:, 1:] y = -D[:, 0] on the design rows of minimal
+        # solve_samples' systems: D[:, 1:] y = -D[:, 0] on the design rows of minimal
         # samples
         rng = np.random.default_rng(count)
         rows = design_matrix(rng.normal(size=(9 * count, 3))).reshape(count, 9, 10)
